@@ -12,6 +12,7 @@ edge id, and every mask, solver report, and CLI output uses those ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -101,6 +102,29 @@ class WeightedGraph:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(pairs) for pairs in self.incidence)
+
+    @cached_property
+    def forced_edge_ids(self) -> frozenset[int]:
+        """Edge ids incident to a degree-1 vertex; see :func:`forced_edges`."""
+        degs = self.degrees
+        return frozenset(
+            eid for eid, (u, v) in enumerate(self.edges) if degs[u] == 1 or degs[v] == 1
+        )
+
+    @cached_property
+    def core_vertices(self) -> tuple[int, ...]:
+        """Vertices of host degree at least 2, ascending.
+
+        Every other vertex is a leaf, which has degree 1 in every valid mask.
+        """
+        return tuple(vtx for vtx, d in enumerate(self.degrees) if d >= 2)
+
+    @cached_property
+    def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
+        """(L, W): L is the lcm of the weight denominators and W[v] = L * f(v),
+        an integer for every vertex."""
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        return scale, tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 
 
 class SubgraphMask:
@@ -194,12 +218,9 @@ def forced_edges(graph: WeightedGraph) -> frozenset[int]:
     """Edge ids incident to a degree-1 vertex of the host graph.
 
     Dropping such an edge isolates its leaf endpoint, so every valid mask
-    keeps all of them.
+    keeps all of them.  Computed once per graph.
     """
-    degs = graph.degrees
-    return frozenset(
-        eid for eid, (u, v) in enumerate(graph.edges) if degs[u] == 1 or degs[v] == 1
-    )
+    return graph.forced_edge_ids
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

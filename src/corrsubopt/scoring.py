@@ -10,6 +10,21 @@ with C defaulting to the number of vertices.  Discrepancies and their
 weighted total S are exact rationals; only the two logarithms use 64-bit
 floats.  S = 0 means every vertex agrees exactly with its neighbourhood
 mean, and the score is treated as positive infinity.
+
+Every score in the package comes from one kernel, used by
+:class:`ScoreState` and by the branch and bound in ``solvers``:
+
+* Discrepancies are integer-scaled.  With L the lcm of the weight
+  denominators and W = L * f (integers, ``WeightedGraph.scaled_weights``),
+  a vertex of kept degree d whose kept neighbours' W add up to s has
+  d * ND = (W d - s)^2 / (L^2 d).  Numerators are Python ints and every
+  total is built from them as an exact ``Fraction``, so S, ``float(S)`` and
+  every comparison are the same whatever order the terms are added in.
+* The log-degree sum is added left to right in vertex order over
+  ``WeightedGraph.core_vertices`` only.  A host leaf has degree 1 in every
+  valid mask and would add ln 1 = 0.0; every partial sum is at least +0.0,
+  and x + 0.0 == x bit for bit for such x, so dropping those terms leaves
+  the float sum bit-identical to the sum over all vertices.
 """
 
 from __future__ import annotations
@@ -17,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .graph import MaskValidityError, SubgraphMask, WeightedGraph
 
@@ -45,6 +61,15 @@ class ScoreValue:
     @property
     def kind(self) -> str:
         return "positive-infinity" if self.value is None else "finite"
+
+    @classmethod
+    def from_parts(
+        cls, log_degree_sum: float, discrepancy_total: Fraction, multiplier: int
+    ) -> "ScoreValue":
+        if discrepancy_total == 0:
+            return cls(None, log_degree_sum, discrepancy_total)
+        value = log_degree_sum - multiplier * math.log(float(discrepancy_total))
+        return cls(value, log_degree_sum, discrepancy_total)
 
 
 def format_score(score: ScoreValue) -> str:
@@ -91,6 +116,37 @@ def neighbourhood_discrepancy(
     return diff * diff
 
 
+def log_degree_sum(graph: WeightedGraph, degrees) -> float:
+    """ln d added left to right over the core vertices (see the module notes)."""
+    log = math.log
+    total = 0.0
+    for vtx in graph.core_vertices:
+        total += log(degrees[vtx])
+    return total
+
+
+def contribution(weight: int, degree: int, nbr_sum: int, scale_sq: int) -> Fraction:
+    """Exact d * ND of one vertex from scaled data: (W d - s)^2 / (L^2 d)."""
+    diff = weight * degree - nbr_sum
+    return Fraction(diff * diff, scale_sq * degree)
+
+
+def exact_total(vertices: Iterable[tuple[int, int, int]], scale_sq: int) -> Fraction:
+    """Exact sum of d * ND over (W, d, s) triples.
+
+    The numerators (W d - s)^2 are added up per kept degree d, and the total
+    is built from one ``Fraction`` per distinct degree.
+    """
+    numerators: dict[int, int] = {}
+    for weight, degree, nbr_sum in vertices:
+        diff = weight * degree - nbr_sum
+        numerators[degree] = numerators.get(degree, 0) + diff * diff
+    total = Fraction(0)
+    for degree, numerator in numerators.items():
+        total += Fraction(numerator, scale_sq * degree)
+    return total
+
+
 def _require_valid(mask: SubgraphMask) -> None:
     for vtx, d in enumerate(mask.degrees):
         if d == 0:
@@ -105,21 +161,22 @@ def score(
     ``multiplier`` is the count C scaling the log-discrepancy term; it
     defaults to the graph's vertex count.
     """
-    _require_valid(mask)
     return ScoreState(graph, mask, multiplier=multiplier).score()
 
 
 class ScoreState:
     """Caches for rescoring a mask under single-edge toggles.
 
-    Keeps, per vertex: kept degree, sum of neighbour weights, and the exact
-    contribution d * ND to the discrepancy total.  A toggle touches only the
-    two endpoints, so updating is O(1) rational work; the float log-degree
-    sum is re-added in vertex order so results are bit-identical to a
-    from-scratch score of the same mask.
+    Runs the integer kernel described in the module notes.  Per vertex it
+    keeps the kept degree (in its private mask copy) and the int sum s of
+    the kept neighbours' scaled weights; the discrepancy total S is one
+    exact ``Fraction``, built by :func:`exact_total`.  A toggle touches only
+    its two endpoints and adds one ``Fraction`` delta for each.
+    :meth:`score` re-adds ln d over the core vertices in vertex order, so
+    every result is bit-identical to a from-scratch score of the same mask.
     """
 
-    __slots__ = ("graph", "mask", "multiplier", "nbr_sums", "contribs", "total", "_logs")
+    __slots__ = ("graph", "mask", "multiplier", "nbr_sums", "total", "_weights", "_scale_sq")
 
     def __init__(
         self,
@@ -132,73 +189,65 @@ class ScoreState:
         self.graph = graph
         self.mask = mask.copy()
         self.multiplier = graph.vertex_count if multiplier is None else multiplier
-        kept = self.mask.kept
-        self.nbr_sums: list[Fraction] = []
-        for vtx in range(graph.vertex_count):
-            total = Fraction(0)
-            for nbr, eid in graph.incidence[vtx]:
-                if kept[eid]:
-                    total += graph.weights[nbr]
-            self.nbr_sums.append(total)
-        self.contribs = [
-            self._contribution(vtx) for vtx in range(graph.vertex_count)
-        ]
-        self.total = Fraction(0)
-        for c in self.contribs:
-            self.total += c
-        self._logs: dict[int, float] = {}
-
-    def _contribution(self, vertex: int) -> Fraction:
-        # d * ND(v) = (f(v) * d - sum of neighbour weights)^2 / d
-        d = self.mask.degrees[vertex]
-        diff = self.graph.weights[vertex] * d - self.nbr_sums[vertex]
-        return diff * diff / d
-
-    def _log(self, d: int) -> float:
-        cached = self._logs.get(d)
-        if cached is None:
-            cached = self._logs[d] = math.log(d)
-        return cached
+        scale, weights = graph.scaled_weights
+        self._weights = weights
+        self._scale_sq = scale * scale
+        sums = [0] * graph.vertex_count
+        for (u, v), keep in zip(graph.edges, self.mask.kept):
+            if keep:
+                sums[u] += weights[v]
+                sums[v] += weights[u]
+        self.nbr_sums = sums
+        self.total = exact_total(zip(weights, self.mask.degrees, sums), self._scale_sq)
 
     def score(self) -> ScoreValue:
-        log_sum = 0.0
-        for d in self.mask.degrees:
-            log_sum += self._log(d)
-        if self.total == 0:
-            return ScoreValue(None, log_sum, self.total)
-        value = log_sum - self.multiplier * math.log(float(self.total))
-        return ScoreValue(value, log_sum, self.total)
+        log_sum = log_degree_sum(self.graph, self.mask.degrees)
+        return ScoreValue.from_parts(log_sum, self.total, self.multiplier)
 
     def can_remove(self, eid: int) -> bool:
         """True when dropping the edge keeps both endpoints non-isolated."""
         u, v = self.graph.edges[eid]
         return self.mask.degrees[u] > 1 and self.mask.degrees[v] > 1
 
-    def toggle(self, eid: int, keep: bool) -> ScoreValue:
-        """Apply one edge toggle and return the new score."""
+    def _check_toggle(self, eid: int, keep: bool) -> None:
         if self.mask.kept[eid] == keep:
             raise ValueError(f"edge {eid} is already {'kept' if keep else 'dropped'}")
         if not keep and not self.can_remove(eid):
             raise MaskValidityError(f"removing edge {eid} would isolate a vertex")
+
+    def _apply(self, eid: int, keep: bool) -> None:
+        """Toggle a checked edge in the mask, the neighbour sums and S."""
         u, v = self.graph.edges[eid]
-        weights = self.graph.weights
+        weights, sums, degrees = self._weights, self.nbr_sums, self.mask.degrees
+        step = 1 if keep else -1
+        total = self.total
+        for vtx, shift in ((u, step * weights[v]), (v, step * weights[u])):
+            d, s = degrees[vtx], sums[vtx]
+            new_d, new_s = d + step, s + shift
+            old = weights[vtx] * d - s
+            new = weights[vtx] * new_d - new_s
+            # new^2 / (L^2 new_d) - old^2 / (L^2 d)
+            total += Fraction(new * new * d - old * old * new_d, self._scale_sq * d * new_d)
+            sums[vtx] = new_s
+        self.total = total
         self.mask.set_edge(eid, keep)
-        if keep:
-            self.nbr_sums[u] += weights[v]
-            self.nbr_sums[v] += weights[u]
-        else:
-            self.nbr_sums[u] -= weights[v]
-            self.nbr_sums[v] -= weights[u]
-        for vtx in (u, v):
-            new = self._contribution(vtx)
-            self.total += new - self.contribs[vtx]
-            self.contribs[vtx] = new
+
+    def toggle(self, eid: int, keep: bool) -> ScoreValue:
+        """Apply one edge toggle and return the new score."""
+        self._check_toggle(eid, keep)
+        self._apply(eid, keep)
         return self.score()
 
     def peek(self, eid: int, keep: bool) -> ScoreValue:
         """Score the toggled mask without committing to it."""
-        result = self.toggle(eid, keep)
-        self.toggle(eid, not keep)
+        self._check_toggle(eid, keep)
+        u, v = self.graph.edges[eid]
+        sums = self.nbr_sums
+        saved = self.total, sums[u], sums[v]
+        self._apply(eid, keep)
+        result = self.score()
+        self.mask.set_edge(eid, not keep)
+        self.total, sums[u], sums[v] = saved
         return result
 
 

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import SubgraphMask, WeightedGraph, forced_edges
-from .scoring import ScoreState, ScoreValue, compare_scores, score
+from .scoring import (
+    ScoreState,
+    ScoreValue,
+    compare_scores,
+    contribution,
+    exact_total,
+    log_degree_sum,
+    score,
+)
 
 
 class SearchSpaceError(RuntimeError):
@@ -68,6 +76,11 @@ def solve_exact(
     incident edges are all decided in the discrepancy term, both of which
     only overstate the true score.
 
+    Scores come from the integer kernel in ``scoring``: neighbour sums are
+    ints over the scaled weights W, a vertex is added to S with one exact
+    ``Fraction`` when its last free edge is decided, and both log-degree
+    sums (the bound's and a leaf's) run over the core vertices only.
+
     Without ``node_limit`` the search refuses graphs with more than
     ``free_edge_cap`` free edges; with one it runs best effort and reports
     ``optimality="heuristic"`` if the budget runs out.
@@ -81,7 +94,9 @@ def solve_exact(
             f"{len(free)} free edges exceed the exact-search cap of {free_edge_cap}; "
             "pass a node limit to search best-effort"
         )
-    weights = graph.weights
+    scale, weights = graph.scaled_weights
+    scale_sq = scale * scale
+    # W = L * f, so ordering by |W_u - W_v| is ordering by |f(u) - f(v)|.
     order = sorted(
         free,
         key=lambda eid: (
@@ -93,7 +108,7 @@ def solve_exact(
     n = graph.vertex_count
     kept_deg = [0] * n
     und_deg = [0] * n
-    nbr_sum = [Fraction(0)] * n
+    nbr_sum = [0] * n
     decided = [None] * graph.edge_count  # None = undecided free edge
     for eid in forced:
         u, v = graph.edges[eid]
@@ -115,24 +130,15 @@ def solve_exact(
             got = log_cache[d] = math.log(d)
         return got
 
-    def contribution(vtx: int) -> Fraction:
-        d = kept_deg[vtx]
-        diff = weights[vtx] * d - nbr_sum[vtx]
-        return diff * diff / d
+    # Vertices with no free edges are finalised from the start; each keeps
+    # all its edges, at least one since the graph has no isolated vertex.
+    base_total = exact_total(
+        ((weights[vtx], kept_deg[vtx], nbr_sum[vtx]) for vtx in range(n) if und_deg[vtx] == 0),
+        scale_sq,
+    )
 
-    # Vertices with no free edges are finalised from the start.
-    base_total = Fraction(0)
-    infeasible_root = False
-    for vtx in range(n):
-        if und_deg[vtx] == 0:
-            if kept_deg[vtx] == 0:
-                infeasible_root = True
-                break
-            base_total += contribution(vtx)
-
-    max_log_sum = 0.0
-    for vtx in range(n):
-        max_log_sum += log_of(kept_deg[vtx] + und_deg[vtx])
+    # At the root every vertex's kept plus undecided degree is its host degree.
+    max_log_sum = log_degree_sum(graph, graph.degrees)
 
     # Incumbent: the full mask is always valid; an initial mask can only help.
     inc_mask = SubgraphMask.full(graph)
@@ -147,14 +153,6 @@ def solve_exact(
     nodes = 0
     depth = len(order)
 
-    def leaf_score(total: Fraction) -> ScoreValue:
-        log_sum = 0.0
-        for d in kept_deg:
-            log_sum += log_of(d)
-        if total == 0:
-            return ScoreValue(None, log_sum, total)
-        return ScoreValue(log_sum - mult * math.log(float(total)), log_sum, total)
-
     def prunable(total: Fraction) -> bool:
         if total > 0:
             if inc_score.value is None:
@@ -168,7 +166,7 @@ def solve_exact(
     def search(pos: int, total: Fraction) -> None:
         nonlocal nodes, inc_mask, inc_score, inc_key, max_log_sum
         if pos == depth:
-            cand = leaf_score(total)
+            cand = ScoreValue.from_parts(log_degree_sum(graph, kept_deg), total, mult)
             cmp = compare_scores(cand, inc_score)
             if cmp < 0:
                 return
@@ -207,7 +205,9 @@ def solve_exact(
                     if kept_deg[vtx] == 0:
                         feasible = False
                         break
-                    new_total += contribution(vtx)
+                    new_total += contribution(
+                        weights[vtx], kept_deg[vtx], nbr_sum[vtx], scale_sq
+                    )
             if feasible and not prunable(new_total):
                 search(pos + 1, new_total)
             und_deg[u] += 1
@@ -221,11 +221,10 @@ def solve_exact(
             max_log_sum = saved_log_sum
 
     optimality = "proven"
-    if not infeasible_root:
-        try:
-            search(0, base_total)
-        except _Abort:
-            optimality = "heuristic"
+    try:
+        search(0, base_total)
+    except _Abort:
+        optimality = "heuristic"
     # Rescore through the public path so the report is bit-identical to
     # score(graph, best_mask).
     final_score = score(graph, inc_mask, multiplier=mult)
@@ -266,11 +265,13 @@ def solve_local(
     host graph itself); ``restarts`` further starts are random valid masks
     drawn from ``seed``.  Each step applies the best strictly-improving
     toggle, ties broken toward the smallest edge id, and stops when no
-    toggle improves or after ``max_passes`` steps.
+    toggle improves or after ``max_passes`` steps.  Forced edges are never
+    candidates, so each step scans only the free edges, in ascending id.
     """
     t0 = time.perf_counter()
     rng = random.Random(seed)
     forced = forced_edges(graph)
+    free = [eid for eid in range(graph.edge_count) if eid not in forced]
     starts = [SubgraphMask.full(graph)]
     starts.extend(random_valid_mask(graph, rng) for _ in range(restarts))
 
@@ -285,9 +286,9 @@ def solve_local(
             best_eid = -1
             best_keep = False
             best_cand: ScoreValue | None = None
-            for eid in range(graph.edge_count):
+            for eid in free:
                 if state.mask.kept[eid]:
-                    if eid in forced or not state.can_remove(eid):
+                    if not state.can_remove(eid):
                         continue
                     cand = state.peek(eid, False)
                     keep = False

@@ -443,7 +443,11 @@ def check_witness_discrepancy(ctx: CheckContext) -> CheckRecord:
 
 def check_infeasibility_search(ctx: CheckContext) -> CheckRecord:
     label = instance_label(ctx.formula, ctx.t)
-    satisfiable = bool(satisfying_assignments(ctx.formula))
+    try:
+        satisfiable = bool(satisfying_assignments(ctx.formula))
+    except ValueError as exc:
+        return CheckRecord("6", "low-discrepancy-search", "inconclusive", label,
+                           details=str(exc))
     try:
         mask, nodes = find_low_discrepancy_mask(ctx.inst, node_budget=ctx.search_budget)
     except SearchBudgetExceeded as exc:

@@ -166,6 +166,18 @@ class TestVerifyCommand:
         assert rc == 1
         assert "INCONCLUSIVE" in capsys.readouterr().out
 
+    def test_check6_beyond_oracle_cap_is_inconclusive(self, tmp_path, capsys):
+        # Cyclic cubic formula on 21 variables: clause j holds j, j+1, j+2.
+        n = 21
+        clauses = [f"{j + 1} {(j + 1) % n + 1} {(j + 2) % n + 1}" for j in range(n)]
+        path = tmp_path / "cubic21.f"
+        path.write_text(f"{n} {n}\n" + "\n".join(clauses) + "\n")
+        rc = main(["verify", "-f", str(path), "-t", "2", "--checks", "6"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("check 6 low-discrepancy-search: INCONCLUSIVE")
+        assert "capped at 20 variables" in lines[0]
+
     def test_unknown_check_is_usage_error(self, sat3_file, capsys):
         assert main(["verify", "-f", sat3_file, "-t", "2", "--checks", "9"]) == 2
 

@@ -290,3 +290,28 @@ class TestDecide:
         assert any("e^47" in note for note in report.notes)
         assert report.optimality in ("proven", "heuristic")
         assert report.solve_report.best_mask.graph is report.solve_report.best_mask.graph
+
+    # Exact outputs of the default pipeline.  Any change to the float
+    # summation order, the exact totals or the search order shows up here.
+    @pytest.mark.parametrize(
+        "name, value, log_sum, total, nodes, optimality, edges, dropped",
+        [
+            ("sat3", "49.81143619018074", "67.91016624345589", Fraction(4170933, 10004),
+             41_002, "proven", 1173, (28, 337, 646)),
+            ("unsat4", "75.14012014157962", "104.18493295546489",
+             Fraction(281423232, 197633), 200_001, "heuristic", 4532, (49, 925, 1801, 2677)),
+        ],
+    )
+    def test_golden_outputs(self, request, name, value, log_sum, total, nodes,
+                            optimality, edges, dropped):
+        report = decide(request.getfixturevalue(name))
+        assert repr(report.optimum.value) == value
+        assert repr(report.optimum.log_degree_sum) == log_sum
+        assert report.optimum.discrepancy_total == total
+        assert report.solve_report.nodes_explored == nodes
+        assert report.optimality == optimality
+        assert report.answer == "YES"
+        bits = ["1"] * edges
+        for eid in dropped:
+            bits[eid] = "0"
+        assert report.solve_report.best_mask.bitstring() == "".join(bits)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from corrsubopt import (
     DegenerateVertexError,
     MaskValidityError,
+    ScoreState,
     ScoreValue,
     SubgraphMask,
     WeightedGraph,
@@ -209,3 +210,73 @@ class TestScoreDelta:
         assert peeked.discrepancy_total == 300
         assert after.value == before.value
         assert after.discrepancy_total == before.discrepancy_total
+
+
+_MIXED_WEIGHTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-5, 4), -2, 0, 1, 3)
+
+
+def _kernel_graph(rng: random.Random, shape: str) -> WeightedGraph:
+    """Random graph with mixed-denominator weights: a connected core, with
+    pendant host leaves for "leaves", or a lone K2 (empty core) for "k2"."""
+    if shape == "k2":
+        return WeightedGraph.build(2, [(0, 1)], [rng.choice(_MIXED_WEIGHTS) for _ in range(2)])
+    n = rng.randint(3, 7)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    if shape == "leaves":
+        for leaf in range(n, n + rng.randint(1, 4)):
+            edges.add((rng.randrange(n), leaf))
+        n = max(v for _, v in edges) + 1
+    return WeightedGraph.build(n, edges, [rng.choice(_MIXED_WEIGHTS) for _ in range(n)])
+
+
+def _bits(x: float | None) -> str | None:
+    return None if x is None else x.hex()
+
+
+def _assert_naive(got: ScoreValue, graph: WeightedGraph, kept: list[bool]) -> None:
+    is_inf, value, log_sum, total = helpers.naive_score(graph, kept)
+    assert got.is_infinite == is_inf
+    assert _bits(got.value) == _bits(value)
+    assert _bits(got.log_degree_sum) == _bits(log_sum)
+    assert got.discrepancy_total == total
+
+
+def _snapshot(state: ScoreState):
+    return (state.score(), list(state.mask.kept), list(state.mask.degrees),
+            list(state.nbr_sums), state.total)
+
+
+class TestKernelDifferential:
+    """ScoreState against the Fraction-exact naive oracle under random
+    toggle/peek sequences: value and log-degree sum bit-equal, S equal."""
+
+    @given(
+        st.sampled_from(("core", "leaves", "k2")),
+        st.integers(0, 10**6),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 10**3)), max_size=25),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_toggle_and_peek_match_naive(self, shape, seed, actions):
+        from corrsubopt import random_valid_mask
+
+        rng = random.Random(seed)
+        graph = _kernel_graph(rng, shape)
+        state = ScoreState(graph, random_valid_mask(graph, rng))
+        _assert_naive(state.score(), graph, state.mask.kept)
+        for is_peek, pick in actions:
+            eid = pick % graph.edge_count
+            keep = not state.mask.kept[eid]
+            if not keep and not state.can_remove(eid):
+                continue
+            kept = list(state.mask.kept)
+            kept[eid] = keep
+            if is_peek:
+                before = _snapshot(state)
+                _assert_naive(state.peek(eid, keep), graph, kept)
+                assert _snapshot(state) == before
+            else:
+                _assert_naive(state.toggle(eid, keep), graph, kept)
+        _assert_naive(score(graph, state.mask), graph, state.mask.kept)
