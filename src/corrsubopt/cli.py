@@ -121,7 +121,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     roles_path = f"{args.out}.roles"
     _atomic_write(graph_path, dump_graph(inst.graph))
     _atomic_write(roles_path, dump_roles(inst))
-    free = len(inst.free_edge_ids())
+    free = len(inst.graph.free_edge_ids)
     print(
         f"n = {inst.variable_count}, t = {inst.t}, "
         f"vertices = {inst.graph.vertex_count}, edges = {inst.graph.edge_count}, "

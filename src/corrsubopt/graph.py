@@ -112,6 +112,12 @@ class WeightedGraph:
         )
 
     @cached_property
+    def free_edge_ids(self) -> tuple[int, ...]:
+        """Edge ids not in :attr:`forced_edge_ids`, ascending."""
+        forced = self.forced_edge_ids
+        return tuple(eid for eid in range(self.edge_count) if eid not in forced)
+
+    @cached_property
     def core_vertices(self) -> tuple[int, ...]:
         """Vertices of host degree at least 2, ascending.
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .graph import SubgraphMask, WeightedGraph, forced_edges
+from .graph import SubgraphMask, WeightedGraph
 from .scoring import ScoreValue
 from .solvers import (
     DEFAULT_FREE_EDGE_CAP,
@@ -256,10 +256,6 @@ class ReductionInstance:
             if not role.startswith("leaf_") and vid not in skip
         )
 
-    def free_edge_ids(self) -> list[int]:
-        forced = forced_edges(self.graph)
-        return [eid for eid in range(self.graph.edge_count) if eid not in forced]
-
 
 def compile_formula(formula: Formula, t: int) -> ReductionInstance:
     """Build the weighted instance for ``formula`` at scale ``t`` (>= 2)."""
@@ -391,7 +387,7 @@ def decide(
     n = formula.variable_count
     t = n * n
     inst = compile_formula(formula, t)
-    free_count = len(inst.free_edge_ids())
+    free_count = len(inst.graph.free_edge_ids)
     warm = solve_local(inst.graph, restarts=restarts, seed=seed, multiplier=n)
     if free_count <= free_edge_cap:
         mode = "exact"

@@ -103,17 +103,19 @@ def compare_scores(a: ScoreValue, b: ScoreValue) -> int:
 def neighbourhood_discrepancy(
     graph: WeightedGraph, mask: SubgraphMask, vertex: int
 ) -> Fraction:
-    """Exact squared gap between f(vertex) and its kept-neighbourhood mean."""
+    """Exact squared gap between f(vertex) and its kept-neighbourhood mean,
+    ((W d - s) / (L d))^2 in the scaled ints of the module notes."""
     d = mask.degrees[vertex]
     if d == 0:
         raise DegenerateVertexError(f"vertex {vertex} has no kept incident edge")
-    total = Fraction(0)
+    scale, weights = graph.scaled_weights
     kept = mask.kept
+    nbr_sum = 0
     for nbr, eid in graph.incidence[vertex]:
         if kept[eid]:
-            total += graph.weights[nbr]
-    diff = graph.weights[vertex] - total / d
-    return diff * diff
+            nbr_sum += weights[nbr]
+    diff = weights[vertex] * d - nbr_sum
+    return Fraction(diff * diff, (scale * d) ** 2)
 
 
 def log_degree_sum(graph: WeightedGraph, degrees) -> float:

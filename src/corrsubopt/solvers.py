@@ -12,7 +12,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph import SubgraphMask, WeightedGraph, forced_edges
 from .scoring import (
@@ -58,6 +57,100 @@ _PRUNE_EPS = 1e-6
 DEFAULT_FREE_EDGE_CAP = 40
 
 
+class FreeEdgeSearch:
+    """Depth-first search over the free edges of a graph, keep before drop.
+
+    Forced edges are pre-kept and the free edges in ``order`` are decided
+    one per level.  Per vertex the search holds the kept degree, the
+    undecided degree and the int sum s of the kept neighbours' scaled
+    weights W (``WeightedGraph.scaled_weights``); callers read these lists
+    from their hooks.  A branch that leaves a fully decided vertex with no
+    kept edge is cut before any hook sees it.
+    """
+
+    def __init__(self, graph: WeightedGraph, order: list[int]):
+        self.graph = graph
+        self.order = order
+        _, weights = graph.scaled_weights
+        n = graph.vertex_count
+        self.kept_deg = kept = [0] * n
+        self.und_deg = und = [0] * n
+        self.nbr_sum = sums = [0] * n
+        self.decided: list[bool | None] = [None] * graph.edge_count  # None = undecided
+        self.nodes = 0
+        for eid in graph.forced_edge_ids:
+            u, v = graph.edges[eid]
+            kept[u] += 1
+            kept[v] += 1
+            sums[u] += weights[v]
+            sums[v] += weights[u]
+            self.decided[eid] = True
+        for eid in order:
+            u, v = graph.edges[eid]
+            und[u] += 1
+            und[v] += 1
+
+    def mask(self) -> SubgraphMask:
+        """The mask of the current leaf: forced and kept free edges."""
+        return SubgraphMask(self.graph, [d is True for d in self.decided])
+
+    def run(self, root, child, leaf, node_limit: int | None = None) -> bool:
+        """Search once from the state ``root``.
+
+        ``child(state, u, v, keep)`` is called once the edge (u, v) has been
+        decided, with the lists already updated, and returns the child's
+        state or None to cut the branch.  ``leaf(state)`` is called at each
+        full assignment and returns True to stop the search.  Each child
+        counts as one node in ``self.nodes``; returns False when the count
+        passes ``node_limit``, True otherwise.
+        """
+        edges, order, depth = self.graph.edges, self.order, len(self.order)
+        _, weights = self.graph.scaled_weights
+        kept_deg, und_deg, nbr_sum, decided = (
+            self.kept_deg, self.und_deg, self.nbr_sum, self.decided)
+        nodes = 0
+
+        def search(pos: int, state) -> bool:
+            nonlocal nodes
+            if pos == depth:
+                return leaf(state)
+            eid = order[pos]
+            u, v = edges[eid]
+            for keep in (True, False):
+                nodes += 1
+                if node_limit is not None and nodes > node_limit:
+                    raise _Abort
+                decided[eid] = keep
+                if keep:
+                    kept_deg[u] += 1
+                    kept_deg[v] += 1
+                    nbr_sum[u] += weights[v]
+                    nbr_sum[v] += weights[u]
+                und_deg[u] -= 1
+                und_deg[v] -= 1
+                if (und_deg[u] or kept_deg[u]) and (und_deg[v] or kept_deg[v]):
+                    sub = child(state, u, v, keep)
+                    if sub is not None and search(pos + 1, sub):
+                        return True
+                und_deg[u] += 1
+                und_deg[v] += 1
+                if keep:
+                    kept_deg[u] -= 1
+                    kept_deg[v] -= 1
+                    nbr_sum[u] -= weights[v]
+                    nbr_sum[v] -= weights[u]
+                decided[eid] = None
+            return False
+
+        try:
+            search(0, root)
+        except _Abort:
+            return False
+        finally:
+            self.nodes = nodes
+        return True
+
+
 def solve_exact(
     graph: WeightedGraph,
     *,
@@ -79,7 +172,9 @@ def solve_exact(
     Scores come from the integer kernel in ``scoring``: neighbour sums are
     ints over the scaled weights W, a vertex is added to S with one exact
     ``Fraction`` when its last free edge is decided, and both log-degree
-    sums (the bound's and a leaf's) run over the core vertices only.
+    sums (the bound's and a leaf's) run over the core vertices only.  The
+    search runs on :class:`FreeEdgeSearch`, with (S, bound's log-degree sum)
+    as the state of each node.
 
     Without ``node_limit`` the search refuses graphs with more than
     ``free_edge_cap`` free edges; with one it runs best effort and reports
@@ -87,8 +182,7 @@ def solve_exact(
     """
     t0 = time.perf_counter()
     mult = graph.vertex_count if multiplier is None else multiplier
-    forced = forced_edges(graph)
-    free = [eid for eid in range(graph.edge_count) if eid not in forced]
+    free = graph.free_edge_ids
     if node_limit is None and len(free) > free_edge_cap:
         raise SearchSpaceError(
             f"{len(free)} free edges exceed the exact-search cap of {free_edge_cap}; "
@@ -104,39 +198,20 @@ def solve_exact(
             eid,
         ),
     )
-
-    n = graph.vertex_count
-    kept_deg = [0] * n
-    und_deg = [0] * n
-    nbr_sum = [0] * n
-    decided = [None] * graph.edge_count  # None = undecided free edge
-    for eid in forced:
-        u, v = graph.edges[eid]
-        kept_deg[u] += 1
-        kept_deg[v] += 1
-        nbr_sum[u] += weights[v]
-        nbr_sum[v] += weights[u]
-        decided[eid] = True
-    for eid in free:
-        u, v = graph.edges[eid]
-        und_deg[u] += 1
-        und_deg[v] += 1
-
-    log_cache: dict[int, float] = {0: 0.0}
-
-    def log_of(d: int) -> float:
-        got = log_cache.get(d)
-        if got is None:
-            got = log_cache[d] = math.log(d)
-        return got
+    dfs = FreeEdgeSearch(graph, order)
+    kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
+    logs = [0.0] + [math.log(d) for d in range(1, max(graph.degrees) + 1)]
 
     # Vertices with no free edges are finalised from the start; each keeps
     # all its edges, at least one since the graph has no isolated vertex.
     base_total = exact_total(
-        ((weights[vtx], kept_deg[vtx], nbr_sum[vtx]) for vtx in range(n) if und_deg[vtx] == 0),
+        (
+            (weights[vtx], kept_deg[vtx], nbr_sum[vtx])
+            for vtx in range(graph.vertex_count)
+            if und_deg[vtx] == 0
+        ),
         scale_sq,
     )
-
     # At the root every vertex's kept plus undecided degree is its host degree.
     max_log_sum = log_degree_sum(graph, graph.degrees)
 
@@ -150,91 +225,48 @@ def solve_exact(
         if _beats(cand_score, cand_key, inc_score, inc_key):
             inc_mask, inc_score, inc_key = initial_mask.copy(), cand_score, cand_key
 
-    nodes = 0
-    depth = len(order)
-
-    def prunable(total: Fraction) -> bool:
+    def child(state, u, v, keep):
+        total, log_sum = state
+        if not keep:
+            # The dropped edge is already out of k + u: ln(k+u) - ln(k+u+1)
+            # per endpoint, u before v, in one fixed float order.
+            ku, kv = kept_deg[u] + und_deg[u], kept_deg[v] + und_deg[v]
+            log_sum += logs[ku] - logs[ku + 1] + logs[kv] - logs[kv + 1]
+        if not und_deg[u]:
+            total += contribution(weights[u], kept_deg[u], nbr_sum[u], scale_sq)
+        if not und_deg[v]:
+            total += contribution(weights[v], kept_deg[v], nbr_sum[v], scale_sq)
         if total > 0:
             if inc_score.value is None:
-                return True  # this branch can only reach finite scores
-            bound = max_log_sum - mult * math.log(float(total))
-            return bound < inc_score.value - _PRUNE_EPS
-        if inc_score.value is None:
-            return max_log_sum < inc_score.log_degree_sum - _PRUNE_EPS
-        return False
+                return None  # this branch can only reach finite scores
+            if log_sum - mult * math.log(float(total)) < inc_score.value - _PRUNE_EPS:
+                return None
+        elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
+            return None
+        return total, log_sum
 
-    def search(pos: int, total: Fraction) -> None:
-        nonlocal nodes, inc_mask, inc_score, inc_key, max_log_sum
-        if pos == depth:
-            cand = ScoreValue.from_parts(log_degree_sum(graph, kept_deg), total, mult)
-            cmp = compare_scores(cand, inc_score)
-            if cmp < 0:
-                return
-            kept = [decided[eid] is True for eid in range(graph.edge_count)]
-            mask = SubgraphMask(graph, kept)
+    def leaf(state) -> bool:
+        nonlocal inc_mask, inc_score, inc_key
+        cand = ScoreValue.from_parts(log_degree_sum(graph, kept_deg), state[0], mult)
+        cmp = compare_scores(cand, inc_score)
+        if cmp >= 0:
+            mask = dfs.mask()
             key = mask.lex_key()
             if cmp > 0 or key < inc_key:
                 inc_mask, inc_score, inc_key = mask, cand, key
-            return
-        eid = order[pos]
-        u, v = graph.edges[eid]
-        for keep in (True, False):
-            nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                raise _Abort
-            saved_log_sum = max_log_sum
-            new_total = total
-            feasible = True
-            decided[eid] = keep
-            if keep:
-                kept_deg[u] += 1
-                kept_deg[v] += 1
-                nbr_sum[u] += weights[v]
-                nbr_sum[v] += weights[u]
-            else:
-                max_log_sum += (
-                    log_of(kept_deg[u] + und_deg[u] - 1)
-                    - log_of(kept_deg[u] + und_deg[u])
-                    + log_of(kept_deg[v] + und_deg[v] - 1)
-                    - log_of(kept_deg[v] + und_deg[v])
-                )
-            und_deg[u] -= 1
-            und_deg[v] -= 1
-            for vtx in (u, v):
-                if und_deg[vtx] == 0:
-                    if kept_deg[vtx] == 0:
-                        feasible = False
-                        break
-                    new_total += contribution(
-                        weights[vtx], kept_deg[vtx], nbr_sum[vtx], scale_sq
-                    )
-            if feasible and not prunable(new_total):
-                search(pos + 1, new_total)
-            und_deg[u] += 1
-            und_deg[v] += 1
-            if keep:
-                kept_deg[u] -= 1
-                kept_deg[v] -= 1
-                nbr_sum[u] -= weights[v]
-                nbr_sum[v] -= weights[u]
-            decided[eid] = None
-            max_log_sum = saved_log_sum
+        return False
 
-    optimality = "proven"
-    try:
-        search(0, base_total)
-    except _Abort:
-        optimality = "heuristic"
+    finished = dfs.run((base_total, max_log_sum), child, leaf, node_limit)
     # Rescore through the public path so the report is bit-identical to
     # score(graph, best_mask).
     final_score = score(graph, inc_mask, multiplier=mult)
     return SolveReport(
         best_mask=inc_mask,
         best_score=final_score,
-        nodes_explored=nodes,
+        nodes_explored=dfs.nodes,
         restarts_used=0,
         wall_time=time.perf_counter() - t0,
-        optimality=optimality,
+        optimality="proven" if finished else "heuristic",
     )
 
 
@@ -270,8 +302,7 @@ def solve_local(
     """
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    forced = forced_edges(graph)
-    free = [eid for eid in range(graph.edge_count) if eid not in forced]
+    free = graph.free_edge_ids
     starts = [SubgraphMask.full(graph)]
     starts.extend(random_valid_mask(graph, rng) for _ in range(restarts))
 

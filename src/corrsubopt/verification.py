@@ -21,28 +21,31 @@ exact rational arithmetic, the log bounds allow absolute slack 1e-9.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .graph import SubgraphMask, WeightedGraph, forced_edges, is_valid
+from .graph import SubgraphMask, is_valid
 from .reduction import (
     Formula,
     ReductionInstance,
     compile_formula,
     dump_formula,
+    is_one_in_three,
     satisfying_assignments,
     witness_mask,
 )
 from .scoring import (
     ScoreValue,
+    compare_scores,
     format_fraction,
+    log_degree_sum,
     neighbourhood_discrepancy,
     score,
 )
-from .solvers import random_valid_mask
+from .solvers import FreeEdgeSearch, random_valid_mask
 
 FLOAT_SLACK = 1e-9
 
@@ -95,19 +98,12 @@ def attachment_violations(
     return out
 
 
-def log_degree_sum(degrees) -> float:
-    total = 0.0
-    for d in degrees:
-        total += math.log(d)
-    return total
-
-
 def degree_log_quantities(inst: ReductionInstance, mask: SubgraphMask) -> dict[str, float]:
     n, t = inst.variable_count, inst.t
     return {
         "lower": 6 * n * math.log(t) + 2 * n,
-        "mask_sum": log_degree_sum(mask.degrees),
-        "graph_sum": log_degree_sum(inst.graph.degrees),
+        "mask_sum": log_degree_sum(inst.graph, mask.degrees),
+        "graph_sum": log_degree_sum(inst.graph, inst.graph.degrees),
         "upper": 6 * n * math.log(t) + 20 * n,
     }
 
@@ -147,39 +143,20 @@ def find_low_discrepancy_mask(
     """Search for a valid mask keeping every designated vertex strictly
     below discrepancy t^2/9.
 
-    Depth-first over the free edges; a branch dies as soon as some vertex
-    has all incident edges decided and either no kept edge or a designated
-    discrepancy at or above the threshold.  Exhausting the tree proves no
-    such mask exists.  Returns (mask or None, nodes explored); raises
-    :class:`SearchBudgetExceeded` when the budget runs out, so a truncated
-    search can never pass as a proof.
+    Depth-first over the free edges (:class:`FreeEdgeSearch`); a branch
+    dies as soon as some vertex has all incident edges decided and either
+    no kept edge or a designated discrepancy at or above the threshold.
+    Exhausting the tree proves no such mask exists.  Returns (mask or None,
+    nodes explored); raises :class:`SearchBudgetExceeded` when the budget
+    runs out, so a truncated search can never pass as a proof.
     """
     g = inst.graph
-    t = inst.t
-    weights = g.weights
+    scale, weights = g.scaled_weights
     designated = set(inst.designated_vertices)
-    forced = forced_edges(g)
-    order = _infeasibility_edge_order(inst)
-
-    n = g.vertex_count
-    kept_deg = [0] * n
-    und_deg = [0] * n
-    nbr_sum = [Fraction(0)] * n
-    decided: list[bool | None] = [None] * g.edge_count
-    for eid in forced:
-        u, v = g.edges[eid]
-        kept_deg[u] += 1
-        kept_deg[v] += 1
-        nbr_sum[u] += weights[v]
-        nbr_sum[v] += weights[u]
-        decided[eid] = True
-    for eid in order:
-        u, v = g.edges[eid]
-        und_deg[u] += 1
-        und_deg[v] += 1
-
-    nine = Fraction(9)
-    tt = Fraction(t * t)
+    dfs = FreeEdgeSearch(g, _infeasibility_edge_order(inst))
+    kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
+    # ND = ((W d - s) / (L d))^2, so ND < t^2/9  <=>  9 (W d - s)^2 < (L t d)^2
+    scale_t = scale * inst.t
 
     def finalised_ok(vtx: int) -> bool:
         d = kept_deg[vtx]
@@ -188,67 +165,27 @@ def find_low_discrepancy_mask(
         if vtx not in designated:
             return True
         diff = weights[vtx] * d - nbr_sum[vtx]
-        # ND < t^2/9  <=>  9 diff^2 < t^2 d^2
-        return nine * diff * diff < tt * (d * d)
+        limit = scale_t * d
+        return 9 * diff * diff < limit * limit
 
-    for vtx in range(n):
-        if und_deg[vtx] == 0 and not finalised_ok(vtx):
-            return None, 0
+    if not all(finalised_ok(vtx) for vtx in range(g.vertex_count) if und_deg[vtx] == 0):
+        return None, 0
 
-    nodes = 0
+    def child(state, u, v, keep):
+        if (und_deg[u] or finalised_ok(u)) and (und_deg[v] or finalised_ok(v)):
+            return state
+        return None
+
     found: SubgraphMask | None = None
-    depth = len(order)
 
-    def search(pos: int) -> bool:
-        nonlocal nodes, found
-        if pos == depth:
-            found = SubgraphMask(g, [decided[eid] is True for eid in range(g.edge_count)])
-            return True
-        eid = order[pos]
-        u, v = g.edges[eid]
-        for keep in (True, False):
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise SearchBudgetExceeded(f"budget of {node_budget} nodes exhausted")
-            decided[eid] = keep
-            if keep:
-                kept_deg[u] += 1
-                kept_deg[v] += 1
-                nbr_sum[u] += weights[v]
-                nbr_sum[v] += weights[u]
-            und_deg[u] -= 1
-            und_deg[v] -= 1
-            ok = (und_deg[u] > 0 or finalised_ok(u)) and (
-                und_deg[v] > 0 or finalised_ok(v)
-            )
-            if ok and search(pos + 1):
-                return True
-            und_deg[u] += 1
-            und_deg[v] += 1
-            if keep:
-                kept_deg[u] -= 1
-                kept_deg[v] -= 1
-                nbr_sum[u] -= weights[v]
-                nbr_sum[v] -= weights[u]
-            decided[eid] = None
-        return False
+    def leaf(state) -> bool:
+        nonlocal found
+        found = dfs.mask()
+        return True
 
-    search(0)
-    return found, nodes
-
-
-def iter_valid_masks(graph: WeightedGraph):
-    """All valid masks, forced edges pre-kept, free edges enumerated."""
-    forced = forced_edges(graph)
-    free = [eid for eid in range(graph.edge_count) if eid not in forced]
-    base = [eid in forced for eid in range(graph.edge_count)]
-    for bits in itertools.product((True, False), repeat=len(free)):
-        kept = list(base)
-        for eid, keep in zip(free, bits):
-            kept[eid] = keep
-        mask = SubgraphMask(graph, kept)
-        if is_valid(graph, mask):
-            yield mask
+    if not dfs.run(True, child, leaf, node_budget):
+        raise SearchBudgetExceeded(f"budget of {node_budget} nodes exhausted")
+    return found, dfs.nodes
 
 
 def witness_score_bound(inst: ReductionInstance) -> float:
@@ -260,36 +197,18 @@ def infeasible_score_bound(inst: ReductionInstance) -> float:
     return 6 * n * math.log(t) + 20 * n - n * math.log(t * t / 9)
 
 
-ENUMERATION_LIMIT = 25
-
-
 def max_sampled_score(
     inst: ReductionInstance, *, samples: int = 10_000, seed: int = 0
 ) -> tuple[ScoreValue, int]:
-    """Largest reduction-objective score over enumerated or sampled masks.
-
-    Full enumeration when the instance has at most ``ENUMERATION_LIMIT``
-    free edges, otherwise ``samples`` random valid masks plus the full mask.
-    """
-    best: ScoreValue | None = None
-    count = 0
-    if len(inst.free_edge_ids()) <= ENUMERATION_LIMIT:
-        masks = iter_valid_masks(inst.graph)
-    else:
-        rng = random.Random(seed)
-        masks = itertools.chain(
-            [SubgraphMask.full(inst.graph)],
-            (random_valid_mask(inst.graph, rng) for _ in range(samples)),
-        )
-    from .scoring import compare_scores
-
-    for mask in masks:
-        count += 1
-        value = reduction_score(inst, mask)
-        if best is None or compare_scores(value, best) > 0:
+    """Largest reduction-objective score over the full mask and ``samples``
+    random valid masks drawn from ``seed``; returns (score, masks scored)."""
+    rng = random.Random(seed)
+    best = reduction_score(inst, SubgraphMask.full(inst.graph))
+    for _ in range(samples):
+        value = reduction_score(inst, random_valid_mask(inst.graph, rng))
+        if compare_scores(value, best) > 0:
             best = value
-    assert best is not None
-    return best, count
+    return best, samples + 1
 
 
 def _fmt(x: float) -> str:
@@ -318,10 +237,25 @@ class CheckContext:
         )
         return masks
 
+    @cached_property
+    def _oracle(self) -> list[tuple[bool, ...]] | str:
+        try:
+            return satisfying_assignments(self.formula)
+        except ValueError as exc:
+            return str(exc)
+
+    def satisfying(self) -> list[tuple[bool, ...]]:
+        """Every 1-in-3 satisfying assignment, from one run of the exhaustive
+        oracle per context; raises ValueError past the oracle's cap."""
+        found = self._oracle
+        if isinstance(found, str):
+            raise ValueError(found)
+        return found
+
     def assignments(self) -> list[tuple[bool, ...]]:
         if self.assignment is not None:
             return [self.assignment]
-        return satisfying_assignments(self.formula)
+        return self.satisfying()
 
 
 def check_leaf_total(ctx: CheckContext) -> CheckRecord:
@@ -369,10 +303,10 @@ def _degree_log_record(ctx: CheckContext, selector: str) -> CheckRecord:
     inst = ctx.inst
     name = "degree-log-lower" if selector == "3" else "degree-log-upper"
     masks = ctx.sample_masks("degree-log")
-    graph_sum = log_degree_sum(inst.graph.degrees)
+    graph_sum = log_degree_sum(inst.graph, inst.graph.degrees)
     quantities = degree_log_quantities(inst, SubgraphMask.full(inst.graph))
     for mask in masks:
-        mask_sum = log_degree_sum(mask.degrees)
+        mask_sum = log_degree_sum(inst.graph, mask.degrees)
         if selector == "3":
             ok = quantities["lower"] <= mask_sum + FLOAT_SLACK
         else:
@@ -413,8 +347,6 @@ def check_witness_discrepancy(ctx: CheckContext) -> CheckRecord:
             "5", "witness-zero-discrepancy", "inconclusive", label,
             details="no 1-in-3 satisfying assignment exists",
         )
-    from .reduction import is_one_in_three
-
     for assignment in assignments:
         text = "".join("T" if b else "F" for b in assignment)
         if not is_one_in_three(ctx.formula, assignment):
@@ -444,7 +376,7 @@ def check_witness_discrepancy(ctx: CheckContext) -> CheckRecord:
 def check_infeasibility_search(ctx: CheckContext) -> CheckRecord:
     label = instance_label(ctx.formula, ctx.t)
     try:
-        satisfiable = bool(satisfying_assignments(ctx.formula))
+        satisfiable = bool(ctx.satisfying())
     except ValueError as exc:
         return CheckRecord("6", "low-discrepancy-search", "inconclusive", label,
                            details=str(exc))
@@ -491,8 +423,6 @@ def check_score_bounds(ctx: CheckContext) -> CheckRecord:
         assignments = ctx.assignments()
     except ValueError as exc:
         return CheckRecord("lemmas", "score-bounds", "inconclusive", label, details=str(exc))
-    from .reduction import is_one_in_three
-
     if assignments:
         bound = witness_score_bound(inst)
         worst = None

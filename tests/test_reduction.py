@@ -121,12 +121,12 @@ class TestCompile:
         g = inst.graph
         assert g.vertex_count == 120
         assert g.edge_count == 123
-        assert len(inst.free_edge_ids()) == 30
+        assert len(inst.graph.free_edge_ids) == 30
 
     @pytest.mark.parametrize("n,t", GRID)
     def test_free_edges_are_ten_per_variable(self, n, t):
         _, inst = grid_instance(n, t)
-        assert len(inst.free_edge_ids()) == 10 * n
+        assert len(inst.graph.free_edge_ids) == 10 * n
 
     def test_role_population(self):
         _, inst = grid_instance(3, 5)

@@ -18,6 +18,7 @@ from corrsubopt import (
     format_score,
     load_graph,
     neighbourhood_discrepancy,
+    random_valid_mask,
     score,
     score_delta,
 )
@@ -260,8 +261,6 @@ class TestKernelDifferential:
     )
     @settings(deadline=None, max_examples=150)
     def test_toggle_and_peek_match_naive(self, shape, seed, actions):
-        from corrsubopt import random_valid_mask
-
         rng = random.Random(seed)
         graph = _kernel_graph(rng, shape)
         state = ScoreState(graph, random_valid_mask(graph, rng))
@@ -280,3 +279,23 @@ class TestKernelDifferential:
             else:
                 _assert_naive(state.toggle(eid, keep), graph, kept)
         _assert_naive(score(graph, state.mask), graph, state.mask.kept)
+
+
+class TestDiscrepancyDifferential:
+    """neighbourhood_discrepancy against the squared gap to a Fraction mean
+    of the kept neighbours, on every vertex of random valid masks."""
+
+    @given(st.sampled_from(("core", "leaves", "k2")), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_naive_mean(self, shape, seed):
+        rng = random.Random(seed)
+        graph = _kernel_graph(rng, shape)
+        mask = random_valid_mask(graph, rng)
+        for vtx in range(graph.vertex_count):
+            kept = [
+                graph.weights[v if u == vtx else u]
+                for eid, (u, v) in enumerate(graph.edges)
+                if mask.kept[eid] and vtx in (u, v)
+            ]
+            mean = sum(kept, Fraction(0)) / len(kept)
+            assert neighbourhood_discrepancy(graph, mask, vtx) == (graph.weights[vtx] - mean) ** 2

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from corrsubopt import SubgraphMask, compile_formula, load_graph
-from corrsubopt.reduction import ReductionInstance
+import corrsubopt.verification as verification
+from corrsubopt import SubgraphMask, compile_formula
 from corrsubopt.scoring import neighbourhood_discrepancy
 from corrsubopt.verification import (
     ALL_CHECKS,
@@ -12,10 +12,8 @@ from corrsubopt.verification import (
     attachment_violations,
     find_low_discrepancy_mask,
     infeasible_score_bound,
-    iter_valid_masks,
     leaf_discrepancy_total,
     max_sampled_score,
-    reduction_score,
     run_checks,
     witness_score_bound,
 )
@@ -66,6 +64,27 @@ class TestInfeasibilitySearch:
         for vtx in inst.designated_vertices:
             assert neighbourhood_discrepancy(inst.graph, mask, vtx) < threshold
 
+    # Exact outputs of the check-6 search.  Any change to the edge order,
+    # the pruning test or the node count shows up here.
+    @pytest.mark.parametrize(
+        "name, t, nodes, dropped",
+        [
+            ("unsat4", 2, 1_012, None),
+            ("unsat4", 3, 3_970, None),
+            ("unsat4", 4, 20_382, None),
+            ("sat3", 2, 109, (8, 9, 10, 11, 31, 33, 35, 44, 45, 46, 47, 67, 69, 71, 79)),
+            ("sat3", 4, 137, (14, 15, 16, 79, 81, 83, 98, 99, 100, 163, 165, 167, 181)),
+        ],
+    )
+    def test_golden_outputs(self, request, name, t, nodes, dropped):
+        inst = compile_formula(request.getfixturevalue(name), t)
+        mask, got_nodes = find_low_discrepancy_mask(inst)
+        assert got_nodes == nodes
+        if dropped is None:
+            assert mask is None
+        else:
+            assert tuple(e for e, keep in enumerate(mask.kept) if not keep) == dropped
+
     def test_budget_raises_instead_of_passing(self, unsat4):
         inst = compile_formula(unsat4, 2)
         with pytest.raises(SearchBudgetExceeded):
@@ -81,40 +100,12 @@ class TestScoreBounds:
             6 * n * math.log(t) + 20 * n - n * math.log(t * t / 9)
         )
 
-    def test_enumeration_branch_on_tiny_instance(self):
-        g = load_graph("4 5\n0 0\n1 4\n2 1\n3 9\n0 1\n0 2\n0 3\n1 2\n2 3\n")
-        inst = ReductionInstance(
-            graph=g, t=2, variable_count=2, roles=("x",) * 4, clause_slots=()
-        )
-        best, count = max_sampled_score(inst)
-        masks = list(iter_valid_masks(g))
-        assert count == len(masks)
-        values = [reduction_score(inst, m) for m in masks]
-        from corrsubopt import compare_scores
-
-        top = max(
-            values,
-            key=lambda v: (v.value is None, v.value if v.value is not None else v.log_degree_sum),
-        )
-        assert compare_scores(best, top) >= 0
-
     def test_sampling_branch_on_compiled_instance(self, sat3):
         inst = compile_formula(sat3, 2)
         best, count = max_sampled_score(inst, samples=50, seed=1)
-        # 30 free edges, so the sampler runs: full mask plus 50 samples
+        # the full mask plus 50 samples
         assert count == 51
         assert best.value is None or best.value <= infeasible_score_bound(inst)
-
-
-class TestIterValidMasks:
-    def test_matches_brute_force_count(self):
-        import random
-
-        rng = random.Random(4)
-        g = helpers.random_graph(rng, max_vertices=6)
-        ours = sum(1 for _ in iter_valid_masks(g))
-        brute = sum(1 for _ in helpers.enumerate_valid_bitlists(g))
-        assert ours == brute
 
 
 class TestRunChecks:
@@ -151,6 +142,37 @@ class TestRunChecks:
         records = run_checks(sat3, 2, checks=("5",), assignment=(True, False, False))
         assert records[0].status == "pass"
         assert ("assignments_checked", "1") in records[0].quantities
+
+    def test_oracle_runs_once_per_context(self, unsat4, monkeypatch):
+        calls = []
+        oracle = verification.satisfying_assignments
+
+        def counting(formula):
+            calls.append(formula)
+            return oracle(formula)
+
+        monkeypatch.setattr(verification, "satisfying_assignments", counting)
+        records = run_checks(unsat4, 2, checks=("5", "6", "lemmas"),
+                             mask_samples=2, lemma_samples=2)
+        assert [r.status for r in records] == ["inconclusive", "pass", "pass"]
+        assert len(calls) == 1
+
+    def test_check6_consults_oracle_despite_assignment(self, sat3):
+        # a non-1-in-3 assignment fails check 5, but check 6 still learns
+        # from the oracle that sat3 is satisfiable: negative control
+        records = run_checks(sat3, 2, checks=("5", "6"), assignment=(True, True, False))
+        assert [r.status for r in records] == ["fail", "pass"]
+        assert "negative control" in records[1].details
+
+    def test_beyond_oracle_cap_each_check_inconclusive(self):
+        n = 21
+        formula = helpers.make_formula(
+            f"{n} {n}\n" + "".join(f"{j + 1} {(j + 1) % n + 1} {(j + 2) % n + 1}\n"
+                                   for j in range(n)))
+        records = run_checks(formula, 2, checks=("5", "6", "lemmas"))
+        for record in records:
+            assert record.status == "inconclusive"
+            assert "capped at 20 variables" in record.details
 
     def test_unknown_selector_rejected(self, sat3):
         with pytest.raises(ValueError, match="unknown checks"):
