@@ -132,6 +132,58 @@ class WeightedGraph:
         scale = math.lcm(*(w.denominator for w in self.weights))
         return scale, tuple(w.numerator * (scale // w.denominator) for w in self.weights)
 
+    @cached_property
+    def forced_nbr_sums(self) -> tuple[int, ...]:
+        """Per vertex, the sum of the scaled weights W over its neighbours
+        across forced edges.  Every valid mask keeps these edges, so this is
+        where its neighbour sums start."""
+        _, weights = self.scaled_weights
+        sums = [0] * self.vertex_count
+        for eid in self.forced_edge_ids:
+            u, v = self.edges[eid]
+            sums[u] += weights[v]
+            sums[v] += weights[u]
+        return tuple(sums)
+
+    def forced_degrees(self) -> list[int]:
+        """Per vertex, the number of its forced edges, as a new list."""
+        counts = list(self.degrees)
+        for eid in self.free_edge_ids:
+            u, v = self.edges[eid]
+            counts[u] -= 1
+            counts[v] -= 1
+        return counts
+
+    @cached_property
+    def discrepancy_scale(self) -> tuple[int, dict[int, int]]:
+        """(D, c): one denominator for every d * ND a valid mask can give.
+
+        A valid mask keeps between max(1, k) and all of a vertex's edges, k
+        being its forced edges.  With m the lcm of all those degrees over
+        all vertices, D = L^2 m and c[d] = m // d, so
+        d * ND = (W d - s)^2 / (L^2 d) = (W d - s)^2 c[d] / D.  c holds
+        only the degrees some valid mask gives some vertex.
+        """
+        scale, _ = self.scaled_weights
+        reachable: set[int] = set()
+        for forced, host in set(zip(self.forced_degrees(), self.degrees)):
+            reachable.update(range(max(1, forced), host + 1))
+        m = math.lcm(*reachable)
+        return scale * scale * m, {d: m // d for d in reachable}
+
+    @cached_property
+    def leaf_numerator(self) -> int:
+        """The host leaves' share of S * D, the same in every valid mask: a
+        leaf keeps its one edge, so d = 1 and s is its neighbour's W."""
+        _, weights = self.scaled_weights
+        _, cofactors = self.discrepancy_scale
+        total = 0
+        for vtx, pairs in enumerate(self.incidence):
+            if len(pairs) == 1:
+                diff = weights[vtx] - weights[pairs[0][0]]
+                total += diff * diff
+        return total * cofactors[1]
+
 
 class SubgraphMask:
     """Kept-edge bitset over a graph's canonical edge list, with cached degrees.

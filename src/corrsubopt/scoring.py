@@ -17,9 +17,21 @@ Every score in the package comes from one kernel, used by
 * Discrepancies are integer-scaled.  With L the lcm of the weight
   denominators and W = L * f (integers, ``WeightedGraph.scaled_weights``),
   a vertex of kept degree d whose kept neighbours' W add up to s has
-  d * ND = (W d - s)^2 / (L^2 d).  Numerators are Python ints and every
-  total is built from them as an exact ``Fraction``, so S, ``float(S)`` and
-  every comparison are the same whatever order the terms are added in.
+  d * ND = (W d - s)^2 / (L^2 d).
+* S is a Python int over one common denominator per graph,
+  ``WeightedGraph.discrepancy_scale`` = (D, c).  A valid mask gives a
+  vertex between max(1, k) and all of its host edges, k being its forced
+  edges; m is the lcm of those degrees over all vertices, D = L^2 m and
+  c[d] = m / d, so d * ND = (W d - s)^2 c[d] / D.  :class:`ScoreState`
+  and the branch and bound add these int numerators, in any order, and
+  build a ``Fraction`` only when a :class:`ScoreValue` is returned; the
+  host leaves add the same ``WeightedGraph.leaf_numerator`` to every valid
+  mask.  D has 22 bits on a compiled 4-variable formula at t = 4 and 38
+  bits at t = 16.  :func:`discrepancy_sum` (check 1) likewise adds int
+  numerators per kept degree and builds one ``Fraction`` at the end.
+* ln S is taken of the int quotient (S * D) / D.  Python's int true
+  division is correctly rounded, and so is ``float(Fraction)``; both round
+  the same rational, so the quotient is ``float(S)`` bit for bit.
 * The log-degree sum is added left to right in vertex order over
   ``WeightedGraph.core_vertices`` only.  A host leaf has degree 1 in every
   valid mask and would add ln 1 = 0.0; every partial sum is at least +0.0,
@@ -64,12 +76,14 @@ class ScoreValue:
 
     @classmethod
     def from_parts(
-        cls, log_degree_sum: float, discrepancy_total: Fraction, multiplier: int
+        cls, log_degree_sum: float, numerator: int, denominator: int, multiplier: int
     ) -> "ScoreValue":
-        if discrepancy_total == 0:
-            return cls(None, log_degree_sum, discrepancy_total)
-        value = log_degree_sum - multiplier * math.log(float(discrepancy_total))
-        return cls(value, log_degree_sum, discrepancy_total)
+        """The score with S = numerator / denominator (see the module notes)."""
+        total = Fraction(numerator, denominator)
+        if not numerator:
+            return cls(None, log_degree_sum, total)
+        value = log_degree_sum - multiplier * math.log(numerator / denominator)
+        return cls(value, log_degree_sum, total)
 
 
 def format_score(score: ScoreValue) -> str:
@@ -105,17 +119,34 @@ def neighbourhood_discrepancy(
 ) -> Fraction:
     """Exact squared gap between f(vertex) and its kept-neighbourhood mean,
     ((W d - s) / (L d))^2 in the scaled ints of the module notes."""
-    d = mask.degrees[vertex]
-    if d == 0:
-        raise DegenerateVertexError(f"vertex {vertex} has no kept incident edge")
+    return discrepancy_sum(graph, mask, (vertex,))
+
+
+def discrepancy_sum(
+    graph: WeightedGraph, mask: SubgraphMask, vertices: Iterable[int]
+) -> Fraction:
+    """Exact sum of :func:`neighbourhood_discrepancy` over ``vertices``.
+
+    The numerators (W d - s)^2 are added up per kept degree d, and the sum is
+    one ``Fraction`` over the common denominator (L lcm(d))^2.
+    """
     scale, weights = graph.scaled_weights
-    kept = mask.kept
-    nbr_sum = 0
-    for nbr, eid in graph.incidence[vertex]:
-        if kept[eid]:
-            nbr_sum += weights[nbr]
-    diff = weights[vertex] * d - nbr_sum
-    return Fraction(diff * diff, (scale * d) ** 2)
+    kept, degrees, incidence = mask.kept, mask.degrees, graph.incidence
+    numerators: dict[int, int] = {}
+    for vtx in vertices:
+        d = degrees[vtx]
+        if d == 0:
+            raise DegenerateVertexError(f"vertex {vtx} has no kept incident edge")
+        nbr_sum = 0
+        for nbr, eid in incidence[vtx]:
+            if kept[eid]:
+                nbr_sum += weights[nbr]
+        diff = weights[vtx] * d - nbr_sum
+        numerators[d] = numerators.get(d, 0) + diff * diff
+    m = math.lcm(*numerators)
+    return Fraction(
+        sum(num * (m // d) ** 2 for d, num in numerators.items()), (scale * m) ** 2
+    )
 
 
 def log_degree_sum(graph: WeightedGraph, degrees) -> float:
@@ -127,32 +158,10 @@ def log_degree_sum(graph: WeightedGraph, degrees) -> float:
     return total
 
 
-def contribution(weight: int, degree: int, nbr_sum: int, scale_sq: int) -> Fraction:
-    """Exact d * ND of one vertex from scaled data: (W d - s)^2 / (L^2 d)."""
-    diff = weight * degree - nbr_sum
-    return Fraction(diff * diff, scale_sq * degree)
-
-
-def exact_total(vertices: Iterable[tuple[int, int, int]], scale_sq: int) -> Fraction:
-    """Exact sum of d * ND over (W, d, s) triples.
-
-    The numerators (W d - s)^2 are added up per kept degree d, and the total
-    is built from one ``Fraction`` per distinct degree.
-    """
-    numerators: dict[int, int] = {}
-    for weight, degree, nbr_sum in vertices:
-        diff = weight * degree - nbr_sum
-        numerators[degree] = numerators.get(degree, 0) + diff * diff
-    total = Fraction(0)
-    for degree, numerator in numerators.items():
-        total += Fraction(numerator, scale_sq * degree)
-    return total
-
-
 def _require_valid(mask: SubgraphMask) -> None:
-    for vtx, d in enumerate(mask.degrees):
-        if d == 0:
-            raise MaskValidityError(f"vertex {vtx} is isolated in the subgraph")
+    if 0 in mask.degrees:
+        vtx = mask.degrees.index(0)
+        raise MaskValidityError(f"vertex {vtx} is isolated in the subgraph")
 
 
 def score(
@@ -171,14 +180,14 @@ class ScoreState:
 
     Runs the integer kernel described in the module notes.  Per vertex it
     keeps the kept degree (in its private mask copy) and the int sum s of
-    the kept neighbours' scaled weights; the discrepancy total S is one
-    exact ``Fraction``, built by :func:`exact_total`.  A toggle touches only
-    its two endpoints and adds one ``Fraction`` delta for each.
+    the kept neighbours' scaled weights; ``total`` is the int S * D.  A
+    toggle touches only its two endpoints and adds one int delta for each.
     :meth:`score` re-adds ln d over the core vertices in vertex order, so
     every result is bit-identical to a from-scratch score of the same mask.
     """
 
-    __slots__ = ("graph", "mask", "multiplier", "nbr_sums", "total", "_weights", "_scale_sq")
+    __slots__ = ("graph", "mask", "multiplier", "nbr_sums", "total", "_weights",
+                 "_denominator", "_cofactors")
 
     def __init__(
         self,
@@ -191,20 +200,31 @@ class ScoreState:
         self.graph = graph
         self.mask = mask.copy()
         self.multiplier = graph.vertex_count if multiplier is None else multiplier
-        scale, weights = graph.scaled_weights
+        _, weights = graph.scaled_weights
         self._weights = weights
-        self._scale_sq = scale * scale
-        sums = [0] * graph.vertex_count
-        for (u, v), keep in zip(graph.edges, self.mask.kept):
-            if keep:
+        self._denominator, cofactors = graph.discrepancy_scale
+        self._cofactors = cofactors
+        # A valid mask keeps every forced edge, so only free edges and core
+        # vertices vary; the host leaves add graph.leaf_numerator.
+        edges, kept = graph.edges, self.mask.kept
+        sums = list(graph.forced_nbr_sums)
+        for eid in graph.free_edge_ids:
+            if kept[eid]:
+                u, v = edges[eid]
                 sums[u] += weights[v]
                 sums[v] += weights[u]
         self.nbr_sums = sums
-        self.total = exact_total(zip(weights, self.mask.degrees, sums), self._scale_sq)
+        degrees = self.mask.degrees
+        total = graph.leaf_numerator
+        for vtx in graph.core_vertices:
+            d = degrees[vtx]
+            diff = weights[vtx] * d - sums[vtx]
+            total += diff * diff * cofactors[d]
+        self.total = total
 
     def score(self) -> ScoreValue:
         log_sum = log_degree_sum(self.graph, self.mask.degrees)
-        return ScoreValue.from_parts(log_sum, self.total, self.multiplier)
+        return ScoreValue.from_parts(log_sum, self.total, self._denominator, self.multiplier)
 
     def can_remove(self, eid: int) -> bool:
         """True when dropping the edge keeps both endpoints non-isolated."""
@@ -221,6 +241,7 @@ class ScoreState:
         """Toggle a checked edge in the mask, the neighbour sums and S."""
         u, v = self.graph.edges[eid]
         weights, sums, degrees = self._weights, self.nbr_sums, self.mask.degrees
+        cofactors = self._cofactors
         step = 1 if keep else -1
         total = self.total
         for vtx, shift in ((u, step * weights[v]), (v, step * weights[u])):
@@ -228,8 +249,7 @@ class ScoreState:
             new_d, new_s = d + step, s + shift
             old = weights[vtx] * d - s
             new = weights[vtx] * new_d - new_s
-            # new^2 / (L^2 new_d) - old^2 / (L^2 d)
-            total += Fraction(new * new * d - old * old * new_d, self._scale_sq * d * new_d)
+            total += new * new * cofactors[new_d] - old * old * cofactors[d]
             sums[vtx] = new_s
         self.total = total
         self.mask.set_edge(eid, keep)

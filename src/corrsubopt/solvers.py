@@ -14,15 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .graph import SubgraphMask, WeightedGraph, forced_edges
-from .scoring import (
-    ScoreState,
-    ScoreValue,
-    compare_scores,
-    contribution,
-    exact_total,
-    log_degree_sum,
-    score,
-)
+from .scoring import ScoreState, ScoreValue, compare_scores, log_degree_sum, score
 
 
 class SearchSpaceError(RuntimeError):
@@ -71,19 +63,12 @@ class FreeEdgeSearch:
     def __init__(self, graph: WeightedGraph, order: list[int]):
         self.graph = graph
         self.order = order
-        _, weights = graph.scaled_weights
-        n = graph.vertex_count
-        self.kept_deg = kept = [0] * n
-        self.und_deg = und = [0] * n
-        self.nbr_sum = sums = [0] * n
+        self.kept_deg = graph.forced_degrees()
+        self.und_deg = und = [0] * graph.vertex_count
+        self.nbr_sum = list(graph.forced_nbr_sums)
         self.decided: list[bool | None] = [None] * graph.edge_count  # None = undecided
         self.nodes = 0
         for eid in graph.forced_edge_ids:
-            u, v = graph.edges[eid]
-            kept[u] += 1
-            kept[v] += 1
-            sums[u] += weights[v]
-            sums[v] += weights[u]
             self.decided[eid] = True
         for eid in order:
             u, v = graph.edges[eid]
@@ -170,11 +155,13 @@ def solve_exact(
     only overstate the true score.
 
     Scores come from the integer kernel in ``scoring``: neighbour sums are
-    ints over the scaled weights W, a vertex is added to S with one exact
-    ``Fraction`` when its last free edge is decided, and both log-degree
-    sums (the bound's and a leaf's) run over the core vertices only.  The
-    search runs on :class:`FreeEdgeSearch`, with (S, bound's log-degree sum)
-    as the state of each node.
+    ints over the scaled weights W, a vertex adds its int share of S * D
+    (``WeightedGraph.discrepancy_scale``) when its last free edge is
+    decided, and both log-degree sums (the bound's and a leaf's) run over
+    the core vertices only.  The search runs on :class:`FreeEdgeSearch`,
+    with (S * D, bound's log-degree sum) as the state of each node; the
+    bound reads S as the float (S * D) / D, and only a leaf builds a
+    ``Fraction``.
 
     Without ``node_limit`` the search refuses graphs with more than
     ``free_edge_cap`` free edges; with one it runs best effort and reports
@@ -188,8 +175,8 @@ def solve_exact(
             f"{len(free)} free edges exceed the exact-search cap of {free_edge_cap}; "
             "pass a node limit to search best-effort"
         )
-    scale, weights = graph.scaled_weights
-    scale_sq = scale * scale
+    _, weights = graph.scaled_weights
+    denominator, cofactors = graph.discrepancy_scale
     # W = L * f, so ordering by |W_u - W_v| is ordering by |f(u) - f(v)|.
     order = sorted(
         free,
@@ -200,18 +187,17 @@ def solve_exact(
     )
     dfs = FreeEdgeSearch(graph, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
-    logs = [0.0] + [math.log(d) for d in range(1, max(graph.degrees) + 1)]
+    log = math.log
+    logs = [0.0] + [log(d) for d in range(1, max(graph.degrees) + 1)]
 
     # Vertices with no free edges are finalised from the start; each keeps
     # all its edges, at least one since the graph has no isolated vertex.
-    base_total = exact_total(
-        (
-            (weights[vtx], kept_deg[vtx], nbr_sum[vtx])
-            for vtx in range(graph.vertex_count)
-            if und_deg[vtx] == 0
-        ),
-        scale_sq,
-    )
+    base_total = 0
+    for vtx in range(graph.vertex_count):
+        if und_deg[vtx] == 0:
+            d = kept_deg[vtx]
+            diff = weights[vtx] * d - nbr_sum[vtx]
+            base_total += diff * diff * cofactors[d]
     # At the root every vertex's kept plus undecided degree is its host degree.
     max_log_sum = log_degree_sum(graph, graph.degrees)
 
@@ -233,13 +219,18 @@ def solve_exact(
             ku, kv = kept_deg[u] + und_deg[u], kept_deg[v] + und_deg[v]
             log_sum += logs[ku] - logs[ku + 1] + logs[kv] - logs[kv + 1]
         if not und_deg[u]:
-            total += contribution(weights[u], kept_deg[u], nbr_sum[u], scale_sq)
+            d = kept_deg[u]
+            diff = weights[u] * d - nbr_sum[u]
+            total += diff * diff * cofactors[d]
         if not und_deg[v]:
-            total += contribution(weights[v], kept_deg[v], nbr_sum[v], scale_sq)
-        if total > 0:
+            d = kept_deg[v]
+            diff = weights[v] * d - nbr_sum[v]
+            total += diff * diff * cofactors[d]
+        if total:
             if inc_score.value is None:
                 return None  # this branch can only reach finite scores
-            if log_sum - mult * math.log(float(total)) < inc_score.value - _PRUNE_EPS:
+            # int / int is correctly rounded, so this is float(S) bit for bit.
+            if log_sum - mult * log(total / denominator) < inc_score.value - _PRUNE_EPS:
                 return None
         elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
             return None
@@ -247,7 +238,8 @@ def solve_exact(
 
     def leaf(state) -> bool:
         nonlocal inc_mask, inc_score, inc_key
-        cand = ScoreValue.from_parts(log_degree_sum(graph, kept_deg), state[0], mult)
+        cand = ScoreValue.from_parts(
+            log_degree_sum(graph, kept_deg), state[0], denominator, mult)
         cmp = compare_scores(cand, inc_score)
         if cmp >= 0:
             mask = dfs.mask()

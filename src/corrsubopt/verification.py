@@ -40,6 +40,7 @@ from .reduction import (
 from .scoring import (
     ScoreValue,
     compare_scores,
+    discrepancy_sum,
     format_fraction,
     log_degree_sum,
     neighbourhood_discrepancy,
@@ -79,10 +80,7 @@ def reduction_score(inst: ReductionInstance, mask: SubgraphMask) -> ScoreValue:
 
 
 def leaf_discrepancy_total(inst: ReductionInstance, mask: SubgraphMask) -> Fraction:
-    total = Fraction(0)
-    for leaf in inst.leaves:
-        total += neighbourhood_discrepancy(inst.graph, mask, leaf)
-    return total
+    return discrepancy_sum(inst.graph, mask, inst.leaves)
 
 
 def attachment_violations(
@@ -238,6 +236,12 @@ class CheckContext:
         return masks
 
     @cached_property
+    def degree_log_sums(self) -> list[float]:
+        """Log-degree sums of the "degree-log" sample, shared by checks 3 and 4."""
+        return [log_degree_sum(self.inst.graph, mask.degrees)
+                for mask in self.sample_masks("degree-log")]
+
+    @cached_property
     def _oracle(self) -> list[tuple[bool, ...]] | str:
         try:
             return satisfying_assignments(self.formula)
@@ -302,11 +306,10 @@ def check_attachment_bounds(ctx: CheckContext) -> CheckRecord:
 def _degree_log_record(ctx: CheckContext, selector: str) -> CheckRecord:
     inst = ctx.inst
     name = "degree-log-lower" if selector == "3" else "degree-log-upper"
-    masks = ctx.sample_masks("degree-log")
+    mask_sums = ctx.degree_log_sums
     graph_sum = log_degree_sum(inst.graph, inst.graph.degrees)
     quantities = degree_log_quantities(inst, SubgraphMask.full(inst.graph))
-    for mask in masks:
-        mask_sum = log_degree_sum(inst.graph, mask.degrees)
+    for mask_sum in mask_sums:
         if selector == "3":
             ok = quantities["lower"] <= mask_sum + FLOAT_SLACK
         else:
@@ -323,7 +326,7 @@ def _degree_log_record(ctx: CheckContext, selector: str) -> CheckRecord:
     return CheckRecord(
         selector, name, "pass", instance_label(ctx.formula, ctx.t),
         (("lower", _fmt(quantities["lower"])), ("graph_sum", _fmt(graph_sum)),
-         ("upper", _fmt(quantities["upper"])), ("masks_checked", str(len(masks)))),
+         ("upper", _fmt(quantities["upper"])), ("masks_checked", str(len(mask_sums)))),
     )
 
 

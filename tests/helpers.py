@@ -63,6 +63,38 @@ def random_graph(
             return graph
 
 
+_MIXED_WEIGHTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-5, 4), -2, 0, 1, 3)
+
+KERNEL_SHAPES = ("core", "leaves", "hubs", "k2")
+
+
+def kernel_graph(rng: random.Random, shape: str, *, max_core: int = 7) -> WeightedGraph:
+    """Random graph with mixed-denominator weights: a connected core of 3 to
+    ``max_core`` vertices, plus a few pendant host leaves for "leaves", one
+    to four leaves on every core vertex for "hubs" (so the degrees a valid
+    mask can give, and with them the common denominator, vary widely), or a
+    lone K2 (empty core) for "k2"."""
+    if shape == "k2":
+        return WeightedGraph.build(2, [(0, 1)], [rng.choice(_MIXED_WEIGHTS) for _ in range(2)])
+    n = rng.randint(3, max_core)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    if shape == "leaves":
+        for leaf in range(n, n + rng.randint(1, 4)):
+            edges.add((rng.randrange(n), leaf))
+        n = max(v for _, v in edges) + 1
+    elif shape == "hubs":
+        leaf = n
+        for hub in range(n):
+            for _ in range(rng.randint(1, 4)):
+                edges.add((hub, leaf))
+                leaf += 1
+        n = leaf
+    return WeightedGraph.build(n, edges, [rng.choice(_MIXED_WEIGHTS) for _ in range(n)])
+
+
 def naive_score(graph: WeightedGraph, kept: list[bool], multiplier: int | None = None):
     """(is_inf, value, log_degree_sum, S) computed from first principles."""
     n = graph.vertex_count

@@ -22,6 +22,7 @@ from corrsubopt import (
     score,
     score_delta,
 )
+from corrsubopt.scoring import discrepancy_sum
 
 import helpers
 
@@ -213,26 +214,6 @@ class TestScoreDelta:
         assert after.discrepancy_total == before.discrepancy_total
 
 
-_MIXED_WEIGHTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-5, 4), -2, 0, 1, 3)
-
-
-def _kernel_graph(rng: random.Random, shape: str) -> WeightedGraph:
-    """Random graph with mixed-denominator weights: a connected core, with
-    pendant host leaves for "leaves", or a lone K2 (empty core) for "k2"."""
-    if shape == "k2":
-        return WeightedGraph.build(2, [(0, 1)], [rng.choice(_MIXED_WEIGHTS) for _ in range(2)])
-    n = rng.randint(3, 7)
-    edges = {(rng.randrange(i), i) for i in range(1, n)}
-    for _ in range(rng.randint(0, n)):
-        u, v = sorted(rng.sample(range(n), 2))
-        edges.add((u, v))
-    if shape == "leaves":
-        for leaf in range(n, n + rng.randint(1, 4)):
-            edges.add((rng.randrange(n), leaf))
-        n = max(v for _, v in edges) + 1
-    return WeightedGraph.build(n, edges, [rng.choice(_MIXED_WEIGHTS) for _ in range(n)])
-
-
 def _bits(x: float | None) -> str | None:
     return None if x is None else x.hex()
 
@@ -255,14 +236,14 @@ class TestKernelDifferential:
     toggle/peek sequences: value and log-degree sum bit-equal, S equal."""
 
     @given(
-        st.sampled_from(("core", "leaves", "k2")),
+        st.sampled_from(helpers.KERNEL_SHAPES),
         st.integers(0, 10**6),
         st.lists(st.tuples(st.booleans(), st.integers(0, 10**3)), max_size=25),
     )
     @settings(deadline=None, max_examples=150)
     def test_toggle_and_peek_match_naive(self, shape, seed, actions):
         rng = random.Random(seed)
-        graph = _kernel_graph(rng, shape)
+        graph = helpers.kernel_graph(rng, shape)
         state = ScoreState(graph, random_valid_mask(graph, rng))
         _assert_naive(state.score(), graph, state.mask.kept)
         for is_peek, pick in actions:
@@ -283,14 +264,16 @@ class TestKernelDifferential:
 
 class TestDiscrepancyDifferential:
     """neighbourhood_discrepancy against the squared gap to a Fraction mean
-    of the kept neighbours, on every vertex of random valid masks."""
+    of the kept neighbours, on every vertex of random valid masks, and
+    discrepancy_sum against the Fraction sum of those gaps."""
 
-    @given(st.sampled_from(("core", "leaves", "k2")), st.integers(0, 10**6))
+    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=150)
     def test_matches_naive_mean(self, shape, seed):
         rng = random.Random(seed)
-        graph = _kernel_graph(rng, shape)
+        graph = helpers.kernel_graph(rng, shape)
         mask = random_valid_mask(graph, rng)
+        total = Fraction(0)
         for vtx in range(graph.vertex_count):
             kept = [
                 graph.weights[v if u == vtx else u]
@@ -298,4 +281,7 @@ class TestDiscrepancyDifferential:
                 if mask.kept[eid] and vtx in (u, v)
             ]
             mean = sum(kept, Fraction(0)) / len(kept)
-            assert neighbourhood_discrepancy(graph, mask, vtx) == (graph.weights[vtx] - mean) ** 2
+            naive = (graph.weights[vtx] - mean) ** 2
+            assert neighbourhood_discrepancy(graph, mask, vtx) == naive
+            total += naive
+        assert discrepancy_sum(graph, mask, range(graph.vertex_count)) == total

@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrsubopt import (
     SearchSpaceError,
@@ -128,3 +131,53 @@ class TestLocal:
         report = solve_local(g, restarts=3, seed=0)
         assert report.restarts_used == 3
         assert report.optimality == "heuristic"
+
+
+def _bits(x: float | None) -> str | None:
+    return None if x is None else x.hex()
+
+
+class TestExactDifferential:
+    """solve_exact, whose nodes carry S * D as an int, against the
+    Fraction-exact enumeration oracle: same mask, value and log-degree sum
+    bit-equal, S equal."""
+
+    @given(
+        st.sampled_from(helpers.KERNEL_SHAPES),
+        st.integers(0, 10**6),
+        st.one_of(st.none(), st.integers(1, 40)),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_matches_brute_force(self, shape, seed, multiplier):
+        graph = helpers.kernel_graph(random.Random(seed), shape, max_core=5)
+        report = solve_exact(graph, multiplier=multiplier)
+        (is_inf, value, log_sum, total), bits = helpers.brute_force_best(graph, multiplier)
+        assert report.best_mask.bitstring() == bits
+        assert report.best_score.is_infinite == is_inf
+        assert _bits(report.best_score.value) == _bits(value)
+        assert _bits(report.best_score.log_degree_sum) == _bits(log_sum)
+        assert report.best_score.discrepancy_total == total
+
+
+# Node counts, masks and exact totals of solve_exact on seeded random graphs.
+# Any change to the branching order, the bound or its float arithmetic shows
+# up here.
+@pytest.mark.parametrize(
+    "seed, nodes, bits, total",
+    [
+        (0, 592, "10001111010", Fraction(221, 216)),
+        (1, 18, "1111101", Fraction(4690, 27)),
+        (2, 1_952, "11110010110111", Fraction(551, 4)),
+        (3, 448, "010001111101", Fraction(43, 8)),
+        (4, 944, "11010110101011", Fraction(89)),
+    ],
+)
+def test_exact_golden_outputs(seed, nodes, bits, total):
+    graph = helpers.random_graph(
+        random.Random(f"pin:{seed}"), min_vertices=7, max_vertices=10, max_free=14
+    )
+    report = solve_exact(graph)
+    assert report.nodes_explored == nodes
+    assert report.best_mask.bitstring() == bits
+    assert report.best_score.discrepancy_total == total
+    assert report.optimality == "proven"

@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import corrsubopt.verification as verification
-from corrsubopt import SubgraphMask, compile_formula
+from corrsubopt import SubgraphMask, compile_formula, random_valid_mask
 from corrsubopt.scoring import neighbourhood_discrepancy
 from corrsubopt.verification import (
     ALL_CHECKS,
@@ -43,6 +44,20 @@ class TestExactQuantities:
             inst = compile_formula(formula, t)
             total = leaf_discrepancy_total(inst, SubgraphMask.full(inst.graph))
             assert total == 6 * formula.variable_count * t
+
+    @pytest.mark.parametrize("name, t", [("sat3", 2), ("unsat4", 3), ("unsat4", 4)])
+    def test_leaf_total_matches_per_leaf_sum(self, request, name, t):
+        inst = compile_formula(request.getfixturevalue(name), t)
+        g = inst.graph
+        rng = random.Random(f"leaf-total:{name}:{t}")
+        for _ in range(5):
+            mask = random_valid_mask(g, rng)
+            expected = Fraction(0)
+            for leaf in inst.leaves:
+                (nbr, eid), = g.incidence[leaf]
+                assert mask.kept[eid]
+                expected += (g.weights[leaf] - g.weights[nbr]) ** 2
+            assert leaf_discrepancy_total(inst, mask) == expected
 
     def test_attachment_violations_empty_on_full_graph(self, unsat4):
         inst = compile_formula(unsat4, 2)
