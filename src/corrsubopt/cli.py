@@ -51,6 +51,14 @@ class UsageError(Exception):
     pass
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of counts, budgets and limits: a negative one is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -153,19 +161,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     assignment = None
     if args.assignment:
         assignment = parse_assignment(args.assignment, formula.variable_count)
-    try:
-        records = run_checks(
-            formula,
-            args.t,
-            checks,
-            assignment=assignment,
-            mask_samples=args.masks,
-            seed=args.seed,
-            search_budget=args.budget,
-            lemma_samples=args.lemma_samples,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    records = run_checks(  # its ValueErrors are usage errors, see main
+        formula,
+        args.t,
+        checks,
+        assignment=assignment,
+        mask_samples=args.masks,
+        seed=args.seed,
+        search_budget=args.budget,
+        lemma_samples=args.lemma_samples,
+    )
     failed = False
     for rec in records:
         parts = " ".join(f"{k}={v}" for k, v in rec.quantities)
@@ -227,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true", help="branch and bound")
     mode.add_argument("--local", action="store_true", help="steepest-ascent local search")
-    p.add_argument("--restarts", type=int, default=16, help="random restarts for --local")
+    p.add_argument("--restarts", type=non_negative_int, default=16,
+                   help="random restarts for --local")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node-limit", type=int, default=None,
+    p.add_argument("--node-limit", type=non_negative_int, default=None,
                    help="stop --exact after this many search nodes")
     p.add_argument("--out", help="write the best mask here")
     p.set_defaults(func=cmd_solve)
@@ -255,20 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=",".join(ALL_CHECKS),
                    help=f"comma list from {{{','.join(ALL_CHECKS)}}} (default: all)")
     p.add_argument("--assignment", help="restrict witness checks to this assignment")
-    p.add_argument("--masks", type=int, default=100,
-                   help="random valid masks per sampled check (default 100)")
+    p.add_argument("--masks", type=non_negative_int, default=100,
+                   help="random valid masks in the one sample checks 1-4 share (default 100)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=5_000_000,
+    p.add_argument("--budget", type=non_negative_int, default=5_000_000,
                    help="node budget for the infeasibility search")
-    p.add_argument("--lemma-samples", type=int, default=10_000,
+    p.add_argument("--lemma-samples", type=non_negative_int, default=10_000,
                    help="sampled masks for the score upper bound check")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decide", parents=[common],
                        help="one-in-three satisfiability via the reduction")
     p.add_argument("-f", "--formula", required=True, help="formula file")
-    p.add_argument("--node-limit", type=int, default=200_000)
-    p.add_argument("--restarts", type=int, default=2)
+    p.add_argument("--node-limit", type=non_negative_int, default=200_000)
+    p.add_argument("--restarts", type=non_negative_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decide)
 

@@ -16,6 +16,16 @@ plus the score-bound checks: a witness scores at least
 mask scores at most 6n ln t + 20n - n ln(t^2/9).  Score bounds use the
 reduction objective (multiplier = variable count); discrepancy checks are
 exact rational arithmetic, the log bounds allow absolute slack 1e-9.
+
+A check is a function of one :class:`CheckContext`, which compiles the
+instance once and caches what several checks share: the sample of checks
+1-4 (the full mask plus ``mask_samples`` random valid masks), the 1-in-3
+oracle's answer and the witness masks of checks 5 and lemmas.  A check
+returns an :class:`Outcome` (pass or fail, quantities, details) or raises
+:class:`Inconclusive` when it gives up without evidence either way (the
+oracle's variable cap, the check-6 node budget); a rejected ``assignment``
+fails checks 5 and lemmas.  :func:`run_checks` turns each into the one
+:class:`CheckRecord` per selected check.
 """
 
 from __future__ import annotations
@@ -26,14 +36,15 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .graph import SubgraphMask, is_valid
 from .reduction import (
+    AssignmentError,
     Formula,
     ReductionInstance,
     compile_formula,
     dump_formula,
-    is_one_in_three,
     satisfying_assignments,
     witness_mask,
 )
@@ -65,7 +76,20 @@ class CheckRecord:
         return self.status == "pass"
 
 
-class SearchBudgetExceeded(RuntimeError):
+class Outcome(NamedTuple):
+    """What a check found; :func:`run_checks` adds selector, name and instance."""
+
+    status: str  # as in CheckRecord; a check that gives up raises Inconclusive
+    quantities: tuple[tuple[str, str], ...] = ()
+    details: str = ""
+
+
+class Inconclusive(RuntimeError):
+    """A check gave up without evidence either way; reported as inconclusive
+    with this message as details."""
+
+
+class SearchBudgetExceeded(Inconclusive):
     pass
 
 
@@ -104,17 +128,6 @@ def degree_log_quantities(inst: ReductionInstance, mask: SubgraphMask) -> dict[s
         "graph_sum": log_degree_sum(inst.graph, inst.graph.degrees),
         "upper": 6 * n * math.log(t) + 20 * n,
     }
-
-
-def witness_discrepancy_violations(
-    inst: ReductionInstance, mask: SubgraphMask
-) -> list[tuple[int, Fraction]]:
-    out = []
-    for vtx in inst.designated_vertices:
-        nd = neighbourhood_discrepancy(inst.graph, mask, vtx)
-        if nd != 0:
-            out.append((vtx, nd))
-    return out
 
 
 def _infeasibility_edge_order(inst: ReductionInstance) -> list[int]:
@@ -213,6 +226,10 @@ def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
+def _text(assignment: tuple[bool, ...]) -> str:
+    return "".join("T" if b else "F" for b in assignment)
+
+
 @dataclass
 class CheckContext:
     formula: Formula
@@ -227,250 +244,166 @@ class CheckContext:
     def __post_init__(self) -> None:
         self.inst = compile_formula(self.formula, self.t)
 
-    def sample_masks(self, tag: str) -> list[SubgraphMask]:
-        rng = random.Random(f"{self.seed}:{tag}")
-        masks = [SubgraphMask.full(self.inst.graph)]
-        masks.extend(
-            random_valid_mask(self.inst.graph, rng) for _ in range(self.mask_samples)
-        )
-        return masks
+    @cached_property
+    def sample(self) -> list[SubgraphMask]:
+        """The full mask plus ``mask_samples`` random valid masks, drawn once
+        from ``seed`` and shared by checks 1 to 4."""
+        rng = random.Random(f"{self.seed}:sample")
+        graph = self.inst.graph
+        return [SubgraphMask.full(graph)] + [
+            random_valid_mask(graph, rng) for _ in range(self.mask_samples)]
 
     @cached_property
-    def degree_log_sums(self) -> list[float]:
-        """Log-degree sums of the "degree-log" sample, shared by checks 3 and 4."""
-        return [log_degree_sum(self.inst.graph, mask.degrees)
-                for mask in self.sample_masks("degree-log")]
-
-    @cached_property
-    def _oracle(self) -> list[tuple[bool, ...]] | str:
-        try:
-            return satisfying_assignments(self.formula)
-        except ValueError as exc:
-            return str(exc)
-
     def satisfying(self) -> list[tuple[bool, ...]]:
         """Every 1-in-3 satisfying assignment, from one run of the exhaustive
-        oracle per context; raises ValueError past the oracle's cap."""
-        found = self._oracle
-        if isinstance(found, str):
-            raise ValueError(found)
-        return found
+        oracle per context; raises :class:`Inconclusive` past its cap."""
+        try:
+            return satisfying_assignments(self.formula)
+        except ValueError as exc:  # the oracle's only error: the variable cap
+            raise Inconclusive(str(exc)) from exc
 
-    def assignments(self) -> list[tuple[bool, ...]]:
-        if self.assignment is not None:
-            return [self.assignment]
-        return self.satisfying()
+    @cached_property
+    def witnesses(self) -> list[tuple[str, SubgraphMask]]:
+        """(assignment as T/F text, witness mask) for checks 5 and lemmas: the
+        given assignment, else every satisfying one.  Raises AssignmentError
+        when the given assignment has the wrong length or is not 1-in-3,
+        which :func:`run_checks` reports as a fail."""
+        found = self.satisfying if self.assignment is None else [self.assignment]
+        return [(_text(a), witness_mask(self.formula, self.t, a, self.inst)) for a in found]
 
 
-def check_leaf_total(ctx: CheckContext) -> CheckRecord:
+def check_leaf_total(ctx: CheckContext) -> Outcome:
     inst = ctx.inst
     expected = Fraction(6 * inst.variable_count * inst.t)
-    masks = ctx.sample_masks("leaf-total")
-    for mask in masks:
+    for mask in ctx.sample:
         got = leaf_discrepancy_total(inst, mask)
         if got != expected:
-            return CheckRecord(
-                "1", "leaf-discrepancy-total", "fail", instance_label(ctx.formula, ctx.t),
+            return Outcome(
+                "fail",
                 (("expected", format_fraction(expected)), ("got", format_fraction(got))),
                 f"mask {mask.bitstring()[:40]}...",
             )
-    return CheckRecord(
-        "1", "leaf-discrepancy-total", "pass", instance_label(ctx.formula, ctx.t),
-        (
-            ("leaf_total", format_fraction(expected)),
-            ("expected", format_fraction(expected)),
-            ("masks_checked", str(len(masks))),
-        ),
-    )
+    return Outcome("pass", (
+        ("leaf_total", format_fraction(expected)),
+        ("expected", format_fraction(expected)),
+        ("masks_checked", str(len(ctx.sample))),
+    ))
 
 
-def check_attachment_bounds(ctx: CheckContext) -> CheckRecord:
-    inst = ctx.inst
-    masks = ctx.sample_masks("attachment")
-    for mask in masks:
-        violations = attachment_violations(inst, mask)
+def check_attachment_bounds(ctx: CheckContext) -> Outcome:
+    bound = f"1/{ctx.t * ctx.t}"
+    for mask in ctx.sample:
+        violations = attachment_violations(ctx.inst, mask)
         if violations:
             vtx, nd = violations[0]
-            return CheckRecord(
-                "2", "attachment-discrepancy-bound", "fail",
-                instance_label(ctx.formula, ctx.t),
-                (("vertex", str(vtx)), ("nd", format_fraction(nd)),
-                 ("bound", f"1/{inst.t * inst.t}")),
-            )
-    return CheckRecord(
-        "2", "attachment-discrepancy-bound", "pass", instance_label(ctx.formula, ctx.t),
-        (("bound", f"1/{inst.t * inst.t}"), ("masks_checked", str(len(masks)))),
-    )
+            return Outcome("fail", (("vertex", str(vtx)), ("nd", format_fraction(nd)),
+                                    ("bound", bound)))
+    return Outcome("pass", (("bound", bound), ("masks_checked", str(len(ctx.sample)))))
 
 
-def _degree_log_record(ctx: CheckContext, selector: str) -> CheckRecord:
-    inst = ctx.inst
-    name = "degree-log-lower" if selector == "3" else "degree-log-upper"
-    mask_sums = ctx.degree_log_sums
-    graph_sum = log_degree_sum(inst.graph, inst.graph.degrees)
-    quantities = degree_log_quantities(inst, SubgraphMask.full(inst.graph))
-    for mask_sum in mask_sums:
-        if selector == "3":
-            ok = quantities["lower"] <= mask_sum + FLOAT_SLACK
-        else:
-            ok = (
-                mask_sum <= graph_sum + FLOAT_SLACK
-                and graph_sum <= quantities["upper"] + FLOAT_SLACK
-            )
-        if not ok:
-            return CheckRecord(
-                selector, name, "fail", instance_label(ctx.formula, ctx.t),
-                (("mask_sum", _fmt(mask_sum)), ("graph_sum", _fmt(graph_sum)),
-                 ("lower", _fmt(quantities["lower"])), ("upper", _fmt(quantities["upper"]))),
-            )
-    return CheckRecord(
-        selector, name, "pass", instance_label(ctx.formula, ctx.t),
-        (("lower", _fmt(quantities["lower"])), ("graph_sum", _fmt(graph_sum)),
-         ("upper", _fmt(quantities["upper"])), ("masks_checked", str(len(mask_sums)))),
-    )
+def _degree_log_chain(ctx: CheckContext, holds) -> Outcome:
+    """Checks 3 and 4: ``holds(q, mask_sum)`` for each sampled mask's
+    log-degree sum, with q = degree_log_quantities of the full mask."""
+    q = degree_log_quantities(ctx.inst, ctx.sample[0])
+    lower, graph_sum, upper = _fmt(q["lower"]), _fmt(q["graph_sum"]), _fmt(q["upper"])
+    for mask in ctx.sample:
+        mask_sum = log_degree_sum(ctx.inst.graph, mask.degrees)
+        if not holds(q, mask_sum):
+            return Outcome("fail", (("mask_sum", _fmt(mask_sum)), ("graph_sum", graph_sum),
+                                    ("lower", lower), ("upper", upper)))
+    return Outcome("pass", (("lower", lower), ("graph_sum", graph_sum), ("upper", upper),
+                            ("masks_checked", str(len(ctx.sample)))))
 
 
-def check_degree_log_lower(ctx: CheckContext) -> CheckRecord:
-    return _degree_log_record(ctx, "3")
+def check_degree_log_lower(ctx: CheckContext) -> Outcome:
+    return _degree_log_chain(ctx, lambda q, s: q["lower"] <= s + FLOAT_SLACK)
 
 
-def check_degree_log_upper(ctx: CheckContext) -> CheckRecord:
-    return _degree_log_record(ctx, "4")
+def check_degree_log_upper(ctx: CheckContext) -> Outcome:
+    return _degree_log_chain(ctx, lambda q, s: s <= q["graph_sum"] + FLOAT_SLACK
+                             and q["graph_sum"] <= q["upper"] + FLOAT_SLACK)
 
 
-def check_witness_discrepancy(ctx: CheckContext) -> CheckRecord:
-    label = instance_label(ctx.formula, ctx.t)
-    try:
-        assignments = ctx.assignments()
-    except ValueError as exc:
-        return CheckRecord("5", "witness-zero-discrepancy", "inconclusive", label,
-                           details=str(exc))
-    if not assignments:
-        return CheckRecord(
-            "5", "witness-zero-discrepancy", "inconclusive", label,
-            details="no 1-in-3 satisfying assignment exists",
-        )
-    for assignment in assignments:
-        text = "".join("T" if b else "F" for b in assignment)
-        if not is_one_in_three(ctx.formula, assignment):
-            return CheckRecord(
-                "5", "witness-zero-discrepancy", "fail", label,
-                (("assignment", text),),
-                "assignment does not satisfy exactly one variable per clause",
-            )
-        mask = witness_mask(ctx.formula, ctx.t, assignment, ctx.inst)
-        if not is_valid(ctx.inst.graph, mask):
-            return CheckRecord("5", "witness-zero-discrepancy", "fail", label,
-                               (("assignment", text),), "witness mask is invalid")
-        violations = witness_discrepancy_violations(ctx.inst, mask)
-        if violations:
-            vtx, nd = violations[0]
-            return CheckRecord(
-                "5", "witness-zero-discrepancy", "fail", label,
-                (("assignment", text), ("vertex", str(vtx)),
-                 ("nd", format_fraction(nd))),
-            )
-    return CheckRecord(
-        "5", "witness-zero-discrepancy", "pass", label,
-        (("assignments_checked", str(len(assignments))),),
-    )
+def check_witness_discrepancy(ctx: CheckContext) -> Outcome:
+    witnesses = ctx.witnesses
+    if not witnesses:
+        raise Inconclusive("no 1-in-3 satisfying assignment exists")
+    graph = ctx.inst.graph
+    for text, mask in witnesses:
+        if not is_valid(graph, mask):
+            return Outcome("fail", (("assignment", text),), "witness mask is invalid")
+        for vtx in ctx.inst.designated_vertices:
+            nd = neighbourhood_discrepancy(graph, mask, vtx)
+            if nd != 0:
+                return Outcome("fail", (("assignment", text), ("vertex", str(vtx)),
+                                        ("nd", format_fraction(nd))))
+    return Outcome("pass", (("assignments_checked", str(len(witnesses))),))
 
 
-def check_infeasibility_search(ctx: CheckContext) -> CheckRecord:
-    label = instance_label(ctx.formula, ctx.t)
-    try:
-        satisfiable = bool(ctx.satisfying())
-    except ValueError as exc:
-        return CheckRecord("6", "low-discrepancy-search", "inconclusive", label,
-                           details=str(exc))
-    try:
-        mask, nodes = find_low_discrepancy_mask(ctx.inst, node_budget=ctx.search_budget)
-    except SearchBudgetExceeded as exc:
-        return CheckRecord("6", "low-discrepancy-search", "inconclusive", label,
-                           details=str(exc))
+def check_infeasibility_search(ctx: CheckContext) -> Outcome:
+    satisfiable = bool(ctx.satisfying)
+    mask, nodes = find_low_discrepancy_mask(ctx.inst, node_budget=ctx.search_budget)
     threshold = f"{ctx.t * ctx.t}/9"
     if satisfiable:
         # Negative control: a satisfiable formula must yield a counterexample.
         if mask is not None:
-            return CheckRecord(
-                "6", "low-discrepancy-search", "pass", label,
-                (("nodes", str(nodes)), ("threshold", threshold)),
+            return Outcome(
+                "pass", (("nodes", str(nodes)), ("threshold", threshold)),
                 "negative control: counterexample found, as expected for a "
                 "satisfiable formula",
             )
-        return CheckRecord(
-            "6", "low-discrepancy-search", "fail", label,
-            (("nodes", str(nodes)),),
+        return Outcome(
+            "fail", (("nodes", str(nodes)),),
             "satisfiable formula but the search found no counterexample; "
             "the search is unsound",
         )
     if mask is None:
-        return CheckRecord(
-            "6", "low-discrepancy-search", "pass", label,
-            (("nodes", str(nodes)), ("threshold", threshold)),
+        return Outcome(
+            "pass", (("nodes", str(nodes)), ("threshold", threshold)),
             "exhaustive: every valid mask pushes some designated vertex to "
             f"discrepancy >= {threshold}",
         )
-    return CheckRecord(
-        "6", "low-discrepancy-search", "fail", label,
-        (("nodes", str(nodes)), ("mask", mask.bitstring()[:60])),
+    return Outcome(
+        "fail", (("nodes", str(nodes)), ("mask", mask.bitstring()[:60])),
         "found a valid mask with all designated discrepancies below the threshold",
     )
 
 
-def check_score_bounds(ctx: CheckContext) -> CheckRecord:
-    label = instance_label(ctx.formula, ctx.t)
+def check_score_bounds(ctx: CheckContext) -> Outcome:
     inst = ctx.inst
-    quantities: list[tuple[str, str]] = []
-    try:
-        assignments = ctx.assignments()
-    except ValueError as exc:
-        return CheckRecord("lemmas", "score-bounds", "inconclusive", label, details=str(exc))
-    if assignments:
+    witnesses = ctx.witnesses
+    if witnesses:
         bound = witness_score_bound(inst)
-        worst = None
-        for assignment in assignments:
-            if not is_one_in_three(ctx.formula, assignment):
-                text = "".join("T" if b else "F" for b in assignment)
-                return CheckRecord(
-                    "lemmas", "score-bounds", "fail", label,
-                    (("assignment", text),),
-                    "assignment does not satisfy exactly one variable per clause",
-                )
-            mask = witness_mask(ctx.formula, ctx.t, assignment, inst)
-            value = reduction_score(inst, mask)
-            margin = math.inf if value.value is None else value.value - bound
-            if worst is None or margin < worst:
-                worst = margin
-        assert worst is not None
-        quantities += [("witness_bound", _fmt(bound)), ("witness_margin", _fmt(worst))]
+        values = (reduction_score(inst, mask).value for _, mask in witnesses)
+        worst = min(math.inf if v is None else v - bound for v in values)
+        quantities = (("witness_bound", _fmt(bound)), ("witness_margin", _fmt(worst)))
         if worst < -FLOAT_SLACK:
-            return CheckRecord("lemmas", "score-bounds", "fail", label,
-                               tuple(quantities), "witness score below its lower bound")
-    else:
-        bound = infeasible_score_bound(inst)
-        best, count = max_sampled_score(inst, samples=ctx.lemma_samples, seed=ctx.seed)
-        high = -math.inf if best.value is None else best.value
-        quantities += [
-            ("score_upper_bound", _fmt(bound)),
-            ("max_observed", "+inf" if best.value is None else _fmt(high)),
-            ("masks_checked", str(count)),
-        ]
-        if best.value is None or high > bound + FLOAT_SLACK:
-            return CheckRecord("lemmas", "score-bounds", "fail", label,
-                               tuple(quantities), "a mask exceeds the score upper bound")
-    return CheckRecord("lemmas", "score-bounds", "pass", label, tuple(quantities))
+            return Outcome("fail", quantities, "witness score below its lower bound")
+        return Outcome("pass", quantities)
+    bound = infeasible_score_bound(inst)
+    best, count = max_sampled_score(inst, samples=ctx.lemma_samples, seed=ctx.seed)
+    quantities = (
+        ("score_upper_bound", _fmt(bound)),
+        ("max_observed", "+inf" if best.value is None else _fmt(best.value)),
+        ("masks_checked", str(count)),
+    )
+    if best.value is None or best.value > bound + FLOAT_SLACK:
+        return Outcome("fail", quantities, "a mask exceeds the score upper bound")
+    return Outcome("pass", quantities)
 
 
-CHECKS = {
-    "1": check_leaf_total,
-    "2": check_attachment_bounds,
-    "3": check_degree_log_lower,
-    "4": check_degree_log_upper,
-    "5": check_witness_discrepancy,
-    "6": check_infeasibility_search,
-    "lemmas": check_score_bounds,
+# selector -> (record name, check); CHECKS keeps the selector order.
+_TABLE = {
+    "1": ("leaf-discrepancy-total", check_leaf_total),
+    "2": ("attachment-discrepancy-bound", check_attachment_bounds),
+    "3": ("degree-log-lower", check_degree_log_lower),
+    "4": ("degree-log-upper", check_degree_log_upper),
+    "5": ("witness-zero-discrepancy", check_witness_discrepancy),
+    "6": ("low-discrepancy-search", check_infeasibility_search),
+    "lemmas": ("score-bounds", check_score_bounds),
 }
+CHECK_NAMES = {selector: name for selector, (name, _) in _TABLE.items()}
+CHECKS = {selector: check for selector, (_, check) in _TABLE.items()}
 
 ALL_CHECKS = tuple(CHECKS)
 
@@ -489,6 +422,8 @@ def run_checks(
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    if mask_samples < 0 or lemma_samples < 0:
+        raise ValueError("mask_samples and lemma_samples must be non-negative")
     ctx = CheckContext(
         formula,
         t,
@@ -498,4 +433,15 @@ def run_checks(
         lemma_samples=lemma_samples,
         assignment=assignment,
     )
-    return [CHECKS[c](ctx) for c in checks]
+    label = instance_label(formula, t)
+    records = []
+    for selector in checks:
+        try:
+            outcome = CHECKS[selector](ctx)
+        except Inconclusive as exc:
+            outcome = Outcome("inconclusive", details=str(exc))
+        except AssignmentError as exc:  # only the given assignment can be rejected
+            outcome = Outcome("fail", (("assignment", _text(assignment)),), str(exc))
+        records.append(CheckRecord(selector, CHECK_NAMES[selector], outcome.status, label,
+                                   outcome.quantities, outcome.details))
+    return records

@@ -37,6 +37,16 @@ def unsat4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def cubic21_file(tmp_path):
+    # Cyclic cubic formula on 21 variables: clause j holds j, j+1, j+2.
+    n = 21
+    clauses = [f"{j + 1} {(j + 1) % n + 1} {(j + 2) % n + 1}" for j in range(n)]
+    path = tmp_path / "cubic21.f"
+    path.write_text(f"{n} {n}\n" + "\n".join(clauses) + "\n")
+    return str(path)
+
+
 class TestScoreCommand:
     def test_pinned_output(self, p3_file, capsys):
         assert main(["score", "-g", p3_file]) == 0
@@ -166,13 +176,8 @@ class TestVerifyCommand:
         assert rc == 1
         assert "INCONCLUSIVE" in capsys.readouterr().out
 
-    def test_check6_beyond_oracle_cap_is_inconclusive(self, tmp_path, capsys):
-        # Cyclic cubic formula on 21 variables: clause j holds j, j+1, j+2.
-        n = 21
-        clauses = [f"{j + 1} {(j + 1) % n + 1} {(j + 2) % n + 1}" for j in range(n)]
-        path = tmp_path / "cubic21.f"
-        path.write_text(f"{n} {n}\n" + "\n".join(clauses) + "\n")
-        rc = main(["verify", "-f", str(path), "-t", "2", "--checks", "6"])
+    def test_check6_beyond_oracle_cap_is_inconclusive(self, cubic21_file, capsys):
+        rc = main(["verify", "-f", cubic21_file, "-t", "2", "--checks", "6"])
         assert rc == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("check 6 low-discrepancy-search: INCONCLUSIVE")
@@ -180,6 +185,97 @@ class TestVerifyCommand:
 
     def test_unknown_check_is_usage_error(self, sat3_file, capsys):
         assert main(["verify", "-f", sat3_file, "-t", "2", "--checks", "9"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--masks", "--lemma-samples", "--budget"])
+    def test_negative_count_is_usage_error(self, unsat4_file, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-f", unsat4_file, "-t", "2", flag, "-3"])
+        assert exc.value.code == 2
+        assert "must be a non-negative integer" in capsys.readouterr().err
+
+
+def _sampled_lines(leaf_total, bound, lower, graph_sum, upper):
+    """Stdout lines of checks 1-4 with the default 100 sampled masks."""
+    logs = f"lower={lower} graph_sum={graph_sum} upper={upper} masks_checked=101"
+    return [
+        f"check 1 leaf-discrepancy-total: PASS leaf_total={leaf_total} "
+        f"expected={leaf_total} masks_checked=101",
+        f"check 2 attachment-discrepancy-bound: PASS bound={bound} masks_checked=101",
+        f"check 3 degree-log-lower: PASS {logs}",
+        f"check 4 degree-log-upper: PASS {logs}",
+    ]
+
+
+SAT3_T2_1_4 = _sampled_lines("36/1", "1/4", "18.476649250", "43.473924301", "72.476649250")
+UNSAT4_T2_1_4 = _sampled_lines("48/1", "1/4", "24.635532333", "57.965232401", "96.635532333")
+UNSAT4_T3_1_4 = _sampled_lines("72/1", "1/9", "34.366694928", "66.507356434",
+                               "106.366694928")
+SAT3_T2_CHECK6 = ("check 6 low-discrepancy-search: PASS nodes=109 threshold=4/9 | negative "
+                  "control: counterexample found, as expected for a satisfiable formula")
+UNSAT4_NO_WITNESS = ("check 5 witness-zero-discrepancy: INCONCLUSIVE | no 1-in-3 "
+                     "satisfying assignment exists")
+CAPPED = "INCONCLUSIVE | exhaustive assignment search capped at 20 variables, got 21"
+NOT_ONE_IN_THREE = "FAIL assignment=TTF | assignment does not satisfy exactly one variable per clause"
+
+# Full `verify` stdout and exit status, pinned before the check layer was
+# restructured around one record site; any change to a record shows here.
+VERIFY_GOLDEN = {
+    "sat3-t2": (["-f", "sat3", "-t", "2"], 0, SAT3_T2_1_4 + [
+        "check 5 witness-zero-discrepancy: PASS assignments_checked=3",
+        SAT3_T2_CHECK6,
+        "check lemmas score-bounds: PASS witness_bound=0.193615563 witness_margin=20.839715401",
+        "instance: n=3 t=2 formula=4aae2373",
+    ]),
+    "unsat4-t2": (["-f", "unsat4", "-t", "2", "--lemma-samples", "100"], 1, UNSAT4_T2_1_4 + [
+        UNSAT4_NO_WITNESS,
+        "check 6 low-discrepancy-search: PASS nodes=1012 threshold=4/9 | exhaustive: every "
+        "valid mask pushes some designated vertex to discrepancy >= 4/9",
+        "check lemmas score-bounds: PASS score_upper_bound=99.879253198 "
+        "max_observed=38.649516670 masks_checked=101",
+        "instance: n=4 t=2 formula=4f092725",
+    ]),
+    "unsat4-t3": (["-f", "unsat4", "-t", "3", "--lemma-samples", "100"], 1, UNSAT4_T3_1_4 + [
+        UNSAT4_NO_WITNESS,
+        "check 6 low-discrepancy-search: PASS nodes=3970 threshold=9/9 | exhaustive: every "
+        "valid mask pushes some designated vertex to discrepancy >= 9/9",
+        "check lemmas score-bounds: PASS score_upper_bound=106.366694928 "
+        "max_observed=44.979922661 masks_checked=101",
+        "instance: n=4 t=3 formula=4f092725",
+    ]),
+    "sat3-assignment": (["-f", "sat3", "-t", "2", "--assignment", "TTF"], 1, SAT3_T2_1_4 + [
+        f"check 5 witness-zero-discrepancy: {NOT_ONE_IN_THREE}",
+        SAT3_T2_CHECK6,
+        f"check lemmas score-bounds: {NOT_ONE_IN_THREE}",
+        "instance: n=3 t=2 formula=4aae2373",
+    ]),
+    "unsat4-budget": (["-f", "unsat4", "-t", "2", "--budget", "3", "--lemma-samples", "100"],
+                      1, UNSAT4_T2_1_4 + [
+        UNSAT4_NO_WITNESS,
+        "check 6 low-discrepancy-search: INCONCLUSIVE | budget of 3 nodes exhausted",
+        "check lemmas score-bounds: PASS score_upper_bound=99.879253198 "
+        "max_observed=38.649516670 masks_checked=101",
+        "instance: n=4 t=2 formula=4f092725",
+    ]),
+    "cubic21": (["-f", "cubic21", "-t", "2", "--checks", "5,6,lemmas"], 1, [
+        f"check 5 witness-zero-discrepancy: {CAPPED}",
+        f"check 6 low-discrepancy-search: {CAPPED}",
+        f"check lemmas score-bounds: {CAPPED}",
+        "instance: n=21 t=2 formula=c3e09f33",
+    ]),
+    "selection-order": (["-f", "sat3", "-t", "2", "--checks", "4,3,1"], 0, [
+        SAT3_T2_1_4[3], SAT3_T2_1_4[2], SAT3_T2_1_4[0],
+        "instance: n=3 t=2 formula=4aae2373",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_GOLDEN)
+def test_verify_golden_stdout(request, case, capsys):
+    args, status, lines = VERIFY_GOLDEN[case]
+    args = [request.getfixturevalue(f"{a}_file") if prev == "-f" else a
+            for prev, a in zip([None] + args, args)]
+    assert main(["verify", *args]) == status
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 class TestDecideCommand:
@@ -223,6 +319,16 @@ class TestMisc:
             main(["--version"])
         assert exc.value.code == 0
         assert "corrsubopt" in capsys.readouterr().out
+
+    def test_negative_limits_are_usage_errors(self, p3_file, sat3_file, capsys):
+        for argv in (["solve", "-g", p3_file, "--local", "--restarts", "-1"],
+                     ["solve", "-g", p3_file, "--exact", "--node-limit", "-1"],
+                     ["decide", "-f", sat3_file, "--node-limit", "-1"],
+                     ["decide", "-f", sat3_file, "--restarts", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "must be a non-negative integer" in capsys.readouterr().err
 
     def test_threads_flag_accepted(self, p3_file, capsys):
         assert main(["score", "-g", p3_file, "--threads", "4"]) == 0

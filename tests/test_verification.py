@@ -1,9 +1,13 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import corrsubopt
+import corrsubopt.cli
 import corrsubopt.verification as verification
 from corrsubopt import SubgraphMask, compile_formula, random_valid_mask
 from corrsubopt.scoring import neighbourhood_discrepancy
@@ -153,6 +157,18 @@ class TestRunChecks:
                              assignment=(True, True, False))
         assert all(r.status == "fail" for r in records)
 
+    def test_wrong_length_assignment_fails_witness_checks(self, sat3):
+        records = run_checks(sat3, 2, checks=("5", "lemmas"), assignment=(True,))
+        assert [r.status for r in records] == ["fail", "fail"]
+        for record in records:
+            assert record.quantities == (("assignment", "T"),)
+            assert record.details == "assignment length 1 != 3 variables"
+
+    @pytest.mark.parametrize("counts", [{"mask_samples": -3}, {"lemma_samples": -5}])
+    def test_negative_sample_count_rejected(self, sat3, counts):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            run_checks(sat3, 2, checks=("1", "lemmas"), **counts)
+
     def test_good_assignment_restricts_witness_check(self, sat3):
         records = run_checks(sat3, 2, checks=("5",), assignment=(True, False, False))
         assert records[0].status == "pass"
@@ -196,3 +212,34 @@ class TestRunChecks:
     def test_records_carry_instance_label(self, sat3):
         records = run_checks(sat3, 2, checks=("1",))
         assert records[0].instance.startswith("n=3 t=2 formula=")
+
+
+def _load_bench_spans():
+    """``bench/spans.py``, imported from its file: bench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceContract:
+    """The benchmark's tracer wraps the check table and ``run_checks`` by name;
+    a restructured check layer must keep every traced name reachable."""
+
+    def test_tracer_records_every_check(self, sat3):
+        tracer = _load_bench_spans().Tracer()
+        tracer.install(corrsubopt)
+        try:
+            records = verification.run_checks(sat3, 2, mask_samples=2, lemma_samples=2)
+        finally:
+            tracer.uninstall()
+        calls = {name: count for name, (count, _, _) in tracer.summary().items()}
+        assert calls["verification.run_checks"] == 1
+        for selector in ALL_CHECKS:
+            assert calls[f"verification.check_{selector}"] == 1
+        assert [r.status for r in records] == ["pass"] * len(ALL_CHECKS)
+        assert tracer.op_counts()[-1]["verification.masks_sampled"] == 4 * 3
+        for selector, fn in verification.CHECKS.items():
+            assert getattr(verification, fn.__name__) is fn
+
