@@ -23,28 +23,10 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .graph import (
-    GraphParseError,
-    MaskValidityError,
-    SubgraphMask,
-    dump_graph,
-    dump_mask,
-    load_graph,
-    load_mask,
-)
-from .reduction import (
-    AssignmentError,
-    FormulaError,
-    compile_formula,
-    decide,
-    dump_roles,
-    parse_assignment,
-    parse_formula,
-    witness_mask,
-)
+from .graph import SubgraphMask, dump_graph, dump_mask, load_graph, load_mask
 from .scoring import format_fraction, format_score, score
 from .solvers import SearchSpaceError, solve_exact, solve_local
-from .verification import ALL_CHECKS, reduction_score, run_checks
+# reduction and verification are imported only by the commands that use them.
 
 
 class UsageError(Exception):
@@ -83,6 +65,8 @@ def _load_graph_file(path: str):
 
 
 def _load_formula_file(path: str):
+    from .reduction import parse_formula
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         formula = parse_formula(_read(path))
@@ -123,6 +107,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from .reduction import compile_formula, dump_roles
+
     formula = _load_formula_file(args.formula)
     inst = compile_formula(formula, args.t)
     graph_path = f"{args.out}.graph"
@@ -141,6 +127,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .reduction import compile_formula, parse_assignment, witness_mask
+    from .verification import reduction_score
+
     formula = _load_formula_file(args.formula)
     assignment = parse_assignment(args.assignment, formula.variable_count)
     inst = compile_formula(formula, args.t)
@@ -156,6 +145,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .reduction import parse_assignment
+    from .verification import run_checks
+
     formula = _load_formula_file(args.formula)
     checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
     assignment = None
@@ -186,6 +178,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
+    from .reduction import decide
+
     formula = _load_formula_file(args.formula)
     report = decide(
         formula,
@@ -205,6 +199,38 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser; ``arguments(parser)`` adds its arguments on first use."""
+
+    def __init__(self, *args, arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            add, self._arguments = self._arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verification import ALL_CHECKS
+
+    p.add_argument("-f", "--formula", required=True, help="formula file")
+    p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
+    p.add_argument("--checks", default=",".join(ALL_CHECKS),
+                   help=f"comma list from {{{','.join(ALL_CHECKS)}}} (default: all)")
+    p.add_argument("--assignment", help="restrict witness checks to this assignment")
+    p.add_argument("--masks", type=non_negative_int, default=100,
+                   help="random valid masks in the one sample checks 1-4 share (default 100)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=non_negative_int, default=5_000_000,
+                   help="node budget for the infeasibility search")
+    p.add_argument("--lemma-samples", type=non_negative_int, default=10_000,
+                   help="sampled masks for the score upper bound check")
+    p.set_defaults(func=cmd_verify)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -219,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="correlation subgraph optimisation toolkit",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     p = sub.add_parser("score", parents=[common], help="score a graph under a mask")
     p.add_argument("-g", "--graph", required=True, help="instance graph file")
@@ -255,20 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="write the witness mask here")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("verify", parents=[common], help="run construction self-checks")
-    p.add_argument("-f", "--formula", required=True, help="formula file")
-    p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
-    p.add_argument("--checks", default=",".join(ALL_CHECKS),
-                   help=f"comma list from {{{','.join(ALL_CHECKS)}}} (default: all)")
-    p.add_argument("--assignment", help="restrict witness checks to this assignment")
-    p.add_argument("--masks", type=non_negative_int, default=100,
-                   help="random valid masks in the one sample checks 1-4 share (default 100)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=non_negative_int, default=5_000_000,
-                   help="node budget for the infeasibility search")
-    p.add_argument("--lemma-samples", type=non_negative_int, default=10_000,
-                   help="sampled masks for the score upper bound check")
-    p.set_defaults(func=cmd_verify)
+    sub.add_parser("verify", parents=[common], help="run construction self-checks",
+                   arguments=_verify_arguments)
 
     p = sub.add_parser("decide", parents=[common],
                        help="one-in-three satisfiability via the reduction")
@@ -286,8 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, GraphParseError, FormulaError, AssignmentError,
-            MaskValidityError, SearchSpaceError, ValueError) as exc:
+    except (UsageError, SearchSpaceError, ValueError) as exc:  # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,7 +77,8 @@ class WeightedGraph:
     ) -> "WeightedGraph":
         """Normalise (orient u < v, sort) and validate raw edge/weight data."""
         canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
-        return cls(vertex_count, tuple(canon), tuple(Fraction(w) for w in weights))
+        return cls(vertex_count, tuple(canon),
+                   tuple(w if isinstance(w, Fraction) else Fraction(w) for w in weights))
 
     @property
     def edge_count(self) -> int:

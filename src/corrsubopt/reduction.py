@@ -263,12 +263,12 @@ def compile_formula(formula: Formula, t: int) -> ReductionInstance:
         raise ValueError(f"scale t must be at least 2, got {t}")
     n = formula.variable_count
     roles: list[str] = []
-    weights: list[Fraction] = []
+    weights: list[int] = []  # WeightedGraph.build makes each one a Fraction
     edges: list[tuple[int, int]] = []
 
     def add_vertex(role: str, weight: int) -> int:
         roles.append(role)
-        weights.append(Fraction(weight))
+        weights.append(weight)
         return len(roles) - 1
 
     for i in range(1, n + 1):

@@ -70,10 +70,6 @@ class ScoreValue:
     def is_infinite(self) -> bool:
         return self.value is None
 
-    @property
-    def kind(self) -> str:
-        return "positive-infinity" if self.value is None else "finite"
-
     @classmethod
     def from_parts(
         cls, log_degree_sum: float, numerator: int, denominator: int, multiplier: int

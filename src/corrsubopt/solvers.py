@@ -291,10 +291,33 @@ def solve_local(
     toggle, ties broken toward the smallest edge id, and stops when no
     toggle improves or after ``max_passes`` steps.  Forced edges are never
     candidates, so each step scans only the free edges, in ascending id.
+
+    Each step screens its candidates first.  A toggle's exact int S * D
+    takes ``ScoreState``'s O(1) update and its C ln S is the float of
+    ``ScoreValue.from_parts``; its log-degree sum is estimated as the
+    current one plus the two endpoints' ln differences.  A left-to-right
+    sum of k floats is off by at most (k-1)u/(1-(k-1)u) times the sum of
+    their sizes (u = 2^-53, each term at most ln of the largest degree), the
+    current sum as well as the candidate's, so each estimate is within
+    ``err`` of the exact score (plus a few ulps of the value).  The winner's
+    estimate is then within 2 ``err`` of the best one, and a candidate
+    further below is beaten outright, so the first-strict-max scan through
+    ``ScoreState.peek`` and :func:`compare_scores`, over the rest in
+    ascending id, picks the same edge.  If some candidate has S = 0, only
+    those are scanned (+inf beats any finite score), screened by log sum.
+    This assumes C >= 0, so that a smaller S never scores lower.
     """
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    free = graph.free_edge_ids
+    free, edges = graph.free_edge_ids, graph.edges
+    _, weights = graph.scaled_weights
+    denominator, cofactors = graph.discrepancy_scale
+    mult = graph.vertex_count if multiplier is None else multiplier
+    log = math.log
+    logs = [0.0] + [log(d) for d in range(1, max(graph.degrees) + 1)]
+    # Twice the k-term bound over the k core vertices, plus four roundings.
+    k, unit = len(graph.core_vertices), 2.0 ** -53
+    err = (2 * k * k + k + 8) * unit * logs[-1] / (1 - k * unit)
     starts = [SubgraphMask.full(graph)]
     starts.extend(random_valid_mask(graph, rng) for _ in range(restarts))
 
@@ -305,23 +328,39 @@ def solve_local(
     for start in starts:
         state = ScoreState(graph, start, multiplier=multiplier)
         current = state.score()
+        kept, degrees, sums = state.mask.kept, state.mask.degrees, state.nbr_sums
         for _ in range(max_passes):
-            best_eid = -1
-            best_keep = False
-            best_cand: ScoreValue | None = None
+            finite, infinite = [], []
+            total, log_sum = state.total, current.log_degree_sum
             for eid in free:
-                if state.mask.kept[eid]:
-                    if not state.can_remove(eid):
-                        continue
-                    cand = state.peek(eid, False)
-                    keep = False
+                u, v = edges[eid]
+                du, dv = degrees[u], degrees[v]
+                step = -1 if kept[eid] else 1
+                if step < 0 and (du == 1 or dv == 1):
+                    continue
+                old_u, old_v = weights[u] * du - sums[u], weights[v] * dv - sums[v]
+                gap = step * (weights[u] - weights[v])
+                new_u, new_v = old_u + gap, old_v - gap
+                num = (total + new_u * new_u * cofactors[du + step] - old_u * old_u * cofactors[du]
+                       + new_v * new_v * cofactors[dv + step] - old_v * old_v * cofactors[dv])
+                est = log_sum + (logs[du + step] - logs[du] + logs[dv + step] - logs[dv])
+                if num:
+                    finite.append((est - mult * log(num / denominator), eid, step > 0))
                 else:
-                    cand = state.peek(eid, True)
-                    keep = True
-                evaluations += 1
-                if best_cand is None or compare_scores(cand, best_cand) > 0:
-                    best_eid, best_keep, best_cand = eid, keep, cand
-            if best_cand is None or compare_scores(best_cand, current) <= 0:
+                    infinite.append((est, eid, step > 0))
+            evaluations += len(finite) + len(infinite)
+            pool = infinite or finite
+            if not pool:
+                break
+            top = max(pool)[0]
+            cut = top - 2 * err - (0 if infinite else 8 * unit * abs(top))
+            best_eid, best_keep, best_cand = -1, False, None
+            for key, eid, keep in pool:
+                if key >= cut:
+                    cand = state.peek(eid, keep)
+                    if best_cand is None or compare_scores(cand, best_cand) > 0:
+                        best_eid, best_keep, best_cand = eid, keep, cand
+            if compare_scores(best_cand, current) <= 0:
                 break
             current = state.toggle(best_eid, best_keep)
         key = state.mask.lex_key()

@@ -15,10 +15,13 @@ from fractions import Fraction
 
 from corrsubopt import (
     IncidenceBoundWarning,
+    ScoreState,
     SubgraphMask,
     WeightedGraph,
+    compare_scores,
     forced_edges,
     parse_formula,
+    random_valid_mask,
 )
 
 SAT3_TEXT = "3 3\n1 2 3\n1 2 3\n1 2 3\n"
@@ -167,6 +170,42 @@ def brute_force_best(graph: WeightedGraph, multiplier: int | None = None):
             best, best_bits = cand, bits
     assert best is not None
     return best, best_bits
+
+
+def plain_local_search(graph: WeightedGraph, *, restarts: int, seed: int,
+                       multiplier: int | None = None, max_passes: int = 10_000):
+    """(mask, score, candidates evaluated) of steepest-ascent local search
+    with every candidate scored through ``ScoreState.peek``: the unscreened
+    scan that ``solve_local`` must reproduce exactly."""
+    rng = random.Random(seed)
+    starts = [SubgraphMask.full(graph)]
+    starts.extend(random_valid_mask(graph, rng) for _ in range(restarts))
+    best = None
+    evaluations = 0
+    for start in starts:
+        state = ScoreState(graph, start, multiplier=multiplier)
+        current = state.score()
+        for _ in range(max_passes):
+            best_eid, best_keep, best_cand = -1, False, None
+            for eid in graph.free_edge_ids:
+                keep = not state.mask.kept[eid]
+                if not keep and not state.can_remove(eid):
+                    continue
+                cand = state.peek(eid, keep)
+                evaluations += 1
+                if best_cand is None or compare_scores(cand, best_cand) > 0:
+                    best_eid, best_keep, best_cand = eid, keep, cand
+            if best_cand is None or compare_scores(best_cand, current) <= 0:
+                break
+            current = state.toggle(best_eid, best_keep)
+        key = state.mask.lex_key()
+        if best is None:
+            best = (state.mask.copy(), current, key)
+            continue
+        cmp = compare_scores(current, best[1])
+        if cmp > 0 or (cmp == 0 and key < best[2]):
+            best = (state.mask.copy(), current, key)
+    return best[0], best[1], evaluations
 
 
 ACCEPTANCE_LINES: list[str] = []

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from corrsubopt import load_graph, load_mask
-from corrsubopt.cli import main
+from corrsubopt.cli import build_parser, main
 
 import helpers
 
@@ -308,6 +308,32 @@ class TestRoundTrip:
         assert out[1] == f"S = {format_fraction(value.discrepancy_total)}"
 
 
+# `verify -h` at 80 columns, as argparse formats it.
+VERIFY_HELP = """\
+usage: corrsubopt verify [-h] [--threads THREADS] -f FORMULA -t T
+                         [--checks CHECKS] [--assignment ASSIGNMENT]
+                         [--masks MASKS] [--seed SEED] [--budget BUDGET]
+                         [--lemma-samples LEMMA_SAMPLES]
+
+options:
+  -h, --help            show this help message and exit
+  --threads THREADS     accepted for interface stability; execution is
+                        sequential
+  -f FORMULA, --formula FORMULA
+                        formula file
+  -t T                  gadget scale, at least 2
+  --checks CHECKS       comma list from {1,2,3,4,5,6,lemmas} (default: all)
+  --assignment ASSIGNMENT
+                        restrict witness checks to this assignment
+  --masks MASKS         random valid masks in the one sample checks 1-4 share
+                        (default 100)
+  --seed SEED
+  --budget BUDGET       node budget for the infeasibility search
+  --lemma-samples LEMMA_SAMPLES
+                        sampled masks for the score upper bound check
+"""
+
+
 class TestMisc:
     def test_assignment_flag_is_scoped_to_its_subcommands(self, p3_file):
         with pytest.raises(SystemExit) as exc:
@@ -329,6 +355,20 @@ class TestMisc:
                 main(argv)
             assert exc.value.code == 2
             assert "must be a non-negative integer" in capsys.readouterr().err
+
+    def test_verify_checks_default_is_every_selector(self):
+        from corrsubopt.verification import ALL_CHECKS
+
+        args = build_parser().parse_args(["verify", "-f", "x.f", "-t", "2"])
+        assert args.checks == ",".join(ALL_CHECKS)
+
+    def test_verify_help_is_pinned(self, monkeypatch, capsys):
+        # The verify arguments are added on first use; their help must not move.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == VERIFY_HELP
 
     def test_threads_flag_accepted(self, p3_file, capsys):
         assert main(["score", "-g", p3_file, "--threads", "4"]) == 0

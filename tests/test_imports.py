@@ -1,0 +1,123 @@
+"""What each entry point imports, checked in a fresh interpreter.
+
+``import corrsubopt`` loads no submodule; the CLI loads ``reduction`` and
+``verification`` only in the commands that use them.  Each test runs in a
+child process, because this test session has long since imported every
+module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import helpers
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(code: str) -> str:
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def modules_after(argv: list[str]) -> set[str]:
+    """The package modules loaded once ``corrsubopt.cli.main(argv)`` returns 0."""
+    out = run_child(
+        "import contextlib, io, json, sys\n"
+        "import corrsubopt.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    status = corrsubopt.cli.main({argv!r})\n"
+        "print(json.dumps([status, sorted(sys.modules)]))\n"
+    )
+    status, modules = json.loads(out)
+    assert status == 0
+    return {name for name in modules if name.startswith("corrsubopt")}
+
+
+class TestCommandImports:
+    def test_score_and_solve_load_no_reduction_or_verification(self, tmp_path):
+        graph = tmp_path / "triangle.graph"
+        graph.write_text(helpers.TRIANGLE_TEXT)
+        for argv in (["score", "-g", str(graph)],
+                     ["solve", "-g", str(graph), "--local"],
+                     ["solve", "-g", str(graph), "--exact"]):
+            loaded = modules_after(argv)
+            assert "corrsubopt.solvers" in loaded
+            assert "corrsubopt.reduction" not in loaded, argv
+            assert "corrsubopt.verification" not in loaded, argv
+
+    def test_decide_loads_no_verification(self, tmp_path):
+        formula = tmp_path / "sat3.f"
+        formula.write_text(helpers.SAT3_TEXT)
+        loaded = modules_after(["decide", "-f", str(formula)])
+        assert "corrsubopt.reduction" in loaded
+        assert "corrsubopt.verification" not in loaded
+
+
+def test_bare_import_resolves_every_public_name_and_submodule():
+    out = run_child(
+        "import json, sys\n"
+        "import corrsubopt\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('corrsubopt.'))\n"
+        "subs = ['cli', 'graph', 'reduction', 'scoring', 'solvers', 'verification']\n"
+        "missing = [n for n in corrsubopt.__all__ if getattr(corrsubopt, n, None) is None]\n"
+        "missing += [s for s in subs if getattr(corrsubopt, s).__name__ != 'corrsubopt.' + s]\n"
+        "homes = {n: getattr(corrsubopt, n).__module__ for n in corrsubopt.__all__\n"
+        "         if n != '__version__'}\n"
+        "try:\n"
+        "    corrsubopt.no_such_name\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "listed = sorted(set(corrsubopt.__all__ + subs) - set(dir(corrsubopt)))\n"
+        "print(json.dumps([bare, missing, homes, unknown, listed, corrsubopt.__version__]))\n"
+    )
+    bare, missing, homes, unknown, listed, version = json.loads(out)
+    assert bare == []
+    assert missing == []
+    assert all(home.startswith("corrsubopt.") for home in homes.values())
+    assert homes["score"] == "corrsubopt.scoring"
+    assert homes["run_checks"] == "corrsubopt.verification"
+    assert unknown == "module 'corrsubopt' has no attribute 'no_such_name'"
+    assert listed == []
+    assert version == "0.1.0"
+
+
+def test_bench_tracer_installs_on_a_cli_only_import():
+    """``bench/run.py`` imports only ``corrsubopt`` and ``corrsubopt.cli``
+    before ``Tracer.install``, which reaches every traced module through the
+    package; ``uninstall`` must put every original back, and a name read
+    through the package must be its submodule's current one."""
+    out = run_child(
+        "import json, sys\n"
+        "sys.path.insert(0, 'bench')\n"
+        "import corrsubopt, corrsubopt.cli\n"
+        "from spans import Tracer, _FUNCTIONS\n"
+        "lazy = [m for m in ('reduction', 'verification') if f'corrsubopt.{m}' in sys.modules]\n"
+        "loaded = [m for n, m in sys.modules.items() if n.startswith('corrsubopt')]\n"
+        "before = [dict(vars(m)) for m in loaded]\n"
+        "state = corrsubopt.scoring.ScoreState\n"
+        "methods = dict(state.__dict__)\n"
+        "tracer = Tracer()\n"
+        "tracer.install(corrsubopt)\n"
+        "during = corrsubopt.score.__qualname__, corrsubopt.verification.run_checks.__qualname__\n"
+        "tracer.uninstall()\n"
+        "kept = all(vars(m).get(k) is v for m, old in zip(loaded, before) for k, v in old.items())\n"
+        "kept = kept and all(state.__dict__[k] is v for k, v in methods.items())\n"
+        "owners = [vars(corrsubopt)] + [vars(getattr(corrsubopt, m)) for m in _FUNCTIONS]\n"
+        "owners += [state.__dict__, corrsubopt.verification.CHECKS]\n"
+        "left = [k for o in owners for k, v in o.items()\n"
+        "        if getattr(v, '__qualname__', '').endswith('wrap.<locals>.traced')]\n"
+        "print(json.dumps([lazy, during, kept, left, corrsubopt.score.__qualname__]))\n"
+    )
+    lazy, during, kept, left, after = json.loads(out)
+    assert lazy == []
+    assert all(name.endswith("wrap.<locals>.traced") for name in during)
+    assert kept
+    assert left == []
+    assert after == "score"

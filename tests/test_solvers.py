@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrsubopt import (
     SearchSpaceError,
     SubgraphMask,
+    WeightedGraph,
     compare_scores,
     is_valid,
     load_graph,
@@ -157,6 +158,47 @@ class TestExactDifferential:
         assert _bits(report.best_score.value) == _bits(value)
         assert _bits(report.best_score.log_degree_sum) == _bits(log_sum)
         assert report.best_score.discrepancy_total == total
+
+
+class TestLocalScreen:
+    """solve_local scores candidates through ``ScoreState.peek`` only where
+    their float estimate could win; it must end exactly where the unscreened
+    scan (``helpers.plain_local_search``) ends, on graphs whose candidates
+    tie (equal weights, so every S = 0 and every score is +inf) or nearly
+    tie, and under the multipliers ``decide`` passes (C = n)."""
+
+    @given(
+        st.sampled_from(helpers.KERNEL_SHAPES),
+        st.integers(0, 10**6),
+        st.sampled_from(("mixed", "equal", "two")),
+        st.one_of(st.none(), st.integers(0, 12)),
+        st.integers(0, 4),
+        st.integers(0, 99),
+    )
+    # Cases where an estimate misorders two exact near-ties, or an S = 0
+    # candidate sits among finite ones: a screen without its margin, or one
+    # that ranks S = 0 candidates among finite values, changes the result.
+    @example("leaves", 109962, "equal", 4, 3, 44)
+    @example("leaves", 198034, "equal", 12, 3, 24)
+    @example("core", 347180, "equal", 9, 4, 3)
+    @example("core", 622694, "two", 11, 4, 78)
+    @example("core", 814756, "two", 0, 4, 13)
+    @settings(deadline=None, max_examples=200)
+    def test_matches_unscreened_scan(self, shape, seed, weights, multiplier, restarts, run_seed):
+        graph = helpers.kernel_graph(random.Random(seed), shape, max_core=9)
+        n = graph.vertex_count
+        if weights == "equal":
+            graph = WeightedGraph.build(n, graph.edges, [graph.weights[0]] * n)
+        elif weights == "two":  # S = 0 and S > 0 candidates meet
+            graph = WeightedGraph.build(n, graph.edges, [graph.weights[v % 2] for v in range(n)])
+        report = solve_local(graph, restarts=restarts, seed=run_seed, multiplier=multiplier)
+        mask, value, evaluations = helpers.plain_local_search(
+            graph, restarts=restarts, seed=run_seed, multiplier=multiplier)
+        assert report.best_mask.bitstring() == mask.bitstring()
+        assert _bits(report.best_score.value) == _bits(value.value)
+        assert _bits(report.best_score.log_degree_sum) == _bits(value.log_degree_sum)
+        assert report.best_score.discrepancy_total == value.discrepancy_total
+        assert report.nodes_explored == evaluations
 
 
 # Node counts, masks and exact totals of solve_exact on seeded random graphs.
