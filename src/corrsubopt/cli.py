@@ -128,13 +128,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     from .reduction import compile_formula, parse_assignment, witness_mask
-    from .verification import reduction_score
 
     formula = _load_formula_file(args.formula)
     assignment = parse_assignment(args.assignment, formula.variable_count)
     inst = compile_formula(formula, args.t)
     mask = witness_mask(formula, args.t, assignment, inst)
-    value = reduction_score(inst, mask)
+    value = score(inst.graph, mask, multiplier=inst.variable_count)
     print(f"mask = {mask.bitstring()}")
     print(f"reduction score = {format_score(value)}")
     print(f"S = {format_fraction(value.discrepancy_total)}")

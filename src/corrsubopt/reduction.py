@@ -246,6 +246,24 @@ class ReductionInstance:
         return tuple(out)
 
     @cached_property
+    def gadget_edge_order(self) -> tuple[int, ...]:
+        """Free edges grouped so gadget vertices finalise as early as possible."""
+        g = self.graph
+        order = []
+        for i in range(1, self.variable_count + 1):
+            v = self.v(i)
+            order.append(g.edge_id(v, self.u(i)))
+            order.append(g.edge_id(v, self.z(i)))
+            order.append(g.edge_id(self.z(i), self.zp(i)))
+            for slot in (1, 2, 3):
+                w = self.w(i, slot)
+                order.append(g.edge_id(v, w))
+                order.append(g.edge_id(w, self.a(self.slot_clause(i, slot))))
+        for j in range(1, self.variable_count + 1):
+            order.append(g.edge_id(self.a(j), self.ap(j)))
+        return tuple(order)
+
+    @cached_property
     def designated_vertices(self) -> tuple[int, ...]:
         """Non-leaf vertices other than the attachment vertices; the
         infeasibility search bounds their discrepancies."""
@@ -397,6 +415,7 @@ def decide(
             free_edge_cap=free_edge_cap,
             initial_mask=warm.best_mask,
             multiplier=n,
+            order=inst.gadget_edge_order,
         )
     else:
         mode = "local"

@@ -12,6 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import SubgraphMask, WeightedGraph, forced_edges
 from .scoring import ScoreState, ScoreValue, compare_scores, log_degree_sum, score
@@ -60,7 +61,7 @@ class FreeEdgeSearch:
     kept edge is cut before any hook sees it.
     """
 
-    def __init__(self, graph: WeightedGraph, order: list[int]):
+    def __init__(self, graph: WeightedGraph, order: Sequence[int]):
         self.graph = graph
         self.order = order
         self.kept_deg = graph.forced_degrees()
@@ -136,6 +137,80 @@ class FreeEdgeSearch:
         return True
 
 
+class CompletionBound(dict):
+    """Per vertex, a lower bound on its int share of S * D over the
+    completions of its undecided edges, for a search in branching ``order``.
+
+    A vertex x of kept degree k, kept-neighbour sum s and u undecided edges
+    ends with degree d = k + j for some j in 0..u with d >= 1, and then its
+    share is (W_x d - s - sigma)^2 c[d], sigma being the W sum of the j
+    undecided neighbours it keeps.  Whichever j of them it keeps, sigma lies
+    between the sums of the j smallest and of the j largest of their
+    weights; the squared distance from W_x d - s to that interval, times
+    c[d], minimised over j, is therefore at most the share of every
+    completion.  Edges are decided in ``order``, so the undecided
+    neighbours of x are those across its last u free edges in that order,
+    and the interval ends depend on (x, u) alone.  With u = 0 the bound is
+    the exact share.
+
+    The instance is a memo: ``self[x, k, s, u]`` is :meth:`bound`, computed
+    on first lookup, so a search node pays a dict lookup per endpoint.
+    """
+
+    def __init__(self, graph: WeightedGraph, order: Sequence[int]):
+        super().__init__()
+        self.weights = weights = graph.scaled_weights[1]
+        self.cofactors = graph.discrepancy_scale[1]
+        tails: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+        for eid in order:
+            a, b = graph.edges[eid]
+            tails[a].append(weights[b])
+            tails[b].append(weights[a])
+        # spans[x][u]: prefix sums of the u smallest and of the u largest
+        # weights across x's last u free edges.
+        self.spans = spans = []
+        closed = ([0], [0])
+        for tail in tails:
+            per_u = [closed]
+            for u in range(1, len(tail) + 1):
+                rest = sorted(tail[-u:])
+                lows, highs = [0], [0]
+                for j in range(u):
+                    lows.append(lows[-1] + rest[j])
+                    highs.append(highs[-1] + rest[-1 - j])
+                per_u.append((lows, highs))
+            spans.append(per_u)
+
+    def __missing__(self, key: tuple[int, int, int, int]) -> int:
+        value = self[key] = self.bound(*key)
+        return value
+
+    def bound(self, x: int, k: int, s: int, u: int) -> int:
+        """The bound on x's share; k + u >= 1."""
+        lows, highs = self.spans[x][u]
+        cofactors, wx = self.cofactors, self.weights[x]
+        target = wx * k - s  # W_x d - s at j = 0
+        best = None
+        for j in range(0 if k else 1, u + 1):
+            t = target + wx * j
+            if t > highs[j]:
+                gap = t - highs[j]
+            elif t < lows[j]:
+                gap = lows[j] - t
+            else:
+                return 0
+            val = gap * gap * cofactors[k + j]
+            if best is None or val < best:
+                best = val
+        return best
+
+    def total(self, kept_deg, und_deg, nbr_sum) -> int:
+        """The bound on S * D: the sum of every vertex's bound."""
+        bound = self.bound
+        return sum(bound(x, kept_deg[x], nbr_sum[x], und_deg[x])
+                   for x in range(len(kept_deg)))
+
+
 def solve_exact(
     graph: WeightedGraph,
     *,
@@ -143,25 +218,29 @@ def solve_exact(
     free_edge_cap: int = DEFAULT_FREE_EDGE_CAP,
     initial_mask: SubgraphMask | None = None,
     multiplier: int | None = None,
+    order: Sequence[int] | None = None,
 ) -> SolveReport:
     """Branch and bound over the non-forced edges.
 
     Edges incident to degree-1 vertices are pre-kept (every valid mask keeps
-    them).  Branching follows free edges by descending weight gap
-    |f(u) - f(v)|, trying "keep" before "drop".  A branch is cut when even
-    its most optimistic completion cannot beat the incumbent: the bound adds
-    every undecided edge to the degree term and counts only vertices whose
-    incident edges are all decided in the discrepancy term, both of which
-    only overstate the true score.
+    them).  Branching follows the free edges in ``order``, a permutation of
+    ``graph.free_edge_ids`` (default: descending weight gap |f(u) - f(v)|),
+    trying "keep" before "drop".  A branch is cut when even its most
+    optimistic completion cannot beat the incumbent: the bound adds every
+    undecided edge to the degree term, and takes S * D as the sum of the
+    vertices' :class:`CompletionBound`.  S * D is a sum of per-vertex
+    shares, each at least its own vertex's completion minimum, so that sum
+    is at most S * D in every completion; both parts only overstate the
+    score.  A finalised vertex's bound is its exact share, so a leaf's total
+    is exact S * D.
 
     Scores come from the integer kernel in ``scoring``: neighbour sums are
-    ints over the scaled weights W, a vertex adds its int share of S * D
-    (``WeightedGraph.discrepancy_scale``) when its last free edge is
-    decided, and both log-degree sums (the bound's and a leaf's) run over
-    the core vertices only.  The search runs on :class:`FreeEdgeSearch`,
-    with (S * D, bound's log-degree sum) as the state of each node; the
-    bound reads S as the float (S * D) / D, and only a leaf builds a
-    ``Fraction``.
+    ints over the scaled weights W, shares are ints over the denominator D
+    of ``WeightedGraph.discrepancy_scale``, and both log-degree sums (the
+    bound's and a leaf's) run over the core vertices only.  The search runs
+    on :class:`FreeEdgeSearch`, with (S * D bound, bound's log-degree sum)
+    as the state of each node; the bound reads S as the float (S * D) / D,
+    and only a leaf builds a ``Fraction``.
 
     Without ``node_limit`` the search refuses graphs with more than
     ``free_edge_cap`` free edges; with one it runs best effort and reports
@@ -176,28 +255,23 @@ def solve_exact(
             "pass a node limit to search best-effort"
         )
     _, weights = graph.scaled_weights
-    denominator, cofactors = graph.discrepancy_scale
-    # W = L * f, so ordering by |W_u - W_v| is ordering by |f(u) - f(v)|.
-    order = sorted(
-        free,
-        key=lambda eid: (
-            -abs(weights[graph.edges[eid][0]] - weights[graph.edges[eid][1]]),
-            eid,
-        ),
-    )
+    denominator, _ = graph.discrepancy_scale
+    if order is None:
+        # W = L * f, so ordering by |W_u - W_v| is ordering by |f(u) - f(v)|.
+        order = sorted(
+            free,
+            key=lambda eid: (
+                -abs(weights[graph.edges[eid][0]] - weights[graph.edges[eid][1]]),
+                eid,
+            ),
+        )
+    elif sorted(order) != list(free):
+        raise ValueError("order must be a permutation of the graph's free edge ids")
     dfs = FreeEdgeSearch(graph, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     log = math.log
     logs = [0.0] + [log(d) for d in range(1, max(graph.degrees) + 1)]
-
-    # Vertices with no free edges are finalised from the start; each keeps
-    # all its edges, at least one since the graph has no isolated vertex.
-    base_total = 0
-    for vtx in range(graph.vertex_count):
-        if und_deg[vtx] == 0:
-            d = kept_deg[vtx]
-            diff = weights[vtx] * d - nbr_sum[vtx]
-            base_total += diff * diff * cofactors[d]
+    bound = CompletionBound(graph, order)
     # At the root every vertex's kept plus undecided degree is its host degree.
     max_log_sum = log_degree_sum(graph, graph.degrees)
 
@@ -213,19 +287,18 @@ def solve_exact(
 
     def child(state, u, v, keep):
         total, log_sum = state
-        if not keep:
+        ku, su, uu = kept_deg[u], nbr_sum[u], und_deg[u]
+        kv, sv, uv = kept_deg[v], nbr_sum[v], und_deg[v]
+        # Swap each endpoint's bound before the decision for its bound after.
+        if keep:
+            total -= (bound[u, ku - 1, su - weights[v], uu + 1]
+                      + bound[v, kv - 1, sv - weights[u], uv + 1])
+        else:
+            total -= bound[u, ku, su, uu + 1] + bound[v, kv, sv, uv + 1]
             # The dropped edge is already out of k + u: ln(k+u) - ln(k+u+1)
             # per endpoint, u before v, in one fixed float order.
-            ku, kv = kept_deg[u] + und_deg[u], kept_deg[v] + und_deg[v]
-            log_sum += logs[ku] - logs[ku + 1] + logs[kv] - logs[kv + 1]
-        if not und_deg[u]:
-            d = kept_deg[u]
-            diff = weights[u] * d - nbr_sum[u]
-            total += diff * diff * cofactors[d]
-        if not und_deg[v]:
-            d = kept_deg[v]
-            diff = weights[v] * d - nbr_sum[v]
-            total += diff * diff * cofactors[d]
+            log_sum += logs[ku + uu] - logs[ku + uu + 1] + logs[kv + uv] - logs[kv + uv + 1]
+        total += bound[u, ku, su, uu] + bound[v, kv, sv, uv]
         if total:
             if inc_score.value is None:
                 return None  # this branch can only reach finite scores
@@ -248,7 +321,8 @@ def solve_exact(
                 inc_mask, inc_score, inc_key = mask, cand, key
         return False
 
-    finished = dfs.run((base_total, max_log_sum), child, leaf, node_limit)
+    root = (bound.total(kept_deg, und_deg, nbr_sum), max_log_sum)
+    finished = dfs.run(root, child, leaf, node_limit)
     # Rescore through the public path so the report is bit-identical to
     # score(graph, best_mask).
     final_score = score(graph, inc_mask, multiplier=mult)

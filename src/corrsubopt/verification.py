@@ -130,24 +130,6 @@ def degree_log_quantities(inst: ReductionInstance, mask: SubgraphMask) -> dict[s
     }
 
 
-def _infeasibility_edge_order(inst: ReductionInstance) -> list[int]:
-    """Free edges grouped so gadget vertices finalise as early as possible."""
-    g = inst.graph
-    order = []
-    for i in range(1, inst.variable_count + 1):
-        v = inst.v(i)
-        order.append(g.edge_id(v, inst.u(i)))
-        order.append(g.edge_id(v, inst.z(i)))
-        order.append(g.edge_id(inst.z(i), inst.zp(i)))
-        for slot in (1, 2, 3):
-            w = inst.w(i, slot)
-            order.append(g.edge_id(v, w))
-            order.append(g.edge_id(w, inst.a(inst.slot_clause(i, slot))))
-    for j in range(1, inst.variable_count + 1):
-        order.append(g.edge_id(inst.a(j), inst.ap(j)))
-    return order
-
-
 def find_low_discrepancy_mask(
     inst: ReductionInstance, *, node_budget: int | None = 5_000_000
 ) -> tuple[SubgraphMask | None, int]:
@@ -164,7 +146,7 @@ def find_low_discrepancy_mask(
     g = inst.graph
     scale, weights = g.scaled_weights
     designated = set(inst.designated_vertices)
-    dfs = FreeEdgeSearch(g, _infeasibility_edge_order(inst))
+    dfs = FreeEdgeSearch(g, inst.gadget_edge_order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     # ND = ((W d - s) / (L d))^2, so ND < t^2/9  <=>  9 (W d - s)^2 < (L t d)^2
     scale_t = scale * inst.t

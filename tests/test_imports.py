@@ -58,6 +58,13 @@ class TestCommandImports:
         assert "corrsubopt.reduction" in loaded
         assert "corrsubopt.verification" not in loaded
 
+    def test_witness_loads_no_verification(self, tmp_path):
+        formula = tmp_path / "sat3.f"
+        formula.write_text(helpers.SAT3_TEXT)
+        loaded = modules_after(["witness", "-f", str(formula), "-t", "2", "-a", "TFF"])
+        assert "corrsubopt.reduction" in loaded
+        assert "corrsubopt.verification" not in loaded
+
 
 def test_bare_import_resolves_every_public_name_and_submodule():
     out = run_child(

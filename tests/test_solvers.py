@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from corrsubopt import (
     solve_exact,
     solve_local,
 )
+from corrsubopt.solvers import CompletionBound
 
 import helpers
 
@@ -69,6 +71,14 @@ class TestExact:
         report = solve_exact(triangle, free_edge_cap=2, node_limit=2)
         assert report.optimality == "heuristic"
         assert is_valid(triangle, report.best_mask)
+
+    def test_order_must_permute_the_free_edges(self, triangle, star):
+        free = list(triangle.free_edge_ids)
+        for order in (free[:-1], free + free[:1], free[:-1] + [3]):
+            with pytest.raises(ValueError, match="permutation"):
+                solve_exact(triangle, order=order)
+        with pytest.raises(ValueError, match="permutation"):
+            solve_exact(star, order=[0])  # a forced edge
 
     def test_initial_mask_is_honoured(self):
         rng = random.Random(5)
@@ -151,13 +161,93 @@ class TestExactDifferential:
     @settings(deadline=None, max_examples=80)
     def test_matches_brute_force(self, shape, seed, multiplier):
         graph = helpers.kernel_graph(random.Random(seed), shape, max_core=5)
-        report = solve_exact(graph, multiplier=multiplier)
+        self.assert_matches(graph, solve_exact(graph, multiplier=multiplier), multiplier)
+
+    @given(
+        st.sampled_from(helpers.KERNEL_SHAPES),
+        st.integers(0, 10**6),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.integers(0, 99),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_matches_brute_force_in_any_order(self, shape, seed, multiplier, order_seed):
+        graph = helpers.kernel_graph(random.Random(seed), shape, max_core=5)
+        order = list(graph.free_edge_ids)
+        random.Random(order_seed).shuffle(order)
+        report = solve_exact(graph, multiplier=multiplier, order=order)
+        self.assert_matches(graph, report, multiplier)
+
+    @staticmethod
+    def assert_matches(graph, report, multiplier):
         (is_inf, value, log_sum, total), bits = helpers.brute_force_best(graph, multiplier)
         assert report.best_mask.bitstring() == bits
         assert report.best_score.is_infinite == is_inf
         assert _bits(report.best_score.value) == _bits(value)
         assert _bits(report.best_score.log_degree_sum) == _bits(log_sum)
         assert report.best_score.discrepancy_total == total
+
+
+class TestCompletionBound:
+    """The branch and bound's S * D bound against brute force, at random
+    partial decisions of a random branching order: each open vertex's bound
+    is at most its share in every completion of its undecided edges, and the
+    total is at most S * D of every valid mask that agrees with the
+    decisions (at the root, every valid mask)."""
+
+    @given(
+        st.sampled_from(helpers.KERNEL_SHAPES),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.booleans(),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_bounds_every_completion(self, shape, seed, draw_seed, at_root):
+        graph = helpers.kernel_graph(random.Random(seed), shape, max_core=5)
+        rng = random.Random(draw_seed)
+        order = list(graph.free_edge_ids)
+        rng.shuffle(order)
+        depth = 0 if at_root else rng.randint(0, len(order))
+        decided = {eid: rng.random() < 0.5 for eid in order[:depth]}
+        undecided = set(order[depth:])
+        _, weights = graph.scaled_weights
+        denominator, cofactors = graph.discrepancy_scale
+        kept_deg, und_deg = [0] * graph.vertex_count, [0] * graph.vertex_count
+        nbr_sum = [0] * graph.vertex_count
+        open_nbrs = [[] for _ in range(graph.vertex_count)]
+        for eid, (a, b) in enumerate(graph.edges):
+            keep = decided.get(eid, eid in graph.forced_edge_ids)
+            for x, y in ((a, b), (b, a)):
+                if eid in undecided:
+                    und_deg[x] += 1
+                    open_nbrs[x].append(weights[y])
+                elif keep:
+                    kept_deg[x] += 1
+                    nbr_sum[x] += weights[y]
+
+        bound = CompletionBound(graph, order)
+        for x in range(graph.vertex_count):
+            k, s, u = kept_deg[x], nbr_sum[x], und_deg[x]
+            if k + u == 0:
+                continue
+            shares = [
+                (weights[x] * (k + j) - s - sum(kept)) ** 2 * cofactors[k + j]
+                for j in range(u + 1) if k + j
+                for kept in itertools.combinations(open_nbrs[x], j)
+            ]
+            assert bound[x, k, s, u] <= min(shares)
+            if u == 0:
+                assert bound[x, k, s, u] == shares[0]
+
+        if 0 in (k + u for k, u in zip(kept_deg, und_deg)):
+            return
+        discrepancy_totals = [
+            helpers.naive_score(graph, kept)[3]
+            for kept in helpers.enumerate_valid_bitlists(graph)
+            if all(kept[eid] == keep for eid, keep in decided.items())
+        ]
+        if discrepancy_totals:
+            total = bound.total(kept_deg, und_deg, nbr_sum)
+            assert Fraction(total, denominator) <= min(discrepancy_totals)
 
 
 class TestLocalScreen:
@@ -207,11 +297,11 @@ class TestLocalScreen:
 @pytest.mark.parametrize(
     "seed, nodes, bits, total",
     [
-        (0, 592, "10001111010", Fraction(221, 216)),
-        (1, 18, "1111101", Fraction(4690, 27)),
-        (2, 1_952, "11110010110111", Fraction(551, 4)),
-        (3, 448, "010001111101", Fraction(43, 8)),
-        (4, 944, "11010110101011", Fraction(89)),
+        (0, 190, "10001111010", Fraction(221, 216)),
+        (1, 14, "1111101", Fraction(4690, 27)),
+        (2, 686, "11110010110111", Fraction(551, 4)),
+        (3, 244, "010001111101", Fraction(43, 8)),
+        (4, 296, "11010110101011", Fraction(89)),
     ],
 )
 def test_exact_golden_outputs(seed, nodes, bits, total):
