@@ -119,6 +119,12 @@ class WeightedGraph:
         return tuple(eid for eid in range(self.edge_count) if eid not in forced)
 
     @cached_property
+    def unforced_vertices(self) -> tuple[int, ...]:
+        """Vertices with no forced edge, ascending: the only vertices that
+        dropping free edges can isolate."""
+        return tuple(vtx for vtx, k in enumerate(self.forced_degrees()) if k == 0)
+
+    @cached_property
     def core_vertices(self) -> tuple[int, ...]:
         """Vertices of host degree at least 2, ascending.
 
@@ -225,12 +231,18 @@ class SubgraphMask:
             kept[eid] = True
         return cls(graph, kept)
 
+    @classmethod
+    def from_parts(
+        cls, graph: WeightedGraph, kept: list[bool], degrees: list[int]
+    ) -> "SubgraphMask":
+        """A mask holding the lists ``kept`` and ``degrees`` as given, with no
+        recount: the caller guarantees that ``degrees`` equals one."""
+        mask = cls.__new__(cls)
+        mask.graph, mask.kept, mask.degrees = graph, kept, degrees
+        return mask
+
     def copy(self) -> "SubgraphMask":
-        clone = SubgraphMask.__new__(SubgraphMask)
-        clone.graph = self.graph
-        clone.kept = list(self.kept)
-        clone.degrees = list(self.degrees)
-        return clone
+        return SubgraphMask.from_parts(self.graph, list(self.kept), list(self.degrees))
 
     def set_edge(self, eid: int, keep: bool) -> None:
         """Toggle one edge, updating the degree cache in place."""

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import SubgraphMask, WeightedGraph, forced_edges
+from .graph import SubgraphMask, WeightedGraph
 from .scoring import ScoreState, ScoreValue, compare_scores, log_degree_sum, score
 
 
@@ -78,7 +78,8 @@ class FreeEdgeSearch:
 
     def mask(self) -> SubgraphMask:
         """The mask of the current leaf: forced and kept free edges."""
-        return SubgraphMask(self.graph, [d is True for d in self.decided])
+        return SubgraphMask.from_parts(
+            self.graph, [d is True for d in self.decided], list(self.kept_deg))
 
     def run(self, root, child, leaf, node_limit: int | None = None) -> bool:
         """Search once from the state ``root``.
@@ -185,24 +186,27 @@ class CompletionBound(dict):
         value = self[key] = self.bound(*key)
         return value
 
-    def bound(self, x: int, k: int, s: int, u: int) -> int:
-        """The bound on x's share; k + u >= 1."""
+    def gaps(self, x: int, k: int, s: int, u: int):
+        """Yield (d, gap) for every final degree d = k + j >= 1 of x: gap is
+        the distance from W_x d - s to the interval of the sums of j of its
+        u undecided neighbours' weights, so |W_x d - s - sigma| >= gap
+        whichever j of them x keeps.  k + u >= 1."""
         lows, highs = self.spans[x][u]
-        cofactors, wx = self.cofactors, self.weights[x]
+        wx = self.weights[x]
         target = wx * k - s  # W_x d - s at j = 0
-        best = None
         for j in range(0 if k else 1, u + 1):
             t = target + wx * j
             if t > highs[j]:
-                gap = t - highs[j]
+                yield k + j, t - highs[j]
             elif t < lows[j]:
-                gap = lows[j] - t
+                yield k + j, lows[j] - t
             else:
-                return 0
-            val = gap * gap * cofactors[k + j]
-            if best is None or val < best:
-                best = val
-        return best
+                yield k + j, 0
+
+    def bound(self, x: int, k: int, s: int, u: int) -> int:
+        """The bound on x's share; k + u >= 1."""
+        cofactors = self.cofactors
+        return min(gap * gap * cofactors[d] for d, gap in self.gaps(x, k, s, u))
 
     def total(self, kept_deg, und_deg, nbr_sum) -> int:
         """The bound on S * D: the sum of every vertex's bound."""
@@ -338,15 +342,34 @@ def solve_exact(
 
 def random_valid_mask(graph: WeightedGraph, rng: random.Random) -> SubgraphMask:
     """Forced edges kept, each free edge kept with probability 1/2, then any
-    isolated vertex repaired by re-adding a random incident edge."""
-    forced = forced_edges(graph)
-    kept = [eid in forced or rng.random() < 0.5 for eid in range(graph.edge_count)]
-    mask = SubgraphMask(graph, kept)
-    for vtx in range(graph.vertex_count):
-        if mask.degrees[vtx] == 0:
+    isolated vertex repaired by re-adding a random incident edge.
+
+    The draws cost only the free edges: one ``rng.random()`` per free edge,
+    in ascending id, taken off the host degrees when the edge is dropped.
+    Only a vertex with no forced edge can be left isolated, so the repair
+    visits ``graph.unforced_vertices`` in ascending order, one
+    ``rng.choice`` over the incident edges of each isolated one.  These are
+    the calls, in the order, that drawing every edge and repairing every
+    vertex would make, so the same ``rng`` gives the same mask.
+    """
+    edges = graph.edges
+    kept = [True] * graph.edge_count
+    degrees = list(graph.degrees)
+    draw = rng.random
+    for eid in graph.free_edge_ids:
+        if draw() >= 0.5:
+            kept[eid] = False
+            u, v = edges[eid]
+            degrees[u] -= 1
+            degrees[v] -= 1
+    for vtx in graph.unforced_vertices:
+        if degrees[vtx] == 0:
             _, eid = rng.choice(graph.incidence[vtx])
-            mask.set_edge(eid, True)
-    return mask
+            kept[eid] = True
+            u, v = edges[eid]
+            degrees[u] += 1
+            degrees[v] += 1
+    return SubgraphMask.from_parts(graph, kept, degrees)
 
 
 def solve_local(

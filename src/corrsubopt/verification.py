@@ -8,14 +8,18 @@ Each check targets one structural property the construction relies on:
   4  it is at most the host graph's, which is at most 6n ln t + 20n
   5  witness masks have discrepancy exactly 0 on all designated vertices
   6  for unsatisfiable formulas, no valid mask keeps every designated
-     vertex below discrepancy t^2/9 (exhaustive pruned search; a budget
-     overrun reports inconclusive, never a pass)
+     vertex below discrepancy t^2/9 (exhaustive search in the gadget edge
+     order, cutting a branch once a designated vertex can end below the
+     threshold in no completion of its undecided edges; a budget overrun
+     reports inconclusive, never a pass)
 
 plus the score-bound checks: a witness scores at least
 6n ln t - n ln(10nt), and for unsatisfiable formulas every examined valid
 mask scores at most 6n ln t + 20n - n ln(t^2/9).  Score bounds use the
 reduction objective (multiplier = variable count); discrepancy checks are
-exact rational arithmetic, the log bounds allow absolute slack 1e-9.
+exact: checks 2 and 5 compare the ints W d - s of the scoring kernel, and a
+``Fraction`` is built only for a quantity a record reports.  The log
+bounds allow absolute slack 1e-9.
 
 A check is a function of one :class:`CheckContext`, which compiles the
 instance once and caches what several checks share: the sample of checks
@@ -36,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graph import SubgraphMask, is_valid
 from .reduction import (
@@ -55,9 +59,10 @@ from .scoring import (
     format_fraction,
     log_degree_sum,
     neighbourhood_discrepancy,
+    scaled_gap,
     score,
 )
-from .solvers import FreeEdgeSearch, random_valid_mask
+from .solvers import CompletionBound, FreeEdgeSearch, random_valid_mask
 
 FLOAT_SLACK = 1e-9
 
@@ -110,13 +115,18 @@ def leaf_discrepancy_total(inst: ReductionInstance, mask: SubgraphMask) -> Fract
 def attachment_violations(
     inst: ReductionInstance, mask: SubgraphMask
 ) -> list[tuple[int, Fraction]]:
-    """Attachment vertices whose discrepancy leaves [0, 1/t^2)."""
-    bound = Fraction(1, inst.t * inst.t)
+    """Attachment vertices whose discrepancy leaves [0, 1/t^2).
+
+    ND = ((W d - s) / (L d))^2 is never negative, and ND < 1/t^2  <=>
+    t^2 (W d - s)^2 < (L d)^2, tested in ints; a ``Fraction`` is built only
+    for a violation."""
+    graph, t = inst.graph, inst.t
+    scale, _ = graph.scaled_weights
     out = []
     for vtx in inst.attachment_vertices:
-        nd = neighbourhood_discrepancy(inst.graph, mask, vtx)
-        if not 0 <= nd < bound:
-            out.append((vtx, nd))
+        d, diff = scaled_gap(graph, mask, vtx)
+        if t * t * diff * diff >= (scale * d) ** 2:
+            out.append((vtx, neighbourhood_discrepancy(graph, mask, vtx)))
     return out
 
 
@@ -130,44 +140,74 @@ def degree_log_quantities(inst: ReductionInstance, mask: SubgraphMask) -> dict[s
     }
 
 
+class LowDiscrepancyLookahead(dict):
+    """``self[x, k, s, u]``: whether a vertex x of kept degree k,
+    kept-neighbour sum s and u undecided edges, in a search deciding the
+    free edges in ``order``, can still end strictly below discrepancy t^2/9;
+    memoised on first lookup.
+
+    ND < t^2/9  <=>  9 (W_x d - s - sigma)^2 < (L t d)^2, sigma being the W
+    sum of the neighbours x keeps across its undecided edges.  The test
+    accepts when some final degree d passes with |W_x d - s - sigma|
+    replaced by its lower bound from :meth:`CompletionBound.gaps` (see
+    :func:`find_low_discrepancy_mask` for why no counterexample is lost).
+    """
+
+    def __init__(self, inst: ReductionInstance, order: Sequence[int]):
+        super().__init__()
+        self.gaps = CompletionBound(inst.graph, order).gaps
+        scale, _ = inst.graph.scaled_weights
+        self.limit = scale * inst.t
+
+    def __missing__(self, key: tuple[int, int, int, int]) -> bool:
+        limit = self.limit
+        value = self[key] = any(
+            9 * gap * gap < (limit * d) ** 2 for d, gap in self.gaps(*key))
+        return value
+
+
 def find_low_discrepancy_mask(
     inst: ReductionInstance, *, node_budget: int | None = 5_000_000
 ) -> tuple[SubgraphMask | None, int]:
     """Search for a valid mask keeping every designated vertex strictly
     below discrepancy t^2/9.
 
-    Depth-first over the free edges (:class:`FreeEdgeSearch`); a branch
-    dies as soon as some vertex has all incident edges decided and either
-    no kept edge or a designated discrepancy at or above the threshold.
+    Depth-first over the free edges in ``inst.gadget_edge_order``
+    (:class:`FreeEdgeSearch`).  A branch dies as soon as some vertex has all
+    incident edges decided and no kept edge, or some designated endpoint of
+    the edge just decided fails :class:`LowDiscrepancyLookahead`.
+
+    Why the look-ahead keeps every counterexample: edges are decided in the
+    search's order, so a vertex's undecided neighbours are those across its
+    last u free edges, and the W sum sigma of the j it keeps lies in the
+    interval of the sums of the j smallest and the j largest of their
+    weights.  The gap to that interval is at most |W d - s - sigma| in every
+    completion, so a completion below the threshold passes the test at its
+    own j.  The cut removes only subtrees that hold no counterexample, the
+    order of the rest is unchanged, and the first mask found is the one a
+    search cutting on finalised vertices alone finds; only the node count
+    falls.  With u = 0 the test is the final discrepancy test, so a leaf is
+    a counterexample.
+
     Exhausting the tree proves no such mask exists.  Returns (mask or None,
     nodes explored); raises :class:`SearchBudgetExceeded` when the budget
     runs out, so a truncated search can never pass as a proof.
     """
     g = inst.graph
-    scale, weights = g.scaled_weights
-    designated = set(inst.designated_vertices)
-    dfs = FreeEdgeSearch(g, inst.gadget_edge_order)
+    order = inst.gadget_edge_order
+    dfs = FreeEdgeSearch(g, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
-    # ND = ((W d - s) / (L d))^2, so ND < t^2/9  <=>  9 (W d - s)^2 < (L t d)^2
-    scale_t = scale * inst.t
+    below = LowDiscrepancyLookahead(inst, order)
+    designated = set(inst.designated_vertices)
 
-    def finalised_ok(vtx: int) -> bool:
-        d = kept_deg[vtx]
-        if d == 0:
-            return False
-        if vtx not in designated:
-            return True
-        diff = weights[vtx] * d - nbr_sum[vtx]
-        limit = scale_t * d
-        return 9 * diff * diff < limit * limit
+    def feasible(vtx: int) -> bool:
+        return vtx not in designated or below[vtx, kept_deg[vtx], nbr_sum[vtx], und_deg[vtx]]
 
-    if not all(finalised_ok(vtx) for vtx in range(g.vertex_count) if und_deg[vtx] == 0):
+    if not all(feasible(vtx) for vtx in inst.designated_vertices):
         return None, 0
 
     def child(state, u, v, keep):
-        if (und_deg[u] or finalised_ok(u)) and (und_deg[v] or finalised_ok(v)):
-            return state
-        return None
+        return state if feasible(u) and feasible(v) else None
 
     found: SubgraphMask | None = None
 
@@ -315,8 +355,8 @@ def check_witness_discrepancy(ctx: CheckContext) -> Outcome:
         if not is_valid(graph, mask):
             return Outcome("fail", (("assignment", text),), "witness mask is invalid")
         for vtx in ctx.inst.designated_vertices:
-            nd = neighbourhood_discrepancy(graph, mask, vtx)
-            if nd != 0:
+            if scaled_gap(graph, mask, vtx)[1]:  # ND = 0  <=>  W d - s = 0
+                nd = neighbourhood_discrepancy(graph, mask, vtx)
                 return Outcome("fail", (("assignment", text), ("vertex", str(vtx)),
                                         ("nd", format_fraction(nd))))
     return Outcome("pass", (("assignments_checked", str(len(witnesses))),))

@@ -14,6 +14,7 @@ import warnings
 from fractions import Fraction
 
 from corrsubopt import (
+    Formula,
     IncidenceBoundWarning,
     ScoreState,
     SubgraphMask,
@@ -23,6 +24,7 @@ from corrsubopt import (
     parse_formula,
     random_valid_mask,
 )
+from corrsubopt.solvers import FreeEdgeSearch
 
 SAT3_TEXT = "3 3\n1 2 3\n1 2 3\n1 2 3\n"
 UNSAT4_TEXT = "4 4\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
@@ -36,6 +38,18 @@ def make_formula(text: str):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IncidenceBoundWarning)
         return parse_formula(text)
+
+
+def cubic_formula(rng: random.Random, n: int) -> Formula:
+    """A random monotone cubic formula on n variables: the 3n variable
+    incidences shuffled into n clauses, redrawn until no clause repeats a
+    variable."""
+    slots = [var for var in range(1, n + 1) for _ in range(3)]
+    while True:
+        rng.shuffle(slots)
+        clauses = [frozenset(slots[i:i + 3]) for i in range(0, 3 * n, 3)]
+        if all(len(clause) == 3 for clause in clauses):
+            return Formula(n, tuple(clauses))
 
 
 _WEIGHT_POOL = (-3, -1, 0, 1, 1, 2, 3, 5, 9, Fraction(1, 2), Fraction(7, 3))
@@ -206,6 +220,62 @@ def plain_local_search(graph: WeightedGraph, *, restarts: int, seed: int,
         if cmp > 0 or (cmp == 0 and key < best[2]):
             best = (state.mask.copy(), current, key)
     return best[0], best[1], evaluations
+
+
+def plain_random_valid_mask(graph: WeightedGraph, rng: random.Random) -> SubgraphMask:
+    """The sampler drawn over every edge: a forced edge is kept without a
+    draw, each other edge takes one ``rng.random()`` in ascending id, the
+    mask is recounted, and every vertex left isolated is repaired in vertex
+    order.  ``random_valid_mask`` must make the same draws."""
+    forced = forced_edges(graph)
+    kept = [eid in forced or rng.random() < 0.5 for eid in range(graph.edge_count)]
+    mask = SubgraphMask(graph, kept)
+    for vtx in range(graph.vertex_count):
+        if mask.degrees[vtx] == 0:
+            _, eid = rng.choice(graph.incidence[vtx])
+            mask.set_edge(eid, True)
+    return mask
+
+
+def plain_low_discrepancy_search(inst):
+    """(mask or None, nodes) of the check-6 search that cuts only
+    on finalised vertices: a designated vertex is tested once all its edges
+    are decided.  ``find_low_discrepancy_mask`` must find the same mask in
+    at most as many nodes."""
+    g = inst.graph
+    scale, weights = g.scaled_weights
+    designated = set(inst.designated_vertices)
+    dfs = FreeEdgeSearch(g, inst.gadget_edge_order)
+    kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
+    scale_t = scale * inst.t
+
+    def finalised_ok(vtx: int) -> bool:
+        d = kept_deg[vtx]
+        if d == 0:
+            return False
+        if vtx not in designated:
+            return True
+        diff = weights[vtx] * d - nbr_sum[vtx]
+        limit = scale_t * d
+        return 9 * diff * diff < limit * limit
+
+    if not all(finalised_ok(vtx) for vtx in range(g.vertex_count) if und_deg[vtx] == 0):
+        return None, 0
+
+    def child(state, u, v, keep):
+        if (und_deg[u] or finalised_ok(u)) and (und_deg[v] or finalised_ok(v)):
+            return state
+        return None
+
+    found = None
+
+    def leaf(state) -> bool:
+        nonlocal found
+        found = dfs.mask()
+        return True
+
+    dfs.run(True, child, leaf)
+    return found, dfs.nodes
 
 
 ACCEPTANCE_LINES: list[str] = []

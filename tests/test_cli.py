@@ -210,7 +210,7 @@ SAT3_T2_1_4 = _sampled_lines("36/1", "1/4", "18.476649250", "43.473924301", "72.
 UNSAT4_T2_1_4 = _sampled_lines("48/1", "1/4", "24.635532333", "57.965232401", "96.635532333")
 UNSAT4_T3_1_4 = _sampled_lines("72/1", "1/9", "34.366694928", "66.507356434",
                                "106.366694928")
-SAT3_T2_CHECK6 = ("check 6 low-discrepancy-search: PASS nodes=109 threshold=4/9 | negative "
+SAT3_T2_CHECK6 = ("check 6 low-discrepancy-search: PASS nodes=51 threshold=4/9 | negative "
                   "control: counterexample found, as expected for a satisfiable formula")
 UNSAT4_NO_WITNESS = ("check 5 witness-zero-discrepancy: INCONCLUSIVE | no 1-in-3 "
                      "satisfying assignment exists")
@@ -228,7 +228,7 @@ VERIFY_GOLDEN = {
     ]),
     "unsat4-t2": (["-f", "unsat4", "-t", "2", "--lemma-samples", "100"], 1, UNSAT4_T2_1_4 + [
         UNSAT4_NO_WITNESS,
-        "check 6 low-discrepancy-search: PASS nodes=1012 threshold=4/9 | exhaustive: every "
+        "check 6 low-discrepancy-search: PASS nodes=224 threshold=4/9 | exhaustive: every "
         "valid mask pushes some designated vertex to discrepancy >= 4/9",
         "check lemmas score-bounds: PASS score_upper_bound=99.879253198 "
         "max_observed=38.649516670 masks_checked=101",
@@ -236,7 +236,7 @@ VERIFY_GOLDEN = {
     ]),
     "unsat4-t3": (["-f", "unsat4", "-t", "3", "--lemma-samples", "100"], 1, UNSAT4_T3_1_4 + [
         UNSAT4_NO_WITNESS,
-        "check 6 low-discrepancy-search: PASS nodes=3970 threshold=9/9 | exhaustive: every "
+        "check 6 low-discrepancy-search: PASS nodes=776 threshold=9/9 | exhaustive: every "
         "valid mask pushes some designated vertex to discrepancy >= 9/9",
         "check lemmas score-bounds: PASS score_upper_bound=106.366694928 "
         "max_observed=44.979922661 masks_checked=101",

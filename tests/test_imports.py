@@ -17,23 +17,25 @@ import helpers
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_child(code: str) -> str:
+def run_child(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports the package from ``src``."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           cwd=ROOT, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 def modules_after(argv: list[str]) -> set[str]:
     """The package modules loaded once ``corrsubopt.cli.main(argv)`` returns 0."""
     out = run_child(
+        "-c",
         "import contextlib, io, json, sys\n"
         "import corrsubopt.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    status = corrsubopt.cli.main({argv!r})\n"
         "print(json.dumps([status, sorted(sys.modules)]))\n"
-    )
+    ).stdout
     status, modules = json.loads(out)
     assert status == 0
     return {name for name in modules if name.startswith("corrsubopt")}
@@ -66,8 +68,21 @@ class TestCommandImports:
         assert "corrsubopt.verification" not in loaded
 
 
+def test_version_loads_no_reduction_or_verification():
+    """``python -m corrsubopt.cli --version`` is the benchmark's set-up
+    command, so every module it imports is in ``setup_s``."""
+    proc = run_child("-X", "importtime", "-m", "corrsubopt.cli", "--version")
+    assert proc.stdout.split()[-1] == "0.1.0"
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"corrsubopt", "corrsubopt.graph", "corrsubopt.solvers"} <= loaded
+    assert "corrsubopt.reduction" not in loaded
+    assert "corrsubopt.verification" not in loaded
+
+
 def test_bare_import_resolves_every_public_name_and_submodule():
     out = run_child(
+        "-c",
         "import json, sys\n"
         "import corrsubopt\n"
         "bare = sorted(m for m in sys.modules if m.startswith('corrsubopt.'))\n"
@@ -83,7 +98,7 @@ def test_bare_import_resolves_every_public_name_and_submodule():
         "    unknown = str(exc)\n"
         "listed = sorted(set(corrsubopt.__all__ + subs) - set(dir(corrsubopt)))\n"
         "print(json.dumps([bare, missing, homes, unknown, listed, corrsubopt.__version__]))\n"
-    )
+    ).stdout
     bare, missing, homes, unknown, listed, version = json.loads(out)
     assert bare == []
     assert missing == []
@@ -101,6 +116,7 @@ def test_bench_tracer_installs_on_a_cli_only_import():
     package; ``uninstall`` must put every original back, and a name read
     through the package must be its submodule's current one."""
     out = run_child(
+        "-c",
         "import json, sys\n"
         "sys.path.insert(0, 'bench')\n"
         "import corrsubopt, corrsubopt.cli\n"
@@ -121,7 +137,7 @@ def test_bench_tracer_installs_on_a_cli_only_import():
         "left = [k for o in owners for k, v in o.items()\n"
         "        if getattr(v, '__qualname__', '').endswith('wrap.<locals>.traced')]\n"
         "print(json.dumps([lazy, during, kept, left, corrsubopt.score.__qualname__]))\n"
-    )
+    ).stdout
     lazy, during, kept, left, after = json.loads(out)
     assert lazy == []
     assert all(name.endswith("wrap.<locals>.traced") for name in during)

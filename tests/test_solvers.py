@@ -12,6 +12,7 @@ from corrsubopt import (
     SubgraphMask,
     WeightedGraph,
     compare_scores,
+    compile_formula,
     is_valid,
     load_graph,
     random_valid_mask,
@@ -107,6 +108,29 @@ class TestRandomValidMask:
             m = random_valid_mask(g, rng)
             assert is_valid(g, m)
             assert all(eid in set(m.kept_ids()) for eid in forced)
+
+    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6), st.integers(0, 99))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_every_edge_sampler(self, shape, seed, draw_seed):
+        graph = helpers.kernel_graph(random.Random(seed), shape)
+        self.assert_same_draws(graph, draw_seed, 5)
+
+    @pytest.mark.parametrize("n, t", [(3, 2), (4, 3), (6, 2)])
+    def test_matches_every_edge_sampler_on_compiled_instances(self, n, t):
+        inst = compile_formula(helpers.cubic_formula(random.Random(f"sampler:{n}"), n), t)
+        self.assert_same_draws(inst.graph, n, 40)
+
+    @staticmethod
+    def assert_same_draws(graph, draw_seed, draws):
+        """The free-edge sampler against ``helpers.plain_random_valid_mask``
+        on one seed: the same kept edges and degrees at every draw, and the
+        generator left in the same state."""
+        fast, plain = random.Random(draw_seed), random.Random(draw_seed)
+        for _ in range(draws):
+            got, want = random_valid_mask(graph, fast), helpers.plain_random_valid_mask(graph, plain)
+            assert got.kept == want.kept
+            assert got.degrees == want.degrees
+        assert fast.random() == plain.random()
 
 
 class TestLocal:

@@ -1,10 +1,13 @@
 import importlib.util
+import itertools
 import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrsubopt
 import corrsubopt.cli
@@ -13,6 +16,7 @@ from corrsubopt import SubgraphMask, compile_formula, random_valid_mask
 from corrsubopt.scoring import neighbourhood_discrepancy
 from corrsubopt.verification import (
     ALL_CHECKS,
+    LowDiscrepancyLookahead,
     SearchBudgetExceeded,
     attachment_violations,
     find_low_discrepancy_mask,
@@ -67,6 +71,17 @@ class TestExactQuantities:
         inst = compile_formula(unsat4, 2)
         assert attachment_violations(inst, SubgraphMask.full(inst.graph)) == []
 
+    def test_attachment_violation_reports_exact_discrepancy(self, sat3):
+        # zp_1 keeps only its edge to z_1: its mean is f(z_1), far off f(zp_1)
+        inst = compile_formula(sat3, 2)
+        g, zp, z = inst.graph, inst.zp(1), inst.z(1)
+        kept = [True] * g.edge_count
+        for nbr, eid in g.incidence[zp]:
+            kept[eid] = nbr == z
+        nd = (g.weights[zp] - g.weights[z]) ** 2
+        assert nd >= Fraction(1, 4)
+        assert (zp, nd) in attachment_violations(inst, SubgraphMask(g, kept))
+
 
 class TestInfeasibilitySearch:
     def test_unsatisfiable_exhausts_without_hit(self, unsat4):
@@ -88,11 +103,11 @@ class TestInfeasibilitySearch:
     @pytest.mark.parametrize(
         "name, t, nodes, dropped",
         [
-            ("unsat4", 2, 1_012, None),
-            ("unsat4", 3, 3_970, None),
-            ("unsat4", 4, 20_382, None),
-            ("sat3", 2, 109, (8, 9, 10, 11, 31, 33, 35, 44, 45, 46, 47, 67, 69, 71, 79)),
-            ("sat3", 4, 137, (14, 15, 16, 79, 81, 83, 98, 99, 100, 163, 165, 167, 181)),
+            ("unsat4", 2, 224, None),
+            ("unsat4", 3, 776, None),
+            ("unsat4", 4, 1_560, None),
+            ("sat3", 2, 51, (8, 9, 10, 11, 31, 33, 35, 44, 45, 46, 47, 67, 69, 71, 79)),
+            ("sat3", 4, 53, (14, 15, 16, 79, 81, 83, 98, 99, 100, 163, 165, 167, 181)),
         ],
     )
     def test_golden_outputs(self, request, name, t, nodes, dropped):
@@ -108,6 +123,68 @@ class TestInfeasibilitySearch:
         inst = compile_formula(unsat4, 2)
         with pytest.raises(SearchBudgetExceeded):
             find_low_discrepancy_mask(inst, node_budget=3)
+
+
+# (n, t) pairs whose finalised-only search stays under about 0.1 s; at n = 7,
+# t = 4 it takes over a million nodes.
+_SEARCH_SIZES = [(n, t) for n in range(3, 8) for t in (2, 3, 4) if n < 7 or t < 4]
+
+
+class TestLowDiscrepancyLookahead:
+    """The check-6 look-ahead against brute force over each designated
+    vertex's own undecided edges, at random partial decisions along
+    ``gadget_edge_order`` of compiled random cubic formulas: wherever some
+    completion keeps the vertex below t^2/9 the test accepts, and on a
+    finalised vertex it is the exact threshold test."""
+
+    @given(st.integers(3, 7), st.integers(2, 4), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=80)
+    def test_accepts_every_completion_below_threshold(self, n, t, seed):
+        rng = random.Random(seed)
+        inst = compile_formula(helpers.cubic_formula(rng, n), t)
+        g = inst.graph
+        order = inst.gadget_edge_order
+        depth = rng.randint(0, len(order))
+        decided = {eid: rng.random() < 0.5 for eid in order[:depth]}
+        undecided = set(order[depth:])
+        scale, weights = g.scaled_weights
+        below = LowDiscrepancyLookahead(inst, order)
+        for x in inst.designated_vertices:
+            k = s = 0
+            open_nbrs = []
+            for y, eid in g.incidence[x]:
+                if eid in undecided:
+                    open_nbrs.append(weights[y])
+                elif decided.get(eid, True):  # an edge outside the order is forced
+                    k += 1
+                    s += weights[y]
+            u = len(open_nbrs)
+            assert u <= 5
+            if k + u == 0:
+                continue
+            reachable = any(
+                9 * (weights[x] * (k + j) - s - sum(kept)) ** 2 < (scale * t * (k + j)) ** 2
+                for j in range(u + 1) if k + j
+                for kept in itertools.combinations(open_nbrs, j)
+            )
+            if reachable or u == 0:
+                assert below[x, k, s, u] == reachable
+
+    @given(st.sampled_from(_SEARCH_SIZES), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=30)
+    def test_matches_finalised_only_search(self, size, seed):
+        n, t = size
+        inst = compile_formula(helpers.cubic_formula(random.Random(seed), n), t)
+        # Same mask (same bits, or both None) as the search that cuts only on
+        # finalised vertices, in at most as many nodes.
+        mask, nodes = find_low_discrepancy_mask(inst, node_budget=None)
+        plain, plain_nodes = helpers.plain_low_discrepancy_search(inst)
+        if plain is None:
+            assert mask is None
+        else:
+            assert mask.kept == plain.kept
+            assert mask.degrees == SubgraphMask(inst.graph, mask.kept).degrees
+        assert nodes <= plain_nodes
 
 
 class TestScoreBounds:
