@@ -49,9 +49,15 @@ def _read(path: str) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory, with the mode a plain ``open`` would give (0666 less the
+    umask), not ``mkstemp``'s 0600."""
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, target)
@@ -193,6 +199,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         f"n = {report.variable_count}, t = {report.t}, "
         f"solver = {report.solver}, optimality = {report.optimality}"
     )
+    print(f"nodes = {report.solve_report.nodes_explored}")
     for note in report.notes:
         print(f"note: {note}")
     return 0

@@ -12,6 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .graph import SubgraphMask, WeightedGraph
@@ -58,7 +59,8 @@ class FreeEdgeSearch:
     undecided degree and the int sum s of the kept neighbours' scaled
     weights W (``WeightedGraph.scaled_weights``); callers read these lists
     from their hooks.  A branch that leaves a fully decided vertex with no
-    kept edge is cut before any hook sees it.
+    kept edge is cut before any hook sees it.  :meth:`key` reads the state
+    of the frontier: the vertices with free edges on both sides of a depth.
     """
 
     def __init__(self, graph: WeightedGraph, order: Sequence[int]):
@@ -75,21 +77,45 @@ class FreeEdgeSearch:
             u, v = graph.edges[eid]
             und[u] += 1
             und[v] += 1
+        # frontier[d]: the vertices with a free edge among order[:d] and one
+        # among order[d:], ascending.
+        last = {x: pos for pos, eid in enumerate(order) for x in graph.edges[eid]}
+        frontier: list[tuple[int, ...]] = [()]
+        active: set[int] = set()
+        for pos, eid in enumerate(order):
+            for x in graph.edges[eid]:
+                if last[x] == pos:
+                    active.discard(x)
+                else:
+                    active.add(x)
+            frontier.append(tuple(sorted(active)))
+        self._frontier_values = [
+            itemgetter(*vertices) if vertices else lambda values: () for vertices in frontier]
 
     def mask(self) -> SubgraphMask:
         """The mask of the current leaf: forced and kept free edges."""
         return SubgraphMask.from_parts(
             self.graph, [d is True for d in self.decided], list(self.kept_deg))
 
+    def key(self, depth: int) -> tuple:
+        """The kept degrees and the kept-neighbour sums of the frontier
+        vertices, ``depth`` free edges into the order.  The state a
+        completion of order[depth:] meets depends on the decided edges only
+        through this key: every other vertex has either all its free edges
+        decided or none."""
+        values = self._frontier_values[depth]
+        return values(self.kept_deg), values(self.nbr_sum)
+
     def run(self, root, child, leaf, node_limit: int | None = None) -> bool:
         """Search once from the state ``root``.
 
-        ``child(state, u, v, keep)`` is called once the edge (u, v) has been
-        decided, with the lists already updated, and returns the child's
-        state or None to cut the branch.  ``leaf(state)`` is called at each
-        full assignment and returns True to stop the search.  Each child
-        counts as one node in ``self.nodes``; returns False when the count
-        passes ``node_limit``, True otherwise.
+        ``child(state, depth, u, v, keep)`` is called once the edge (u, v)
+        at ``order[depth - 1]`` has been decided, with the lists already
+        updated, and returns the child's state or None to cut the branch.
+        ``leaf(state)`` is called at each full assignment and returns True
+        to stop the search.  Each child counts as one node in
+        ``self.nodes``; returns False when the count passes ``node_limit``,
+        True otherwise.
         """
         edges, order, depth = self.graph.edges, self.order, len(self.order)
         _, weights = self.graph.scaled_weights
@@ -116,7 +142,7 @@ class FreeEdgeSearch:
                 und_deg[u] -= 1
                 und_deg[v] -= 1
                 if (und_deg[u] or kept_deg[u]) and (und_deg[v] or kept_deg[v]):
-                    sub = child(state, u, v, keep)
+                    sub = child(state, pos + 1, u, v, keep)
                     if sub is not None and search(pos + 1, sub):
                         return True
                 und_deg[u] += 1
@@ -246,9 +272,32 @@ def solve_exact(
     as the state of each node; the bound reads S as the float (S * D) / D,
     and only a leaf builds a ``Fraction``.
 
+    A node is also cut when an entered node dominates it (Ibaraki's
+    dominance test).  Once order[:depth] is decided, every vertex outside
+    the frontier has either all its free edges decided or none, so two
+    nodes at one depth with the same :meth:`FreeEdgeSearch.key` have the
+    same valid completions, and in each completion their S * D differ by
+    exactly the difference of their int totals and their log-degree sums
+    by that of their log sums.  Per depth and key the search keeps the
+    (total, log sum) pairs of the nodes it has entered, less any that a
+    later pair matched or beat on both (those cut nothing the later one
+    does not), and cuts a new node when one of them has total <= its total
+    and log sum >= its log sum + ``_PRUNE_EPS``; the float log sums are off
+    by far less than that margin.  Then each completion of the new node
+    has S at most, and a log-degree sum strictly below, that of the same
+    completion of the earlier node, so a strictly lower score (C >= 0, as
+    the bound also assumes).  The earlier node's subtree is finished, since
+    the search is depth first, and each of its completions was reached or
+    cut as unable to beat the incumbent; so the incumbent already beats
+    every completion of the new node strictly, and the cut can neither
+    replace it nor settle a tie.  Masks, values and S are those of the
+    search without this cut; only the node count falls.
+
     Without ``node_limit`` the search refuses graphs with more than
     ``free_edge_cap`` free edges; with one it runs best effort and reports
-    ``optimality="heuristic"`` if the budget runs out.
+    ``optimality="heuristic"`` if the budget runs out.  The budget aborts
+    the whole search, leaving open subtrees that neither cut has ruled out,
+    so a truncated run is never ``proven``, dominance or not.
     """
     t0 = time.perf_counter()
     mult = graph.vertex_count if multiplier is None else multiplier
@@ -289,7 +338,10 @@ def solve_exact(
         if _beats(cand_score, cand_key, inc_score, inc_key):
             inc_mask, inc_score, inc_key = initial_mask.copy(), cand_score, cand_key
 
-    def child(state, u, v, keep):
+    frontier_key = dfs.key
+    seen: list[dict] = [{} for _ in range(len(order) + 1)]
+
+    def child(state, depth, u, v, keep):
         total, log_sum = state
         ku, su, uu = kept_deg[u], nbr_sum[u], und_deg[u]
         kv, sv, uv = kept_deg[v], nbr_sum[v], und_deg[v]
@@ -311,6 +363,18 @@ def solve_exact(
                 return None
         elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
             return None
+        # Frontier dominance: see the docstring.
+        key = frontier_key(depth)
+        table = seen[depth]
+        front = table.get(key)
+        if front is None:
+            table[key] = [(total, log_sum)]
+            return total, log_sum
+        for prev_total, prev_log_sum in front:
+            if prev_total <= total and prev_log_sum >= log_sum + _PRUNE_EPS:
+                return None
+        front[:] = [prev for prev in front if prev[0] < total or prev[1] > log_sum]
+        front.append((total, log_sum))
         return total, log_sum
 
     def leaf(state) -> bool:

@@ -206,7 +206,7 @@ def find_low_discrepancy_mask(
     if not all(feasible(vtx) for vtx in inst.designated_vertices):
         return None, 0
 
-    def child(state, u, v, keep):
+    def child(state, depth, u, v, keep):
         return state if feasible(u) and feasible(v) else None
 
     found: SubgraphMask | None = None

@@ -23,8 +23,10 @@ from corrsubopt import (
     forced_edges,
     parse_formula,
     random_valid_mask,
+    score,
 )
-from corrsubopt.solvers import FreeEdgeSearch
+from corrsubopt.scoring import ScoreValue, log_degree_sum
+from corrsubopt.solvers import _PRUNE_EPS, CompletionBound, FreeEdgeSearch
 
 SAT3_TEXT = "3 3\n1 2 3\n1 2 3\n1 2 3\n"
 UNSAT4_TEXT = "4 4\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
@@ -262,7 +264,7 @@ def plain_low_discrepancy_search(inst):
     if not all(finalised_ok(vtx) for vtx in range(g.vertex_count) if und_deg[vtx] == 0):
         return None, 0
 
-    def child(state, u, v, keep):
+    def child(state, depth, u, v, keep):
         if (und_deg[u] or finalised_ok(u)) and (und_deg[v] or finalised_ok(v)):
             return state
         return None
@@ -276,6 +278,63 @@ def plain_low_discrepancy_search(inst):
 
     dfs.run(True, child, leaf)
     return found, dfs.nodes
+
+
+def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | None = None,
+                           initial_mask: SubgraphMask | None = None):
+    """(mask, score, nodes) of the branch and bound that cuts on the
+    completion bound alone, in ``order``, to a proof.  ``solve_exact`` must
+    return the same mask and score in at most as many nodes."""
+    mult = graph.vertex_count if multiplier is None else multiplier
+    _, weights = graph.scaled_weights
+    denominator, _ = graph.discrepancy_scale
+    dfs = FreeEdgeSearch(graph, order)
+    kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
+    logs = [0.0] + [math.log(d) for d in range(1, max(graph.degrees) + 1)]
+    bound = CompletionBound(graph, order)
+    inc_mask = SubgraphMask.full(graph)
+    inc_score, inc_key = score(graph, inc_mask, multiplier=mult), inc_mask.lex_key()
+    if initial_mask is not None:
+        cand, key = score(graph, initial_mask, multiplier=mult), initial_mask.lex_key()
+        cmp = compare_scores(cand, inc_score)
+        if cmp > 0 or (cmp == 0 and key < inc_key):
+            inc_mask, inc_score, inc_key = initial_mask.copy(), cand, key
+
+    def child(state, depth, u, v, keep):
+        total, log_sum = state
+        ku, su, uu = kept_deg[u], nbr_sum[u], und_deg[u]
+        kv, sv, uv = kept_deg[v], nbr_sum[v], und_deg[v]
+        if keep:
+            total -= (bound[u, ku - 1, su - weights[v], uu + 1]
+                      + bound[v, kv - 1, sv - weights[u], uv + 1])
+        else:
+            total -= bound[u, ku, su, uu + 1] + bound[v, kv, sv, uv + 1]
+            log_sum += logs[ku + uu] - logs[ku + uu + 1] + logs[kv + uv] - logs[kv + uv + 1]
+        total += bound[u, ku, su, uu] + bound[v, kv, sv, uv]
+        if total:
+            if inc_score.value is None:
+                return None
+            if log_sum - mult * math.log(total / denominator) < inc_score.value - _PRUNE_EPS:
+                return None
+        elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
+            return None
+        return total, log_sum
+
+    def leaf(state) -> bool:
+        nonlocal inc_mask, inc_score, inc_key
+        cand = ScoreValue.from_parts(
+            log_degree_sum(graph, kept_deg), state[0], denominator, mult)
+        cmp = compare_scores(cand, inc_score)
+        if cmp >= 0:
+            mask = dfs.mask()
+            key = mask.lex_key()
+            if cmp > 0 or key < inc_key:
+                inc_mask, inc_score, inc_key = mask, cand, key
+        return False
+
+    root = (bound.total(kept_deg, und_deg, nbr_sum), log_degree_sum(graph, graph.degrees))
+    dfs.run(root, child, leaf)
+    return inc_mask, score(graph, inc_mask, multiplier=mult), dfs.nodes
 
 
 ACCEPTANCE_LINES: list[str] = []

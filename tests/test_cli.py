@@ -1,3 +1,5 @@
+import os
+import stat
 import subprocess
 import sys
 
@@ -92,6 +94,16 @@ class TestSolveCommand:
         assert "mask = 101" in out
         assert "optimality = proven" in out
         assert out_file.read_text() == "101\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_out_file_mode_follows_umask(self, triangle_file, tmp_path, umask, capsys):
+        out_file = tmp_path / "best.mask"
+        old = os.umask(umask)
+        try:
+            assert main(["solve", "-g", triangle_file, "--exact", "--out", str(out_file)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o666 & ~umask
 
     def test_local_triangle(self, triangle_file, capsys):
         assert main(["solve", "-g", triangle_file, "--local", "--restarts", "2"]) == 0
@@ -285,6 +297,12 @@ class TestDecideCommand:
         assert "answer = YES" in out
         assert "threshold = 28.014613361037" in out
         assert "note:" in out
+
+    def test_prints_search_nodes(self, sat3_file, capsys):
+        assert main(["decide", "-f", sat3_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("n = 3, t = 9, solver = exact, optimality = proven")
+        assert lines[at + 1] == "nodes = 2398"
 
     def test_caveat_always_present(self, unsat4_file, capsys):
         assert main(["decide", "-f", unsat4_file, "--node-limit", "5000"]) == 0

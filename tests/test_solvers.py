@@ -211,6 +211,73 @@ class TestExactDifferential:
         assert report.best_score.discrepancy_total == total
 
 
+class TestDominanceDifferential:
+    """solve_exact, which also cuts nodes dominated on their frontier key,
+    against the search that cuts on the completion bound alone
+    (``helpers.plain_branch_and_bound``): the same mask, value, log-degree
+    sum and S, bit for bit, both proven, and no more nodes."""
+
+    @given(st.integers(3, 5), st.integers(2, 4), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=8)
+    def test_matches_plain_search_on_compiled_formulas(self, n, t, seed):
+        inst = compile_formula(helpers.cubic_formula(random.Random(seed), n), t)
+        # decide's warm start keeps the n = 5 proofs (50 free edges) short.
+        warm = solve_local(inst.graph, restarts=2, seed=seed, multiplier=n).best_mask
+        self.assert_matches(inst.graph, inst.gadget_edge_order, n, warm)
+
+    @given(
+        st.sampled_from(helpers.KERNEL_SHAPES),
+        st.integers(0, 10**6),
+        st.sampled_from(("mixed", "equal", "two")),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.integers(0, 99),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_matches_plain_search_in_any_order(self, shape, seed, weights, multiplier,
+                                               order_seed):
+        graph = helpers.kernel_graph(random.Random(seed), shape)
+        n = graph.vertex_count
+        if weights == "equal":  # every S = 0: scores tie on the log-degree sum
+            graph = WeightedGraph.build(n, graph.edges, [graph.weights[0]] * n)
+        elif weights == "two":
+            graph = WeightedGraph.build(n, graph.edges, [graph.weights[v % 2] for v in range(n)])
+        order = list(graph.free_edge_ids)
+        random.Random(order_seed).shuffle(order)
+        self.assert_matches(graph, order, multiplier, None)
+
+    def test_cut_fires_on_a_compiled_formula(self, sat3):
+        inst = compile_formula(sat3, 2)
+        report, plain_nodes = self.assert_matches(inst.graph, inst.gadget_edge_order, 3, None)
+        assert report.nodes_explored < plain_nodes
+        for limit, optimality in ((report.nodes_explored, "proven"),
+                                  (report.nodes_explored - 1, "heuristic")):
+            run = solve_exact(inst.graph, order=inst.gadget_edge_order, multiplier=3,
+                              node_limit=limit)
+            assert run.optimality == optimality
+
+    def test_key_holds_the_neighbour_sums(self):
+        # Nodes here meet whose frontier vertices have the same kept degrees
+        # but different neighbour sums; cutting one for another loses the
+        # optimum.
+        graph = WeightedGraph.build(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)],
+                                    [-1, 1, Fraction(7, 3), 5, 1])
+        self.assert_matches(graph, [0, 2, 1, 3, 4, 5], 59, None)
+
+    @staticmethod
+    def assert_matches(graph, order, multiplier, initial_mask):
+        report = solve_exact(graph, order=order, multiplier=multiplier,
+                             initial_mask=initial_mask, free_edge_cap=len(order))
+        mask, value, nodes = helpers.plain_branch_and_bound(
+            graph, order, multiplier=multiplier, initial_mask=initial_mask)
+        assert report.best_mask.bitstring() == mask.bitstring()
+        assert _bits(report.best_score.value) == _bits(value.value)
+        assert _bits(report.best_score.log_degree_sum) == _bits(value.log_degree_sum)
+        assert report.best_score.discrepancy_total == value.discrepancy_total
+        assert report.optimality == "proven"
+        assert report.nodes_explored <= nodes
+        return report, nodes
+
+
 class TestCompletionBound:
     """The branch and bound's S * D bound against brute force, at random
     partial decisions of a random branching order: each open vertex's bound
