@@ -31,6 +31,7 @@ _EXPORTS = {
     "cli": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME) + ["__version__"]
 
 
 def __getattr__(name: str):
@@ -46,48 +47,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted(set(globals()) | set(_EXPORTS) | set(_HOME))
 
-
-__all__ = [
-    "AssignmentError",
-    "CheckRecord",
-    "DecisionReport",
-    "DegenerateVertexError",
-    "Formula",
-    "FormulaError",
-    "GraphParseError",
-    "IncidenceBoundWarning",
-    "MaskValidityError",
-    "ReductionInstance",
-    "ScoreState",
-    "ScoreValue",
-    "SearchSpaceError",
-    "SolveReport",
-    "SubgraphMask",
-    "WeightedGraph",
-    "compare_scores",
-    "compile_formula",
-    "decide",
-    "dump_formula",
-    "dump_graph",
-    "dump_mask",
-    "find_low_discrepancy_mask",
-    "forced_edges",
-    "format_fraction",
-    "format_score",
-    "is_one_in_three",
-    "is_valid",
-    "load_graph",
-    "load_mask",
-    "neighbourhood_discrepancy",
-    "parse_assignment",
-    "parse_formula",
-    "random_valid_mask",
-    "run_checks",
-    "satisfying_assignments",
-    "score",
-    "score_delta",
-    "solve_exact",
-    "solve_local",
-    "witness_mask",
-    "__version__",
-]

@@ -19,9 +19,9 @@ with edges v_i u_i, v_i z_i, v_i w_i_j, and z_i zp_i.  Per clause j it gets
 a_j (weight 2t) joined to ap_j (weight t), which carries t^2 leaves of
 weight t.  If variable i's clauses are r_1 < r_2 < r_3, the cross edges are
 w_i_l a_{r_l}.  Vertex ids follow this text order (blocks by variable, then
-by clause, leaves after their block's tagged vertices), and every vertex's
-role tag is recorded so checks and the roles file can address the gadget
-structure by name.
+by clause, leaves after their block's tagged vertices).  The compiled
+instance keeps each block's vertex ids in a table, and a role tag per vertex
+for the roles file; every leaf of a hub x is tagged ``leaf_`` + x's tag.
 
 The formula file format: first line ``<n> <m>``, then m lines of three
 1-based variable ids; ``#`` starts a comment line.
@@ -184,145 +184,128 @@ def satisfying_assignments(formula: Formula) -> list[tuple[bool, ...]]:
 
 @dataclass(frozen=True)
 class ReductionInstance:
-    """A compiled formula: graph, scale, and per-vertex role tags."""
+    """A compiled formula: graph, scale, per-vertex role tags, and the vertex
+    ids of each gadget block (variables and clauses 1-based in the accessors)."""
 
     graph: WeightedGraph
     t: int
     variable_count: int
     roles: tuple[str, ...]
-    clause_slots: tuple[tuple[int, int, int], ...]  # (variable, slot 1..3, clause)
-
-    @cached_property
-    def role_index(self) -> dict[str, int]:
-        # Tagged (non-leaf) roles are unique; leaves share their tag.
-        return {
-            role: vid
-            for vid, role in enumerate(self.roles)
-            if not role.startswith("leaf_")
-        }
-
-    def vertex(self, role: str) -> int:
-        return self.role_index[role]
+    blocks: tuple[tuple[int, ...], ...]  # per variable: (u, v, z, zp, w_1, w_2, w_3)
+    clause_blocks: tuple[tuple[int, int], ...]  # per clause: (a, ap)
+    slots: tuple[tuple[int, ...], ...]  # per variable: its clauses, ascending
 
     def u(self, i: int) -> int:
-        return self.vertex(f"u_{i}")
+        return self.blocks[i - 1][0]
 
     def v(self, i: int) -> int:
-        return self.vertex(f"v_{i}")
+        return self.blocks[i - 1][1]
 
     def z(self, i: int) -> int:
-        return self.vertex(f"z_{i}")
+        return self.blocks[i - 1][2]
 
     def zp(self, i: int) -> int:
-        return self.vertex(f"zp_{i}")
+        return self.blocks[i - 1][3]
 
     def w(self, i: int, slot: int) -> int:
-        return self.vertex(f"w_{i}_{slot}")
+        return self.blocks[i - 1][3 + slot]
 
     def a(self, j: int) -> int:
-        return self.vertex(f"a_{j}")
+        return self.clause_blocks[j - 1][0]
 
     def ap(self, j: int) -> int:
-        return self.vertex(f"ap_{j}")
+        return self.clause_blocks[j - 1][1]
 
     def slot_clause(self, i: int, slot: int) -> int:
-        for var, s, clause in self.clause_slots:
-            if var == i and s == slot:
-                return clause
-        raise KeyError((i, slot))
+        return self.slots[i - 1][slot - 1]
 
     @cached_property
     def leaves(self) -> tuple[int, ...]:
-        return tuple(
-            vid for vid, role in enumerate(self.roles) if role.startswith("leaf_")
-        )
+        # Every tagged vertex has host degree >= 3 once t >= 2.
+        return tuple(vid for vid, d in enumerate(self.graph.degrees) if d == 1)
 
     @cached_property
     def attachment_vertices(self) -> tuple[int, ...]:
         """The zp_i and ap_j vertices: the only non-leaves allowed nonzero
         discrepancy in a perfect solution."""
-        out = [self.zp(i) for i in range(1, self.variable_count + 1)]
-        out.extend(self.ap(j) for j in range(1, self.variable_count + 1))
-        return tuple(out)
+        return tuple(b[3] for b in self.blocks) + tuple(ap for _, ap in self.clause_blocks)
 
     @cached_property
     def gadget_edge_order(self) -> tuple[int, ...]:
         """Free edges grouped so gadget vertices finalise as early as possible."""
-        g = self.graph
+        edge_id = self.graph.edge_id
         order = []
-        for i in range(1, self.variable_count + 1):
-            v = self.v(i)
-            order.append(g.edge_id(v, self.u(i)))
-            order.append(g.edge_id(v, self.z(i)))
-            order.append(g.edge_id(self.z(i), self.zp(i)))
-            for slot in (1, 2, 3):
-                w = self.w(i, slot)
-                order.append(g.edge_id(v, w))
-                order.append(g.edge_id(w, self.a(self.slot_clause(i, slot))))
-        for j in range(1, self.variable_count + 1):
-            order.append(g.edge_id(self.a(j), self.ap(j)))
+        for (u, v, z, zp, *ws), clauses in zip(self.blocks, self.slots):
+            order += [edge_id(v, u), edge_id(v, z), edge_id(z, zp)]
+            for w, j in zip(ws, clauses):
+                order += [edge_id(v, w), edge_id(w, self.a(j))]
+        order.extend(edge_id(a, ap) for a, ap in self.clause_blocks)
         return tuple(order)
 
     @cached_property
     def designated_vertices(self) -> tuple[int, ...]:
-        """Non-leaf vertices other than the attachment vertices; the
-        infeasibility search bounds their discrepancies."""
-        skip = set(self.attachment_vertices)
-        return tuple(
-            vid
-            for vid, role in enumerate(self.roles)
-            if not role.startswith("leaf_") and vid not in skip
-        )
+        """Non-leaf vertices other than the attachment vertices, in id order;
+        the infeasibility search bounds their discrepancies."""
+        return (tuple(vid for b in self.blocks for vid in b[:3] + b[4:])
+                + tuple(a for a, _ in self.clause_blocks))
+
+
+# Above this many vertices compile_formula refuses; at about 720 bytes a
+# vertex the cap is some 0.7 GB.
+MAX_COMPILED_VERTICES = 1_000_000
 
 
 def compile_formula(formula: Formula, t: int) -> ReductionInstance:
-    """Build the weighted instance for ``formula`` at scale ``t`` (>= 2)."""
+    """Build the weighted instance for ``formula`` at scale ``t`` (>= 2).
+
+    Raises ``ValueError``, before allocating anything, when the instance
+    would have more than ``MAX_COMPILED_VERTICES`` vertices."""
     if t < 2:
         raise ValueError(f"scale t must be at least 2, got {t}")
     n = formula.variable_count
+    size = n * (4 * t * t + 6 * t + 12)
+    if size > MAX_COMPILED_VERTICES:
+        raise ValueError(
+            f"n = {n}, t = {t} compiles to n(4t^2 + 6t + 12) = {size} vertices, "
+            f"over the cap of {MAX_COMPILED_VERTICES}"
+        )
     roles: list[str] = []
     weights: list[int] = []  # WeightedGraph.build makes each one a Fraction
     edges: list[tuple[int, int]] = []
 
-    def add_vertex(role: str, weight: int) -> int:
-        roles.append(role)
-        weights.append(weight)
-        return len(roles) - 1
+    def add_leaves(hub: int, count: int, weight: int) -> None:
+        first = len(roles)
+        roles.extend(["leaf_" + roles[hub]] * count)
+        weights.extend([weight] * count)
+        edges.extend((hub, leaf) for leaf in range(first, first + count))
 
+    blocks, clause_blocks = [], []
     for i in range(1, n + 1):
-        u = add_vertex(f"u_{i}", 7 * t)
-        v = add_vertex(f"v_{i}", 4 * t)
-        z = add_vertex(f"z_{i}", t)
-        zp = add_vertex(f"zp_{i}", 4 * t)
-        ws = [add_vertex(f"w_{i}_{slot}", 3 * t) for slot in (1, 2, 3)]
-        edges.append((v, u))
-        edges.append((v, z))
-        edges.extend((v, w) for w in ws)
-        edges.append((z, zp))
-        for _ in range(3 * t):
-            edges.append((u, add_vertex(f"leaf_u_{i}", 7 * t + 1)))
-        for _ in range(3 * t):
-            edges.append((z, add_vertex(f"leaf_z_{i}", t - 1)))
-        for _ in range(3 * t * t):
-            edges.append((zp, add_vertex(f"leaf_zp_{i}", 4 * t)))
-        for slot, w in enumerate(ws, 1):
-            edges.append((w, add_vertex(f"leaf_w_{i}_{slot}", 3 * t)))
+        u, v, z, zp, *ws = block = tuple(range(len(roles), len(roles) + 7))
+        roles += [f"u_{i}", f"v_{i}", f"z_{i}", f"zp_{i}", f"w_{i}_1", f"w_{i}_2", f"w_{i}_3"]
+        weights += [7 * t, 4 * t, t, 4 * t, 3 * t, 3 * t, 3 * t]
+        blocks.append(block)
+        edges += [(v, u), (v, z), (z, zp), *((v, w) for w in ws)]
+        add_leaves(u, 3 * t, 7 * t + 1)
+        add_leaves(z, 3 * t, t - 1)
+        add_leaves(zp, 3 * t * t, 4 * t)
+        for w in ws:
+            add_leaves(w, 1, 3 * t)
     for j in range(1, n + 1):
-        a = add_vertex(f"a_{j}", 2 * t)
-        ap = add_vertex(f"ap_{j}", t)
+        a, ap = len(roles), len(roles) + 1
+        roles += [f"a_{j}", f"ap_{j}"]
+        weights += [2 * t, t]
+        clause_blocks.append((a, ap))
         edges.append((a, ap))
-        for _ in range(t * t):
-            edges.append((ap, add_vertex(f"leaf_ap_{j}", t)))
+        add_leaves(ap, t * t, t)
 
-    role_of = {role: vid for vid, role in enumerate(roles) if not role.startswith("leaf_")}
-    slots: list[tuple[int, int, int]] = []
-    for i in range(1, n + 1):
-        for slot, clause in enumerate(formula.clauses_of(i), 1):
-            edges.append((role_of[f"w_{i}_{slot}"], role_of[f"a_{clause}"]))
-            slots.append((i, slot, clause))
+    slots = tuple(formula.clauses_of(i) for i in range(1, n + 1))
+    for block, clauses in zip(blocks, slots):
+        edges.extend((w, clause_blocks[j - 1][0]) for w, j in zip(block[4:], clauses))
 
     graph = WeightedGraph.build(len(roles), edges, weights)
-    return ReductionInstance(graph, t, n, tuple(roles), tuple(slots))
+    return ReductionInstance(graph, t, n, tuple(roles), tuple(blocks),
+                             tuple(clause_blocks), slots)
 
 
 def dump_roles(inst: ReductionInstance) -> str:
@@ -346,16 +329,15 @@ def witness_mask(
     if inst is None:
         inst = compile_formula(formula, t)
     mask = SubgraphMask.full(inst.graph)
-    g = inst.graph
-    for i in range(1, formula.variable_count + 1):
-        if assignment[i - 1]:
-            mask.set_edge(g.edge_id(inst.v(i), inst.z(i)), False)
+    edge_id = inst.graph.edge_id
+    for (u, v, z, zp, *ws), clauses, true in zip(inst.blocks, inst.slots, assignment):
+        if true:
+            mask.set_edge(edge_id(v, z), False)
         else:
-            for slot in (1, 2, 3):
-                mask.set_edge(g.edge_id(inst.v(i), inst.w(i, slot)), False)
-                clause = inst.slot_clause(i, slot)
-                mask.set_edge(g.edge_id(inst.w(i, slot), inst.a(clause)), False)
-            mask.set_edge(g.edge_id(inst.z(i), inst.zp(i)), False)
+            for w, j in zip(ws, clauses):
+                mask.set_edge(edge_id(v, w), False)
+                mask.set_edge(edge_id(w, inst.a(j)), False)
+            mask.set_edge(edge_id(z, zp), False)
     return mask
 
 
@@ -393,26 +375,23 @@ def decide(
     node_limit: int | None = 200_000,
     restarts: int = 2,
     seed: int = 0,
-    free_edge_cap: int = DEFAULT_FREE_EDGE_CAP,
 ) -> DecisionReport:
     """Run the full decision pipeline at scale t = n^2.
 
     Compiles the formula, optimises the reduction objective (multiplier =
     variable count), and answers YES iff the best score found reaches
-    (17/2) n ln n.  Free-edge counts above ``free_edge_cap`` fall back to
-    local search; either way the report carries the solver's optimality.
+    (17/2) n ln n.  Free-edge counts above ``DEFAULT_FREE_EDGE_CAP`` fall
+    back to local search; either way the report carries the solver's optimality.
     """
     n = formula.variable_count
     t = n * n
     inst = compile_formula(formula, t)
-    free_count = len(inst.graph.free_edge_ids)
     warm = solve_local(inst.graph, restarts=restarts, seed=seed, multiplier=n)
-    if free_count <= free_edge_cap:
+    if len(inst.graph.free_edge_ids) <= DEFAULT_FREE_EDGE_CAP:
         mode = "exact"
         report = solve_exact(
             inst.graph,
             node_limit=node_limit,
-            free_edge_cap=free_edge_cap,
             initial_mask=warm.best_mask,
             multiplier=n,
             order=inst.gadget_edge_order,

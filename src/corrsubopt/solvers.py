@@ -49,6 +49,7 @@ class _Abort(Exception):
 _PRUNE_EPS = 1e-6
 
 DEFAULT_FREE_EDGE_CAP = 40
+MAX_PASSES = 10_000  # local-search steps per start
 
 
 class FreeEdgeSearch:
@@ -441,7 +442,6 @@ def solve_local(
     *,
     restarts: int = 16,
     seed: int = 0,
-    max_passes: int = 10_000,
     multiplier: int | None = None,
 ) -> SolveReport:
     """Steepest-ascent hill climbing over validity-preserving edge toggles.
@@ -450,7 +450,7 @@ def solve_local(
     host graph itself); ``restarts`` further starts are random valid masks
     drawn from ``seed``.  Each step applies the best strictly-improving
     toggle, ties broken toward the smallest edge id, and stops when no
-    toggle improves or after ``max_passes`` steps.  Forced edges are never
+    toggle improves or after ``MAX_PASSES`` steps.  Forced edges are never
     candidates, so each step scans only the free edges, in ascending id.
 
     Each step screens its candidates first.  A toggle's exact int S * D
@@ -490,7 +490,7 @@ def solve_local(
         state = ScoreState(graph, start, multiplier=multiplier)
         current = state.score()
         kept, degrees, sums = state.mask.kept, state.mask.degrees, state.nbr_sums
-        for _ in range(max_passes):
+        for _ in range(MAX_PASSES):
             finite, infinite = [], []
             total, log_sum = state.total, current.log_degree_sum
             for eid in free:

@@ -337,4 +337,90 @@ def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | Non
     return inc_mask, score(graph, inc_mask, multiplier=mult), dfs.nodes
 
 
+
+def plain_roles(n: int, t: int) -> list[str]:
+    """The role tags of an n-variable instance at scale t in vertex order,
+    one string per leaf, written out from the construction's text."""
+    roles = []
+    for i in range(1, n + 1):
+        roles += [f"u_{i}", f"v_{i}", f"z_{i}", f"zp_{i}", f"w_{i}_1", f"w_{i}_2", f"w_{i}_3"]
+        roles += [f"leaf_u_{i}" for _ in range(3 * t)] + [f"leaf_z_{i}" for _ in range(3 * t)]
+        roles += [f"leaf_zp_{i}" for _ in range(3 * t * t)]
+        roles += [f"leaf_w_{i}_{slot}" for slot in (1, 2, 3)]
+    for j in range(1, n + 1):
+        roles += [f"a_{j}", f"ap_{j}"] + [f"leaf_ap_{j}" for _ in range(t * t)]
+    return roles
+
+
+class PlainGadget:
+    """A compiled instance's gadget structure derived from its role strings
+    alone: vertices looked up by tag, leaves and designated vertices found by
+    scanning for the ``leaf_`` prefix, and each w vertex's clause read off its
+    ``a_`` neighbour in the graph.  ``ReductionInstance``'s tables must give
+    the same answers."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.role_index = {role: vid for vid, role in enumerate(inst.roles)
+                           if not role.startswith("leaf_")}
+
+    def vertex(self, role: str) -> int:
+        return self.role_index[role]
+
+    def u(self, i: int) -> int:
+        return self.vertex(f"u_{i}")
+
+    def v(self, i: int) -> int:
+        return self.vertex(f"v_{i}")
+
+    def z(self, i: int) -> int:
+        return self.vertex(f"z_{i}")
+
+    def zp(self, i: int) -> int:
+        return self.vertex(f"zp_{i}")
+
+    def w(self, i: int, slot: int) -> int:
+        return self.vertex(f"w_{i}_{slot}")
+
+    def a(self, j: int) -> int:
+        return self.vertex(f"a_{j}")
+
+    def ap(self, j: int) -> int:
+        return self.vertex(f"ap_{j}")
+
+    def slot_clause(self, i: int, slot: int) -> int:
+        roles = self.inst.roles
+        (clause,) = [int(roles[x][2:]) for x, _ in self.inst.graph.incidence[self.w(i, slot)]
+                     if roles[x].startswith("a_")]
+        return clause
+
+    def leaves(self) -> tuple[int, ...]:
+        return tuple(vid for vid, role in enumerate(self.inst.roles) if role.startswith("leaf_"))
+
+    def attachment_vertices(self) -> tuple[int, ...]:
+        n = self.inst.variable_count
+        return (tuple(self.zp(i) for i in range(1, n + 1))
+                + tuple(self.ap(j) for j in range(1, n + 1)))
+
+    def designated_vertices(self) -> tuple[int, ...]:
+        skip = set(self.attachment_vertices())
+        return tuple(vid for vid, role in enumerate(self.inst.roles)
+                     if not role.startswith("leaf_") and vid not in skip)
+
+    def gadget_edge_order(self) -> tuple[int, ...]:
+        g, n = self.inst.graph, self.inst.variable_count
+        order = []
+        for i in range(1, n + 1):
+            v = self.v(i)
+            order.append(g.edge_id(v, self.u(i)))
+            order.append(g.edge_id(v, self.z(i)))
+            order.append(g.edge_id(self.z(i), self.zp(i)))
+            for slot in (1, 2, 3):
+                w = self.w(i, slot)
+                order.append(g.edge_id(v, w))
+                order.append(g.edge_id(w, self.a(self.slot_clause(i, slot))))
+        for j in range(1, n + 1):
+            order.append(g.edge_id(self.a(j), self.ap(j)))
+        return tuple(order)
+
 ACCEPTANCE_LINES: list[str] = []

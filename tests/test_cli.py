@@ -1,11 +1,12 @@
 import os
+import random
 import stat
 import subprocess
 import sys
 
 import pytest
 
-from corrsubopt import load_graph, load_mask
+from corrsubopt import dump_formula, load_graph, load_mask
 from corrsubopt.cli import build_parser, main
 
 import helpers
@@ -136,6 +137,25 @@ class TestReduceCommand:
     def test_bad_scale_rejected(self, sat3_file, tmp_path, capsys):
         prefix = str(tmp_path / "bad")
         assert main(["reduce", "-f", sat3_file, "-t", "1", "-o", prefix]) == 2
+
+
+class TestSizeCap:
+    def test_oversized_scale_is_usage_error(self, sat3_file, tmp_path, capsys):
+        prefix = str(tmp_path / "big")
+        for argv in (["reduce", "-f", sat3_file, "-t", "600", "-o", prefix],
+                     ["witness", "-f", sat3_file, "-t", "600", "-a", "TFF"],
+                     ["verify", "-f", sat3_file, "-t", "600"]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "n(4t^2 + 6t + 12) = 4330836 vertices" in err, argv
+        assert list(tmp_path.iterdir()) == [tmp_path / "sat3.f"]
+
+    def test_decide_refuses_twelve_variables(self, tmp_path, capsys):
+        path = tmp_path / "cubic12.f"
+        path.write_text(dump_formula(helpers.cubic_formula(random.Random(12), 12)))
+        assert main(["decide", "-f", str(path)]) == 2
+        assert "n = 12, t = 144 compiles to n(4t^2 + 6t + 12) = 1005840 vertices" in (
+            capsys.readouterr().err)
 
 
 class TestWitnessCommand:

@@ -144,3 +144,24 @@ def test_bench_tracer_installs_on_a_cli_only_import():
     assert kept
     assert left == []
     assert after == "score"
+
+
+PUBLIC_NAMES = {
+    "AssignmentError", "CheckRecord", "DecisionReport", "DegenerateVertexError", "Formula",
+    "FormulaError", "GraphParseError", "IncidenceBoundWarning", "MaskValidityError",
+    "ReductionInstance", "ScoreState", "ScoreValue", "SearchSpaceError", "SolveReport",
+    "SubgraphMask", "WeightedGraph", "compare_scores", "compile_formula", "decide",
+    "dump_formula", "dump_graph", "dump_mask", "find_low_discrepancy_mask", "forced_edges",
+    "format_fraction", "format_score", "is_one_in_three", "is_valid", "load_graph", "load_mask",
+    "neighbourhood_discrepancy", "parse_assignment", "parse_formula", "random_valid_mask",
+    "run_checks", "satisfying_assignments", "score", "score_delta", "solve_exact", "solve_local",
+    "witness_mask", "__version__",
+}
+
+
+def test_public_names_are_pinned():
+    """``__all__`` is derived from the export table, so dropping a name there
+    would shrink the public surface without another edit; this pins it."""
+    import corrsubopt
+
+    assert sorted(corrsubopt.__all__) == sorted(PUBLIC_NAMES)

@@ -1,8 +1,12 @@
 import math
+import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrsubopt import (
     AssignmentError,
@@ -218,6 +222,52 @@ class TestCompile:
         assert lines[0].split() == ["0", inst.roles[0]]
         tags = {line.split()[1] for line in lines}
         assert "u_1" in tags and "ap_3" in tags
+
+
+class TestGadgetTables:
+    @given(st.integers(3, 9), st.integers(2, 5), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=60)
+    def test_match_the_role_string_derivation(self, n, t, seed):
+        formula = helpers.cubic_formula(random.Random(seed), n)
+        inst = compile_formula(formula, t)
+        ref = helpers.PlainGadget(inst)
+        roles = helpers.plain_roles(n, t)
+        assert list(inst.roles) == roles
+        assert dump_roles(inst) == "".join(f"{vid} {role}\n" for vid, role in enumerate(roles))
+        for i in range(1, n + 1):
+            for name in ("u", "v", "z", "zp", "a", "ap"):
+                assert getattr(inst, name)(i) == getattr(ref, name)(i), (name, i)
+            ascending = [j for j, clause in enumerate(formula.clauses, 1) if i in clause]
+            for slot in (1, 2, 3):
+                assert inst.w(i, slot) == ref.w(i, slot)
+                assert inst.slot_clause(i, slot) == ref.slot_clause(i, slot) == ascending[slot - 1]
+        assert inst.leaves == ref.leaves()
+        assert inst.attachment_vertices == ref.attachment_vertices()
+        assert inst.designated_vertices == ref.designated_vertices()
+        assert inst.gadget_edge_order == ref.gadget_edge_order()
+        for leaf in inst.leaves:
+            ((hub, _),) = inst.graph.incidence[leaf]
+            assert inst.roles[leaf] == "leaf_" + inst.roles[hub]
+
+    @pytest.mark.parametrize("n,t", [(3, 2), (4, 3), (6, 5)])
+    def test_one_tag_string_per_hub(self, n, t):
+        """9n tags for the tagged vertices, and one string shared by all the
+        leaves of each of the 7n hubs."""
+        inst = compile_formula(helpers.cubic_formula(random.Random(n), n), t)
+        assert len({id(role) for role in inst.roles}) == 16 * n
+
+    def test_oversized_instance_refused_before_allocating(self, sat3):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                compile_formula(sat3, 5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert str(exc.value) == (
+            "n = 3, t = 5000 compiles to n(4t^2 + 6t + 12) = 300090036 vertices, "
+            "over the cap of 1000000")
 
 
 class TestWitness:
