@@ -97,6 +97,39 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="isolated vertex"):
             WeightedGraph.build(3, [(0, 1)], [0, 1, 2])
 
+    def test_direct_construction_checks_canonical_order(self):
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match="duplicate edge"):
+            WeightedGraph(3, ((0, 1), (0, 1), (1, 2)), (half,) * 3)
+        with pytest.raises(ValueError, match="edges not in canonical order"):
+            WeightedGraph(3, ((1, 2), (0, 1)), (half,) * 3)
+
+
+class TestValueSemantics:
+    """Graphs compare, hash and print by their fields, and are read-only."""
+
+    def test_equality_and_hash_follow_the_fields(self, p3):
+        again = load_graph(helpers.P3_TEXT)
+        assert again == p3 and again is not p3
+        assert hash(again) == hash(p3)
+        assert len({p3, again}) == 1
+        other = WeightedGraph(3, p3.edges, (Fraction(0), Fraction(1), Fraction(3)))
+        assert other != p3
+        assert p3 != (p3.vertex_count, p3.edges, p3.weights)
+
+    def test_repr_lists_the_fields(self):
+        g = load_graph("2 1\n0 1\n1 1/2\n0 1\n")
+        assert repr(g) == ("WeightedGraph(vertex_count=2, edges=((0, 1),), "
+                           "weights=(Fraction(1, 1), Fraction(1, 2)))")
+
+    @pytest.mark.parametrize("field", ["vertex_count", "edges", "weights"])
+    def test_fields_are_read_only(self, p3, field):
+        with pytest.raises(AttributeError):
+            setattr(p3, field, getattr(p3, field))
+        with pytest.raises(AttributeError):
+            delattr(p3, field)
+        assert load_graph(helpers.P3_TEXT) == p3
+
 
 class TestMask:
     def test_full_and_kept_ids(self, triangle):

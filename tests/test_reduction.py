@@ -39,6 +39,16 @@ class TestFormula:
         assert unsat4.clauses_of(1) == (1, 2, 3)
         assert unsat4.clauses_of(4) == (2, 3, 4)
 
+    def test_equality_and_hash_follow_the_fields(self, unsat4):
+        again = helpers.make_formula(helpers.UNSAT4_TEXT)
+        assert again == unsat4 and hash(again) == hash(unsat4)
+        swapped = Formula(4, (unsat4.clauses[1], unsat4.clauses[0]) + unsat4.clauses[2:])
+        assert swapped != unsat4
+        assert unsat4 != (unsat4.variable_count, unsat4.clauses)
+        assert repr(again).startswith("Formula(variable_count=4, clauses=(frozenset({")
+        with pytest.raises(AttributeError):
+            again.clauses = ()
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -178,6 +188,15 @@ class TestCompile:
         c = compile_formula(unsat4, 2).graph
         assert a != b
         assert a != c
+
+    def test_instance_value_semantics(self, sat3):
+        inst, again = compile_formula(sat3, 2), compile_formula(sat3, 2)
+        assert inst == again and hash(inst) == hash(again)
+        assert inst != compile_formula(sat3, 3)
+        assert repr(inst).startswith("ReductionInstance(graph=WeightedGraph(vertex_count=120, ")
+        assert repr(inst).endswith("slots=((1, 2, 3), (1, 2, 3), (1, 2, 3)))")
+        with pytest.raises(AttributeError):
+            inst.t = 3
 
     def test_two_core_is_subdivided_incidence_graph(self, unsat4):
         inst = compile_formula(unsat4, 2)

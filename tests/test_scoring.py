@@ -78,6 +78,15 @@ class TestFormatting:
     def test_format_score_twelve_places(self):
         assert format_score(ScoreValue(1.5, 0.0, Fraction(1))) == "1.500000000000"
 
+    def test_score_value_repr_and_read_only_fields(self):
+        val = ScoreValue(None, 0.5, Fraction(0))
+        assert repr(val) == ("ScoreValue(value=None, log_degree_sum=0.5, "
+                             "discrepancy_total=Fraction(0, 1))")
+        with pytest.raises(AttributeError):
+            val.value = 1.0
+        assert val == ScoreValue(None, 0.5, Fraction(0))
+        assert hash(val) == hash(ScoreValue(None, 0.5, Fraction(0)))
+
 
 class TestCompare:
     def test_infinite_beats_finite(self):
