@@ -13,7 +13,6 @@ edge id, and every mask, solver report, and CLI output uses those ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -31,42 +30,78 @@ class MaskValidityError(ValueError):
     """An operation required a valid spanning subgraph (minimum degree 1)."""
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class Immutable:
+    """Base of the package's read-only value classes.
+
+    ``__init__`` writes the fields named in ``_fields`` (and any derived
+    attributes) straight into ``__dict__``, as ``cached_property`` does;
+    equality, hash and repr follow those fields in order, and assigning or
+    deleting an attribute raises ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeightedGraph(Immutable):
     """Immutable simple graph with exact rational vertex weights.
 
     ``edges`` must already be in canonical order; use :meth:`build` or
-    :func:`load_graph` to construct one from unnormalised data.
+    :func:`load_graph` to construct one from unnormalised data.  Equal
+    weights may share one ``Fraction`` object, and per-weight work runs once
+    per distinct object.
     """
 
+    _fields = ("vertex_count", "edges", "weights")
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[Fraction, ...]
+    degrees: tuple[int, ...]  # host degree per vertex, counted while validating
 
-    def __post_init__(self) -> None:
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...],
+                 weights: tuple[Fraction, ...]) -> None:
+        n = vertex_count
         if n <= 0:
             raise ValueError("graph needs at least one vertex")
-        if len(self.weights) != n:
-            raise ValueError(f"expected {n} weights, got {len(self.weights)}")
-        seen: set[tuple[int, int]] = set()
-        prev: tuple[int, int] | None = None
-        touched = bytearray(n)
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range or not ordered")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            if prev is not None and (u, v) < prev:
-                raise ValueError("edges not in canonical order")
-            seen.add((u, v))
-            prev = (u, v)
-            touched[u] = touched[v] = 1
-        for x in range(n):
-            if not touched[x]:
-                raise ValueError(f"isolated vertex {x}")
+        if len(weights) != n:
+            raise ValueError(f"expected {n} weights, got {len(weights)}")
+        degrees = [0] * n
+        prev = (-1, -1)
+        for edge in edges:  # strictly increasing, which also rules out duplicates
+            u, v = edge
+            if not 0 <= u < v < n:
+                raise ValueError(f"self-loop at vertex {u}" if u == v
+                                 else f"edge ({u}, {v}) out of range or not ordered")
+            if edge <= prev:
+                raise ValueError(f"duplicate edge ({u}, {v})" if edge == prev
+                                 else "edges not in canonical order")
+            prev = edge
+            degrees[u] += 1
+            degrees[v] += 1
+        if 0 in degrees:
+            raise ValueError(f"isolated vertex {degrees.index(0)}")
+        self.__dict__.update(vertex_count=n, edges=edges, weights=weights,
+                             degrees=tuple(degrees))
 
     @classmethod
     def build(
@@ -75,10 +110,11 @@ class WeightedGraph:
         edges: Iterable[tuple[int, int]],
         weights: Sequence[Fraction | int | str],
     ) -> "WeightedGraph":
-        """Normalise (orient u < v, sort) and validate raw edge/weight data."""
+        """Normalise (orient u < v, sort) and validate raw edge/weight data;
+        equal weights share one ``Fraction``."""
         canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
-        return cls(vertex_count, tuple(canon),
-                   tuple(w if isinstance(w, Fraction) else Fraction(w) for w in weights))
+        as_fraction = {w: Fraction(w) for w in set(weights)}
+        return cls(vertex_count, tuple(canon), tuple(map(as_fraction.__getitem__, weights)))
 
     @property
     def edge_count(self) -> int:
@@ -99,10 +135,6 @@ class WeightedGraph:
             inc[u].append((v, i))
             inc[v].append((u, i))
         return tuple(tuple(pairs) for pairs in inc)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(pairs) for pairs in self.incidence)
 
     @cached_property
     def forced_edge_ids(self) -> frozenset[int]:
@@ -136,8 +168,10 @@ class WeightedGraph:
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
         """(L, W): L is the lcm of the weight denominators and W[v] = L * f(v),
         an integer for every vertex."""
-        scale = math.lcm(*(w.denominator for w in self.weights))
-        return scale, tuple(w.numerator * (scale // w.denominator) for w in self.weights)
+        ids, distinct = _by_identity(self.weights)
+        scale = math.lcm(*(w.denominator for w in distinct.values()))
+        scaled = {key: w.numerator * (scale // w.denominator) for key, w in distinct.items()}
+        return scale, tuple(map(scaled.__getitem__, ids))
 
     @cached_property
     def forced_nbr_sums(self) -> tuple[int, ...]:
@@ -184,12 +218,19 @@ class WeightedGraph:
         leaf keeps its one edge, so d = 1 and s is its neighbour's W."""
         _, weights = self.scaled_weights
         _, cofactors = self.discrepancy_scale
-        total = 0
-        for vtx, pairs in enumerate(self.incidence):
-            if len(pairs) == 1:
-                diff = weights[vtx] - weights[pairs[0][0]]
-                total += diff * diff
+        degrees, total = self.degrees, 0
+        for eid in self.forced_edge_ids:
+            u, v = self.edges[eid]
+            diff = weights[u] - weights[v]
+            total += diff * diff * ((degrees[u] == 1) + (degrees[v] == 1))
         return total * cofactors[1]
+
+
+def _by_identity(weights: Sequence[Fraction]) -> tuple[list[int], dict[int, Fraction]]:
+    """(ids, distinct): the ``id`` of each weight, and one id -> weight entry
+    per distinct object, so that per-weight work runs once per object."""
+    ids = list(map(id, weights))
+    return ids, dict(zip(ids, weights))
 
 
 class SubgraphMask:
@@ -218,7 +259,7 @@ class SubgraphMask:
 
     @classmethod
     def full(cls, graph: WeightedGraph) -> "SubgraphMask":
-        return cls(graph, [True] * graph.edge_count)
+        return cls.from_parts(graph, [True] * graph.edge_count, list(graph.degrees))
 
     @classmethod
     def from_kept_ids(cls, graph: WeightedGraph, ids: Iterable[int]) -> "SubgraphMask":
@@ -295,12 +336,8 @@ def forced_edges(graph: WeightedGraph) -> frozenset[int]:
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((lineno, line))
-    return out
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and line[0] != "#"]
 
 
 def _parse_weight(token: str, lineno: int) -> Fraction:
@@ -332,6 +369,7 @@ def load_graph(text: str) -> WeightedGraph:
         )
 
     weights: list[Fraction | None] = [None] * n
+    parsed: dict[str, Fraction] = {}  # one Fraction per distinct weight token
     for lineno, line in lines[1 : 1 + n]:
         parts = line.split()
         if len(parts) != 2:
@@ -344,11 +382,13 @@ def load_graph(text: str) -> WeightedGraph:
             raise GraphParseError(f"vertex id {vid} out of range 0..{n - 1}", lineno)
         if weights[vid] is not None:
             raise GraphParseError(f"duplicate vertex id {vid}", lineno)
-        weights[vid] = _parse_weight(parts[1], lineno)
+        weight = parsed.get(parts[1])
+        if weight is None:
+            weight = parsed[parts[1]] = _parse_weight(parts[1], lineno)
+        weights[vid] = weight
 
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    degs = [0] * n
     for lineno, line in lines[1 + n :]:
         parts = line.split()
         if len(parts) != 2:
@@ -366,12 +406,10 @@ def load_graph(text: str) -> WeightedGraph:
             raise GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
         seen.add(key)
         edges.append(key)
-        degs[u] += 1
-        degs[v] += 1
-    for x in range(n):
-        if degs[x] == 0:
-            raise GraphParseError(f"isolated vertex {x}")
-    return WeightedGraph.build(n, edges, weights)  # type: ignore[arg-type]
+    try:
+        return WeightedGraph(n, tuple(sorted(edges)), tuple(weights))  # type: ignore[arg-type]
+    except ValueError as exc:  # every other defect was reported with its line
+        raise GraphParseError(str(exc)) from None
 
 
 def _format_weight(w: Fraction) -> str:
@@ -381,7 +419,9 @@ def _format_weight(w: Fraction) -> str:
 def dump_graph(graph: WeightedGraph) -> str:
     """Canonical serialisation; fixed point of load -> dump."""
     out = [f"{graph.vertex_count} {graph.edge_count}"]
-    out.extend(f"{vid} {_format_weight(w)}" for vid, w in enumerate(graph.weights))
+    ids, distinct = _by_identity(graph.weights)
+    text = {key: _format_weight(w) for key, w in distinct.items()}
+    out.extend(f"{vid} {text[key]}" for vid, key in enumerate(ids))
     out.extend(f"{u} {v}" for u, v in graph.edges)
     return "\n".join(out) + "\n"
 

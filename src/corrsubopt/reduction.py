@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
-from .graph import SubgraphMask, WeightedGraph
+from .graph import Immutable, SubgraphMask, WeightedGraph
 from .scoring import ScoreValue
 from .solvers import (
     DEFAULT_FREE_EDGE_CAP,
@@ -57,36 +57,36 @@ class IncidenceBoundWarning(UserWarning):
     """The variable/clause incidence graph cannot be planar."""
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Immutable):
     """Monotone cubic 3-uniform formula; clauses hold 1-based variable ids."""
 
+    _fields = ("variable_count", "clauses")
     variable_count: int
     clauses: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        n = self.variable_count
+    def __init__(self, variable_count: int, clauses: tuple[frozenset[int], ...]) -> None:
+        n = variable_count
         if n < 3:
             raise FormulaError("a 3-uniform formula needs at least three variables")
-        if len(self.clauses) != n:
-            raise FormulaError(
-                f"expected {n} clauses for {n} variables, got {len(self.clauses)}"
-            )
-        counts = {i: 0 for i in range(1, n + 1)}
-        for idx, clause in enumerate(self.clauses, 1):
+        if len(clauses) != n:
+            raise FormulaError(f"expected {n} clauses for {n} variables, got {len(clauses)}")
+        occurs: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}  # var -> clauses
+        for idx, clause in enumerate(clauses, 1):
             if len(clause) != 3:
                 raise FormulaError(f"clause {idx} must have three distinct variables")
             for var in clause:
-                if var not in counts:
+                if var not in occurs:
                     raise FormulaError(f"clause {idx}: variable {var} out of range 1..{n}")
-                counts[var] += 1
-        for var, c in counts.items():
-            if c != 3:
-                raise FormulaError(f"variable {var} occurs in {c} clauses, needs exactly 3")
+                occurs[var].append(idx)
+        for var, js in occurs.items():
+            if len(js) != 3:
+                raise FormulaError(f"variable {var} occurs in {len(js)} clauses, needs exactly 3")
+        self.__dict__.update(variable_count=n, clauses=clauses,
+                             _clauses_of={var: tuple(js) for var, js in occurs.items()})
 
     def clauses_of(self, var: int) -> tuple[int, ...]:
         """Ascending 1-based indices of the three clauses containing ``var``."""
-        return tuple(j for j, cl in enumerate(self.clauses, 1) if var in cl)
+        return self._clauses_of.get(var, ())
 
 
 def incidence_planarity_warning(formula: Formula) -> str | None:
@@ -182,11 +182,11 @@ def satisfying_assignments(formula: Formula) -> list[tuple[bool, ...]]:
     return found
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(Immutable):
     """A compiled formula: graph, scale, per-vertex role tags, and the vertex
     ids of each gadget block (variables and clauses 1-based in the accessors)."""
 
+    _fields = ("graph", "t", "variable_count", "roles", "blocks", "clause_blocks", "slots")
     graph: WeightedGraph
     t: int
     variable_count: int
@@ -194,6 +194,10 @@ class ReductionInstance:
     blocks: tuple[tuple[int, ...], ...]  # per variable: (u, v, z, zp, w_1, w_2, w_3)
     clause_blocks: tuple[tuple[int, int], ...]  # per clause: (a, ap)
     slots: tuple[tuple[int, ...], ...]  # per variable: its clauses, ascending
+
+    def __init__(self, graph, t, variable_count, roles, blocks, clause_blocks, slots) -> None:
+        self.__dict__.update(graph=graph, t=t, variable_count=variable_count, roles=roles,
+                             blocks=blocks, clause_blocks=clause_blocks, slots=slots)
 
     def u(self, i: int) -> int:
         return self.blocks[i - 1][0]
@@ -341,8 +345,7 @@ def witness_mask(
     return mask
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     answer: str  # "YES" | "NO"
     optimum: ScoreValue
     threshold: float

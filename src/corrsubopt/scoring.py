@@ -42,9 +42,8 @@ Every score in the package comes from one kernel, used by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import MaskValidityError, SubgraphMask, WeightedGraph
 
@@ -53,8 +52,7 @@ class DegenerateVertexError(ValueError):
     """Discrepancy is undefined for a vertex with no kept incident edge."""
 
 
-@dataclass(frozen=True)
-class ScoreValue:
+class ScoreValue(NamedTuple):
     """Extended-real objective value.
 
     ``value`` is None exactly when ``discrepancy_total`` is zero; such scores

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import SubgraphMask, WeightedGraph
 from .scoring import ScoreState, ScoreValue, compare_scores, log_degree_sum, score
@@ -23,8 +22,7 @@ class SearchSpaceError(RuntimeError):
     """Exact search refused: too many free edges and no node budget given."""
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     best_mask: SubgraphMask
     best_score: ScoreValue
     nodes_explored: int

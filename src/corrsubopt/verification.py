@@ -37,12 +37,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .graph import SubgraphMask, is_valid
+from .graph import Immutable, SubgraphMask, is_valid
 from .reduction import (
     AssignmentError,
     Formula,
@@ -67,8 +66,7 @@ from .solvers import CompletionBound, FreeEdgeSearch, random_valid_mask
 FLOAT_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check: str  # selector: "1".."6" or "lemmas"
     name: str
     status: str  # "pass" | "fail" | "inconclusive"
@@ -252,19 +250,17 @@ def _text(assignment: tuple[bool, ...]) -> str:
     return "".join("T" if b else "F" for b in assignment)
 
 
-@dataclass
-class CheckContext:
-    formula: Formula
-    t: int
-    mask_samples: int = 100
-    seed: int = 0
-    search_budget: int | None = 5_000_000
-    lemma_samples: int = 10_000
-    assignment: tuple[bool, ...] | None = None
-    inst: ReductionInstance = field(init=False)
+class CheckContext(Immutable):
+    _fields = ("formula", "t", "mask_samples", "seed", "search_budget", "lemma_samples",
+               "assignment", "inst")
+    __hash__ = None  # type: ignore[assignment]  # a working context, not a value
 
-    def __post_init__(self) -> None:
-        self.inst = compile_formula(self.formula, self.t)
+    def __init__(self, formula: Formula, t: int, mask_samples: int = 100, seed: int = 0,
+                 search_budget: int | None = 5_000_000, lemma_samples: int = 10_000,
+                 assignment: tuple[bool, ...] | None = None) -> None:
+        self.__dict__.update(formula=formula, t=t, mask_samples=mask_samples, seed=seed,
+                             search_budget=search_budget, lemma_samples=lemma_samples,
+                             assignment=assignment, inst=compile_formula(formula, t))
 
     @cached_property
     def sample(self) -> list[SubgraphMask]:

@@ -345,6 +345,25 @@ class TestRoundTrip:
         assert out[0] == f"score = {format_score(value)}"
         assert out[1] == f"S = {format_fraction(value.discrepancy_total)}"
 
+    def test_file_commands_build_no_neighbour_lists(self, sat3_file, tmp_path, monkeypatch,
+                                                    capsys):
+        """Degrees, forced edges and the leaves' share of S come from the
+        edge list; the per-vertex ``incidence`` lists are for callers that
+        need neighbours, and the file round trip needs none."""
+        from corrsubopt import WeightedGraph
+
+        def refuse(graph):
+            raise AssertionError("incidence built")
+
+        monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
+        prefix = str(tmp_path / "rt")
+        assert main(["reduce", "-f", sat3_file, "-t", "3", "-o", prefix]) == 0
+        assert main(["witness", "-f", sat3_file, "-t", "3", "-a", "TFF",
+                     "-o", f"{prefix}.mask"]) == 0
+        witness_s = capsys.readouterr().out.splitlines()[-2]
+        assert main(["score", "-g", f"{prefix}.graph", "-s", f"{prefix}.mask"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == witness_s == "S = 8343/140"
+
 
 # `verify -h` at 80 columns, as argparse formats it.
 VERIFY_HELP = """\

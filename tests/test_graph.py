@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -73,6 +74,64 @@ class TestParsing:
         with pytest.raises(GraphParseError) as exc:
             load_graph(text)
         assert exc.value.line == 5
+
+
+# Equal weights spelled differently, and repeats: load_graph parses each
+# distinct token once, so equal spellings must still give equal weights.
+_TOKENS = st.one_of(
+    st.sampled_from(["1/2", "2/4", "-0", "0", "3", "3/1", "+3", "03", "-7/3", "1.5", "-2"]),
+    st.builds("{}/{}".format, st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+class TestDistinctWeights:
+    """The graph layer handles each distinct weight once; every result must
+    equal the per-vertex computation it replaces."""
+
+    @given(st.lists(_TOKENS, min_size=2, max_size=30), st.booleans())
+    @settings(deadline=None, max_examples=150)
+    def test_load_matches_a_fraction_per_token(self, tokens, reverse):
+        n = len(tokens)
+        ids = range(n - 1, -1, -1) if reverse else range(n)
+        text = "\n".join([f"{n} {n - 1}", *(f"{i} {tokens[i]}" for i in ids),
+                          *(f"0 {i}" for i in range(1, n))]) + "\n"
+        g = load_graph(text)
+        assert g.weights == tuple(Fraction(tok) for tok in tokens)
+        scale = math.lcm(*(w.denominator for w in g.weights))
+        assert g.scaled_weights == (scale, tuple(int(w * scale) for w in g.weights))
+        once = dump_graph(g)
+        assert once.splitlines()[1:n + 1] == [
+            f"{i} {w.numerator}" + (f"/{w.denominator}" if w.denominator != 1 else "")
+            for i, w in enumerate(g.weights)]
+        assert load_graph(once) == g
+        assert dump_graph(load_graph(once)) == once
+        rebuilt = WeightedGraph.build(n, g.edges, tokens)
+        assert rebuilt == g and rebuilt.scaled_weights == g.scaled_weights
+
+    def test_equal_weights_share_one_fraction(self):
+        g = load_graph("4 3\n0 1/2\n1 3\n2 1/2\n3 3\n0 1\n0 2\n0 3\n")
+        assert g.weights[0] is g.weights[2] and g.weights[1] is g.weights[3]
+        built = WeightedGraph.build(4, g.edges, [5, 3, 5, 3])
+        assert built.weights[0] is built.weights[2] and built.weights[1] is built.weights[3]
+
+    def test_invalid_token_reports_its_first_line(self):
+        text = "3 2\n0 1/0\n1 2\n2 1/0\n0 1\n0 2\n"
+        with pytest.raises(GraphParseError, match="invalid rational weight '1/0'") as exc:
+            load_graph(text)
+        assert exc.value.line == 2
+        with pytest.raises(GraphParseError) as exc:
+            load_graph("3 2\n0 1\n1 x\n2 x\n0 1\n0 2\n")
+        assert exc.value.line == 3
+
+    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=80)
+    def test_degree_tables_match_the_incidence_lists(self, shape, seed):
+        g = helpers.kernel_graph(random.Random(seed), shape)
+        assert g.degrees == tuple(len(pairs) for pairs in g.incidence)
+        _, weights = g.scaled_weights
+        leaves = [(x, pairs[0][0]) for x, pairs in enumerate(g.incidence) if len(pairs) == 1]
+        expected = sum((weights[x] - weights[y]) ** 2 for x, y in leaves)
+        assert g.leaf_numerator == expected * g.discrepancy_scale[1][1]
 
 
 class TestWeightedGraph:

@@ -1,9 +1,9 @@
 """What each entry point imports, checked in a fresh interpreter.
 
 ``import corrsubopt`` loads no submodule; the CLI loads ``reduction`` and
-``verification`` only in the commands that use them.  Each test runs in a
-child process, because this test session has long since imported every
-module.
+``verification`` only in the commands that use them, and no command loads
+``dataclasses``.  Each test runs in a child process, because this test
+session has long since imported every module.
 """
 
 import json
@@ -26,19 +26,30 @@ def run_child(*args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def modules_after(argv: list[str]) -> set[str]:
-    """The package modules loaded once ``corrsubopt.cli.main(argv)`` returns 0."""
+def imports_of(argv: list[str]) -> set[str]:
+    """Every module that importing ``corrsubopt.cli`` and running
+    ``main(argv)`` adds to a fresh interpreter's ``sys.modules``.  The command
+    must exit 0; ``--version`` does so through ``SystemExit``."""
     out = run_child(
         "-c",
         "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
         "import corrsubopt.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    status = corrsubopt.cli.main({argv!r})\n"
-        "print(json.dumps([status, sorted(sys.modules)]))\n"
+        "    try:\n"
+        f"        status = corrsubopt.cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        status = exc.code\n"
+        "print(json.dumps([status, sorted(set(sys.modules) - before)]))\n"
     ).stdout
     status, modules = json.loads(out)
-    assert status == 0
-    return {name for name in modules if name.startswith("corrsubopt")}
+    assert status == 0, argv
+    return set(modules)
+
+
+def modules_after(argv: list[str]) -> set[str]:
+    """The package modules loaded once ``corrsubopt.cli.main(argv)`` returns 0."""
+    return {name for name in imports_of(argv) if name.startswith("corrsubopt")}
 
 
 class TestCommandImports:
@@ -66,6 +77,23 @@ class TestCommandImports:
         loaded = modules_after(["witness", "-f", str(formula), "-t", "2", "-a", "TFF"])
         assert "corrsubopt.reduction" in loaded
         assert "corrsubopt.verification" not in loaded
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    """``dataclasses``, with the ``inspect`` it imports, would add about
+    10 ms to every start-up; the package's value classes do without it."""
+    graph, formula = tmp_path / "triangle.graph", tmp_path / "sat3.f"
+    graph.write_text(helpers.TRIANGLE_TEXT)
+    formula.write_text(helpers.SAT3_TEXT)
+    g, f = str(graph), str(formula)
+    for argv in (["--version"], ["score", "-g", g], ["solve", "-g", g, "--exact"],
+                 ["solve", "-g", g, "--local"], ["decide", "-f", f],
+                 ["reduce", "-f", f, "-t", "2", "-o", str(tmp_path / "sat3")],
+                 ["witness", "-f", f, "-t", "2", "-a", "TFF"],
+                 ["verify", "-f", f, "-t", "2", "--masks", "5", "--lemma-samples", "10"]):
+        loaded = imports_of(argv)
+        assert "corrsubopt.cli" in loaded
+        assert not {"dataclasses", "inspect"} & loaded, argv
 
 
 def test_version_loads_no_reduction_or_verification():

@@ -275,6 +275,12 @@ class TestGadgetTables:
         inst = compile_formula(helpers.cubic_formula(random.Random(n), n), t)
         assert len({id(role) for role in inst.roles}) == 16 * n
 
+    @pytest.mark.parametrize("n,t", [(3, 2), (4, 3), (6, 5)])
+    def test_one_fraction_per_distinct_weight(self, n, t):
+        """Seven weights (t - 1, t, 2t, 3t, 4t, 7t, 7t + 1), one object each."""
+        weights = compile_formula(helpers.cubic_formula(random.Random(n), n), t).graph.weights
+        assert len({id(w) for w in weights}) == len(set(weights)) == 7
+
     def test_oversized_instance_refused_before_allocating(self, sat3):
         tracemalloc.start()
         try:
