@@ -25,8 +25,8 @@ from pathlib import Path
 from . import __version__
 from .graph import SubgraphMask, dump_graph, dump_mask, load_graph, load_mask
 from .scoring import format_fraction, format_score, score
-from .solvers import SearchSpaceError, solve_exact, solve_local
-# reduction and verification are imported only by the commands that use them.
+# solvers, reduction and verification are imported only by the commands that
+# use them.
 
 
 class UsageError(Exception):
@@ -97,9 +97,14 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .solvers import SearchSpaceError, solve_exact, solve_local
+
     graph = _load_graph_file(args.graph)
     if args.exact:
-        report = solve_exact(graph, node_limit=args.node_limit)
+        try:
+            report = solve_exact(graph, node_limit=args.node_limit)
+        except SearchSpaceError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         report = solve_local(graph, restarts=args.restarts, seed=args.seed)
     print(f"mask = {report.best_mask.bitstring()}")
@@ -306,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, SearchSpaceError, ValueError) as exc:  # parse errors are ValueErrors
+    except (UsageError, ValueError) as exc:  # parse errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

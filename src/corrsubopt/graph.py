@@ -151,10 +151,19 @@ class WeightedGraph(Immutable):
         return tuple(eid for eid in range(self.edge_count) if eid not in forced)
 
     @cached_property
-    def unforced_vertices(self) -> tuple[int, ...]:
-        """Vertices with no forced edge, ascending: the only vertices that
-        dropping free edges can isolate."""
-        return tuple(vtx for vtx, k in enumerate(self.forced_degrees()) if k == 0)
+    def unforced_incidence(self) -> dict[int, tuple[int, ...]]:
+        """Per vertex with no forced edge, ascending (the only vertices that
+        dropping free edges can isolate), the ids of its incident edges,
+        ascending: the edge ids of its :attr:`incidence` list.  Every such
+        edge is free, so only the free edges are read."""
+        table: dict[int, list[int]] = {
+            vtx: [] for vtx, k in enumerate(self.forced_degrees()) if k == 0}
+        edges = self.edges
+        for eid in self.free_edge_ids:
+            for vtx in edges[eid]:
+                if vtx in table:
+                    table[vtx].append(eid)
+        return {vtx: tuple(eids) for vtx, eids in table.items()}
 
     @cached_property
     def core_vertices(self) -> tuple[int, ...]:
@@ -233,6 +242,9 @@ def _by_identity(weights: Sequence[Fraction]) -> tuple[list[int], dict[int, Frac
     return ids, dict(zip(ids, weights))
 
 
+_BITS = bytes.maketrans(b"\x00\x01", b"01")  # False/True bytes to ASCII digits
+
+
 class SubgraphMask:
     """Kept-edge bitset over a graph's canonical edge list, with cached degrees.
 
@@ -244,7 +256,7 @@ class SubgraphMask:
 
     def __init__(self, graph: WeightedGraph, kept: Iterable[bool]):
         self.graph = graph
-        self.kept = list(kept)
+        self.kept = list(map(bool, kept))
         if len(self.kept) != graph.edge_count:
             raise ValueError(
                 f"mask length {len(self.kept)} != edge count {graph.edge_count}"
@@ -299,11 +311,12 @@ class SubgraphMask:
         return [eid for eid, keep in enumerate(self.kept) if keep]
 
     def bitstring(self) -> str:
-        return "".join("1" if keep else "0" for keep in self.kept)
+        return self.lex_key().decode("ascii")
 
     def lex_key(self) -> bytes:
-        """Bytes whose natural order is lexicographic order of the bitstring."""
-        return bytes(49 if keep else 48 for keep in self.kept)
+        """Bytes whose natural order is lexicographic order of the bitstring:
+        the ASCII bitstring, b"1" per kept edge and b"0" per dropped one."""
+        return bytes(self.kept).translate(_BITS)
 
     def __eq__(self, other: object) -> bool:
         return (

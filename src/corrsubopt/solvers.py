@@ -50,6 +50,17 @@ DEFAULT_FREE_EDGE_CAP = 40
 MAX_PASSES = 10_000  # local-search steps per start
 
 
+def _multiplier(graph: WeightedGraph, multiplier: int | None) -> int:
+    """C: ``multiplier``, by default the vertex count.  Both solvers' bounds,
+    cuts and screens assume that a smaller S never scores lower, so C < 0
+    is refused."""
+    if multiplier is None:
+        return graph.vertex_count
+    if multiplier < 0:
+        raise ValueError(f"multiplier must be non-negative, got {multiplier}")
+    return multiplier
+
+
 class FreeEdgeSearch:
     """Depth-first search over the free edges of a graph, keep before drop.
 
@@ -187,6 +198,7 @@ class CompletionBound(dict):
         super().__init__()
         self.weights = weights = graph.scaled_weights[1]
         self.cofactors = graph.discrepancy_scale[1]
+        self.core, self.leaf_numerator = graph.core_vertices, graph.leaf_numerator
         tails: list[list[int]] = [[] for _ in range(graph.vertex_count)]
         for eid in order:
             a, b = graph.edges[eid]
@@ -234,10 +246,12 @@ class CompletionBound(dict):
         return min(gap * gap * cofactors[d] for d, gap in self.gaps(x, k, s, u))
 
     def total(self, kept_deg, und_deg, nbr_sum) -> int:
-        """The bound on S * D: the sum of every vertex's bound."""
+        """The bound on S * D: the sum of every vertex's bound.  A host leaf
+        keeps its one edge, which is forced, so its bound is its exact share;
+        the leaves' shares add up to ``WeightedGraph.leaf_numerator``."""
         bound = self.bound
-        return sum(bound(x, kept_deg[x], nbr_sum[x], und_deg[x])
-                   for x in range(len(kept_deg)))
+        return self.leaf_numerator + sum(bound(x, kept_deg[x], nbr_sum[x], und_deg[x])
+                                         for x in self.core)
 
 
 def solve_exact(
@@ -275,22 +289,34 @@ def solve_exact(
     dominance test).  Once order[:depth] is decided, every vertex outside
     the frontier has either all its free edges decided or none, so two
     nodes at one depth with the same :meth:`FreeEdgeSearch.key` have the
-    same valid completions, and in each completion their S * D differ by
-    exactly the difference of their int totals and their log-degree sums
-    by that of their log sums.  Per depth and key the search keeps the
-    (total, log sum) pairs of the nodes it has entered, less any that a
-    later pair matched or beat on both (those cut nothing the later one
-    does not), and cuts a new node when one of them has total <= its total
-    and log sum >= its log sum + ``_PRUNE_EPS``; the float log sums are off
-    by far less than that margin.  Then each completion of the new node
-    has S at most, and a log-degree sum strictly below, that of the same
-    completion of the earlier node, so a strictly lower score (C >= 0, as
-    the bound also assumes).  The earlier node's subtree is finished, since
-    the search is depth first, and each of its completions was reached or
-    cut as unable to beat the incumbent; so the incumbent already beats
-    every completion of the new node strictly, and the cut can neither
-    replace it nor settle a tie.  Masks, values and S are those of the
-    search without this cut; only the node count falls.
+    same valid completions, the same bound B0 on their open vertices' share
+    (a node's total is F + B0, F being its finalised vertices' exact
+    share), and in each completion the same open share R' >= B0, so that
+    S * D = F + R'; their log-degree sums differ by exactly the difference
+    of their log sums.  Per depth and key the search keeps the (total, log
+    sum) pairs of the nodes it has entered, less any that a later pair
+    matched or beat on both (those cut nothing the later one does not), and
+    cuts a new node (total, log sum) when one of them (pt, pl) has
+    pl >= log sum + ``_PRUNE_EPS`` and either pt <= total, or
+    pt > total > 0 and pl >= log sum + C ln(pt / total) + ``_PRUNE_EPS``.
+    In the first case each completion of the new node has S at most, and a
+    log-degree sum strictly below, that of the same completion of the
+    earlier node.  In the second, F_A > F_B for the earlier node A and the
+    new node B, and F_B + R' >= total > 0, so the ratio
+    (F_A + R') / (F_B + R') of their completions' S falls as R' grows and
+    is at most pt / total, its value at R' = B0; A's completion then scores
+    at least pl - log sum - C ln(pt / total) >= ``_PRUNE_EPS`` above B's,
+    both finite.  Either way the new node's completions score strictly
+    lower, given C >= 0 (as the bound also assumes; C < 0 is refused with
+    ``ValueError``); the float log sums and logarithms are off by far less
+    than the margin.  With total = 0 the ratio is unbounded and a
+    completion of the new node may reach S = 0, so only the first case
+    applies.  The earlier node's subtree is finished, since the search is
+    depth first, and each of its completions was reached or cut as unable
+    to beat the incumbent; so the incumbent already beats every completion
+    of the new node strictly, and the cut can neither replace it nor settle
+    a tie.  Masks, values and S are those of the search without this cut;
+    only the node count falls.
 
     Without ``node_limit`` the search refuses graphs with more than
     ``free_edge_cap`` free edges; with one it runs best effort and reports
@@ -299,7 +325,7 @@ def solve_exact(
     so a truncated run is never ``proven``, dominance or not.
     """
     t0 = time.perf_counter()
-    mult = graph.vertex_count if multiplier is None else multiplier
+    mult = _multiplier(graph, multiplier)
     free = graph.free_edge_ids
     if node_limit is None and len(free) > free_edge_cap:
         raise SearchSpaceError(
@@ -370,7 +396,9 @@ def solve_exact(
             table[key] = [(total, log_sum)]
             return total, log_sum
         for prev_total, prev_log_sum in front:
-            if prev_total <= total and prev_log_sum >= log_sum + _PRUNE_EPS:
+            margin = prev_log_sum - log_sum - _PRUNE_EPS
+            if margin >= 0 and (prev_total <= total or (
+                    total and margin >= mult * log(prev_total / total))):
                 return None
         front[:] = [prev for prev in front if prev[0] < total or prev[1] > log_sum]
         front.append((total, log_sum))
@@ -410,10 +438,12 @@ def random_valid_mask(graph: WeightedGraph, rng: random.Random) -> SubgraphMask:
     The draws cost only the free edges: one ``rng.random()`` per free edge,
     in ascending id, taken off the host degrees when the edge is dropped.
     Only a vertex with no forced edge can be left isolated, so the repair
-    visits ``graph.unforced_vertices`` in ascending order, one
-    ``rng.choice`` over the incident edges of each isolated one.  These are
-    the calls, in the order, that drawing every edge and repairing every
-    vertex would make, so the same ``rng`` gives the same mask.
+    visits those in ascending order, one ``rng.choice`` over the incident
+    edges of each isolated one, read from ``graph.unforced_incidence`` (the
+    edges of its ``incidence`` list, in the same order, without building
+    that list for every vertex).  These are the calls, in the order, that
+    drawing every edge and repairing every vertex would make, so the same
+    ``rng`` gives the same mask.
     """
     edges = graph.edges
     kept = [True] * graph.edge_count
@@ -425,9 +455,9 @@ def random_valid_mask(graph: WeightedGraph, rng: random.Random) -> SubgraphMask:
             u, v = edges[eid]
             degrees[u] -= 1
             degrees[v] -= 1
-    for vtx in graph.unforced_vertices:
+    for vtx, incident in graph.unforced_incidence.items():
         if degrees[vtx] == 0:
-            _, eid = rng.choice(graph.incidence[vtx])
+            eid = rng.choice(incident)
             kept[eid] = True
             u, v = edges[eid]
             degrees[u] += 1
@@ -464,14 +494,15 @@ def solve_local(
     ``ScoreState.peek`` and :func:`compare_scores`, over the rest in
     ascending id, picks the same edge.  If some candidate has S = 0, only
     those are scanned (+inf beats any finite score), screened by log sum.
-    This assumes C >= 0, so that a smaller S never scores lower.
+    This assumes C >= 0, so that a smaller S never scores lower; C < 0 is
+    refused with ``ValueError``.
     """
     t0 = time.perf_counter()
+    mult = _multiplier(graph, multiplier)
     rng = random.Random(seed)
     free, edges = graph.free_edge_ids, graph.edges
     _, weights = graph.scaled_weights
     denominator, cofactors = graph.discrepancy_scale
-    mult = graph.vertex_count if multiplier is None else multiplier
     log = math.log
     logs = [0.0] + [log(d) for d in range(1, max(graph.degrees) + 1)]
     # Twice the k-term bound over the k core vertices, plus four roundings.

@@ -111,6 +111,18 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "optimality = heuristic" in out
 
+    def test_exact_past_the_free_edge_cap_is_a_usage_error(self, tmp_path, capsys):
+        # K10: all 45 edges are free.
+        path = tmp_path / "k10.graph"
+        edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+        path.write_text("10 45\n" + "".join(f"{v} {v}\n" for v in range(10))
+                        + "".join(f"{u} {v}\n" for u, v in edges))
+        assert main(["solve", "-g", str(path), "--exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 45 free edges exceed the exact-search cap of 40; "
+                                "pass a node limit to search best-effort\n")
+
     def test_mode_is_required(self, triangle_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "-g", triangle_file])
@@ -322,7 +334,25 @@ class TestDecideCommand:
         assert main(["decide", "-f", sat3_file]) == 0
         lines = capsys.readouterr().out.splitlines()
         at = lines.index("n = 3, t = 9, solver = exact, optimality = proven")
-        assert lines[at + 1] == "nodes = 2398"
+        assert lines[at + 1] == "nodes = 1686"
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_builds_no_neighbour_lists(self, n, tmp_path, monkeypatch, capsys):
+        """The warm start repairs isolated vertices from
+        ``WeightedGraph.unforced_incidence``, and neither search reads
+        neighbour lists: n = 4 is proven by branch and bound, n = 5 (50 free
+        edges) falls back to the local search."""
+        from corrsubopt import WeightedGraph
+
+        def refuse(graph):
+            raise AssertionError("incidence built")
+
+        path = tmp_path / f"cubic{n}.f"
+        path.write_text(dump_formula(helpers.cubic_formula(random.Random(n), n)))
+        monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
+        assert main(["decide", "-f", str(path)]) == 0
+        solver = "exact" if n == 4 else "local"
+        assert f"solver = {solver}, optimality = " in capsys.readouterr().out
 
     def test_caveat_always_present(self, unsat4_file, capsys):
         assert main(["decide", "-f", unsat4_file, "--node-limit", "5000"]) == 0

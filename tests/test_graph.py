@@ -133,6 +133,15 @@ class TestDistinctWeights:
         expected = sum((weights[x] - weights[y]) ** 2 for x, y in leaves)
         assert g.leaf_numerator == expected * g.discrepancy_scale[1][1]
 
+    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=80)
+    def test_unforced_incidence_is_the_incidence_lists_of_the_unforced_vertices(
+            self, shape, seed):
+        g = helpers.kernel_graph(random.Random(seed), shape)
+        expected = {vtx: tuple(eid for _, eid in pairs) for vtx, pairs in enumerate(g.incidence)
+                    if all(g.degrees[nbr] > 1 for nbr, _ in pairs) and len(pairs) > 1}
+        assert list(g.unforced_incidence.items()) == list(expected.items())
+
 
 class TestWeightedGraph:
     def test_build_normalises_edge_order(self):

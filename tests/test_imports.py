@@ -1,9 +1,9 @@
 """What each entry point imports, checked in a fresh interpreter.
 
-``import corrsubopt`` loads no submodule; the CLI loads ``reduction`` and
-``verification`` only in the commands that use them, and no command loads
-``dataclasses``.  Each test runs in a child process, because this test
-session has long since imported every module.
+``import corrsubopt`` loads no submodule; the CLI loads ``solvers``,
+``reduction`` and ``verification`` only in the commands that use them, and
+no command loads ``dataclasses``.  Each test runs in a child process,
+because this test session has long since imported every module.
 """
 
 import json
@@ -60,9 +60,17 @@ class TestCommandImports:
                      ["solve", "-g", str(graph), "--local"],
                      ["solve", "-g", str(graph), "--exact"]):
             loaded = modules_after(argv)
-            assert "corrsubopt.solvers" in loaded
+            assert ("corrsubopt.solvers" in loaded) == (argv[0] == "solve"), argv
             assert "corrsubopt.reduction" not in loaded, argv
             assert "corrsubopt.verification" not in loaded, argv
+
+    def test_score_loads_no_solvers(self, tmp_path):
+        graph, mask = tmp_path / "triangle.graph", tmp_path / "triangle.mask"
+        graph.write_text(helpers.TRIANGLE_TEXT)
+        mask.write_text("101\n")
+        loaded = modules_after(["score", "-g", str(graph), "-s", str(mask)])
+        assert {"corrsubopt.graph", "corrsubopt.scoring"} <= loaded
+        assert "corrsubopt.solvers" not in loaded
 
     def test_decide_loads_no_verification(self, tmp_path):
         formula = tmp_path / "sat3.f"
@@ -103,7 +111,8 @@ def test_version_loads_no_reduction_or_verification():
     assert proc.stdout.split()[-1] == "0.1.0"
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
-    assert {"corrsubopt", "corrsubopt.graph", "corrsubopt.solvers"} <= loaded
+    assert {"corrsubopt", "corrsubopt.graph", "corrsubopt.scoring"} <= loaded
+    assert "corrsubopt.solvers" not in loaded
     assert "corrsubopt.reduction" not in loaded
     assert "corrsubopt.verification" not in loaded
 

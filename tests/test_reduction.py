@@ -372,9 +372,9 @@ class TestDecide:
         "name, value, log_sum, total, nodes, optimality, edges, dropped",
         [
             ("sat3", "49.81143619018074", "67.91016624345589", Fraction(4170933, 10004),
-             2_398, "proven", 1173, (28, 337, 646)),
+             1_686, "proven", 1173, (28, 337, 646)),
             ("unsat4", "75.14012014157962", "104.18493295546489",
-             Fraction(281423232, 197633), 19_838, "proven", 4532, (49, 925, 1801, 2677)),
+             Fraction(281423232, 197633), 11_670, "proven", 4532, (49, 925, 1801, 2677)),
         ],
     )
     def test_golden_outputs(self, request, name, value, log_sum, total, nodes,

@@ -96,6 +96,19 @@ class TestExact:
         assert compare_scores(report.best_score, got) == 0
         assert report.best_mask.bitstring() == "111"
 
+    def test_negative_multiplier_is_refused(self):
+        # With C < 0 a larger S scores higher, which the bound, the
+        # dominance cut and the local screen all rule out: on this graph the
+        # search would report 111111 against the optimum 101111.
+        graph = helpers.random_graph(random.Random(23), min_vertices=5, max_vertices=8,
+                                     max_free=10)
+        assert helpers.brute_force_best(graph, -3)[1] == "101111"
+        for solve in (solve_exact, solve_local):
+            with pytest.raises(ValueError, match="multiplier must be non-negative, got -3"):
+                solve(graph, multiplier=-3)
+        zero = solve_exact(graph, multiplier=0)
+        assert zero.best_mask.bitstring() == helpers.brute_force_best(graph, 0)[1]
+
 
 class TestRandomValidMask:
     def test_always_valid_and_keeps_forced(self):
@@ -278,6 +291,33 @@ class TestDominanceDifferential:
         return report, nodes
 
 
+class TestScoreAwareDominance:
+    """Pinned cases of the dominance cut on the ratio of two same-key nodes'
+    totals (see ``solve_exact``), against the search without dominance."""
+
+    def test_fires_where_the_plain_comparison_does_not(self):
+        # On this 4-cycle no entered node is matched or beaten on both its
+        # total and its log sum by an earlier one with its key, so that test
+        # alone explores the plain search's 16 nodes.  An earlier node with a
+        # larger total but a log sum larger by more than C ln of the totals'
+        # ratio cuts two of them.
+        graph = WeightedGraph.build(4, [(0, 1), (0, 3), (1, 2), (2, 3)], [1, -2, 1, 3])
+        report, plain_nodes = TestDominanceDifferential.assert_matches(
+            graph, [0, 1, 2, 3], None, None)
+        assert (report.nodes_explored, plain_nodes) == (14, 16)
+        assert report.best_mask.bitstring() == "1111"
+
+    def test_holds_off_at_a_zero_total(self):
+        # Dropping the middle edge of this path leaves two K2s of equal
+        # weights: S = 0, an infinite score.  The node that keeps it has a
+        # positive total and a larger log sum, but no ratio of the totals
+        # bounds the other node's completions.
+        graph = WeightedGraph.build(4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1])
+        report, _ = TestDominanceDifferential.assert_matches(graph, [1], None, None)
+        assert report.best_mask.bitstring() == "101"
+        assert report.best_score.is_infinite
+
+
 class TestCompletionBound:
     """The branch and bound's S * D bound against brute force, at random
     partial decisions of a random branching order: each open vertex's bound
@@ -390,7 +430,7 @@ class TestLocalScreen:
     [
         (0, 190, "10001111010", Fraction(221, 216)),
         (1, 14, "1111101", Fraction(4690, 27)),
-        (2, 686, "11110010110111", Fraction(551, 4)),
+        (2, 668, "11110010110111", Fraction(551, 4)),
         (3, 244, "010001111101", Fraction(43, 8)),
         (4, 296, "11010110101011", Fraction(89)),
     ],
