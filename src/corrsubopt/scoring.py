@@ -27,8 +27,7 @@ Every score in the package comes from one kernel, used by
   build a ``Fraction`` only when a :class:`ScoreValue` is returned; the
   host leaves add the same ``WeightedGraph.leaf_numerator`` to every valid
   mask.  D has 22 bits on a compiled 4-variable formula at t = 4 and 38
-  bits at t = 16.  :func:`discrepancy_sum` (check 1) likewise adds int
-  numerators per kept degree and builds one ``Fraction`` at the end.
+  bits at t = 16.
 * ln S is taken of the int quotient (S * D) / D.  Python's int true
   division is correctly rounded, and so is ``float(Fraction)``; both round
   the same rational, so the quotient is ``float(S)`` bit for bit.
@@ -108,58 +107,25 @@ def compare_scores(a: ScoreValue, b: ScoreValue) -> int:
     return (a.value > b.value) - (a.value < b.value)
 
 
-def scaled_gap(graph: WeightedGraph, mask: SubgraphMask, vertex: int) -> tuple[int, int]:
-    """(d, W d - s): the vertex's kept degree and the int gap whose square
-    over (L d)^2 is its discrepancy (see the module notes)."""
+def neighbourhood_discrepancy(
+    graph: WeightedGraph, mask: SubgraphMask, vertex: int
+) -> Fraction:
+    """Exact squared gap between f(vertex) and its kept-neighbourhood mean,
+    ((W d - s) / (L d))^2 in the scaled ints of the module notes.
+
+    Walks ``graph.incidence``, so it also serves masks that are not valid;
+    on a valid mask :meth:`ScoreState.gap` gives the same ints."""
     d = mask.degrees[vertex]
     if d == 0:
         raise DegenerateVertexError(f"vertex {vertex} has no kept incident edge")
-    _, weights = graph.scaled_weights
+    scale, weights = graph.scaled_weights
     kept = mask.kept
     nbr_sum = 0
     for nbr, eid in graph.incidence[vertex]:
         if kept[eid]:
             nbr_sum += weights[nbr]
-    return d, weights[vertex] * d - nbr_sum
-
-
-def neighbourhood_discrepancy(
-    graph: WeightedGraph, mask: SubgraphMask, vertex: int
-) -> Fraction:
-    """Exact squared gap between f(vertex) and its kept-neighbourhood mean,
-    ((W d - s) / (L d))^2 in the scaled ints of the module notes."""
-    d, diff = scaled_gap(graph, mask, vertex)
-    scale, _ = graph.scaled_weights
+    diff = weights[vertex] * d - nbr_sum
     return Fraction(diff * diff, (scale * d) ** 2)
-
-
-def discrepancy_sum(
-    graph: WeightedGraph, mask: SubgraphMask, vertices: Iterable[int]
-) -> Fraction:
-    """Exact sum of :func:`neighbourhood_discrepancy` over ``vertices``.
-
-    The numerators (W d - s)^2 are added up per kept degree d, and the sum is
-    one ``Fraction`` over the common denominator (L lcm(d))^2.  The loop of
-    :func:`scaled_gap` is written out here: check 1 runs this over every
-    leaf of every sampled mask, where a call per vertex doubles its time.
-    """
-    scale, weights = graph.scaled_weights
-    kept, degrees, incidence = mask.kept, mask.degrees, graph.incidence
-    numerators: dict[int, int] = {}
-    for vtx in vertices:
-        d = degrees[vtx]
-        if d == 0:
-            raise DegenerateVertexError(f"vertex {vtx} has no kept incident edge")
-        nbr_sum = 0
-        for nbr, eid in incidence[vtx]:
-            if kept[eid]:
-                nbr_sum += weights[nbr]
-        diff = weights[vtx] * d - nbr_sum
-        numerators[d] = numerators.get(d, 0) + diff * diff
-    m = math.lcm(*numerators)
-    return Fraction(
-        sum(num * (m // d) ** 2 for d, num in numerators.items()), (scale * m) ** 2
-    )
 
 
 def log_degree_sum(graph: WeightedGraph, degrees) -> float:
@@ -195,8 +161,10 @@ class ScoreState:
     keeps the kept degree (in its private mask copy) and the int sum s of
     the kept neighbours' scaled weights; ``total`` is the int S * D.  A
     toggle touches only its two endpoints and adds one int delta for each.
-    :meth:`score` re-adds ln d over the core vertices in vertex order, so
-    every result is bit-identical to a from-scratch score of the same mask.
+    :meth:`gap` and :meth:`shares` read those ints for given vertices, which
+    is all the checks in ``verification`` need.  :meth:`score` re-adds ln d
+    over the core vertices in vertex order, so every result is
+    bit-identical to a from-scratch score of the same mask.
     """
 
     __slots__ = ("graph", "mask", "multiplier", "nbr_sums", "total", "_weights",
@@ -215,8 +183,7 @@ class ScoreState:
         self.multiplier = graph.vertex_count if multiplier is None else multiplier
         _, weights = graph.scaled_weights
         self._weights = weights
-        self._denominator, cofactors = graph.discrepancy_scale
-        self._cofactors = cofactors
+        self._denominator, self._cofactors = graph.discrepancy_scale
         # A valid mask keeps every forced edge, so only free edges and core
         # vertices vary; the host leaves add graph.leaf_numerator.
         edges, kept = graph.edges, self.mask.kept
@@ -227,13 +194,24 @@ class ScoreState:
                 sums[u] += weights[v]
                 sums[v] += weights[u]
         self.nbr_sums = sums
+        self.total = graph.leaf_numerator + self.shares(graph.core_vertices)
+
+    def gap(self, vtx: int) -> tuple[int, int]:
+        """(d, W d - s): the vertex's kept degree and the int gap whose square
+        over (L d)^2 is its discrepancy (see the module notes)."""
+        d = self.mask.degrees[vtx]
+        return d, self._weights[vtx] * d - self.nbr_sums[vtx]
+
+    def shares(self, vertices: Iterable[int]) -> int:
+        """The vertices' int share of S * D: the sum of (W d - s)^2 c[d]."""
+        weights, sums, cofactors = self._weights, self.nbr_sums, self._cofactors
         degrees = self.mask.degrees
-        total = graph.leaf_numerator
-        for vtx in graph.core_vertices:
+        total = 0
+        for vtx in vertices:
             d = degrees[vtx]
             diff = weights[vtx] * d - sums[vtx]
             total += diff * diff * cofactors[d]
-        self.total = total
+        return total
 
     def score(self) -> ScoreValue:
         log_sum = log_degree_sum(self.graph, self.mask.degrees)

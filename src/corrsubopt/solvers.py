@@ -12,7 +12,7 @@ import math
 import random
 import time
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graph import SubgraphMask, WeightedGraph
 from .scoring import ScoreState, ScoreValue, compare_scores, log_degree_sum, score
@@ -258,7 +258,6 @@ def solve_exact(
     graph: WeightedGraph,
     *,
     node_limit: int | None = None,
-    free_edge_cap: int = DEFAULT_FREE_EDGE_CAP,
     initial_mask: SubgraphMask | None = None,
     multiplier: int | None = None,
     order: Sequence[int] | None = None,
@@ -319,17 +318,17 @@ def solve_exact(
     only the node count falls.
 
     Without ``node_limit`` the search refuses graphs with more than
-    ``free_edge_cap`` free edges; with one it runs best effort and reports
-    ``optimality="heuristic"`` if the budget runs out.  The budget aborts
-    the whole search, leaving open subtrees that neither cut has ruled out,
-    so a truncated run is never ``proven``, dominance or not.
+    ``DEFAULT_FREE_EDGE_CAP`` free edges; with one it runs best effort and
+    reports ``optimality="heuristic"`` if the budget runs out.  The budget
+    aborts the whole search, leaving open subtrees that neither cut has
+    ruled out, so a truncated run is never ``proven``, dominance or not.
     """
     t0 = time.perf_counter()
     mult = _multiplier(graph, multiplier)
     free = graph.free_edge_ids
-    if node_limit is None and len(free) > free_edge_cap:
+    if node_limit is None and len(free) > DEFAULT_FREE_EDGE_CAP:
         raise SearchSpaceError(
-            f"{len(free)} free edges exceed the exact-search cap of {free_edge_cap}; "
+            f"{len(free)} free edges exceed the exact-search cap of {DEFAULT_FREE_EDGE_CAP}; "
             "pass a node limit to search best-effort"
         )
     _, weights = graph.scaled_weights
@@ -465,6 +464,18 @@ def random_valid_mask(graph: WeightedGraph, rng: random.Random) -> SubgraphMask:
     return SubgraphMask.from_parts(graph, kept, degrees)
 
 
+def sample_states(
+    graph: WeightedGraph, rng: random.Random, count: int, *, multiplier: int | None = None
+) -> Iterator[ScoreState]:
+    """A :class:`ScoreState` of the full mask, then one of each of ``count``
+    masks drawn from ``rng`` by :func:`random_valid_mask`.  This is the one
+    sampling path: the ``verify`` sample, ``max_sampled_score`` and the
+    :func:`solve_local` starts each read it with their own ``rng``."""
+    yield ScoreState(graph, SubgraphMask.full(graph), multiplier=multiplier)
+    for _ in range(count):
+        yield ScoreState(graph, random_valid_mask(graph, rng), multiplier=multiplier)
+
+
 def solve_local(
     graph: WeightedGraph,
     *,
@@ -499,7 +510,6 @@ def solve_local(
     """
     t0 = time.perf_counter()
     mult = _multiplier(graph, multiplier)
-    rng = random.Random(seed)
     free, edges = graph.free_edge_ids, graph.edges
     _, weights = graph.scaled_weights
     denominator, cofactors = graph.discrepancy_scale
@@ -508,15 +518,12 @@ def solve_local(
     # Twice the k-term bound over the k core vertices, plus four roundings.
     k, unit = len(graph.core_vertices), 2.0 ** -53
     err = (2 * k * k + k + 8) * unit * logs[-1] / (1 - k * unit)
-    starts = [SubgraphMask.full(graph)]
-    starts.extend(random_valid_mask(graph, rng) for _ in range(restarts))
 
     best_mask: SubgraphMask | None = None
     best_score: ScoreValue | None = None
     best_key = b""
     evaluations = 0
-    for start in starts:
-        state = ScoreState(graph, start, multiplier=multiplier)
+    for state in sample_states(graph, random.Random(seed), restarts, multiplier=multiplier):
         current = state.score()
         kept, degrees, sums = state.mask.kept, state.mask.degrees, state.nbr_sums
         for _ in range(MAX_PASSES):
@@ -562,7 +569,7 @@ def solve_local(
         best_mask=best_mask,
         best_score=best_score,
         nodes_explored=evaluations,
-        restarts_used=len(starts) - 1,
+        restarts_used=max(restarts, 0),
         wall_time=time.perf_counter() - t0,
         optimality="heuristic",
     )

@@ -17,13 +17,15 @@ plus the score-bound checks: a witness scores at least
 6n ln t - n ln(10nt), and for unsatisfiable formulas every examined valid
 mask scores at most 6n ln t + 20n - n ln(t^2/9).  Score bounds use the
 reduction objective (multiplier = variable count); discrepancy checks are
-exact: checks 2 and 5 compare the ints W d - s of the scoring kernel, and a
-``Fraction`` is built only for a quantity a record reports.  The log
-bounds allow absolute slack 1e-9.
+exact and read the ints of the scoring kernel from a ``ScoreState``: check 1
+adds the leaves' shares of S * D, checks 2 and 5 compare each vertex's
+W d - s, and a ``Fraction`` is built only for a quantity a record reports.
+The log bounds allow absolute slack 1e-9.
 
 A check is a function of one :class:`CheckContext`, which compiles the
 instance once and caches what several checks share: the sample of checks
-1-4 (the full mask plus ``mask_samples`` random valid masks), the 1-in-3
+1-4 (states of the full mask plus ``mask_samples`` random valid masks, from
+``solvers.sample_states``, as the lemmas check's sample is), the 1-in-3
 oracle's answer and the witness masks of checks 5 and lemmas.  A check
 returns an :class:`Outcome` (pass or fail, quantities, details) or raises
 :class:`Inconclusive` when it gives up without evidence either way (the
@@ -52,16 +54,8 @@ from .reduction import (
     witness_mask,
 )
 from .scoring import (
-    ScoreValue,
-    compare_scores,
-    discrepancy_sum,
-    format_fraction,
-    log_degree_sum,
-    neighbourhood_discrepancy,
-    scaled_gap,
-    score,
-)
-from .solvers import CompletionBound, FreeEdgeSearch, random_valid_mask
+    ScoreState, ScoreValue, compare_scores, format_fraction, log_degree_sum, score)
+from .solvers import CompletionBound, FreeEdgeSearch, sample_states
 
 FLOAT_SLACK = 1e-9
 
@@ -106,25 +100,34 @@ def reduction_score(inst: ReductionInstance, mask: SubgraphMask) -> ScoreValue:
     return score(inst.graph, mask, multiplier=inst.variable_count)
 
 
-def leaf_discrepancy_total(inst: ReductionInstance, mask: SubgraphMask) -> Fraction:
-    return discrepancy_sum(inst.graph, mask, inst.leaves)
+def _discrepancy(inst: ReductionInstance, d: int, diff: int) -> Fraction:
+    """ND = ((W d - s) / (L d))^2 from the ints of :meth:`ScoreState.gap`."""
+    scale, _ = inst.graph.scaled_weights
+    return Fraction(diff * diff, (scale * d) ** 2)
+
+
+def leaf_discrepancy_total(inst: ReductionInstance, state: ScoreState) -> Fraction:
+    """The leaves' discrepancies added up: a leaf keeps d = 1, so its ND is
+    its share of S, and the total is their int shares over D."""
+    denominator, _ = inst.graph.discrepancy_scale
+    return Fraction(state.shares(inst.leaves), denominator)
 
 
 def attachment_violations(
-    inst: ReductionInstance, mask: SubgraphMask
+    inst: ReductionInstance, state: ScoreState
 ) -> list[tuple[int, Fraction]]:
     """Attachment vertices whose discrepancy leaves [0, 1/t^2).
 
     ND = ((W d - s) / (L d))^2 is never negative, and ND < 1/t^2  <=>
     t^2 (W d - s)^2 < (L d)^2, tested in ints; a ``Fraction`` is built only
     for a violation."""
-    graph, t = inst.graph, inst.t
-    scale, _ = graph.scaled_weights
+    t = inst.t
+    scale, _ = inst.graph.scaled_weights
     out = []
     for vtx in inst.attachment_vertices:
-        d, diff = scaled_gap(graph, mask, vtx)
+        d, diff = state.gap(vtx)
         if t * t * diff * diff >= (scale * d) ** 2:
-            out.append((vtx, neighbourhood_discrepancy(graph, mask, vtx)))
+            out.append((vtx, _discrepancy(inst, d, diff)))
     return out
 
 
@@ -233,10 +236,11 @@ def max_sampled_score(
 ) -> tuple[ScoreValue, int]:
     """Largest reduction-objective score over the full mask and ``samples``
     random valid masks drawn from ``seed``; returns (score, masks scored)."""
-    rng = random.Random(seed)
-    best = reduction_score(inst, SubgraphMask.full(inst.graph))
-    for _ in range(samples):
-        value = reduction_score(inst, random_valid_mask(inst.graph, rng))
+    states = sample_states(inst.graph, random.Random(seed), samples,
+                           multiplier=inst.variable_count)
+    best = next(states).score()
+    for state in states:
+        value = state.score()
         if compare_scores(value, best) > 0:
             best = value
     return best, samples + 1
@@ -263,13 +267,11 @@ class CheckContext(Immutable):
                              assignment=assignment, inst=compile_formula(formula, t))
 
     @cached_property
-    def sample(self) -> list[SubgraphMask]:
-        """The full mask plus ``mask_samples`` random valid masks, drawn once
-        from ``seed`` and shared by checks 1 to 4."""
+    def sample(self) -> list[ScoreState]:
+        """States of the full mask plus ``mask_samples`` random valid masks,
+        drawn once from ``seed`` and shared by checks 1 to 4."""
         rng = random.Random(f"{self.seed}:sample")
-        graph = self.inst.graph
-        return [SubgraphMask.full(graph)] + [
-            random_valid_mask(graph, rng) for _ in range(self.mask_samples)]
+        return list(sample_states(self.inst.graph, rng, self.mask_samples))
 
     @cached_property
     def satisfying(self) -> list[tuple[bool, ...]]:
@@ -293,13 +295,13 @@ class CheckContext(Immutable):
 def check_leaf_total(ctx: CheckContext) -> Outcome:
     inst = ctx.inst
     expected = Fraction(6 * inst.variable_count * inst.t)
-    for mask in ctx.sample:
-        got = leaf_discrepancy_total(inst, mask)
+    for state in ctx.sample:
+        got = leaf_discrepancy_total(inst, state)
         if got != expected:
             return Outcome(
                 "fail",
                 (("expected", format_fraction(expected)), ("got", format_fraction(got))),
-                f"mask {mask.bitstring()[:40]}...",
+                f"mask {state.mask.bitstring()[:40]}...",
             )
     return Outcome("pass", (
         ("leaf_total", format_fraction(expected)),
@@ -310,8 +312,8 @@ def check_leaf_total(ctx: CheckContext) -> Outcome:
 
 def check_attachment_bounds(ctx: CheckContext) -> Outcome:
     bound = f"1/{ctx.t * ctx.t}"
-    for mask in ctx.sample:
-        violations = attachment_violations(ctx.inst, mask)
+    for state in ctx.sample:
+        violations = attachment_violations(ctx.inst, state)
         if violations:
             vtx, nd = violations[0]
             return Outcome("fail", (("vertex", str(vtx)), ("nd", format_fraction(nd)),
@@ -322,10 +324,10 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
 def _degree_log_chain(ctx: CheckContext, holds) -> Outcome:
     """Checks 3 and 4: ``holds(q, mask_sum)`` for each sampled mask's
     log-degree sum, with q = degree_log_quantities of the full mask."""
-    q = degree_log_quantities(ctx.inst, ctx.sample[0])
+    q = degree_log_quantities(ctx.inst, ctx.sample[0].mask)
     lower, graph_sum, upper = _fmt(q["lower"]), _fmt(q["graph_sum"]), _fmt(q["upper"])
-    for mask in ctx.sample:
-        mask_sum = log_degree_sum(ctx.inst.graph, mask.degrees)
+    for state in ctx.sample:
+        mask_sum = log_degree_sum(ctx.inst.graph, state.mask.degrees)
         if not holds(q, mask_sum):
             return Outcome("fail", (("mask_sum", _fmt(mask_sum)), ("graph_sum", graph_sum),
                                     ("lower", lower), ("upper", upper)))
@@ -346,13 +348,15 @@ def check_witness_discrepancy(ctx: CheckContext) -> Outcome:
     witnesses = ctx.witnesses
     if not witnesses:
         raise Inconclusive("no 1-in-3 satisfying assignment exists")
-    graph = ctx.inst.graph
+    inst = ctx.inst
     for text, mask in witnesses:
-        if not is_valid(graph, mask):
+        if not is_valid(inst.graph, mask):
             return Outcome("fail", (("assignment", text),), "witness mask is invalid")
-        for vtx in ctx.inst.designated_vertices:
-            if scaled_gap(graph, mask, vtx)[1]:  # ND = 0  <=>  W d - s = 0
-                nd = neighbourhood_discrepancy(graph, mask, vtx)
+        state = ScoreState(inst.graph, mask)
+        for vtx in inst.designated_vertices:
+            d, diff = state.gap(vtx)
+            if diff:  # ND = 0  <=>  W d - s = 0
+                nd = _discrepancy(inst, d, diff)
                 return Outcome("fail", (("assignment", text), ("vertex", str(vtx)),
                                         ("nd", format_fraction(nd))))
     return Outcome("pass", (("assignments_checked", str(len(witnesses))),))

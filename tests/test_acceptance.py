@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from corrsubopt import (
+    ScoreState,
     SubgraphMask,
     compare_scores,
     compile_formula,
@@ -77,7 +78,7 @@ def test_criterion_1_leaf_totals_exact(instances):
         _, inst = instances[(n, t)]
         start = time.monotonic()
         for mask in sampled_masks(inst, 10, f"c1:{n}:{t}"):
-            total = leaf_discrepancy_total(inst, mask)
+            total = leaf_discrepancy_total(inst, ScoreState(inst.graph, mask))
             if total != 6 * n * t:
                 _report(1, False, f"(n={n}, t={t}): leaf total {total} != {6 * n * t}")
         elapsed = time.monotonic() - start
@@ -94,7 +95,7 @@ def test_criterion_2_attachment_bounds(instances):
     for n, t in GRID:
         _, inst = instances[(n, t)]
         for mask in sampled_masks(inst, 100, f"c2:{n}:{t}"):
-            bad = attachment_violations(inst, mask)
+            bad = attachment_violations(inst, ScoreState(inst.graph, mask))
             if bad:
                 _report(2, False, f"(n={n}, t={t}): vertex {bad[0][0]} nd={bad[0][1]}")
             checked += 1

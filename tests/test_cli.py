@@ -230,6 +230,20 @@ class TestVerifyCommand:
     def test_unknown_check_is_usage_error(self, sat3_file, capsys):
         assert main(["verify", "-f", sat3_file, "-t", "2", "--checks", "9"]) == 2
 
+    @pytest.mark.parametrize("case", ["sat3-t2", "unsat4-t2"])
+    def test_builds_no_neighbour_lists(self, request, case, monkeypatch, capsys):
+        """Checks 1, 2 and 5 read each vertex's (d, W d - s) from a
+        ``ScoreState``, so every check prints its pinned line with the
+        per-vertex ``incidence`` lists refused: sat3 runs the witness branch
+        of lemmas, unsat4 its sampled score bound."""
+        from corrsubopt import WeightedGraph
+
+        def refuse(graph):
+            raise AssertionError("incidence built")
+
+        monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
+        test_verify_golden_stdout(request, case, capsys)
+
     @pytest.mark.parametrize("flag", ["--masks", "--lemma-samples", "--budget"])
     def test_negative_count_is_usage_error(self, unsat4_file, flag, capsys):
         with pytest.raises(SystemExit) as exc:

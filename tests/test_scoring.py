@@ -22,7 +22,6 @@ from corrsubopt import (
     score,
     score_delta,
 )
-from corrsubopt.scoring import discrepancy_sum
 
 import helpers
 
@@ -272,9 +271,11 @@ class TestKernelDifferential:
 
 
 class TestDiscrepancyDifferential:
-    """neighbourhood_discrepancy against the squared gap to a Fraction mean
-    of the kept neighbours, on every vertex of random valid masks, and
-    discrepancy_sum against the Fraction sum of those gaps."""
+    """The kernel's per-vertex ints against first principles, on every
+    vertex of random valid masks: ``ScoreState.gap``'s (d, W d - s) as the
+    Fraction (W d - s) / (L d) equals f(v) minus the Fraction mean of the
+    kept neighbours, and its square equals neighbourhood_discrepancy;
+    ``ScoreState.shares`` over D equals the Fraction sum of d * ND."""
 
     @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=150)
@@ -282,6 +283,9 @@ class TestDiscrepancyDifferential:
         rng = random.Random(seed)
         graph = helpers.kernel_graph(rng, shape)
         mask = random_valid_mask(graph, rng)
+        state = ScoreState(graph, mask)
+        scale, _ = graph.scaled_weights
+        denominator, _ = graph.discrepancy_scale
         total = Fraction(0)
         for vtx in range(graph.vertex_count):
             kept = [
@@ -290,7 +294,11 @@ class TestDiscrepancyDifferential:
                 if mask.kept[eid] and vtx in (u, v)
             ]
             mean = sum(kept, Fraction(0)) / len(kept)
+            d, diff = state.gap(vtx)
+            assert d == len(kept)
+            assert Fraction(diff, scale * d) == graph.weights[vtx] - mean
             naive = (graph.weights[vtx] - mean) ** 2
+            assert Fraction(diff * diff, (scale * d) ** 2) == naive
             assert neighbourhood_discrepancy(graph, mask, vtx) == naive
-            total += naive
-        assert discrepancy_sum(graph, mask, range(graph.vertex_count)) == total
+            total += d * naive
+        assert Fraction(state.shares(range(graph.vertex_count)), denominator) == total

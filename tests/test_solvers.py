@@ -25,6 +25,12 @@ from corrsubopt.solvers import CompletionBound
 import helpers
 
 
+def _k10():
+    """K10 with distinct weights: all 45 edges are free, five past the cap."""
+    edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    return WeightedGraph.build(10, edges, list(range(10)))
+
+
 def assert_matches_oracle(graph, report):
     (is_inf, value, log_sum, total), bits = helpers.brute_force_best(graph)
     assert report.best_mask.bitstring() == bits
@@ -64,14 +70,15 @@ class TestExact:
         # the full cycle maximises the log-degree sum among infinite scores
         assert report.best_mask.bitstring() == "1111"
 
-    def test_cap_refusal_without_node_limit(self, triangle):
-        with pytest.raises(SearchSpaceError):
-            solve_exact(triangle, free_edge_cap=2)
+    def test_cap_refusal_without_node_limit(self):
+        with pytest.raises(SearchSpaceError, match="45 free edges exceed the exact-search cap"):
+            solve_exact(_k10())
 
-    def test_node_limit_lifts_cap_and_flags_heuristic(self, triangle):
-        report = solve_exact(triangle, free_edge_cap=2, node_limit=2)
+    def test_node_limit_lifts_cap_and_flags_heuristic(self):
+        k10 = _k10()
+        report = solve_exact(k10, node_limit=2)
         assert report.optimality == "heuristic"
-        assert is_valid(triangle, report.best_mask)
+        assert is_valid(k10, report.best_mask)
 
     def test_order_must_permute_the_free_edges(self, triangle, star):
         free = list(triangle.free_edge_ids)
@@ -278,10 +285,12 @@ class TestDominanceDifferential:
 
     @staticmethod
     def assert_matches(graph, order, multiplier, initial_mask):
-        report = solve_exact(graph, order=order, multiplier=multiplier,
-                             initial_mask=initial_mask, free_edge_cap=len(order))
         mask, value, nodes = helpers.plain_branch_and_bound(
             graph, order, multiplier=multiplier, initial_mask=initial_mask)
+        # The plain search's node count as the limit lifts the free-edge cap
+        # (an n = 5 formula has 50 free edges) and keeps "proven" a proof.
+        report = solve_exact(graph, order=order, multiplier=multiplier,
+                             initial_mask=initial_mask, node_limit=nodes)
         assert report.best_mask.bitstring() == mask.bitstring()
         assert _bits(report.best_score.value) == _bits(value.value)
         assert _bits(report.best_score.log_degree_sum) == _bits(value.log_degree_sum)
@@ -424,15 +433,15 @@ class TestLocalScreen:
 
 # Node counts, masks and exact totals of solve_exact on seeded random graphs.
 # Any change to the branching order, the bound or its float arithmetic shows
-# up here.
+# up here; the ids name the seed only, so a node-count edit keeps the names.
 @pytest.mark.parametrize(
     "seed, nodes, bits, total",
     [
-        (0, 190, "10001111010", Fraction(221, 216)),
-        (1, 14, "1111101", Fraction(4690, 27)),
-        (2, 668, "11110010110111", Fraction(551, 4)),
-        (3, 244, "010001111101", Fraction(43, 8)),
-        (4, 296, "11010110101011", Fraction(89)),
+        pytest.param(0, 190, "10001111010", Fraction(221, 216), id="seed0"),
+        pytest.param(1, 14, "1111101", Fraction(4690, 27), id="seed1"),
+        pytest.param(2, 668, "11110010110111", Fraction(551, 4), id="seed2"),
+        pytest.param(3, 244, "010001111101", Fraction(43, 8), id="seed3"),
+        pytest.param(4, 296, "11010110101011", Fraction(89), id="seed4"),
     ],
 )
 def test_exact_golden_outputs(seed, nodes, bits, total):

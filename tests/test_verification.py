@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import corrsubopt
 import corrsubopt.cli
 import corrsubopt.verification as verification
-from corrsubopt import SubgraphMask, compile_formula, random_valid_mask
+from corrsubopt import ScoreState, SubgraphMask, compile_formula, random_valid_mask
+from corrsubopt.reduction import ReductionInstance
 from corrsubopt.scoring import neighbourhood_discrepancy
 from corrsubopt.verification import (
     ALL_CHECKS,
@@ -50,7 +51,8 @@ class TestExactQuantities:
     def test_leaf_total_is_6nt_on_full_graph(self, sat3, unsat4):
         for formula, t in ((sat3, 2), (unsat4, 3)):
             inst = compile_formula(formula, t)
-            total = leaf_discrepancy_total(inst, SubgraphMask.full(inst.graph))
+            full = ScoreState(inst.graph, SubgraphMask.full(inst.graph))
+            total = leaf_discrepancy_total(inst, full)
             assert total == 6 * formula.variable_count * t
 
     @pytest.mark.parametrize("name, t", [("sat3", 2), ("unsat4", 3), ("unsat4", 4)])
@@ -65,22 +67,22 @@ class TestExactQuantities:
                 (nbr, eid), = g.incidence[leaf]
                 assert mask.kept[eid]
                 expected += (g.weights[leaf] - g.weights[nbr]) ** 2
-            assert leaf_discrepancy_total(inst, mask) == expected
+            assert leaf_discrepancy_total(inst, ScoreState(g, mask)) == expected
 
     def test_attachment_violations_empty_on_full_graph(self, unsat4):
         inst = compile_formula(unsat4, 2)
-        assert attachment_violations(inst, SubgraphMask.full(inst.graph)) == []
+        full = ScoreState(inst.graph, SubgraphMask.full(inst.graph))
+        assert attachment_violations(inst, full) == []
 
     def test_attachment_violation_reports_exact_discrepancy(self, sat3):
-        # zp_1 keeps only its edge to z_1: its mean is f(z_1), far off f(zp_1)
+        # The t = 2 graph held to the t = 3 bound 1/9: on the full mask
+        # ND(zp_1) = 36/169 (see test_full_graph_attachment_discrepancies).
         inst = compile_formula(sat3, 2)
-        g, zp, z = inst.graph, inst.zp(1), inst.z(1)
-        kept = [True] * g.edge_count
-        for nbr, eid in g.incidence[zp]:
-            kept[eid] = nbr == z
-        nd = (g.weights[zp] - g.weights[z]) ** 2
-        assert nd >= Fraction(1, 4)
-        assert (zp, nd) in attachment_violations(inst, SubgraphMask(g, kept))
+        loose = ReductionInstance(inst.graph, 3, inst.variable_count, inst.roles, inst.blocks,
+                                  inst.clause_blocks, inst.slots)
+        full = ScoreState(inst.graph, SubgraphMask.full(inst.graph))
+        assert attachment_violations(inst, full) == []
+        assert (inst.zp(1), Fraction(36, 169)) in attachment_violations(loose, full)
 
 
 class TestInfeasibilitySearch:
@@ -99,15 +101,20 @@ class TestInfeasibilitySearch:
             assert neighbourhood_discrepancy(inst.graph, mask, vtx) < threshold
 
     # Exact outputs of the check-6 search.  Any change to the edge order,
-    # the pruning test or the node count shows up here.
+    # the pruning test or the node count shows up here; the ids name the
+    # input only, so such a change edits a pin without renaming the test.
     @pytest.mark.parametrize(
         "name, t, nodes, dropped",
         [
-            ("unsat4", 2, 224, None),
-            ("unsat4", 3, 776, None),
-            ("unsat4", 4, 1_560, None),
-            ("sat3", 2, 51, (8, 9, 10, 11, 31, 33, 35, 44, 45, 46, 47, 67, 69, 71, 79)),
-            ("sat3", 4, 53, (14, 15, 16, 79, 81, 83, 98, 99, 100, 163, 165, 167, 181)),
+            pytest.param("unsat4", 2, 224, None, id="unsat4-t2"),
+            pytest.param("unsat4", 3, 776, None, id="unsat4-t3"),
+            pytest.param("unsat4", 4, 1_560, None, id="unsat4-t4"),
+            pytest.param("sat3", 2, 51,
+                         (8, 9, 10, 11, 31, 33, 35, 44, 45, 46, 47, 67, 69, 71, 79),
+                         id="sat3-t2"),
+            pytest.param("sat3", 4, 53,
+                         (14, 15, 16, 79, 81, 83, 98, 99, 100, 163, 165, 167, 181),
+                         id="sat3-t4"),
         ],
     )
     def test_golden_outputs(self, request, name, t, nodes, dropped):
