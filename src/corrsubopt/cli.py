@@ -51,19 +51,22 @@ def _read(path: str) -> str:
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file in the same
     directory, with the mode a plain ``open`` would give (0666 less the
-    umask), not ``mkstemp``'s 0600."""
+    umask), not ``mkstemp``'s 0600.  An unwritable path is a usage error."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name)
+        try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_graph_file(path: str):

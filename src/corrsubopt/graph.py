@@ -13,6 +13,7 @@ edge id, and every mask, solver report, and CLI output uses those ids.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -120,12 +121,13 @@ class WeightedGraph(Immutable):
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def edge_ids(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def edge_id(self, u: int, v: int) -> int:
-        return self.edge_ids[(u, v) if u < v else (v, u)]
+        """Bisects the sorted ``edges``; ``KeyError`` when (u, v) is not an edge."""
+        edge = (u, v) if u < v else (v, u)
+        eid = bisect_left(self.edges, edge)
+        if self.edges[eid:eid + 1] != (edge,):
+            raise KeyError(edge)
+        return eid
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -248,8 +250,8 @@ _BITS = bytes.maketrans(b"\x00\x01", b"01")  # False/True bytes to ASCII digits
 class SubgraphMask:
     """Kept-edge bitset over a graph's canonical edge list, with cached degrees.
 
-    Value type: solvers work on private copies.  The degree cache is kept in
-    sync by :meth:`set_edge`; it always equals a recount from ``kept``.
+    Mutable: a ``ScoreState`` toggles the mask it is given.  The degree cache
+    is kept in sync by :meth:`set_edge`; it always equals a recount from ``kept``.
     """
 
     __slots__ = ("graph", "kept", "degrees")

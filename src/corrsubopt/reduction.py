@@ -33,16 +33,13 @@ import math
 import warnings
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import Immutable, SubgraphMask, WeightedGraph
 from .scoring import ScoreValue
-from .solvers import (
-    DEFAULT_FREE_EDGE_CAP,
-    SolveReport,
-    solve_exact,
-    solve_local,
-)
+
+if TYPE_CHECKING:  # decide imports solvers when it runs; reduce and witness never do
+    from .solvers import SolveReport
 
 
 class FormulaError(ValueError):
@@ -386,6 +383,8 @@ def decide(
     (17/2) n ln n.  Free-edge counts above ``DEFAULT_FREE_EDGE_CAP`` fall
     back to local search; either way the report carries the solver's optimality.
     """
+    from .solvers import DEFAULT_FREE_EDGE_CAP, solve_exact, solve_local
+
     n = formula.variable_count
     t = n * n
     inst = compile_formula(formula, t)

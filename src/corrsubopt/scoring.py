@@ -137,12 +137,6 @@ def log_degree_sum(graph: WeightedGraph, degrees) -> float:
     return total
 
 
-def _require_valid(mask: SubgraphMask) -> None:
-    if 0 in mask.degrees:
-        vtx = mask.degrees.index(0)
-        raise MaskValidityError(f"vertex {vtx} is isolated in the subgraph")
-
-
 def score(
     graph: WeightedGraph, mask: SubgraphMask, *, multiplier: int | None = None
 ) -> ScoreValue:
@@ -157,10 +151,12 @@ def score(
 class ScoreState:
     """Caches for rescoring a mask under single-edge toggles.
 
-    Runs the integer kernel described in the module notes.  Per vertex it
-    keeps the kept degree (in its private mask copy) and the int sum s of
-    the kept neighbours' scaled weights; ``total`` is the int S * D.  A
-    toggle touches only its two endpoints and adds one int delta for each.
+    Runs the integer kernel described in the module notes.  The state owns
+    the mask it is given, and :meth:`toggle` changes it in place; a caller
+    that keeps using its mask passes a copy.  Per vertex it keeps the kept
+    degree (in the mask) and the int sum s of the kept neighbours' scaled
+    weights; ``total`` is the int S * D.  A toggle touches only its two
+    endpoints and adds one int delta for each.
     :meth:`gap` and :meth:`shares` read those ints for given vertices, which
     is all the checks in ``verification`` need.  :meth:`score` re-adds ln d
     over the core vertices in vertex order, so every result is
@@ -177,9 +173,10 @@ class ScoreState:
         *,
         multiplier: int | None = None,
     ):
-        _require_valid(mask)
+        if 0 in mask.degrees:
+            raise MaskValidityError(f"vertex {mask.degrees.index(0)} is isolated in the subgraph")
         self.graph = graph
-        self.mask = mask.copy()
+        self.mask = mask
         self.multiplier = graph.vertex_count if multiplier is None else multiplier
         _, weights = graph.scaled_weights
         self._weights = weights
@@ -252,15 +249,12 @@ class ScoreState:
         return self.score()
 
     def peek(self, eid: int, keep: bool) -> ScoreValue:
-        """Score the toggled mask without committing to it."""
+        """Score the toggled mask without committing to it: the inverse
+        toggle undoes exact int updates, so the state is restored bit for bit."""
         self._check_toggle(eid, keep)
-        u, v = self.graph.edges[eid]
-        sums = self.nbr_sums
-        saved = self.total, sums[u], sums[v]
         self._apply(eid, keep)
         result = self.score()
-        self.mask.set_edge(eid, not keep)
-        self.total, sums[u], sums[v] = saved
+        self._apply(eid, not keep)
         return result
 
 
@@ -271,13 +265,9 @@ def score_delta(
 
     ``direction`` is ``"add"`` or ``"remove"`` and must match the edge's
     current state.  Returns the new score plus a :class:`ScoreState` holding
-    the toggled mask and its caches, ready for further toggles.
+    a toggled copy of ``mask`` and its caches, ready for further toggles.
     """
     if direction not in ("add", "remove"):
         raise ValueError(f"direction must be 'add' or 'remove', got {direction!r}")
-    keep = direction == "add"
-    if mask.kept[eid] == keep:
-        state_word = "kept" if mask.kept[eid] else "dropped"
-        raise ValueError(f"cannot {direction} edge {eid}: it is already {state_word}")
-    state = ScoreState(graph, mask)
-    return state.toggle(eid, keep), state
+    state = ScoreState(graph, mask.copy())
+    return state.toggle(eid, direction == "add"), state

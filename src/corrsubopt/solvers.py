@@ -79,10 +79,10 @@ class FreeEdgeSearch:
         self.kept_deg = graph.forced_degrees()
         self.und_deg = und = [0] * graph.vertex_count
         self.nbr_sum = list(graph.forced_nbr_sums)
-        self.decided: list[bool | None] = [None] * graph.edge_count  # None = undecided
+        self.kept = [False] * graph.edge_count
         self.nodes = 0
         for eid in graph.forced_edge_ids:
-            self.decided[eid] = True
+            self.kept[eid] = True
         for eid in order:
             u, v = graph.edges[eid]
             und[u] += 1
@@ -103,9 +103,9 @@ class FreeEdgeSearch:
             itemgetter(*vertices) if vertices else lambda values: () for vertices in frontier]
 
     def mask(self) -> SubgraphMask:
-        """The mask of the current leaf: forced and kept free edges."""
-        return SubgraphMask.from_parts(
-            self.graph, [d is True for d in self.decided], list(self.kept_deg))
+        """The mask of the current leaf: forced and kept free edges.  Every
+        edge in ``order`` is set on the path to a leaf, so no entry is stale."""
+        return SubgraphMask.from_parts(self.graph, list(self.kept), list(self.kept_deg))
 
     def key(self, depth: int) -> tuple:
         """The kept degrees and the kept-neighbour sums of the frontier
@@ -129,8 +129,7 @@ class FreeEdgeSearch:
         """
         edges, order, depth = self.graph.edges, self.order, len(self.order)
         _, weights = self.graph.scaled_weights
-        kept_deg, und_deg, nbr_sum, decided = (
-            self.kept_deg, self.und_deg, self.nbr_sum, self.decided)
+        kept_deg, und_deg, nbr_sum, kept = self.kept_deg, self.und_deg, self.nbr_sum, self.kept
         nodes = 0
 
         def search(pos: int, state) -> bool:
@@ -143,7 +142,7 @@ class FreeEdgeSearch:
                 nodes += 1
                 if node_limit is not None and nodes > node_limit:
                     raise _Abort
-                decided[eid] = keep
+                kept[eid] = keep
                 if keep:
                     kept_deg[u] += 1
                     kept_deg[v] += 1
@@ -162,7 +161,6 @@ class FreeEdgeSearch:
                     kept_deg[v] -= 1
                     nbr_sum[u] -= weights[v]
                     nbr_sum[v] -= weights[u]
-                decided[eid] = None
             return False
 
         try:
@@ -274,7 +272,8 @@ def solve_exact(
     shares, each at least its own vertex's completion minimum, so that sum
     is at most S * D in every completion; both parts only overstate the
     score.  A finalised vertex's bound is its exact share, so a leaf's total
-    is exact S * D.
+    is exact S * D, and with its log sum over the core vertices it gives the
+    leaf's mask the score that ``score`` gives it, bit for bit.
 
     Scores come from the integer kernel in ``scoring``: neighbour sums are
     ints over the scaled weights W, shares are ints over the denominator D
@@ -417,12 +416,9 @@ def solve_exact(
 
     root = (bound.total(kept_deg, und_deg, nbr_sum), max_log_sum)
     finished = dfs.run(root, child, leaf, node_limit)
-    # Rescore through the public path so the report is bit-identical to
-    # score(graph, best_mask).
-    final_score = score(graph, inc_mask, multiplier=mult)
     return SolveReport(
         best_mask=inc_mask,
-        best_score=final_score,
+        best_score=inc_score,
         nodes_explored=dfs.nodes,
         restarts_used=0,
         wall_time=time.perf_counter() - t0,
@@ -562,7 +558,7 @@ def solve_local(
             current = state.toggle(best_eid, best_keep)
         key = state.mask.lex_key()
         if best_score is None or _beats(current, key, best_score, best_key):
-            best_mask, best_score, best_key = state.mask.copy(), current, key
+            best_mask, best_score, best_key = state.mask, current, key
 
     assert best_mask is not None and best_score is not None
     return SolveReport(

@@ -274,6 +274,13 @@ class CheckContext(Immutable):
         return list(sample_states(self.inst.graph, rng, self.mask_samples))
 
     @cached_property
+    def degree_logs(self) -> tuple[dict[str, float], list[float]]:
+        """:func:`degree_log_quantities` of the full mask, and each sampled
+        mask's log-degree sum, added once for checks 3 and 4."""
+        sums = [log_degree_sum(self.inst.graph, state.mask.degrees) for state in self.sample]
+        return degree_log_quantities(self.inst, self.sample[0].mask), sums
+
+    @cached_property
     def satisfying(self) -> list[tuple[bool, ...]]:
         """Every 1-in-3 satisfying assignment, from one run of the exhaustive
         oracle per context; raises :class:`Inconclusive` past its cap."""
@@ -324,10 +331,9 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
 def _degree_log_chain(ctx: CheckContext, holds) -> Outcome:
     """Checks 3 and 4: ``holds(q, mask_sum)`` for each sampled mask's
     log-degree sum, with q = degree_log_quantities of the full mask."""
-    q = degree_log_quantities(ctx.inst, ctx.sample[0].mask)
+    q, sums = ctx.degree_logs
     lower, graph_sum, upper = _fmt(q["lower"]), _fmt(q["graph_sum"]), _fmt(q["upper"])
-    for state in ctx.sample:
-        mask_sum = log_degree_sum(ctx.inst.graph, state.mask.degrees)
+    for mask_sum in sums:
         if not holds(q, mask_sum):
             return Outcome("fail", (("mask_sum", _fmt(mask_sum)), ("graph_sum", graph_sum),
                                     ("lower", lower), ("upper", upper)))

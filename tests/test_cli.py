@@ -409,6 +409,40 @@ class TestRoundTrip:
         assert capsys.readouterr().out.splitlines()[-1] == witness_s == "S = 8343/140"
 
 
+@pytest.mark.parametrize("command", ["reduce", "witness", "solve"])
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error: exit 2 with
+    one ``error:`` line, no exception out of ``main`` and no temporary file
+    left next to the target."""
+
+    @staticmethod
+    def argv_and_target(command, sat3_file, triangle_file, out):
+        """The command writing to ``out``, and the first file it writes."""
+        if command == "reduce":
+            return ["reduce", "-f", sat3_file, "-t", "2", "-o", out], f"{out}.graph"
+        if command == "witness":
+            return ["witness", "-f", sat3_file, "-t", "2", "-a", "TFF", "-o", out], out
+        return ["solve", "-g", triangle_file, "--exact", "--out", out], out
+
+    def test_missing_directory(self, command, sat3_file, triangle_file, tmp_path, capsys):
+        argv, target = self.argv_and_target(
+            command, sat3_file, triangle_file, str(tmp_path / "missing" / "x"))
+        assert main(argv) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: cannot write {target}: No such file or directory"]
+
+    def test_directory_in_the_way(self, command, sat3_file, triangle_file, tmp_path, capsys):
+        parent = tmp_path / "out"
+        parent.mkdir()
+        argv, target = self.argv_and_target(command, sat3_file, triangle_file, str(parent / "x"))
+        os.mkdir(target)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"error: cannot write {target}: ")
+        assert os.listdir(parent) == [os.path.basename(target)]
+
+
 # `verify -h` at 80 columns, as argparse formats it.
 VERIFY_HELP = """\
 usage: corrsubopt verify [-h] [--threads THREADS] -f FORMULA -t T

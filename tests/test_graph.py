@@ -153,6 +153,11 @@ class TestWeightedGraph:
         assert triangle.edge_id(2, 0) == 1
         assert triangle.edge_id(1, 2) == 2
 
+    def test_edge_id_of_a_non_edge_is_a_key_error(self, star):
+        for u, v in ((1, 2), (3, 1), (0, 4), (3, 4)):
+            with pytest.raises(KeyError):
+                star.edge_id(u, v)
+
     def test_incidence_and_degrees(self, star):
         assert star.degrees == (3, 1, 1, 1)
         assert star.incidence[0] == ((1, 0), (2, 1), (3, 2))

@@ -86,6 +86,17 @@ class TestCommandImports:
         assert "corrsubopt.reduction" in loaded
         assert "corrsubopt.verification" not in loaded
 
+    def test_reduce_and_witness_load_no_solvers(self, tmp_path):
+        """Only ``decide`` needs the solvers; ``reduction`` imports them there."""
+        formula = tmp_path / "sat3.f"
+        formula.write_text(helpers.SAT3_TEXT)
+        for argv in (["reduce", "-f", str(formula), "-t", "2", "-o", str(tmp_path / "sat3")],
+                     ["witness", "-f", str(formula), "-t", "2", "-a", "TFF",
+                      "-o", str(tmp_path / "sat3.mask")]):
+            loaded = modules_after(argv)
+            assert "corrsubopt.reduction" in loaded, argv
+            assert "corrsubopt.solvers" not in loaded, argv
+
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):
     """``dataclasses``, with the ``inspect`` it imports, would add about

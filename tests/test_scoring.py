@@ -185,6 +185,27 @@ class TestScore:
         assert doubled.value == default.log_degree_sum - 6 * math.log(2.0)
 
 
+class TestMaskOwnership:
+    """A ScoreState works on the mask it is given; score() and score_delta
+    leave the caller's mask as it was."""
+
+    def test_toggle_changes_the_mask_it_was_handed(self, triangle):
+        mask = SubgraphMask.full(triangle)
+        state = ScoreState(triangle, mask)
+        state.toggle(1, False)
+        assert state.mask is mask
+        assert mask.kept == [True, False, True]
+        assert mask.degrees == [1, 2, 1]
+
+    def test_score_and_score_delta_leave_the_callers_mask(self, triangle):
+        mask = SubgraphMask.full(triangle)
+        score(triangle, mask)
+        _, state = score_delta(triangle, mask, 1, "remove")
+        assert mask.kept == [True, True, True]
+        assert mask.degrees == [2, 2, 2]
+        assert state.mask.kept == [True, False, True]
+
+
 class TestScoreDelta:
     def test_remove_then_add_restores_exactly(self, triangle):
         full = SubgraphMask.full(triangle)

@@ -229,6 +229,11 @@ class TestExactDifferential:
         assert _bits(report.best_score.value) == _bits(value)
         assert _bits(report.best_score.log_degree_sum) == _bits(log_sum)
         assert report.best_score.discrepancy_total == total
+        # The report carries the leaf's own score, which must be the public one.
+        rescored = score(graph, report.best_mask, multiplier=multiplier)
+        assert report.best_score == rescored
+        assert _bits(report.best_score.value) == _bits(rescored.value)
+        assert _bits(report.best_score.log_degree_sum) == _bits(rescored.log_degree_sum)
 
 
 class TestDominanceDifferential:

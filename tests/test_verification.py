@@ -272,6 +272,21 @@ class TestRunChecks:
         assert [r.status for r in records] == ["inconclusive", "pass", "pass"]
         assert len(calls) == 1
 
+    def test_checks_3_and_4_sum_each_sampled_mask_once(self, unsat4, monkeypatch):
+        calls = []
+        log_sum = verification.log_degree_sum
+
+        def counting(graph, degrees):
+            calls.append(degrees)
+            return log_sum(graph, degrees)
+
+        monkeypatch.setattr(verification, "log_degree_sum", counting)
+        records = run_checks(unsat4, 2, checks=("3", "4"), mask_samples=7)
+        assert [r.status for r in records] == ["pass", "pass"]
+        # The full mask and the 7 samples once each, plus degree_log_quantities'
+        # two sums, shared by both checks.
+        assert len(calls) == 8 + 2
+
     def test_check6_consults_oracle_despite_assignment(self, sat3):
         # a non-1-in-3 assignment fails check 5, but check 6 still learns
         # from the oracle that sat3 is satisfiable: negative control
