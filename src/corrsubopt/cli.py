@@ -16,6 +16,7 @@ Exit status: 0 on success, 1 when a verification check does not pass,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import tempfile
@@ -48,29 +49,34 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in the same
+def _atomic_write(*files: tuple[str, str]) -> None:
+    """Write each (path, text) pair through a temporary file in the path's
     directory, with the mode a plain ``open`` would give (0666 less the
-    umask), not ``mkstemp``'s 0600.  An unwritable path is a usage error."""
-    target = Path(path)
+    umask), not ``mkstemp``'s 0600.  No target is replaced until every
+    temporary is written, so a command writes all of its files or none.  An
+    unwritable path, or a directory in the way, is a usage error."""
+    umask = os.umask(0)
+    os.umask(umask)
+    temps: list[str] = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name)
         try:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, target)
+            for path, text in files:
+                target = Path(path)
+                if target.is_dir() and not target.is_symlink():  # os.replace would fail
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name)
+                temps.append(tmp)
+                os.fchmod(fd, 0o666 & ~umask)
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(text)
+            for path, _ in files:
+                os.replace(temps.pop(0), path)
         except BaseException:
-            os.unlink(tmp)
+            for tmp in temps:
+                os.unlink(tmp)
             raise
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _load_graph_file(path: str):
-    return load_graph(_read(path))
 
 
 def _load_formula_file(path: str):
@@ -90,7 +96,7 @@ def _print_score(value) -> None:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    graph = _load_graph_file(args.graph)
+    graph = load_graph(_read(args.graph))
     if args.mask:
         mask = load_mask(_read(args.mask), graph)
     else:
@@ -100,14 +106,11 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    from .solvers import SearchSpaceError, solve_exact, solve_local
+    from .solvers import solve_exact, solve_local
 
-    graph = _load_graph_file(args.graph)
-    if args.exact:
-        try:
-            report = solve_exact(graph, node_limit=args.node_limit)
-        except SearchSpaceError as exc:
-            raise UsageError(str(exc)) from exc
+    graph = load_graph(_read(args.graph))
+    if args.exact:  # a refused search space is a ValueError, see main
+        report = solve_exact(graph, node_limit=args.node_limit)
     else:
         report = solve_local(graph, restarts=args.restarts, seed=args.seed)
     print(f"mask = {report.best_mask.bitstring()}")
@@ -115,7 +118,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"nodes = {report.nodes_explored}")
     print(f"optimality = {report.optimality}")
     if args.out:
-        _atomic_write(args.out, dump_mask(report.best_mask))
+        _atomic_write((args.out, dump_mask(report.best_mask)))
         print(f"wrote {args.out}")
     return 0
 
@@ -127,8 +130,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     inst = compile_formula(formula, args.t)
     graph_path = f"{args.out}.graph"
     roles_path = f"{args.out}.roles"
-    _atomic_write(graph_path, dump_graph(inst.graph))
-    _atomic_write(roles_path, dump_roles(inst))
+    _atomic_write((graph_path, dump_graph(inst.graph)), (roles_path, dump_roles(inst)))
     free = len(inst.graph.free_edge_ids)
     print(
         f"n = {inst.variable_count}, t = {inst.t}, "
@@ -152,7 +154,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     print(f"reduction score = {format_score(value)}")
     print(f"S = {format_fraction(value.discrepancy_total)}")
     if args.out:
-        _atomic_write(args.out, dump_mask(mask))
+        _atomic_write((args.out, dump_mask(mask)))
         print(f"wrote {args.out}")
     return 0
 

@@ -334,10 +334,16 @@ class SubgraphMask:
         return f"SubgraphMask({self.bitstring()!r})"
 
 
-def is_valid(graph: WeightedGraph, mask: SubgraphMask) -> bool:
-    """True iff every vertex keeps at least one incident edge."""
+def require_same_graph(graph: WeightedGraph, mask: SubgraphMask) -> None:
+    """Raise ``ValueError`` unless ``mask`` is over ``graph`` or an equal one;
+    identity is tested first, so a mask built on ``graph`` costs no compare."""
     if mask.graph is not graph and mask.graph != graph:
         raise ValueError("mask belongs to a different graph")
+
+
+def is_valid(graph: WeightedGraph, mask: SubgraphMask) -> bool:
+    """True iff every vertex keeps at least one incident edge."""
+    require_same_graph(graph, mask)
     return all(d >= 1 for d in mask.degrees)
 
 

@@ -129,10 +129,7 @@ def parse_formula(text: str) -> Formula:
         if len(set(ids)) != 3:
             raise FormulaError(f"line {lineno}: clause variables must be distinct")
         clauses.append(frozenset(ids))
-    try:
-        formula = Formula(n, tuple(clauses))
-    except FormulaError as exc:
-        raise FormulaError(str(exc)) from None
+    formula = Formula(n, tuple(clauses))
     note = incidence_planarity_warning(formula)
     if note:
         warnings.warn(note, IncidenceBoundWarning, stacklevel=2)

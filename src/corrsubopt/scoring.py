@@ -44,7 +44,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .graph import MaskValidityError, SubgraphMask, WeightedGraph
+from .graph import MaskValidityError, SubgraphMask, WeightedGraph, require_same_graph
 
 
 class DegenerateVertexError(ValueError):
@@ -115,6 +115,7 @@ def neighbourhood_discrepancy(
 
     Walks ``graph.incidence``, so it also serves masks that are not valid;
     on a valid mask :meth:`ScoreState.gap` gives the same ints."""
+    require_same_graph(graph, mask)
     d = mask.degrees[vertex]
     if d == 0:
         raise DegenerateVertexError(f"vertex {vertex} has no kept incident edge")
@@ -173,6 +174,7 @@ class ScoreState:
         *,
         multiplier: int | None = None,
     ):
+        require_same_graph(graph, mask)
         if 0 in mask.degrees:
             raise MaskValidityError(f"vertex {mask.degrees.index(0)} is isolated in the subgraph")
         self.graph = graph

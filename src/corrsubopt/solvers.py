@@ -18,7 +18,7 @@ from .graph import SubgraphMask, WeightedGraph
 from .scoring import ScoreState, ScoreValue, compare_scores, log_degree_sum, score
 
 
-class SearchSpaceError(RuntimeError):
+class SearchSpaceError(ValueError):
     """Exact search refused: too many free edges and no node budget given."""
 
 

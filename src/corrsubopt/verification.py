@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .graph import Immutable, SubgraphMask, is_valid
+from .graph import SubgraphMask, is_valid
 from .reduction import (
     AssignmentError,
     Formula,
@@ -67,10 +67,6 @@ class CheckRecord(NamedTuple):
     instance: str
     quantities: tuple[tuple[str, str], ...] = ()
     details: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 class Outcome(NamedTuple):
@@ -254,17 +250,13 @@ def _text(assignment: tuple[bool, ...]) -> str:
     return "".join("T" if b else "F" for b in assignment)
 
 
-class CheckContext(Immutable):
-    _fields = ("formula", "t", "mask_samples", "seed", "search_budget", "lemma_samples",
-               "assignment", "inst")
-    __hash__ = None  # type: ignore[assignment]  # a working context, not a value
-
-    def __init__(self, formula: Formula, t: int, mask_samples: int = 100, seed: int = 0,
-                 search_budget: int | None = 5_000_000, lemma_samples: int = 10_000,
-                 assignment: tuple[bool, ...] | None = None) -> None:
-        self.__dict__.update(formula=formula, t=t, mask_samples=mask_samples, seed=seed,
-                             search_budget=search_budget, lemma_samples=lemma_samples,
-                             assignment=assignment, inst=compile_formula(formula, t))
+class CheckContext:
+    def __init__(self, formula: Formula, t: int, *, mask_samples: int, seed: int,
+                 search_budget: int | None, lemma_samples: int,
+                 assignment: tuple[bool, ...] | None) -> None:
+        self.formula, self.t, self.inst = formula, t, compile_formula(formula, t)
+        self.mask_samples, self.seed, self.search_budget = mask_samples, seed, search_budget
+        self.lemma_samples, self.assignment = lemma_samples, assignment
 
     @cached_property
     def sample(self) -> list[ScoreState]:

@@ -443,6 +443,20 @@ class TestUnwritableOutput:
         assert os.listdir(parent) == [os.path.basename(target)]
 
 
+@pytest.mark.parametrize("blocked", ["graph", "roles"])
+def test_reduce_writes_both_files_or_neither(blocked, sat3_file, tmp_path, capsys):
+    """A directory in the way of either output of ``reduce``: exit 2, and no
+    ``.graph``, ``.roles`` or temporary file is left next to it."""
+    parent = tmp_path / "out"
+    parent.mkdir()
+    target = parent / f"p.{blocked}"
+    target.mkdir()
+    assert main(["reduce", "-f", sat3_file, "-t", "2", "-o", str(parent / "p")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: cannot write {target}: Is a directory")
+    assert os.listdir(parent) == [target.name]
+
+
 # `verify -h` at 80 columns, as argparse formats it.
 VERIFY_HELP = """\
 usage: corrsubopt verify [-h] [--threads THREADS] -f FORMULA -t T

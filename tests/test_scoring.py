@@ -206,6 +206,35 @@ class TestMaskOwnership:
         assert state.mask.kept == [True, False, True]
 
 
+class TestMaskGraph:
+    """A mask is scored only on the graph it was built on or an equal one."""
+
+    @staticmethod
+    def path_and_star() -> tuple[WeightedGraph, WeightedGraph]:
+        weights = [0, 1, 2, 3]
+        return (WeightedGraph.build(4, [(0, 1), (1, 2), (2, 3)], weights),
+                WeightedGraph.build(4, [(0, 1), (0, 2), (0, 3)], weights))
+
+    def test_mask_of_another_graph_is_refused(self):
+        path, star = self.path_and_star()
+        mask = SubgraphMask.full(path)
+        calls = (lambda: score(star, mask), lambda: ScoreState(star, mask),
+                 lambda: score_delta(star, mask, 2, "remove"),
+                 lambda: neighbourhood_discrepancy(star, mask, 0))
+        for call in calls:
+            with pytest.raises(ValueError, match="mask belongs to a different graph"):
+                call()
+
+    def test_mask_of_an_equal_graph_scores(self):
+        path, _ = self.path_and_star()
+        twin, _ = self.path_and_star()
+        assert twin is not path and twin == path
+        mask = SubgraphMask.full(twin)
+        assert score(path, mask) == score(twin, mask)
+        assert score_delta(path, mask, 1, "remove")[0] == score_delta(twin, mask, 1, "remove")[0]
+        assert neighbourhood_discrepancy(path, mask, 1) == Fraction(0)
+
+
 class TestScoreDelta:
     def test_remove_then_add_restores_exactly(self, triangle):
         full = SubgraphMask.full(triangle)

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import math
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 import corrsubopt
 import corrsubopt.cli
 import corrsubopt.verification as verification
-from corrsubopt import ScoreState, SubgraphMask, compile_formula, random_valid_mask
+from corrsubopt import (
+    ScoreState, SubgraphMask, compare_scores, compile_formula, random_valid_mask)
 from corrsubopt.reduction import ReductionInstance
 from corrsubopt.scoring import neighbourhood_discrepancy
+from corrsubopt.solvers import sample_states
 from corrsubopt.verification import (
     ALL_CHECKS,
     LowDiscrepancyLookahead,
@@ -209,6 +212,22 @@ class TestScoreBounds:
         # the full mask plus 50 samples
         assert count == 51
         assert best.value is None or best.value <= infeasible_score_bound(inst)
+
+    def test_max_sampled_score_is_the_best_sample(self):
+        """The best, by compare_scores, of the states sample_states draws from
+        the same seed and multiplier; on some of these graphs a sampled mask
+        beats the full one, so the full mask alone does not pass."""
+        wins = 0
+        for seed in range(40):
+            graph = helpers.kernel_graph(random.Random(seed), "core")
+            # max_sampled_score reads only the graph and the variable count
+            inst = ReductionInstance(graph, 2, 3, (), (), (), ())
+            states = sample_states(graph, random.Random(seed), 50, multiplier=3)
+            values = [state.score() for state in states]
+            best = max(values, key=functools.cmp_to_key(compare_scores))
+            assert max_sampled_score(inst, samples=50, seed=seed) == (best, 51)
+            wins += compare_scores(best, values[0]) > 0
+        assert wins
 
 
 class TestRunChecks:
