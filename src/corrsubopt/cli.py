@@ -53,8 +53,9 @@ def _atomic_write(*files: tuple[str, str]) -> None:
     """Write each (path, text) pair through a temporary file in the path's
     directory, with the mode a plain ``open`` would give (0666 less the
     umask), not ``mkstemp``'s 0600.  No target is replaced until every
-    temporary is written, so a command writes all of its files or none.  An
-    unwritable path, or a directory in the way, is a usage error."""
+    temporary is written, and no temporary is left behind; a rename that
+    fails part-way can leave the earlier targets replaced.  An unwritable
+    path, or a directory in the way, is a usage error."""
     umask = os.umask(0)
     os.umask(umask)
     temps: list[str] = []
@@ -70,7 +71,8 @@ def _atomic_write(*files: tuple[str, str]) -> None:
                 with os.fdopen(fd, "w") as handle:
                     handle.write(text)
             for path, _ in files:
-                os.replace(temps.pop(0), path)
+                os.replace(temps[0], path)
+                del temps[0]
         except BaseException:
             for tmp in temps:
                 os.unlink(tmp)
@@ -173,7 +175,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.t,
         checks,
         assignment=assignment,
-        mask_samples=args.masks,
         seed=args.seed,
         search_budget=args.budget,
         lemma_samples=args.lemma_samples,
@@ -188,7 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             line += f" | {rec.details}"
         print(line)
         failed = failed or rec.status != "pass"
-    print(f"instance: {records[0].instance}" if records else "no checks selected")
+    print(f"instance: {records[0].instance}")
     return 1 if failed else 0
 
 
@@ -237,8 +238,6 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checks", default=",".join(ALL_CHECKS),
                    help=f"comma list from {{{','.join(ALL_CHECKS)}}} (default: all)")
     p.add_argument("--assignment", help="restrict witness checks to this assignment")
-    p.add_argument("--masks", type=non_negative_int, default=100,
-                   help="random valid masks in the one sample checks 1-4 share (default 100)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=non_negative_int, default=5_000_000,
                    help="node budget for the infeasibility search")

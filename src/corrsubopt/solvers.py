@@ -465,8 +465,8 @@ def sample_states(
 ) -> Iterator[ScoreState]:
     """A :class:`ScoreState` of the full mask, then one of each of ``count``
     masks drawn from ``rng`` by :func:`random_valid_mask`.  This is the one
-    sampling path: the ``verify`` sample, ``max_sampled_score`` and the
-    :func:`solve_local` starts each read it with their own ``rng``."""
+    sampling path: ``max_sampled_score`` and the :func:`solve_local` starts
+    each read it with their own ``rng``."""
     yield ScoreState(graph, SubgraphMask.full(graph), multiplier=multiplier)
     for _ in range(count):
         yield ScoreState(graph, random_valid_mask(graph, rng), multiplier=multiplier)

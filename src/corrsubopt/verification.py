@@ -17,21 +17,21 @@ plus the score-bound checks: a witness scores at least
 6n ln t - n ln(10nt), and for unsatisfiable formulas every examined valid
 mask scores at most 6n ln t + 20n - n ln(t^2/9).  Score bounds use the
 reduction objective (multiplier = variable count); discrepancy checks are
-exact and read the ints of the scoring kernel from a ``ScoreState``: check 1
-adds the leaves' shares of S * D, checks 2 and 5 compare each vertex's
-W d - s, and a ``Fraction`` is built only for a quantity a record reports.
-The log bounds allow absolute slack 1e-9.
+exact.  Checks 1 to 4 prove their bounds for every valid mask at once from
+per-graph facts and draw no mask; check 5 reads the ints of the scoring
+kernel from a ``ScoreState``.  The log bounds allow absolute slack 1e-9.
 
 A check is a function of one :class:`CheckContext`, which compiles the
-instance once and caches what several checks share: the sample of checks
-1-4 (states of the full mask plus ``mask_samples`` random valid masks, from
-``solvers.sample_states``, as the lemmas check's sample is), the 1-in-3
-oracle's answer and the witness masks of checks 5 and lemmas.  A check
-returns an :class:`Outcome` (pass or fail, quantities, details) or raises
-:class:`Inconclusive` when it gives up without evidence either way (the
-oracle's variable cap, the check-6 node budget); a rejected ``assignment``
-fails checks 5 and lemmas.  :func:`run_checks` turns each into the one
-:class:`CheckRecord` per selected check.
+instance once and caches what several checks share: the log-degree sums of
+checks 3 and 4, the 1-in-3 oracle's answer and the witness masks of checks
+5 and lemmas.  A check returns an :class:`Outcome` (pass or fail,
+quantities, details) or raises :class:`Inconclusive` when it gives up
+without evidence either way (the oracle's variable cap, the check-6 node
+budget); a rejected ``assignment`` fails checks 5 and lemmas.
+:func:`run_checks` turns each into the one :class:`CheckRecord` per
+selected check.  :func:`leaf_discrepancy_total`,
+:func:`attachment_violations` and :func:`degree_log_quantities` are the
+per-mask forms of checks 1 to 3.
 """
 
 from __future__ import annotations
@@ -128,10 +128,14 @@ def attachment_violations(
 
 
 def degree_log_quantities(inst: ReductionInstance, mask: SubgraphMask) -> dict[str, float]:
+    return _degree_logs(inst, mask.degrees)
+
+
+def _degree_logs(inst: ReductionInstance, degrees) -> dict[str, float]:
     n, t = inst.variable_count, inst.t
     return {
         "lower": 6 * n * math.log(t) + 2 * n,
-        "mask_sum": log_degree_sum(inst.graph, mask.degrees),
+        "mask_sum": log_degree_sum(inst.graph, degrees),
         "graph_sum": log_degree_sum(inst.graph, inst.graph.degrees),
         "upper": 6 * n * math.log(t) + 20 * n,
     }
@@ -251,26 +255,20 @@ def _text(assignment: tuple[bool, ...]) -> str:
 
 
 class CheckContext:
-    def __init__(self, formula: Formula, t: int, *, mask_samples: int, seed: int,
-                 search_budget: int | None, lemma_samples: int,
-                 assignment: tuple[bool, ...] | None) -> None:
+    def __init__(self, formula: Formula, t: int, *, seed: int, search_budget: int | None,
+                 lemma_samples: int, assignment: tuple[bool, ...] | None) -> None:
         self.formula, self.t, self.inst = formula, t, compile_formula(formula, t)
-        self.mask_samples, self.seed, self.search_budget = mask_samples, seed, search_budget
+        self.seed, self.search_budget = seed, search_budget
         self.lemma_samples, self.assignment = lemma_samples, assignment
 
     @cached_property
-    def sample(self) -> list[ScoreState]:
-        """States of the full mask plus ``mask_samples`` random valid masks,
-        drawn once from ``seed`` and shared by checks 1 to 4."""
-        rng = random.Random(f"{self.seed}:sample")
-        return list(sample_states(self.inst.graph, rng, self.mask_samples))
-
-    @cached_property
-    def degree_logs(self) -> tuple[dict[str, float], list[float]]:
-        """:func:`degree_log_quantities` of the full mask, and each sampled
-        mask's log-degree sum, added once for checks 3 and 4."""
-        sums = [log_degree_sum(self.inst.graph, state.mask.degrees) for state in self.sample]
-        return degree_log_quantities(self.inst, self.sample[0].mask), sums
+    def degree_logs(self) -> dict[str, float]:
+        """The quantities of checks 3 and 4: :func:`degree_log_quantities`
+        with ``mask_sum`` at the least degrees a valid mask can give, max(1,
+        forced degree).  ``math.log`` and left-to-right float addition are
+        monotone, so every valid mask's sum lies between it and the host's."""
+        least = [max(1, k) for k in self.inst.graph.forced_degrees()]
+        return _degree_logs(self.inst, least)
 
     @cached_property
     def satisfying(self) -> list[tuple[bool, ...]]:
@@ -292,54 +290,47 @@ class CheckContext:
 
 
 def check_leaf_total(ctx: CheckContext) -> Outcome:
-    inst = ctx.inst
-    expected = Fraction(6 * inst.variable_count * inst.t)
-    for state in ctx.sample:
-        got = leaf_discrepancy_total(inst, state)
-        if got != expected:
-            return Outcome(
-                "fail",
-                (("expected", format_fraction(expected)), ("got", format_fraction(got))),
-                f"mask {state.mask.bitstring()[:40]}...",
-            )
-    return Outcome("pass", (
-        ("leaf_total", format_fraction(expected)),
-        ("expected", format_fraction(expected)),
-        ("masks_checked", str(len(ctx.sample))),
-    ))
+    """A valid mask keeps every forced edge, so the leaves' share of S * D
+    is ``graph.leaf_numerator`` in each."""
+    g = ctx.inst.graph
+    expected = Fraction(6 * ctx.inst.variable_count * ctx.t)
+    got = Fraction(g.leaf_numerator, g.discrepancy_scale[0])
+    return Outcome("pass" if got == expected else "fail",
+                   (("leaf_total", format_fraction(got)), ("expected", format_fraction(expected))))
 
 
 def check_attachment_bounds(ctx: CheckContext) -> Outcome:
-    bound = f"1/{ctx.t * ctx.t}"
-    for state in ctx.sample:
-        violations = attachment_violations(ctx.inst, state)
-        if violations:
-            vtx, nd = violations[0]
-            return Outcome("fail", (("vertex", str(vtx)), ("nd", format_fraction(nd)),
-                                    ("bound", bound)))
-    return Outcome("pass", (("bound", bound), ("masks_checked", str(len(ctx.sample)))))
-
-
-def _degree_log_chain(ctx: CheckContext, holds) -> Outcome:
-    """Checks 3 and 4: ``holds(q, mask_sum)`` for each sampled mask's
-    log-degree sum, with q = degree_log_quantities of the full mask."""
-    q, sums = ctx.degree_logs
-    lower, graph_sum, upper = _fmt(q["lower"]), _fmt(q["graph_sum"]), _fmt(q["upper"])
-    for mask_sum in sums:
-        if not holds(q, mask_sum):
-            return Outcome("fail", (("mask_sum", _fmt(mask_sum)), ("graph_sum", graph_sum),
-                                    ("lower", lower), ("upper", upper)))
-    return Outcome("pass", (("lower", lower), ("graph_sum", graph_sum), ("upper", upper),
-                            ("masks_checked", str(len(ctx.sample)))))
+    """The largest attachment discrepancy over every valid mask: x keeps its
+    k forced edges and j of its u free ones, and W d - s - sigma is farthest
+    from 0 at an end of the interval [lows[j], highs[j]] of their W sum."""
+    inst, g = ctx.inst, ctx.inst.graph
+    spans = CompletionBound(g, g.free_edge_ids).spans
+    weights, forced, sums = g.scaled_weights[1], g.forced_degrees(), g.forced_nbr_sums
+    worst, vertex = Fraction(-1), -1
+    for x in inst.attachment_vertices:
+        k = forced[x]
+        u = g.degrees[x] - k
+        lows, highs = spans[x][u]
+        for j in range(0 if k else 1, u + 1):
+            gap = weights[x] * (k + j) - sums[x]
+            nd = _discrepancy(inst, k + j, max(abs(gap - lows[j]), abs(gap - highs[j])))
+            if nd > worst:
+                worst, vertex = nd, x
+    return Outcome("pass" if worst * ctx.t ** 2 < 1 else "fail",
+                   (("max_nd", format_fraction(worst)), ("vertex", str(vertex)),
+                    ("bound", f"1/{ctx.t * ctx.t}")))
 
 
 def check_degree_log_lower(ctx: CheckContext) -> Outcome:
-    return _degree_log_chain(ctx, lambda q, s: q["lower"] <= s + FLOAT_SLACK)
+    q = ctx.degree_logs
+    return Outcome("pass" if q["lower"] <= q["mask_sum"] + FLOAT_SLACK else "fail",
+                   (("lower", _fmt(q["lower"])), ("min_sum", _fmt(q["mask_sum"]))))
 
 
 def check_degree_log_upper(ctx: CheckContext) -> Outcome:
-    return _degree_log_chain(ctx, lambda q, s: s <= q["graph_sum"] + FLOAT_SLACK
-                             and q["graph_sum"] <= q["upper"] + FLOAT_SLACK)
+    q = ctx.degree_logs
+    return Outcome("pass" if q["graph_sum"] <= q["upper"] + FLOAT_SLACK else "fail",
+                   (("graph_sum", _fmt(q["graph_sum"])), ("upper", _fmt(q["upper"]))))
 
 
 def check_witness_discrepancy(ctx: CheckContext) -> Outcome:
@@ -434,25 +425,19 @@ def run_checks(
     checks: tuple[str, ...] = ALL_CHECKS,
     *,
     assignment: tuple[bool, ...] | None = None,
-    mask_samples: int = 100,
     seed: int = 0,
     search_budget: int | None = 5_000_000,
     lemma_samples: int = 10_000,
 ) -> list[CheckRecord]:
+    if not checks:
+        raise ValueError("no checks selected")
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    if mask_samples < 0 or lemma_samples < 0:
-        raise ValueError("mask_samples and lemma_samples must be non-negative")
-    ctx = CheckContext(
-        formula,
-        t,
-        mask_samples=mask_samples,
-        seed=seed,
-        search_budget=search_budget,
-        lemma_samples=lemma_samples,
-        assignment=assignment,
-    )
+    if lemma_samples < 0:
+        raise ValueError("lemma_samples must be non-negative")
+    ctx = CheckContext(formula, t, seed=seed, search_budget=search_budget,
+                       lemma_samples=lemma_samples, assignment=assignment)
     label = instance_label(formula, t)
     records = []
     for selector in checks:

@@ -1,3 +1,4 @@
+import errno
 import os
 import random
 import stat
@@ -193,8 +194,7 @@ class TestWitnessCommand:
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, sat3_file, capsys):
-        rc = main(["verify", "-f", sat3_file, "-t", "2",
-                   "--masks", "10", "--lemma-samples", "50"])
+        rc = main(["verify", "-f", sat3_file, "-t", "2", "--lemma-samples", "50"])
         assert rc == 0
         out = capsys.readouterr().out
         for token in ("check 1 ", "check 6 ", "check lemmas "):
@@ -230,12 +230,34 @@ class TestVerifyCommand:
     def test_unknown_check_is_usage_error(self, sat3_file, capsys):
         assert main(["verify", "-f", sat3_file, "-t", "2", "--checks", "9"]) == 2
 
+    @pytest.mark.parametrize("name", ["sat3", "unsat4"])
+    def test_checks_1_to_4_draw_no_mask(self, request, name, monkeypatch, capsys):
+        """Checks 1 to 4 prove their bounds for every valid mask at once, so
+        all four pass (exit 0) with the mask sampler refused."""
+        from corrsubopt import solvers
+
+        def refuse(graph, rng):
+            raise AssertionError("mask drawn")
+
+        monkeypatch.setattr(solvers, "random_valid_mask", refuse)
+        path = request.getfixturevalue(f"{name}_file")
+        assert main(["verify", "-f", path, "-t", "2", "--checks", "1,2,3,4"]) == 0
+
+    @pytest.mark.parametrize("selection", ["", ","])
+    def test_empty_selection_is_usage_error(self, sat3_file, selection, capsys):
+        # A run that checks nothing must not exit 0.
+        assert main(["verify", "-f", sat3_file, "-t", "2", "--checks", selection]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "error: no checks selected"
+
     @pytest.mark.parametrize("case", ["sat3-t2", "unsat4-t2"])
     def test_builds_no_neighbour_lists(self, request, case, monkeypatch, capsys):
-        """Checks 1, 2 and 5 read each vertex's (d, W d - s) from a
-        ``ScoreState``, so every check prints its pinned line with the
-        per-vertex ``incidence`` lists refused: sat3 runs the witness branch
-        of lemmas, unsat4 its sampled score bound."""
+        """Checks 1 to 4 read per-graph caches built from the edge list and
+        check 5 reads each vertex's (d, W d - s) from a ``ScoreState``, so
+        every check prints its pinned line with the per-vertex ``incidence``
+        lists refused: sat3 runs the witness branch of lemmas, unsat4 its
+        sampled score bound."""
         from corrsubopt import WeightedGraph
 
         def refuse(graph):
@@ -244,7 +266,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
         test_verify_golden_stdout(request, case, capsys)
 
-    @pytest.mark.parametrize("flag", ["--masks", "--lemma-samples", "--budget"])
+    @pytest.mark.parametrize("flag", ["--lemma-samples", "--budget"])
     def test_negative_count_is_usage_error(self, unsat4_file, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "-f", unsat4_file, "-t", "2", flag, "-3"])
@@ -252,22 +274,23 @@ class TestVerifyCommand:
         assert "must be a non-negative integer" in capsys.readouterr().err
 
 
-def _sampled_lines(leaf_total, bound, lower, graph_sum, upper):
-    """Stdout lines of checks 1-4 with the default 100 sampled masks."""
-    logs = f"lower={lower} graph_sum={graph_sum} upper={upper} masks_checked=101"
+def _bound_lines(leaf_total, max_nd, bound, lower, min_sum, graph_sum, upper):
+    """Stdout lines of checks 1-4, which hold for every valid mask; the
+    largest attachment discrepancy is at zp_1, vertex 3."""
     return [
-        f"check 1 leaf-discrepancy-total: PASS leaf_total={leaf_total} "
-        f"expected={leaf_total} masks_checked=101",
-        f"check 2 attachment-discrepancy-bound: PASS bound={bound} masks_checked=101",
-        f"check 3 degree-log-lower: PASS {logs}",
-        f"check 4 degree-log-upper: PASS {logs}",
+        f"check 1 leaf-discrepancy-total: PASS leaf_total={leaf_total} expected={leaf_total}",
+        f"check 2 attachment-discrepancy-bound: PASS max_nd={max_nd} vertex=3 bound={bound}",
+        f"check 3 degree-log-lower: PASS lower={lower} min_sum={min_sum}",
+        f"check 4 degree-log-upper: PASS graph_sum={graph_sum} upper={upper}",
     ]
 
 
-SAT3_T2_1_4 = _sampled_lines("36/1", "1/4", "18.476649250", "43.473924301", "72.476649250")
-UNSAT4_T2_1_4 = _sampled_lines("48/1", "1/4", "24.635532333", "57.965232401", "96.635532333")
-UNSAT4_T3_1_4 = _sampled_lines("72/1", "1/9", "34.366694928", "66.507356434",
-                               "106.366694928")
+SAT3_T2_1_4 = _bound_lines("36/1", "36/169", "1/4", "18.476649250", "22.364159848",
+                           "43.473924301", "72.476649250")
+UNSAT4_T2_1_4 = _bound_lines("48/1", "36/169", "1/4", "24.635532333", "29.818879797",
+                             "57.965232401", "96.635532333")
+UNSAT4_T3_1_4 = _bound_lines("72/1", "81/784", "1/9", "34.366694928", "39.550042392",
+                             "66.507356434", "106.366694928")
 SAT3_T2_CHECK6 = ("check 6 low-discrepancy-search: PASS nodes=51 threshold=4/9 | negative "
                   "control: counterexample found, as expected for a satisfiable formula")
 UNSAT4_NO_WITNESS = ("check 5 witness-zero-discrepancy: INCONCLUSIVE | no 1-in-3 "
@@ -457,11 +480,34 @@ def test_reduce_writes_both_files_or_neither(blocked, sat3_file, tmp_path, capsy
     assert os.listdir(parent) == [target.name]
 
 
+def test_failed_rename_leaves_no_temporary(tmp_path, monkeypatch):
+    """A rename that fails after the first target is replaced (say, in a
+    sticky directory over another user's file) is a usage error, and the
+    temporary it could not rename is removed with the rest."""
+    from corrsubopt import cli
+
+    rename = os.replace
+    calls = []
+
+    def second_fails(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+        rename(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", second_fails)
+    graph, roles = str(tmp_path / "p.graph"), str(tmp_path / "p.roles")
+    with pytest.raises(cli.UsageError, match=f"cannot write {roles}: "):
+        cli._atomic_write((graph, "graph\n"), (roles, "roles\n"))
+    assert os.listdir(tmp_path) == ["p.graph"]
+    assert (tmp_path / "p.graph").read_text() == "graph\n"
+
+
 # `verify -h` at 80 columns, as argparse formats it.
 VERIFY_HELP = """\
 usage: corrsubopt verify [-h] [--threads THREADS] -f FORMULA -t T
                          [--checks CHECKS] [--assignment ASSIGNMENT]
-                         [--masks MASKS] [--seed SEED] [--budget BUDGET]
+                         [--seed SEED] [--budget BUDGET]
                          [--lemma-samples LEMMA_SAMPLES]
 
 options:
@@ -474,8 +520,6 @@ options:
   --checks CHECKS       comma list from {1,2,3,4,5,6,lemmas} (default: all)
   --assignment ASSIGNMENT
                         restrict witness checks to this assignment
-  --masks MASKS         random valid masks in the one sample checks 1-4 share
-                        (default 100)
   --seed SEED
   --budget BUDGET       node budget for the infeasibility search
   --lemma-samples LEMMA_SAMPLES

@@ -109,7 +109,7 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
                  ["solve", "-g", g, "--local"], ["decide", "-f", f],
                  ["reduce", "-f", f, "-t", "2", "-o", str(tmp_path / "sat3")],
                  ["witness", "-f", f, "-t", "2", "-a", "TFF"],
-                 ["verify", "-f", f, "-t", "2", "--masks", "5", "--lemma-samples", "10"]):
+                 ["verify", "-f", f, "-t", "2", "--lemma-samples", "10"]):
         loaded = imports_of(argv)
         assert "corrsubopt.cli" in loaded
         assert not {"dataclasses", "inspect"} & loaded, argv

@@ -16,7 +16,7 @@ import corrsubopt.verification as verification
 from corrsubopt import (
     ScoreState, SubgraphMask, compare_scores, compile_formula, random_valid_mask)
 from corrsubopt.reduction import ReductionInstance
-from corrsubopt.scoring import neighbourhood_discrepancy
+from corrsubopt.scoring import log_degree_sum, neighbourhood_discrepancy
 from corrsubopt.solvers import sample_states
 from corrsubopt.verification import (
     ALL_CHECKS,
@@ -86,6 +86,39 @@ class TestExactQuantities:
         full = ScoreState(inst.graph, SubgraphMask.full(inst.graph))
         assert attachment_violations(inst, full) == []
         assert (inst.zp(1), Fraction(36, 169)) in attachment_violations(loose, full)
+
+
+class TestEveryMaskBounds:
+    """Checks 1 to 4 prove their bounds from per-graph facts; each random
+    valid mask of a compiled cubic formula must lie inside them."""
+
+    @given(st.integers(3, 5), st.integers(2, 5), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=25)
+    def test_proofs_contain_every_mask(self, n, t, seed):
+        rng = random.Random(seed)
+        formula = helpers.cubic_formula(rng, n)
+        ctx = verification.CheckContext(formula, t, seed=0, search_budget=None,
+                                        lemma_samples=0, assignment=None)
+        inst, g = ctx.inst, ctx.inst.graph
+        outcomes = [verification.CHECKS[c](ctx) for c in ("1", "2", "3", "4")]
+        assert [o.status for o in outcomes] == ["pass"] * 4
+        attachment = dict(outcomes[1].quantities)
+        max_nd = Fraction(attachment["max_nd"])
+        logs = ctx.degree_logs
+        # The least sum has the closed form n(6 ln t + 3 ln 3): 3t, 3t and
+        # 3t^2 leaves at u, z and zp, t^2 at ap, one at each w.
+        assert math.isclose(logs["mask_sum"], n * (6 * math.log(t) + 3 * math.log(3)))
+        # The full mask attains the check-2 maximum, 9t^2/(3t^2+1)^2 at zp.
+        assert max_nd == Fraction(9 * t * t, (3 * t * t + 1) ** 2)
+        assert int(attachment["vertex"]) == inst.zp(1)
+        full = SubgraphMask.full(g)
+        assert neighbourhood_discrepancy(g, full, inst.zp(1)) == max_nd
+        for mask in [full] + [random_valid_mask(g, rng) for _ in range(10)]:
+            assert ScoreState(g, mask).shares(inst.leaves) == g.leaf_numerator
+            for vtx in inst.attachment_vertices:
+                assert neighbourhood_discrepancy(g, mask, vtx) <= max_nd
+            mask_sum = log_degree_sum(g, mask.degrees)
+            assert logs["mask_sum"] <= mask_sum <= logs["graph_sum"]
 
 
 class TestInfeasibilitySearch:
@@ -232,12 +265,12 @@ class TestScoreBounds:
 
 class TestRunChecks:
     def test_all_pass_on_satisfiable(self, sat3):
-        records = run_checks(sat3, 2, mask_samples=15, lemma_samples=100)
+        records = run_checks(sat3, 2, lemma_samples=100)
         assert [r.check for r in records] == list(ALL_CHECKS)
         assert all(r.status == "pass" for r in records)
 
     def test_all_pass_on_unsatisfiable(self, unsat4):
-        records = run_checks(unsat4, 2, mask_samples=15, lemma_samples=100)
+        records = run_checks(unsat4, 2, lemma_samples=100)
         by = {r.check: r for r in records}
         assert by["6"].status == "pass"
         assert "exhaustive" in by["6"].details
@@ -267,10 +300,14 @@ class TestRunChecks:
             assert record.quantities == (("assignment", "T"),)
             assert record.details == "assignment length 1 != 3 variables"
 
-    @pytest.mark.parametrize("counts", [{"mask_samples": -3}, {"lemma_samples": -5}])
-    def test_negative_sample_count_rejected(self, sat3, counts):
-        with pytest.raises(ValueError, match="must be non-negative"):
-            run_checks(sat3, 2, checks=("1", "lemmas"), **counts)
+    def test_negative_sample_count_rejected(self, sat3):
+        with pytest.raises(ValueError, match="lemma_samples must be non-negative"):
+            run_checks(sat3, 2, checks=("1", "lemmas"), lemma_samples=-5)
+
+    def test_empty_selection_rejected(self, sat3):
+        # A run that checks nothing must not read as a pass.
+        with pytest.raises(ValueError, match="no checks selected"):
+            run_checks(sat3, 2, checks=())
 
     def test_good_assignment_restricts_witness_check(self, sat3):
         records = run_checks(sat3, 2, checks=("5",), assignment=(True, False, False))
@@ -286,25 +323,25 @@ class TestRunChecks:
             return oracle(formula)
 
         monkeypatch.setattr(verification, "satisfying_assignments", counting)
-        records = run_checks(unsat4, 2, checks=("5", "6", "lemmas"),
-                             mask_samples=2, lemma_samples=2)
+        records = run_checks(unsat4, 2, checks=("5", "6", "lemmas"), lemma_samples=2)
         assert [r.status for r in records] == ["inconclusive", "pass", "pass"]
         assert len(calls) == 1
 
-    def test_checks_3_and_4_sum_each_sampled_mask_once(self, unsat4, monkeypatch):
+    def test_checks_3_and_4_sum_logs_twice(self, unsat4, monkeypatch):
         calls = []
         log_sum = verification.log_degree_sum
 
         def counting(graph, degrees):
-            calls.append(degrees)
+            calls.append(list(degrees))
             return log_sum(graph, degrees)
 
         monkeypatch.setattr(verification, "log_degree_sum", counting)
-        records = run_checks(unsat4, 2, checks=("3", "4"), mask_samples=7)
+        records = run_checks(unsat4, 2, checks=("3", "4"))
         assert [r.status for r in records] == ["pass", "pass"]
-        # The full mask and the 7 samples once each, plus degree_log_quantities'
-        # two sums, shared by both checks.
-        assert len(calls) == 8 + 2
+        # The least degrees a valid mask can give, and the host degrees; both
+        # checks share the two sums.
+        graph = compile_formula(unsat4, 2).graph
+        assert calls == [[max(1, k) for k in graph.forced_degrees()], list(graph.degrees)]
 
     def test_check6_consults_oracle_despite_assignment(self, sat3):
         # a non-1-in-3 assignment fails check 5, but check 6 still learns
@@ -345,19 +382,20 @@ class TestTraceContract:
     """The benchmark's tracer wraps the check table and ``run_checks`` by name;
     a restructured check layer must keep every traced name reachable."""
 
-    def test_tracer_records_every_check(self, sat3):
+    def test_tracer_records_every_check(self, unsat4):
         tracer = _load_bench_spans().Tracer()
         tracer.install(corrsubopt)
         try:
-            records = verification.run_checks(sat3, 2, mask_samples=2, lemma_samples=2)
+            records = verification.run_checks(unsat4, 2, lemma_samples=2)
         finally:
             tracer.uninstall()
         calls = {name: count for name, (count, _, _) in tracer.summary().items()}
         assert calls["verification.run_checks"] == 1
         for selector in ALL_CHECKS:
             assert calls[f"verification.check_{selector}"] == 1
-        assert [r.status for r in records] == ["pass"] * len(ALL_CHECKS)
-        assert tracer.op_counts()[-1]["verification.masks_sampled"] == 4 * 3
+        assert [r.status for r in records] == ["pass"] * 4 + ["inconclusive", "pass", "pass"]
+        # Only the lemmas check samples: the full mask plus lemma_samples.
+        assert tracer.op_counts()[-1]["verification.masks_sampled"] == 2 + 1
         for selector, fn in verification.CHECKS.items():
             assert getattr(verification, fn.__name__) is fn
 
