@@ -216,36 +216,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser; ``arguments(parser)`` adds its arguments on first use."""
-
-    def __init__(self, *args, arguments=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._arguments is not None:
-            add, self._arguments = self._arguments, None
-            add(self)
-        return super().parse_known_args(args, namespace)
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    from .verification import ALL_CHECKS
-
-    p.add_argument("-f", "--formula", required=True, help="formula file")
-    p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
-    p.add_argument("--checks", default=",".join(ALL_CHECKS),
-                   help=f"comma list from {{{','.join(ALL_CHECKS)}}} (default: all)")
-    p.add_argument("--assignment", help="restrict witness checks to this assignment")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=non_negative_int, default=5_000_000,
-                   help="node budget for the infeasibility search")
-    p.add_argument("--lemma-samples", type=non_negative_int, default=10_000,
-                   help="sampled masks for the score upper bound check")
-    p.set_defaults(func=cmd_verify)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -260,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="correlation subgraph optimisation toolkit",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("score", parents=[common], help="score a graph under a mask")
     p.add_argument("-g", "--graph", required=True, help="instance graph file")
@@ -296,8 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="write the witness mask here")
     p.set_defaults(func=cmd_witness)
 
-    sub.add_parser("verify", parents=[common], help="run construction self-checks",
-                   arguments=_verify_arguments)
+    p = sub.add_parser("verify", parents=[common], help="run construction self-checks")
+    p.add_argument("-f", "--formula", required=True, help="formula file")
+    p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
+    p.add_argument("--checks", default="1,2,3,4,5,6,lemmas",
+                   help="comma list from {%(default)s} (default: all)")
+    p.add_argument("--assignment", help="restrict witness checks to this assignment")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=non_negative_int, default=5_000_000,
+                   help="node budget for the infeasibility search")
+    p.add_argument("--lemma-samples", type=non_negative_int, default=10_000,
+                   help="sampled masks for the score upper bound check")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decide", parents=[common],
                        help="one-in-three satisfiability via the reduction")

@@ -363,6 +363,8 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def _parse_weight(token: str, lineno: int) -> Fraction:
     try:
+        if "e" in token or "E" in token:  # 1e10000000 would build a 33-million-bit int
+            raise ValueError(token)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise GraphParseError(f"invalid rational weight {token!r}", lineno) from None

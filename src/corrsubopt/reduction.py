@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph import Immutable, SubgraphMask, WeightedGraph
+from .graph import Immutable, SubgraphMask, WeightedGraph, _content_lines
 from .scoring import ScoreValue
 
 if TYPE_CHECKING:  # decide imports solvers when it runs; reduce and witness never do
@@ -86,25 +86,9 @@ class Formula(Immutable):
         return self._clauses_of.get(var, ())
 
 
-def incidence_planarity_warning(formula: Formula) -> str | None:
-    """Necessary-condition check only: a bipartite planar graph on ``2n``
-    vertices has at most ``4n - 4`` edges, and the incidence graph has 3n."""
-    n = formula.variable_count
-    if 3 * n > 4 * n - 4:
-        return (
-            f"incidence graph has 3n = {3 * n} edges > 2|V| - 4 = {4 * n - 4}; "
-            "it cannot be planar"
-        )
-    return None
-
-
 def parse_formula(text: str) -> Formula:
     """Parse a formula file; raises :class:`FormulaError` with line numbers."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append((lineno, line))
+    lines = _content_lines(text)
     if not lines:
         raise FormulaError("empty formula file")
     lineno, header = lines[0]
@@ -130,9 +114,11 @@ def parse_formula(text: str) -> Formula:
             raise FormulaError(f"line {lineno}: clause variables must be distinct")
         clauses.append(frozenset(ids))
     formula = Formula(n, tuple(clauses))
-    note = incidence_planarity_warning(formula)
-    if note:
-        warnings.warn(note, IncidenceBoundWarning, stacklevel=2)
+    # A necessary condition only: a bipartite planar graph on 2n vertices has
+    # at most 4n - 4 edges, and the incidence graph has 3n.
+    if 3 * n > 4 * n - 4:
+        warnings.warn(f"incidence graph has 3n = {3 * n} edges > 2|V| - 4 = {4 * n - 4}; "
+                      "it cannot be planar", IncidenceBoundWarning, stacklevel=2)
     return formula
 
 

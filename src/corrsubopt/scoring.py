@@ -30,7 +30,9 @@ Every score in the package comes from one kernel, used by
   bits at t = 16.
 * ln S is taken of the int quotient (S * D) / D.  Python's int true
   division is correctly rounded, and so is ``float(Fraction)``; both round
-  the same rational, so the quotient is ``float(S)`` bit for bit.
+  the same rational, so the quotient is ``float(S)`` bit for bit.  Outside
+  the float range (the quotient overflows or rounds to 0.0),
+  :func:`log_quotient` takes ln(S * D) - ln D instead.
 * The log-degree sum is added left to right in vertex order over
   ``WeightedGraph.core_vertices`` only.  A host leaf has degree 1 in every
   valid mask and would add ln 1 = 0.0; every partial sum is at least +0.0,
@@ -49,6 +51,16 @@ from .graph import MaskValidityError, SubgraphMask, WeightedGraph, require_same_
 
 class DegenerateVertexError(ValueError):
     """Discrepancy is undefined for a vertex with no kept incident edge."""
+
+
+def log_quotient(numerator: int, denominator: int) -> float:
+    """ln(numerator / denominator) of two positive ints: ln of the correctly
+    rounded quotient while that is a positive float, else the difference of
+    the two logs."""
+    try:
+        return math.log(numerator / denominator)
+    except (OverflowError, ValueError):  # the quotient overflowed or rounded to 0.0
+        return math.log(numerator) - math.log(denominator)
 
 
 class ScoreValue(NamedTuple):
@@ -75,7 +87,7 @@ class ScoreValue(NamedTuple):
         total = Fraction(numerator, denominator)
         if not numerator:
             return cls(None, log_degree_sum, total)
-        value = log_degree_sum - multiplier * math.log(numerator / denominator)
+        value = log_degree_sum - multiplier * log_quotient(numerator, denominator)
         return cls(value, log_degree_sum, total)
 
 

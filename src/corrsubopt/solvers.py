@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .graph import SubgraphMask, WeightedGraph
-from .scoring import ScoreState, ScoreValue, compare_scores, log_degree_sum, score
+from .scoring import ScoreState, ScoreValue, compare_scores, log_degree_sum, log_quotient, score
 
 
 class SearchSpaceError(ValueError):
@@ -382,7 +382,11 @@ def solve_exact(
             if inc_score.value is None:
                 return None  # this branch can only reach finite scores
             # int / int is correctly rounded, so this is float(S) bit for bit.
-            if log_sum - mult * log(total / denominator) < inc_score.value - _PRUNE_EPS:
+            try:
+                ln_s = log(total / denominator)
+            except (OverflowError, ValueError):  # S outside the float range
+                ln_s = log_quotient(total, denominator)
+            if log_sum - mult * ln_s < inc_score.value - _PRUNE_EPS:
                 return None
         elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
             return None
@@ -395,9 +399,17 @@ def solve_exact(
             return total, log_sum
         for prev_total, prev_log_sum in front:
             margin = prev_log_sum - log_sum - _PRUNE_EPS
-            if margin >= 0 and (prev_total <= total or (
-                    total and margin >= mult * log(prev_total / total))):
+            if margin < 0:
+                continue
+            if prev_total <= total:
                 return None
+            if total:
+                try:
+                    ln_ratio = log(prev_total / total)
+                except OverflowError:  # the ratio is beyond the float range
+                    ln_ratio = log_quotient(prev_total, total)
+                if margin >= mult * ln_ratio:
+                    return None
         front[:] = [prev for prev in front if prev[0] < total or prev[1] > log_sum]
         front.append((total, log_sum))
         return total, log_sum
@@ -538,7 +550,11 @@ def solve_local(
                        + new_v * new_v * cofactors[dv + step] - old_v * old_v * cofactors[dv])
                 est = log_sum + (logs[du + step] - logs[du] + logs[dv + step] - logs[dv])
                 if num:
-                    finite.append((est - mult * log(num / denominator), eid, step > 0))
+                    try:
+                        ln_s = log(num / denominator)
+                    except (OverflowError, ValueError):  # S outside the float range
+                        ln_s = log_quotient(num, denominator)
+                    finite.append((est - mult * ln_s, eid, step > 0))
                 else:
                     infinite.append((est, eid, step > 0))
             evaluations += len(finite) + len(infinite)

@@ -434,6 +434,9 @@ def run_checks(
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    repeated = sorted({c for c in checks if checks.count(c) > 1}, key=checks.index)
+    if repeated:
+        raise ValueError(f"repeated checks: {', '.join(repeated)}")
     if lemma_samples < 0:
         raise ValueError("lemma_samples must be non-negative")
     ctx = CheckContext(formula, t, seed=seed, search_budget=search_budget,

@@ -70,6 +70,14 @@ class TestScoreCommand:
         assert main(["score", "-g", str(path)]) == 0
         assert "score = +inf" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["score"], ["solve", "--exact"], ["solve", "--local"]])
+    def test_weight_beyond_the_float_range(self, tmp_path, argv, capsys):
+        # S = 4 * 10^800, past the float range; the score is still finite.
+        path = tmp_path / "huge.graph"
+        path.write_text(f"3 2\n0 0\n1 1{'0' * 400}\n2 0\n0 1\n1 2\n")
+        assert main([*argv, "-g", str(path)]) == 0
+        assert "score = -5529.669959088509" in capsys.readouterr().out.splitlines()
+
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["score", "-g", "nope.graph"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -242,6 +250,12 @@ class TestVerifyCommand:
         monkeypatch.setattr(solvers, "random_valid_mask", refuse)
         path = request.getfixturevalue(f"{name}_file")
         assert main(["verify", "-f", path, "-t", "2", "--checks", "1,2,3,4"]) == 0
+
+    def test_repeated_check_is_usage_error(self, sat3_file, capsys):
+        assert main(["verify", "-f", sat3_file, "-t", "2", "--checks", "1,1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "error: repeated checks: 1"
 
     @pytest.mark.parametrize("selection", ["", ","])
     def test_empty_selection_is_usage_error(self, sat3_file, selection, capsys):
@@ -556,7 +570,7 @@ class TestMisc:
         assert args.checks == ",".join(ALL_CHECKS)
 
     def test_verify_help_is_pinned(self, monkeypatch, capsys):
-        # The verify arguments are added on first use; their help must not move.
+        # build_parser writes out the --checks default; the help must not move.
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
             main(["verify", "-h"])

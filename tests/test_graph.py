@@ -56,6 +56,7 @@ class TestParsing:
             ("2 1\n5 1\n1 2\n0 1\n", "out of range", 2),
             ("2 1\n0 1\n0 2\n0 1\n", "duplicate vertex", 3),
             ("2 1\n0 1/0\n1 2\n0 1\n", "invalid rational", 2),
+            ("2 1\n0 1e400\n1 2\n0 1\n", "invalid rational", 2),
             ("2 1\n0 1\n1 2\n0 0\n", "self-loop", 4),
             ("2 1\n0 1\n1 2\n0 7\n", "out of range", 4),
             ("3 3\n0 1\n1 2\n2 3\n0 1\n1 2\n1 0\n", "duplicate edge", 7),

@@ -86,6 +86,12 @@ class TestCommandImports:
         assert "corrsubopt.reduction" in loaded
         assert "corrsubopt.verification" not in loaded
 
+    def test_verify_help_loads_no_verification(self):
+        """``verify -h`` prints help that ``build_parser`` holds in full."""
+        loaded = modules_after(["verify", "-h"])
+        assert not {"corrsubopt.reduction", "corrsubopt.solvers",
+                    "corrsubopt.verification"} & loaded
+
     def test_reduce_and_witness_load_no_solvers(self, tmp_path):
         """Only ``decide`` needs the solvers; ``reduction`` imports them there."""
         formula = tmp_path / "sat3.f"

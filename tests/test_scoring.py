@@ -59,6 +59,18 @@ class TestPinnedValues:
         assert best.value == math.log(2) - 3 * math.log(150.0)
         assert compare_scores(best, tied) == 0
 
+    @pytest.mark.parametrize("middle, exponent", [
+        pytest.param("1" + "0" * 400, 800, id="10^400"),
+        pytest.param("1/1" + "0" * 400, -800, id="10^-400"),
+    ])
+    def test_path_beyond_the_float_range(self, middle, exponent):
+        # S = 4 * 10^exponent overflows or underflows a float; ln S does not.
+        g = load_graph(f"3 2\n0 0\n1 {middle}\n2 0\n0 1\n1 2\n")
+        val = score(g, SubgraphMask.full(g))
+        assert val.discrepancy_total == 4 * Fraction(10) ** exponent
+        expected = math.log(2) - 3 * (math.log(4) + exponent * math.log(10))
+        assert val.value == pytest.approx(expected, rel=0, abs=1e-9)
+
     def test_constant_weights_score_infinite(self):
         g = load_graph("3 3\n0 5\n1 5\n2 5\n0 1\n0 2\n1 2\n")
         val = score(g, SubgraphMask.full(g))

@@ -188,6 +188,58 @@ class TestLocal:
         assert report.optimality == "heuristic"
 
 
+class TestWeightsBeyondTheFloatRange:
+    """Scaling every weight by 10^k scales S by 10^(2k) and leaves the
+    log-degree sums alone, so both solvers find the same mask and the score
+    moves by -2Ck ln 10.  At k = +-300 every S * D / D quotient overflows
+    or rounds to 0.0, so ln S comes from ``scoring.log_quotient``."""
+
+    @pytest.mark.parametrize("k", [300, -300])
+    def test_same_masks_shifted_scores(self, k):
+        rng = random.Random(f"scaled:{k}")
+        factor = Fraction(10) ** k
+        for i in range(120):
+            graph = helpers.random_graph(rng, max_free=9)
+            scaled = WeightedGraph.build(graph.vertex_count, graph.edges,
+                                         [w * factor for w in graph.weights])
+            shift = -2 * graph.vertex_count * k * math.log(10)
+            for solve in (solve_exact, lambda g: solve_local(g, restarts=4, seed=i)):
+                base, big = solve(graph), solve(scaled)
+                assert big.best_mask.kept == base.best_mask.kept
+                assert big.best_score.discrepancy_total == (
+                    base.best_score.discrepancy_total * factor ** 2)
+                if base.best_score.value is None:
+                    assert big.best_score.value is None
+                else:
+                    assert big.best_score.value == pytest.approx(
+                        base.best_score.value + shift, rel=0, abs=1e-8)
+
+    def test_mixed_magnitudes_match_enumeration(self):
+        """Weights near 1 beside weights near 10^400: S and the ratio of two
+        nodes' totals leave the float range within one search, and the
+        exact search still returns the enumeration's best mask."""
+        rng = random.Random("mixed")
+        huge = Fraction(10) ** 400
+        pool = (0, 1, 2, 3, huge, -huge, huge + 1)
+        for i in range(40):
+            n = rng.randint(4, 7)
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            edges.update(tuple(sorted(rng.sample(range(n), 2))) for _ in range(n))
+            graph = WeightedGraph.build(n, edges, [rng.choice(pool) for _ in range(n)])
+            best, best_bits = None, None
+            for kept in helpers.enumerate_valid_bitlists(graph):
+                mask = SubgraphMask(graph, kept)
+                cand = score(graph, mask)
+                if best is None or compare_scores(cand, best) > 0 or (
+                        compare_scores(cand, best) == 0 and mask.bitstring() < best_bits):
+                    best, best_bits = cand, mask.bitstring()
+            report = solve_exact(graph)
+            assert report.best_mask.bitstring() == best_bits
+            assert report.best_score == best
+            local = solve_local(graph, restarts=2, seed=i)
+            assert compare_scores(local.best_score, report.best_score) <= 0
+
+
 def _bits(x: float | None) -> str | None:
     return None if x is None else x.hex()
 

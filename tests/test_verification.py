@@ -360,6 +360,11 @@ class TestRunChecks:
             assert record.status == "inconclusive"
             assert "capped at 20 variables" in record.details
 
+    def test_repeated_selector_rejected(self, sat3):
+        # Two records for one check would read as two passes.
+        with pytest.raises(ValueError, match="repeated checks: 1$"):
+            run_checks(sat3, 2, checks=("1", "2", "1"))
+
     def test_unknown_selector_rejected(self, sat3):
         with pytest.raises(ValueError, match="unknown checks"):
             run_checks(sat3, 2, checks=("7",))
