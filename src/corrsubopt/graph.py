@@ -112,9 +112,10 @@ class WeightedGraph(Immutable):
         weights: Sequence[Fraction | int | str],
     ) -> "WeightedGraph":
         """Normalise (orient u < v, sort) and validate raw edge/weight data;
-        equal weights share one ``Fraction``."""
+        equal weights share one ``Fraction``.  A string weight follows the
+        instance files' rule, so an exponent string raises ``ValueError``."""
         canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
-        as_fraction = {w: Fraction(w) for w in set(weights)}
+        as_fraction = {w: _rational(w) for w in set(weights)}
         return cls(vertex_count, tuple(canon), tuple(map(as_fraction.__getitem__, weights)))
 
     @property
@@ -361,11 +362,16 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
             if line and line[0] != "#"]
 
 
+def _rational(weight: Fraction | int | str) -> Fraction:
+    """``Fraction(weight)``; an exponent string such as 1e10000000 is refused."""
+    if isinstance(weight, str) and ("e" in weight or "E" in weight):
+        raise ValueError(f"invalid rational weight {weight!r}")
+    return Fraction(weight)
+
+
 def _parse_weight(token: str, lineno: int) -> Fraction:
     try:
-        if "e" in token or "E" in token:  # 1e10000000 would build a 33-million-bit int
-            raise ValueError(token)
-        return Fraction(token)
+        return _rational(token)
     except (ValueError, ZeroDivisionError):
         raise GraphParseError(f"invalid rational weight {token!r}", lineno) from None
 

@@ -306,12 +306,16 @@ def witness_mask(
     false variable, the edges v_i w_i_j, z_i zp_i, and the cross edges of
     w_i_j.  Clause blocks stay intact; each a_j then sees exactly its one
     true neighbour.  Raises :class:`AssignmentError` unless the assignment
-    is 1-in-3 satisfying.
+    is 1-in-3 satisfying, and ``ValueError`` unless ``inst``, when given,
+    has this ``t`` and the formula's clauses per variable.
     """
     if not is_one_in_three(formula, assignment):
         raise AssignmentError("assignment does not satisfy exactly one variable per clause")
     if inst is None:
         inst = compile_formula(formula, t)
+    elif inst.t != t or inst.slots != tuple(
+            map(formula.clauses_of, range(1, formula.variable_count + 1))):
+        raise ValueError("inst was not compiled from this formula at this t")
     mask = SubgraphMask.full(inst.graph)
     edge_id = inst.graph.edge_id
     for (u, v, z, zp, *ws), clauses, true in zip(inst.blocks, inst.slots, assignment):

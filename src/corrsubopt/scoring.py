@@ -131,14 +131,19 @@ def neighbourhood_discrepancy(
     d = mask.degrees[vertex]
     if d == 0:
         raise DegenerateVertexError(f"vertex {vertex} has no kept incident edge")
-    scale, weights = graph.scaled_weights
+    _, weights = graph.scaled_weights
     kept = mask.kept
     nbr_sum = 0
     for nbr, eid in graph.incidence[vertex]:
         if kept[eid]:
             nbr_sum += weights[nbr]
-    diff = weights[vertex] * d - nbr_sum
-    return Fraction(diff * diff, (scale * d) ** 2)
+    return gap_discrepancy(graph, d, weights[vertex] * d - nbr_sum)
+
+
+def gap_discrepancy(graph: WeightedGraph, d: int, gap: int) -> Fraction:
+    """ND = (gap / (L d))^2 from the (d, W d - s) of :meth:`ScoreState.gap`."""
+    scale, _ = graph.scaled_weights
+    return Fraction(gap * gap, (scale * d) ** 2)
 
 
 def log_degree_sum(graph: WeightedGraph, degrees) -> float:
@@ -169,7 +174,7 @@ class ScoreState:
     that keeps using its mask passes a copy.  Per vertex it keeps the kept
     degree (in the mask) and the int sum s of the kept neighbours' scaled
     weights; ``total`` is the int S * D.  A toggle touches only its two
-    endpoints and adds one int delta for each.
+    endpoints, and :meth:`delta` is its int change in S * D, unapplied.
     :meth:`gap` and :meth:`shares` read those ints for given vertices, which
     is all the checks in ``verification`` need.  :meth:`score` re-adds ln d
     over the core vertices in vertex order, so every result is
@@ -239,21 +244,29 @@ class ScoreState:
         if not keep and not self.can_remove(eid):
             raise MaskValidityError(f"removing edge {eid} would isolate a vertex")
 
+    def delta(self, eid: int, keep: bool) -> int:
+        """The change in ``total`` (the int S * D) that toggling the edge to
+        ``keep`` would make, without making it.  The caller checks the toggle:
+        the edge is not already ``keep``, and dropping it isolates no vertex."""
+        u, v = self.graph.edges[eid]
+        weights, sums, degrees, cofactors = (
+            self._weights, self.nbr_sums, self.mask.degrees, self._cofactors)
+        du, dv = degrees[u], degrees[v]
+        step = 1 if keep else -1
+        old_u, old_v = weights[u] * du - sums[u], weights[v] * dv - sums[v]
+        # Each endpoint's W d - s moves by step * (its W - the other's W).
+        gap = step * (weights[u] - weights[v])
+        new_u, new_v = old_u + gap, old_v - gap
+        return (new_u * new_u * cofactors[du + step] - old_u * old_u * cofactors[du]
+                + new_v * new_v * cofactors[dv + step] - old_v * old_v * cofactors[dv])
+
     def _apply(self, eid: int, keep: bool) -> None:
         """Toggle a checked edge in the mask, the neighbour sums and S."""
         u, v = self.graph.edges[eid]
-        weights, sums, degrees = self._weights, self.nbr_sums, self.mask.degrees
-        cofactors = self._cofactors
-        step = 1 if keep else -1
-        total = self.total
-        for vtx, shift in ((u, step * weights[v]), (v, step * weights[u])):
-            d, s = degrees[vtx], sums[vtx]
-            new_d, new_s = d + step, s + shift
-            old = weights[vtx] * d - s
-            new = weights[vtx] * new_d - new_s
-            total += new * new * cofactors[new_d] - old * old * cofactors[d]
-            sums[vtx] = new_s
-        self.total = total
+        self.total += self.delta(eid, keep)
+        step, weights, sums = (1 if keep else -1), self._weights, self.nbr_sums
+        sums[u] += step * weights[v]
+        sums[v] += step * weights[u]
         self.mask.set_edge(eid, keep)
 
     def toggle(self, eid: int, keep: bool) -> ScoreValue:

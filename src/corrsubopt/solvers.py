@@ -381,12 +381,7 @@ def solve_exact(
         if total:
             if inc_score.value is None:
                 return None  # this branch can only reach finite scores
-            # int / int is correctly rounded, so this is float(S) bit for bit.
-            try:
-                ln_s = log(total / denominator)
-            except (OverflowError, ValueError):  # S outside the float range
-                ln_s = log_quotient(total, denominator)
-            if log_sum - mult * ln_s < inc_score.value - _PRUNE_EPS:
+            if log_sum - mult * log_quotient(total, denominator) < inc_score.value - _PRUNE_EPS:
                 return None
         elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
             return None
@@ -403,13 +398,8 @@ def solve_exact(
                 continue
             if prev_total <= total:
                 return None
-            if total:
-                try:
-                    ln_ratio = log(prev_total / total)
-                except OverflowError:  # the ratio is beyond the float range
-                    ln_ratio = log_quotient(prev_total, total)
-                if margin >= mult * ln_ratio:
-                    return None
+            if total and margin >= mult * log_quotient(prev_total, total):
+                return None
         front[:] = [prev for prev in front if prev[0] < total or prev[1] > log_sum]
         front.append((total, log_sum))
         return total, log_sum
@@ -501,8 +491,8 @@ def solve_local(
     candidates, so each step scans only the free edges, in ascending id.
 
     Each step screens its candidates first.  A toggle's exact int S * D
-    takes ``ScoreState``'s O(1) update and its C ln S is the float of
-    ``ScoreValue.from_parts``; its log-degree sum is estimated as the
+    is the current one plus :meth:`ScoreState.delta`, and its C ln S is the
+    float of ``ScoreValue.from_parts``; its log-degree sum is estimated as the
     current one plus the two endpoints' ln differences.  A left-to-right
     sum of k floats is off by at most (k-1)u/(1-(k-1)u) times the sum of
     their sizes (u = 2^-53, each term at most ln of the largest degree), the
@@ -519,8 +509,7 @@ def solve_local(
     t0 = time.perf_counter()
     mult = _multiplier(graph, multiplier)
     free, edges = graph.free_edge_ids, graph.edges
-    _, weights = graph.scaled_weights
-    denominator, cofactors = graph.discrepancy_scale
+    denominator, _ = graph.discrepancy_scale
     log = math.log
     logs = [0.0] + [log(d) for d in range(1, max(graph.degrees) + 1)]
     # Twice the k-term bound over the k core vertices, plus four roundings.
@@ -533,7 +522,7 @@ def solve_local(
     evaluations = 0
     for state in sample_states(graph, random.Random(seed), restarts, multiplier=multiplier):
         current = state.score()
-        kept, degrees, sums = state.mask.kept, state.mask.degrees, state.nbr_sums
+        kept, degrees, delta = state.mask.kept, state.mask.degrees, state.delta
         for _ in range(MAX_PASSES):
             finite, infinite = [], []
             total, log_sum = state.total, current.log_degree_sum
@@ -543,18 +532,10 @@ def solve_local(
                 step = -1 if kept[eid] else 1
                 if step < 0 and (du == 1 or dv == 1):
                     continue
-                old_u, old_v = weights[u] * du - sums[u], weights[v] * dv - sums[v]
-                gap = step * (weights[u] - weights[v])
-                new_u, new_v = old_u + gap, old_v - gap
-                num = (total + new_u * new_u * cofactors[du + step] - old_u * old_u * cofactors[du]
-                       + new_v * new_v * cofactors[dv + step] - old_v * old_v * cofactors[dv])
+                num = total + delta(eid, step > 0)
                 est = log_sum + (logs[du + step] - logs[du] + logs[dv + step] - logs[dv])
                 if num:
-                    try:
-                        ln_s = log(num / denominator)
-                    except (OverflowError, ValueError):  # S outside the float range
-                        ln_s = log_quotient(num, denominator)
-                    finite.append((est - mult * ln_s, eid, step > 0))
+                    finite.append((est - mult * log_quotient(num, denominator), eid, step > 0))
                 else:
                     infinite.append((est, eid, step > 0))
             evaluations += len(finite) + len(infinite)

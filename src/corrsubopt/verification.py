@@ -54,7 +54,8 @@ from .reduction import (
     witness_mask,
 )
 from .scoring import (
-    ScoreState, ScoreValue, compare_scores, format_fraction, log_degree_sum, score)
+    ScoreState, ScoreValue, compare_scores, format_fraction, gap_discrepancy, log_degree_sum,
+    score)
 from .solvers import CompletionBound, FreeEdgeSearch, sample_states
 
 FLOAT_SLACK = 1e-9
@@ -96,12 +97,6 @@ def reduction_score(inst: ReductionInstance, mask: SubgraphMask) -> ScoreValue:
     return score(inst.graph, mask, multiplier=inst.variable_count)
 
 
-def _discrepancy(inst: ReductionInstance, d: int, diff: int) -> Fraction:
-    """ND = ((W d - s) / (L d))^2 from the ints of :meth:`ScoreState.gap`."""
-    scale, _ = inst.graph.scaled_weights
-    return Fraction(diff * diff, (scale * d) ** 2)
-
-
 def leaf_discrepancy_total(inst: ReductionInstance, state: ScoreState) -> Fraction:
     """The leaves' discrepancies added up: a leaf keeps d = 1, so its ND is
     its share of S, and the total is their int shares over D."""
@@ -123,7 +118,7 @@ def attachment_violations(
     for vtx in inst.attachment_vertices:
         d, diff = state.gap(vtx)
         if t * t * diff * diff >= (scale * d) ** 2:
-            out.append((vtx, _discrepancy(inst, d, diff)))
+            out.append((vtx, gap_discrepancy(inst.graph, d, diff)))
     return out
 
 
@@ -313,7 +308,7 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
         lows, highs = spans[x][u]
         for j in range(0 if k else 1, u + 1):
             gap = weights[x] * (k + j) - sums[x]
-            nd = _discrepancy(inst, k + j, max(abs(gap - lows[j]), abs(gap - highs[j])))
+            nd = gap_discrepancy(g, k + j, max(abs(gap - lows[j]), abs(gap - highs[j])))
             if nd > worst:
                 worst, vertex = nd, x
     return Outcome("pass" if worst * ctx.t ** 2 < 1 else "fail",
@@ -345,7 +340,7 @@ def check_witness_discrepancy(ctx: CheckContext) -> Outcome:
         for vtx in inst.designated_vertices:
             d, diff = state.gap(vtx)
             if diff:  # ND = 0  <=>  W d - s = 0
-                nd = _discrepancy(inst, d, diff)
+                nd = gap_discrepancy(inst.graph, d, diff)
                 return Outcome("fail", (("assignment", text), ("vertex", str(vtx)),
                                         ("nd", format_fraction(nd))))
     return Outcome("pass", (("assignments_checked", str(len(witnesses))),))

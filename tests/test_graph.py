@@ -115,6 +115,19 @@ class TestDistinctWeights:
         built = WeightedGraph.build(4, g.edges, [5, 3, 5, 3])
         assert built.weights[0] is built.weights[2] and built.weights[1] is built.weights[3]
 
+    def test_build_refuses_exponent_strings_as_load_graph_does(self):
+        with pytest.raises(ValueError, match="invalid rational weight '1e400'"):
+            WeightedGraph.build(2, [(0, 1)], ["1e400", "0"])
+        with pytest.raises(ValueError):
+            WeightedGraph.build(2, [(0, 1)], ["0", "1E5"])
+        built = WeightedGraph.build(2, [(0, 1)], ["-7/3", "1.5"])
+        assert built.weights == (Fraction(-7, 3), Fraction(3, 2))
+        for token in ("1e400", "1E5", "1/0", "x"):
+            with pytest.raises(GraphParseError) as exc:
+                load_graph(f"2 1\n0 {token}\n1 2\n0 1\n")
+            assert str(exc.value) == f"line 2: invalid rational weight '{token}'"
+            assert exc.value.line == 2
+
     def test_invalid_token_reports_its_first_line(self):
         text = "3 2\n0 1/0\n1 2\n2 1/0\n0 1\n0 2\n"
         with pytest.raises(GraphParseError, match="invalid rational weight '1/0'") as exc:

@@ -300,6 +300,15 @@ class TestWitness:
         with pytest.raises(AssignmentError):
             witness_mask(sat3, 2, (True, True, False))
 
+    def test_rejects_an_instance_of_another_t_or_formula(self, sat3, unsat4):
+        assignment = (True, False, False)
+        with pytest.raises(ValueError, match="not compiled from this formula"):
+            witness_mask(sat3, 3, assignment, compile_formula(sat3, 2))
+        with pytest.raises(ValueError, match="not compiled from this formula"):
+            witness_mask(sat3, 2, assignment, compile_formula(unsat4, 2))
+        inst = compile_formula(sat3, 3)
+        assert witness_mask(sat3, 3, assignment, inst) == witness_mask(sat3, 3, assignment)
+
     def test_structure_for_true_variable(self, sat3):
         inst = compile_formula(sat3, 2)
         mask = witness_mask(sat3, 2, (True, False, False), inst)

@@ -14,6 +14,7 @@ from corrsubopt import (
     SubgraphMask,
     WeightedGraph,
     compare_scores,
+    compile_formula,
     format_fraction,
     format_score,
     load_graph,
@@ -22,6 +23,7 @@ from corrsubopt import (
     score,
     score_delta,
 )
+from corrsubopt.scoring import gap_discrepancy
 
 import helpers
 
@@ -332,6 +334,45 @@ class TestKernelDifferential:
         _assert_naive(score(graph, state.mask), graph, state.mask.kept)
 
 
+def _assert_delta_matches_naive(graph: WeightedGraph, rng: random.Random, toggles: int) -> None:
+    """Walk ``toggles`` random legal toggles of free edges from a random
+    valid mask.  Before each, (total + delta) / D must be the naive S of the
+    toggled mask, and the call must leave the state as it was."""
+    state = ScoreState(graph, random_valid_mask(graph, rng))
+    denominator, _ = graph.discrepancy_scale
+    free = graph.free_edge_ids
+    for _ in range(toggles if free else 0):
+        eid = rng.choice(free)
+        keep = not state.mask.kept[eid]
+        if not keep and not state.can_remove(eid):
+            continue
+        kept = list(state.mask.kept)
+        kept[eid] = keep
+        before = _snapshot(state)
+        delta = state.delta(eid, keep)
+        assert _snapshot(state) == before
+        assert Fraction(state.total + delta, denominator) == helpers.naive_score(graph, kept)[3]
+        state.toggle(eid, keep)
+        assert state.total == before[-1] + delta
+
+
+class TestDelta:
+    """``ScoreState.delta`` against the Fraction-exact naive oracle on
+    random and compiled graphs."""
+
+    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=100)
+    def test_matches_naive_on_random_graphs(self, shape, seed):
+        rng = random.Random(seed)
+        _assert_delta_matches_naive(helpers.kernel_graph(rng, shape), rng, 20)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_matches_naive_on_compiled_graphs(self, sat3, unsat4, t):
+        for formula in (sat3, unsat4):
+            graph = compile_formula(formula, t).graph
+            _assert_delta_matches_naive(graph, random.Random(f"delta:{t}"), 30)
+
+
 class TestDiscrepancyDifferential:
     """The kernel's per-vertex ints against first principles, on every
     vertex of random valid masks: ``ScoreState.gap``'s (d, W d - s) as the
@@ -361,6 +402,7 @@ class TestDiscrepancyDifferential:
             assert Fraction(diff, scale * d) == graph.weights[vtx] - mean
             naive = (graph.weights[vtx] - mean) ** 2
             assert Fraction(diff * diff, (scale * d) ** 2) == naive
+            assert gap_discrepancy(graph, d, diff) == naive
             assert neighbourhood_discrepancy(graph, mask, vtx) == naive
             total += d * naive
         assert Fraction(state.shares(range(graph.vertex_count)), denominator) == total

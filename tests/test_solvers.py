@@ -510,3 +510,27 @@ def test_exact_golden_outputs(seed, nodes, bits, total):
     assert report.best_mask.bitstring() == bits
     assert report.best_score.discrepancy_total == total
     assert report.optimality == "proven"
+
+
+# Evaluation counts, masks and exact totals of solve_local (4 restarts) on
+# seeded random graphs.  A change to the screen, its S * D arithmetic or the
+# order of the scan shows up here.
+@pytest.mark.parametrize(
+    "seed, evaluations, bits, total",
+    [
+        pytest.param(0, 530, "11111011110111111100", Fraction(2897, 15), id="seed0"),
+        pytest.param(1, 131, "1111111111111110", Fraction(32059, 72), id="seed1"),
+        pytest.param(2, 232, "11111111111111111", Fraction(8155, 48), id="seed2"),
+        pytest.param(3, 237, "1011111110110", Fraction(23723, 144), id="seed3"),
+        pytest.param(4, 574, "11111111101111111001", Fraction(5963, 54), id="seed4"),
+    ],
+)
+def test_local_golden_outputs(seed, evaluations, bits, total):
+    graph = helpers.random_graph(
+        random.Random(f"local:{seed}"), min_vertices=10, max_vertices=16, max_free=40
+    )
+    report = solve_local(graph, restarts=4, seed=seed)
+    assert report.nodes_explored == evaluations
+    assert report.best_mask.bitstring() == bits
+    assert report.best_score.discrepancy_total == total
+    assert report.optimality == "heuristic"
