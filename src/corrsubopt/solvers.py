@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -34,10 +35,6 @@ class SolveReport(NamedTuple):
 def _beats(cand: ScoreValue, cand_key: bytes, inc: ScoreValue, inc_key: bytes) -> bool:
     cmp = compare_scores(cand, inc)
     return cmp > 0 or (cmp == 0 and cand_key < inc_key)
-
-
-class _Abort(Exception):
-    pass
 
 
 # Safety margin on the prune test: the bound and the incumbent value are
@@ -87,20 +84,23 @@ class FreeEdgeSearch:
             u, v = graph.edges[eid]
             und[u] += 1
             und[v] += 1
-        # frontier[d]: the vertices with a free edge among order[:d] and one
-        # among order[d:], ascending.
-        last = {x: pos for pos, eid in enumerate(order) for x in graph.edges[eid]}
-        frontier: list[tuple[int, ...]] = [()]
+        self._frontier_values: list = []
+        self._frontiers = self._sweep()
+
+    def _sweep(self):
+        """Yield, depth by depth and only as far as :meth:`key` asks, a getter
+        of the vertices with a free edge among order[:d] and one among order[d:]."""
+        edges = self.graph.edges
+        last = {x: pos for pos, eid in enumerate(self.order) for x in edges[eid]}
         active: set[int] = set()
-        for pos, eid in enumerate(order):
-            for x in graph.edges[eid]:
+        yield lambda values: ()
+        for pos, eid in enumerate(self.order):
+            for x in edges[eid]:
                 if last[x] == pos:
                     active.discard(x)
                 else:
                     active.add(x)
-            frontier.append(tuple(sorted(active)))
-        self._frontier_values = [
-            itemgetter(*vertices) if vertices else lambda values: () for vertices in frontier]
+            yield itemgetter(*sorted(active)) if active else lambda values: ()
 
     def mask(self) -> SubgraphMask:
         """The mask of the current leaf: forced and kept free edges.  Every
@@ -113,6 +113,8 @@ class FreeEdgeSearch:
         completion of order[depth:] meets depends on the decided edges only
         through this key: every other vertex has either all its free edges
         decided or none."""
+        while len(self._frontier_values) <= depth:
+            self._frontier_values.append(next(self._frontiers))
         values = self._frontier_values[depth]
         return values(self.kept_deg), values(self.nbr_sum)
 
@@ -125,50 +127,53 @@ class FreeEdgeSearch:
         ``leaf(state)`` is called at each full assignment and returns True
         to stop the search.  Each child counts as one node in
         ``self.nodes``; returns False when the count passes ``node_limit``,
-        True otherwise.
+        True otherwise.  ``states[pos]`` and ``tried[pos]`` are level pos's
+        state and branches taken (0 to 2); at an abort they hold the open path.
         """
         edges, order, depth = self.graph.edges, self.order, len(self.order)
         _, weights = self.graph.scaled_weights
         kept_deg, und_deg, nbr_sum, kept = self.kept_deg, self.und_deg, self.nbr_sum, self.kept
-        nodes = 0
-
-        def search(pos: int, state) -> bool:
-            nonlocal nodes
-            if pos == depth:
-                return leaf(state)
+        if not depth:
+            leaf(root)
+        states, tried = [root], [0]
+        pos = nodes = 0
+        while 0 <= pos < depth:
             eid = order[pos]
             u, v = edges[eid]
-            for keep in (True, False):
-                nodes += 1
-                if node_limit is not None and nodes > node_limit:
-                    raise _Abort
-                kept[eid] = keep
-                if keep:
-                    kept_deg[u] += 1
-                    kept_deg[v] += 1
-                    nbr_sum[u] += weights[v]
-                    nbr_sum[v] += weights[u]
-                und_deg[u] -= 1
-                und_deg[v] -= 1
-                if (und_deg[u] or kept_deg[u]) and (und_deg[v] or kept_deg[v]):
-                    sub = child(state, pos + 1, u, v, keep)
-                    if sub is not None and search(pos + 1, sub):
-                        return True
+            branch = tried[pos]
+            if branch:
                 und_deg[u] += 1
                 und_deg[v] += 1
-                if keep:
-                    kept_deg[u] -= 1
-                    kept_deg[v] -= 1
-                    nbr_sum[u] -= weights[v]
-                    nbr_sum[v] -= weights[u]
-            return False
-
-        try:
-            search(0, root)
-        except _Abort:
-            return False
-        finally:
-            self.nodes = nodes
+                if branch == 2:  # both taken: the edge is undecided again
+                    del states[pos], tried[pos]
+                    pos -= 1
+                    continue
+                kept_deg[u] -= 1  # the drop undoes the keep
+                kept_deg[v] -= 1
+                nbr_sum[u] -= weights[v]
+                nbr_sum[v] -= weights[u]
+            nodes += 1
+            if node_limit is not None and nodes > node_limit:
+                self.nodes = nodes
+                return False
+            tried[pos] = branch + 1
+            keep = kept[eid] = not branch
+            if keep:
+                kept_deg[u] += 1
+                kept_deg[v] += 1
+                nbr_sum[u] += weights[v]
+                nbr_sum[v] += weights[u]
+            und_deg[u] -= 1
+            und_deg[v] -= 1
+            if (und_deg[u] or kept_deg[u]) and (und_deg[v] or kept_deg[v]):
+                sub = child(states[pos], pos + 1, u, v, keep)
+                if sub is not None and pos + 1 < depth:
+                    states.append(sub)
+                    tried.append(0)
+                    pos += 1
+                elif sub is not None and leaf(sub):
+                    break
+        self.nodes = nodes
         return True
 
 
@@ -197,36 +202,29 @@ class CompletionBound(dict):
         self.weights = weights = graph.scaled_weights[1]
         self.cofactors = graph.discrepancy_scale[1]
         self.core, self.leaf_numerator = graph.core_vertices, graph.leaf_numerator
-        tails: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+        self.tails = tails = [[] for _ in range(graph.vertex_count)]
         for eid in order:
             a, b = graph.edges[eid]
             tails[a].append(weights[b])
             tails[b].append(weights[a])
-        # spans[x][u]: prefix sums of the u smallest and of the u largest
-        # weights across x's last u free edges.
-        self.spans = spans = []
-        closed = ([0], [0])
-        for tail in tails:
-            per_u = [closed]
-            for u in range(1, len(tail) + 1):
-                rest = sorted(tail[-u:])
-                lows, highs = [0], [0]
-                for j in range(u):
-                    lows.append(lows[-1] + rest[j])
-                    highs.append(highs[-1] + rest[-1 - j])
-                per_u.append((lows, highs))
-            spans.append(per_u)
 
     def __missing__(self, key: tuple[int, int, int, int]) -> int:
         value = self[key] = self.bound(*key)
         return value
+
+    def span(self, x: int, u: int) -> tuple[list[int], list[int]]:
+        """(lows, highs): the prefix sums of the u smallest and of the u
+        largest weights across x's last u free edges, from 0."""
+        tail = self.tails[x]
+        rest = sorted(tail[len(tail) - u:])  # tail[-0:] would be all of it
+        return list(accumulate(rest, initial=0)), list(accumulate(reversed(rest), initial=0))
 
     def gaps(self, x: int, k: int, s: int, u: int):
         """Yield (d, gap) for every final degree d = k + j >= 1 of x: gap is
         the distance from W_x d - s to the interval of the sums of j of its
         u undecided neighbours' weights, so |W_x d - s - sigma| >= gap
         whichever j of them x keeps.  k + u >= 1."""
-        lows, highs = self.spans[x][u]
+        lows, highs = self.span(x, u)
         wx = self.weights[x]
         target = wx * k - s  # W_x d - s at j = 0
         for j in range(0 if k else 1, u + 1):

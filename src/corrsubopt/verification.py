@@ -299,13 +299,13 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
     k forced edges and j of its u free ones, and W d - s - sigma is farthest
     from 0 at an end of the interval [lows[j], highs[j]] of their W sum."""
     inst, g = ctx.inst, ctx.inst.graph
-    spans = CompletionBound(g, g.free_edge_ids).spans
+    span = CompletionBound(g, g.free_edge_ids).span
     weights, forced, sums = g.scaled_weights[1], g.forced_degrees(), g.forced_nbr_sums
     worst, vertex = Fraction(-1), -1
     for x in inst.attachment_vertices:
         k = forced[x]
         u = g.degrees[x] - k
-        lows, highs = spans[x][u]
+        lows, highs = span(x, u)
         for j in range(0 if k else 1, u + 1):
             gap = weights[x] * (k + j) - sums[x]
             nd = gap_discrepancy(g, k + j, max(abs(gap - lows[j]), abs(gap - highs[j])))

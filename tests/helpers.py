@@ -239,6 +239,61 @@ def plain_random_valid_mask(graph: WeightedGraph, rng: random.Random) -> Subgrap
     return mask
 
 
+class _Abort(Exception):
+    pass
+
+
+def recursive_search(dfs: FreeEdgeSearch, root, child, leaf, node_limit: int | None = None) -> bool:
+    """``dfs.run`` written as one recursive call per free edge, on the same
+    lists: ``FreeEdgeSearch.run`` must make the same ``child`` and ``leaf``
+    calls, in the same order and with the same lists, count the same nodes
+    and return the same value.  Recursion caps the depth near Python's
+    recursion limit, so this suits small graphs only."""
+    edges, order, depth = dfs.graph.edges, dfs.order, len(dfs.order)
+    _, weights = dfs.graph.scaled_weights
+    kept_deg, und_deg, nbr_sum, kept = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum, dfs.kept
+    nodes = 0
+
+    def search(pos: int, state) -> bool:
+        nonlocal nodes
+        if pos == depth:
+            return leaf(state)
+        eid = order[pos]
+        u, v = edges[eid]
+        for keep in (True, False):
+            nodes += 1
+            if node_limit is not None and nodes > node_limit:
+                raise _Abort
+            kept[eid] = keep
+            if keep:
+                kept_deg[u] += 1
+                kept_deg[v] += 1
+                nbr_sum[u] += weights[v]
+                nbr_sum[v] += weights[u]
+            und_deg[u] -= 1
+            und_deg[v] -= 1
+            if (und_deg[u] or kept_deg[u]) and (und_deg[v] or kept_deg[v]):
+                sub = child(state, pos + 1, u, v, keep)
+                if sub is not None and search(pos + 1, sub):
+                    return True
+            und_deg[u] += 1
+            und_deg[v] += 1
+            if keep:
+                kept_deg[u] -= 1
+                kept_deg[v] -= 1
+                nbr_sum[u] -= weights[v]
+                nbr_sum[v] -= weights[u]
+        return False
+
+    try:
+        search(0, root)
+    except _Abort:
+        return False
+    finally:
+        dfs.nodes = nodes
+    return True
+
+
 def plain_low_discrepancy_search(inst):
     """(mask or None, nodes) of the check-6 search that cuts only
     on finalised vertices: a designated vertex is tested once all its edges

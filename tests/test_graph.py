@@ -321,3 +321,29 @@ class TestMaskIO:
         m = SubgraphMask.full(triangle)
         with pytest.raises(IndexError):
             m.set_edge(9, False)
+
+
+# Input errors no other test reaches, each message pinned as it reads.
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        pytest.param(lambda: load_graph("2 1\nx 1\n1 2\n0 1\n"), GraphParseError,
+                     "line 2: invalid vertex id 'x'", id="vertex-id"),
+        pytest.param(lambda: load_graph("2 1\n0 1\n1 2\n0 1 1\n"), GraphParseError,
+                     "line 4: edge line must be '<u> <v>'", id="edge-line-shape"),
+        pytest.param(lambda: load_graph("2 1\n0 1\n1 2\n0 b\n"), GraphParseError,
+                     "line 4: edge endpoints must be integers", id="edge-endpoints"),
+        pytest.param(lambda: WeightedGraph.build(0, [], []), ValueError,
+                     "graph needs at least one vertex", id="no-vertex"),
+        pytest.param(lambda: WeightedGraph.build(2, [(0, 1)], [0]), ValueError,
+                     "expected 2 weights, got 1", id="weight-count"),
+        pytest.param(lambda: WeightedGraph.build(2, [(0, 1), (1, 1)], [0, 1]), ValueError,
+                     "self-loop at vertex 1", id="self-loop"),
+        pytest.param(lambda: SubgraphMask(load_graph(helpers.TRIANGLE_TEXT), [True]),
+                     ValueError, "mask length 1 != edge count 3", id="mask-length"),
+    ],
+)
+def test_input_errors(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message

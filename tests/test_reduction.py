@@ -78,6 +78,23 @@ class TestFormula:
         with pytest.raises(FormulaError, match="at least three"):
             Formula(2, (frozenset({1, 2}),) * 2)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            pytest.param(lambda: parse_formula("3 4\n1 2 3\n1 2 3\n1 2 3\n1 2 3\n"),
+                         "expected 3 clauses for 3 variables, got 4", id="clause-count"),
+            pytest.param(lambda: parse_formula("3 3\n1 2 3\n1 2 3\n1 2 x\n"),
+                         "line 4: variable ids must be integers", id="variable-ids"),
+            pytest.param(lambda: Formula(3, (frozenset({1, 2}),) + (frozenset({1, 2, 3}),) * 2),
+                         "clause 1 must have three distinct variables", id="two-variables"),
+        ],
+    )
+    def test_input_errors(self, make, message):
+        # Messages no other test reaches, pinned as they read.
+        with pytest.raises(FormulaError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_incidence_warning_below_four_variables(self):
         with pytest.warns(IncidenceBoundWarning):
             parse_formula(helpers.SAT3_TEXT)

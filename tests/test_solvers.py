@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,8 @@ from corrsubopt import (
     solve_exact,
     solve_local,
 )
-from corrsubopt.solvers import CompletionBound
+from corrsubopt.solvers import CompletionBound, FreeEdgeSearch
+from corrsubopt.verification import LowDiscrepancyLookahead
 
 import helpers
 
@@ -445,6 +448,152 @@ class TestCompletionBound:
         if discrepancy_totals:
             total = bound.total(kept_deg, und_deg, nbr_sum)
             assert Fraction(total, denominator) <= min(discrepancy_totals)
+
+
+class TestSearchLoop:
+    """``FreeEdgeSearch.run``, one loop over an explicit path, against the
+    recursive search it replaced (``helpers.recursive_search``): the same
+    ``child`` and ``leaf`` calls in the same order, with the same kept
+    degree, undecided degree and neighbour sum at both endpoints, the same
+    node count, return value and lists afterwards.  The hooks cut by their
+    state alone, and ``leaf`` may stop the search at its k-th call."""
+
+    @staticmethod
+    def trace(runner, graph, order, cut, stop_at, node_limit):
+        dfs = FreeEdgeSearch(graph, order)
+        lists = (dfs.kept_deg, dfs.und_deg, dfs.nbr_sum)
+        calls = []
+
+        def child(state, depth, u, v, keep):
+            ends = tuple(values[x] for x in (u, v) for values in lists)
+            calls.append(("child", depth, u, v, keep, ends))
+            return cut(dfs, state, depth, u, v, keep, ends)
+
+        def leaf(state):
+            calls.append(("leaf", state, dfs.mask().bitstring()))
+            return sum(call[0] == "leaf" for call in calls) == stop_at
+
+        finished = runner(dfs, 0, child, leaf, node_limit)
+        return calls, dfs.nodes, finished, [list(values) for values in (*lists, dfs.kept)]
+
+    def assert_same(self, graph, order, cut, stop_at):
+        loop = lambda dfs, *args: dfs.run(*args)  # noqa: E731
+        full = self.trace(helpers.recursive_search, graph, order, cut, stop_at, None)
+        nodes = full[1]
+        for limit in (None, 0, nodes // 2, max(nodes - 1, 0), nodes, nodes + 1):
+            expected = self.trace(helpers.recursive_search, graph, order, cut, stop_at, limit)
+            assert self.trace(loop, graph, order, cut, stop_at, limit) == expected
+            if limit is not None and limit < nodes:
+                assert expected[1:3] == (limit + 1, False)
+            else:
+                assert expected[1:3] == (nodes, True)
+        return full
+
+    @staticmethod
+    def hashed(modulus):
+        """Cut a child whose hash of (state, depth, keep, endpoint lists)
+        falls in one residue class; modulus 0 cuts nothing."""
+        def cut(dfs, state, depth, u, v, keep, ends):
+            h = hash((state, depth, keep, ends))
+            return None if modulus and h % modulus == 0 else h
+        return cut
+
+    @given(st.integers(0, 10**6), st.sampled_from((0, 3, 5)), st.sampled_from((None, 1, 3)),
+           st.integers(0, 99))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_recursion_on_random_graphs(self, seed, modulus, stop_at, order_seed):
+        graph = helpers.random_graph(random.Random(seed), max_free=10)
+        order = list(graph.free_edge_ids)
+        random.Random(order_seed).shuffle(order)
+        self.assert_same(graph, order, self.hashed(modulus), stop_at)
+
+    @pytest.mark.parametrize("text, t", [
+        pytest.param(helpers.SAT3_TEXT, 2, id="sat3-t2"),
+        pytest.param(helpers.UNSAT4_TEXT, 2, id="unsat4-t2"),
+        pytest.param(helpers.UNSAT4_TEXT, 3, id="unsat4-t3"),
+    ])
+    @pytest.mark.parametrize("stop_at", [None, 2])
+    def test_matches_recursion_on_compiled_formulas(self, text, t, stop_at):
+        # Check 6's look-ahead on every vertex keeps these trees to at most
+        # a few hundred nodes.
+        inst = compile_formula(helpers.make_formula(text), t)
+        below = LowDiscrepancyLookahead(inst, inst.gadget_edge_order)
+
+        def cut(dfs, state, depth, u, v, keep, ends):
+            fits = all(below[x, dfs.kept_deg[x], dfs.nbr_sum[x], dfs.und_deg[x]] for x in (u, v))
+            return state + 1 if fits else None
+
+        _, nodes, _, _ = self.assert_same(inst.graph, inst.gadget_edge_order, cut, stop_at)
+        assert nodes > 50
+
+    def test_no_free_edge_is_one_leaf(self, star):
+        calls, nodes, finished, _ = self.trace(
+            lambda dfs, *args: dfs.run(*args), star, [], self.hashed(0), None, 0)
+        assert (calls, nodes, finished) == ([("leaf", 0, "111")], 0, True)
+
+    @given(st.integers(0, 10**6), st.integers(0, 99), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=40)
+    def test_key_sweeps_only_the_depths_asked(self, seed, order_seed, ask_seed):
+        graph = helpers.random_graph(random.Random(seed), max_free=10)
+        order = list(graph.free_edge_ids)
+        random.Random(order_seed).shuffle(order)
+        dfs = FreeEdgeSearch(graph, order)
+        depths = list(range(len(order) + 1))
+        random.Random(ask_seed).shuffle(depths)
+        deepest = -1
+        for depth in depths:
+            before, after = order[:depth], order[depth:]
+            frontier = sorted({x for eid in before for x in graph.edges[eid]}
+                              & {x for eid in after for x in graph.edges[eid]})
+            get = itemgetter(*frontier) if frontier else lambda values: ()
+            assert dfs.key(depth) == (get(dfs.kept_deg), get(dfs.nbr_sum))
+            deepest = max(deepest, depth)
+            assert len(dfs._frontier_values) == deepest + 1
+
+
+class TestDeepAndWideSearch:
+    """A node-limited exact search works at any depth, and its set-up grows
+    with the part of the tree it reaches, not with the square of the free
+    edges."""
+
+    def test_cycle_deeper_than_the_recursion_limit(self):
+        n = 1500
+        graph = WeightedGraph.build(n, [(v, (v + 1) % n) for v in range(n)],
+                                    [v % 5 for v in range(n)])
+        report = solve_exact(graph, node_limit=3000)
+        assert report.optimality == "heuristic"
+        assert report.nodes_explored == 3001
+        assert is_valid(graph, report.best_mask)
+
+    def test_wheel_sets_up_in_little_memory(self):
+        n = 2000  # a hub and a rim path: 2n - 3 free edges, n - 1 at the hub
+        edges = [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)]
+        graph = WeightedGraph.build(n, edges, [v % 5 for v in range(n)])
+        tracemalloc.start()
+        try:
+            report = solve_exact(graph, node_limit=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.optimality == "heuristic"
+        assert peak < 16 * 2**20
+
+    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6), st.integers(0, 99))
+    @settings(deadline=None, max_examples=40)
+    def test_span_is_the_sorted_tail_prefix_sums(self, shape, seed, order_seed):
+        graph = helpers.kernel_graph(random.Random(seed), shape)
+        order = list(graph.free_edge_ids)
+        random.Random(order_seed).shuffle(order)
+        _, weights = graph.scaled_weights
+        bound = CompletionBound(graph, order)
+        for x in range(graph.vertex_count):
+            across = [weights[a + b - x] for eid in order
+                      for a, b in [graph.edges[eid]] if x in (a, b)]
+            for u in range(len(across) + 1):
+                rest = sorted(across[len(across) - u:])
+                lows, highs = bound.span(x, u)
+                assert lows == [sum(rest[:j]) for j in range(u + 1)]
+                assert highs == [sum(rest[len(rest) - j:]) for j in range(u + 1)]
 
 
 class TestLocalScreen:

@@ -404,3 +404,72 @@ class TestTraceContract:
         for selector, fn in verification.CHECKS.items():
             assert getattr(verification, fn.__name__) is fn
 
+
+
+def _no_edges(formula, t, assignment, inst):
+    return SubgraphMask(inst.graph, [False] * inst.graph.edge_count)
+
+
+def _full(formula, t, assignment, inst):
+    return SubgraphMask.full(inst.graph)
+
+
+class TestCheckFailures:
+    """Each way checks 5, 6 and lemmas can fail, forced by replacing one of
+    the functions they read: one ``fail`` record with its quantities and
+    details, and ``verify`` exits 1 with that line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "text, selector, name, patch, extra, quantities, details",
+        [
+            pytest.param(
+                helpers.SAT3_TEXT, "5", "witness_mask", _no_edges, ("--assignment", "TFF"),
+                (("assignment", "TFF"),), "witness mask is invalid", id="5-invalid-witness"),
+            pytest.param(
+                helpers.SAT3_TEXT, "5", "witness_mask", _full, ("--assignment", "TFF"),
+                (("assignment", "TFF"), ("vertex", "1"), ("nd", "36/25")), "",
+                id="5-nonzero-discrepancy"),
+            pytest.param(
+                helpers.SAT3_TEXT, "6", "find_low_discrepancy_mask",
+                lambda inst, node_budget: (None, 17), (), (("nodes", "17"),),
+                "satisfiable formula but the search found no counterexample; "
+                "the search is unsound", id="6-satisfiable-without-counterexample"),
+            pytest.param(
+                helpers.UNSAT4_TEXT, "6", "find_low_discrepancy_mask",
+                lambda inst, node_budget: (SubgraphMask.full(inst.graph), 17), (),
+                (("nodes", "17"), ("mask", "1" * 60)),
+                "found a valid mask with all designated discrepancies below the threshold",
+                id="6-unsatisfiable-with-counterexample"),
+            pytest.param(
+                helpers.SAT3_TEXT, "lemmas", "witness_score_bound", lambda inst: 1000.0,
+                ("--assignment", "TFF"),
+                (("witness_bound", "1000.000000000"), ("witness_margin", "-978.966669035")),
+                "witness score below its lower bound", id="lemmas-witness-below"),
+            pytest.param(
+                helpers.UNSAT4_TEXT, "lemmas", "infeasible_score_bound", lambda inst: -1000.0,
+                ("--lemma-samples", "3"),
+                (("score_upper_bound", "-1000.000000000"), ("max_observed", "38.649516670"),
+                 ("masks_checked", "4")),
+                "a mask exceeds the score upper bound", id="lemmas-sample-above"),
+        ],
+    )
+    def test_fail_record_and_exit_status(self, text, selector, name, patch, extra, quantities,
+                                         details, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(verification, name, patch)
+        formula = helpers.make_formula(text)
+        assignment = (True, False, False) if "--assignment" in extra else None
+        samples = 3 if "--lemma-samples" in extra else 10_000
+        records = run_checks(formula, 2, (selector,), assignment=assignment,
+                             lemma_samples=samples)
+        assert [(r.check, r.status, r.quantities, r.details) for r in records] == [
+            (selector, "fail", quantities, details)]
+
+        path = tmp_path / "formula.f"
+        path.write_text(text)
+        argv = ["verify", "-f", str(path), "-t", "2", "--checks", selector, *extra]
+        assert corrsubopt.cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        line = f"check {selector} {records[0].name}: FAIL " + " ".join(
+            f"{k}={v}" for k, v in quantities) + (f" | {details}" if details else "")
+        assert out.splitlines()[0] == line
+        assert all(e.startswith("warning: ") for e in err.splitlines())  # n = 3 is not planar
