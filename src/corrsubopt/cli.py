@@ -22,9 +22,10 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
-from .graph import SubgraphMask, dump_graph, dump_mask, load_graph, load_mask
+from .graph import SubgraphMask, dump_mask, graph_lines, load_graph, load_mask
 from .scoring import format_fraction, format_score, score
 # solvers, reduction and verification are imported only by the commands that
 # use them.
@@ -49,19 +50,19 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _atomic_write(*files: tuple[str, str]) -> None:
-    """Write each (path, text) pair through a temporary file in the path's
-    directory, with the mode a plain ``open`` would give (0666 less the
-    umask), not ``mkstemp``'s 0600.  No target is replaced until every
-    temporary is written, and no temporary is left behind; a rename that
-    fails part-way can leave the earlier targets replaced.  An unwritable
-    path, or a directory in the way, is a usage error."""
+def _atomic_write(*files: tuple[str, Iterable[str]]) -> None:
+    """Write each (path, lines) pair, line by line, through a temporary
+    file in the path's directory, with the mode a plain ``open`` would give
+    (0666 less the umask), not ``mkstemp``'s 0600.  No target is replaced
+    until every temporary is written, and no temporary is left behind; a
+    rename that fails part-way can leave the earlier targets replaced.  An
+    unwritable path, or a directory in the way, is a usage error."""
     umask = os.umask(0)
     os.umask(umask)
     temps: list[str] = []
     try:
         try:
-            for path, text in files:
+            for path, lines in files:
                 target = Path(path)
                 if target.is_dir() and not target.is_symlink():  # os.replace would fail
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -69,7 +70,7 @@ def _atomic_write(*files: tuple[str, str]) -> None:
                 temps.append(tmp)
                 os.fchmod(fd, 0o666 & ~umask)
                 with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
+                    handle.writelines(lines)
             for path, _ in files:
                 os.replace(temps[0], path)
                 del temps[0]
@@ -120,19 +121,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"nodes = {report.nodes_explored}")
     print(f"optimality = {report.optimality}")
     if args.out:
-        _atomic_write((args.out, dump_mask(report.best_mask)))
+        _atomic_write((args.out, [dump_mask(report.best_mask)]))
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    from .reduction import compile_formula, dump_roles
+    from .reduction import compile_formula, role_lines
 
     formula = _load_formula_file(args.formula)
     inst = compile_formula(formula, args.t)
     graph_path = f"{args.out}.graph"
     roles_path = f"{args.out}.roles"
-    _atomic_write((graph_path, dump_graph(inst.graph)), (roles_path, dump_roles(inst)))
+    _atomic_write((graph_path, graph_lines(inst.graph)), (roles_path, role_lines(inst)))
     free = len(inst.graph.free_edge_ids)
     print(
         f"n = {inst.variable_count}, t = {inst.t}, "
@@ -156,7 +157,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     print(f"reduction score = {format_score(value)}")
     print(f"S = {format_fraction(value.discrepancy_total)}")
     if args.out:
-        _atomic_write((args.out, dump_mask(mask)))
+        _atomic_write((args.out, [dump_mask(mask)]))
         print(f"wrote {args.out}")
     return 0
 

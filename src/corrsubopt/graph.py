@@ -16,7 +16,8 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphParseError(ValueError):
@@ -114,7 +115,7 @@ class WeightedGraph(Immutable):
         """Normalise (orient u < v, sort) and validate raw edge/weight data;
         equal weights share one ``Fraction``.  A string weight follows the
         instance files' rule, so an exponent string raises ``ValueError``."""
-        canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
+        canon = sorted(map(_oriented, edges))
         as_fraction = {w: _rational(w) for w in set(weights)}
         return cls(vertex_count, tuple(canon), tuple(map(as_fraction.__getitem__, weights)))
 
@@ -149,9 +150,10 @@ class WeightedGraph(Immutable):
 
     @cached_property
     def free_edge_ids(self) -> tuple[int, ...]:
-        """Edge ids not in :attr:`forced_edge_ids`, ascending."""
-        forced = self.forced_edge_ids
-        return tuple(eid for eid in range(self.edge_count) if eid not in forced)
+        """Edge ids not in :attr:`forced_edge_ids`, ascending: the edges
+        whose endpoints both have host degree at least 2."""
+        degs = self.degrees
+        return tuple(eid for eid, (u, v) in enumerate(self.edges) if degs[u] > 1 and degs[v] > 1)
 
     @cached_property
     def unforced_incidence(self) -> dict[int, tuple[int, ...]]:
@@ -180,10 +182,10 @@ class WeightedGraph(Immutable):
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
         """(L, W): L is the lcm of the weight denominators and W[v] = L * f(v),
         an integer for every vertex."""
-        ids, distinct = _by_identity(self.weights)
+        distinct = _by_identity(self.weights)
         scale = math.lcm(*(w.denominator for w in distinct.values()))
         scaled = {key: w.numerator * (scale // w.denominator) for key, w in distinct.items()}
-        return scale, tuple(map(scaled.__getitem__, ids))
+        return scale, tuple(map(scaled.__getitem__, map(id, self.weights)))
 
     @cached_property
     def forced_nbr_sums(self) -> tuple[int, ...]:
@@ -191,11 +193,11 @@ class WeightedGraph(Immutable):
         across forced edges.  Every valid mask keeps these edges, so this is
         where its neighbour sums start."""
         _, weights = self.scaled_weights
-        sums = [0] * self.vertex_count
-        for eid in self.forced_edge_ids:
-            u, v = self.edges[eid]
-            sums[u] += weights[v]
-            sums[v] += weights[u]
+        degrees, sums = self.degrees, [0] * self.vertex_count
+        for u, v in self.edges:
+            if degrees[u] == 1 or degrees[v] == 1:
+                sums[u] += weights[v]
+                sums[v] += weights[u]
         return tuple(sums)
 
     def forced_degrees(self) -> list[int]:
@@ -231,18 +233,26 @@ class WeightedGraph(Immutable):
         _, weights = self.scaled_weights
         _, cofactors = self.discrepancy_scale
         degrees, total = self.degrees, 0
-        for eid in self.forced_edge_ids:
-            u, v = self.edges[eid]
-            diff = weights[u] - weights[v]
-            total += diff * diff * ((degrees[u] == 1) + (degrees[v] == 1))
+        for u, v in self.edges:
+            leaves = (degrees[u] == 1) + (degrees[v] == 1)
+            if leaves:
+                diff = weights[u] - weights[v]
+                total += diff * diff * leaves
         return total * cofactors[1]
 
 
-def _by_identity(weights: Sequence[Fraction]) -> tuple[list[int], dict[int, Fraction]]:
-    """(ids, distinct): the ``id`` of each weight, and one id -> weight entry
-    per distinct object, so that per-weight work runs once per object."""
-    ids = list(map(id, weights))
-    return ids, dict(zip(ids, weights))
+def _oriented(edge: tuple[int, int]) -> tuple[int, int]:
+    """The edge as (smaller, larger) endpoint; a tuple already so is kept."""
+    u, v = edge
+    if v < u:
+        return v, u
+    return edge if edge.__class__ is tuple else (u, v)
+
+
+def _by_identity(weights: Sequence[Fraction]) -> dict[int, Fraction]:
+    """One ``id`` -> weight entry per distinct weight object, so that
+    per-weight work runs once per object; a weight's entry is keyed by its id."""
+    return {id(w): w for w in weights}
 
 
 _BITS = bytes.maketrans(b"\x00\x01", b"01")  # False/True bytes to ASCII digits
@@ -258,6 +268,9 @@ class SubgraphMask:
     __slots__ = ("graph", "kept", "degrees")
 
     def __init__(self, graph: WeightedGraph, kept: Iterable[bool]):
+        if isinstance(kept, (str, bytes)):  # every item of "010" and b"010" is truthy
+            raise ValueError(f"kept must be booleans, not {type(kept).__name__}; "
+                             "load_mask reads a bitstring")
         self.graph = graph
         self.kept = list(map(bool, kept))
         if len(self.kept) != graph.edge_count:
@@ -352,14 +365,30 @@ def forced_edges(graph: WeightedGraph) -> frozenset[int]:
     """Edge ids incident to a degree-1 vertex of the host graph.
 
     Dropping such an edge isolates its leaf endpoint, so every valid mask
-    keeps all of them.  Computed once per graph.
+    keeps all of them.  Built on the first call and cached on the graph; the
+    package itself reads host degrees and ``free_edge_ids`` instead.
     """
     return graph.forced_edge_ids
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    return [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
-            if line and line[0] != "#"]
+_CHUNK = 1 << 14  # characters handed to one str.splitlines call
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped line) for each line that is not
+    blank or a ``#`` comment, as ``text.splitlines()`` splits and numbers
+    them, one at a time.  The text is split a chunk at a time; each chunk
+    but the last ends just after a "\\n", and a "\\n" always ends a line
+    (alone or as the end of "\\r\\n"), so the chunks split as the whole does."""
+    lineno, start, end = 0, 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + _CHUNK) + 1 or end
+        for line in text[start:stop].splitlines():
+            lineno += 1
+            line = line.strip()
+            if line and line[0] != "#":
+                yield lineno, line
+        start = stop
 
 
 def _rational(weight: Fraction | int | str) -> Fraction:
@@ -377,82 +406,100 @@ def _parse_weight(token: str, lineno: int) -> Fraction:
 
 
 def load_graph(text: str) -> WeightedGraph:
-    """Parse an instance file; diagnostics carry 1-based line numbers."""
+    """Parse an instance file; diagnostics carry 1-based line numbers.
+
+    The lines are read once and only the weights and edges are kept.  A
+    defect reads the text again, so that the error is the first in file
+    order: a wrong line count before any line's defect, and an edge that
+    repeats an earlier one before any defect on a later line.
+    """
     lines = _content_lines(text)
-    if not lines:
+    head, header = next(lines, (0, ""))
+    if not head:
         raise GraphParseError("empty instance file")
-    lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise GraphParseError("header must be '<vertex_count> <edge_count>'", lineno)
+        raise GraphParseError("header must be '<vertex_count> <edge_count>'", head)
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise GraphParseError("header counts must be integers", lineno) from None
+        raise GraphParseError("header counts must be integers", head) from None
     if n <= 0 or m < 0:
-        raise GraphParseError("vertex count must be positive, edge count non-negative", lineno)
-    if len(lines) != 1 + n + m:
-        raise GraphParseError(
-            f"expected {n} vertex lines and {m} edge lines, found {len(lines) - 1}",
-            lineno,
-        )
+        raise GraphParseError("vertex count must be positive, edge count non-negative", head)
 
     weights: list[Fraction | None] = [None] * n
     parsed: dict[str, Fraction] = {}  # one Fraction per distinct weight token
-    for lineno, line in lines[1 : 1 + n]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphParseError("vertex line must be '<vertex_id> <weight>'", lineno)
-        try:
-            vid = int(parts[0])
-        except ValueError:
-            raise GraphParseError(f"invalid vertex id {parts[0]!r}", lineno) from None
-        if not 0 <= vid < n:
-            raise GraphParseError(f"vertex id {vid} out of range 0..{n - 1}", lineno)
-        if weights[vid] is not None:
-            raise GraphParseError(f"duplicate vertex id {vid}", lineno)
-        weight = parsed.get(parts[1])
-        if weight is None:
-            weight = parsed[parts[1]] = _parse_weight(parts[1], lineno)
-        weights[vid] = weight
-
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, line in lines[1 + n :]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphParseError("edge line must be '<u> <v>'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError("edge endpoints must be integers", lineno) from None
-        if u == v:
-            raise GraphParseError(f"self-loop at vertex {u}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"edge ({u}, {v}) out of range", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", lineno)
-        seen.add(key)
-        edges.append(key)
     try:
-        return WeightedGraph(n, tuple(sorted(edges)), tuple(weights))  # type: ignore[arg-type]
-    except ValueError as exc:  # every other defect was reported with its line
-        raise GraphParseError(str(exc)) from None
+        for lineno, line in islice(lines, n):
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphParseError("vertex line must be '<vertex_id> <weight>'", lineno)
+            try:
+                vid = int(parts[0])
+            except ValueError:
+                raise GraphParseError(f"invalid vertex id {parts[0]!r}", lineno) from None
+            if not 0 <= vid < n:
+                raise GraphParseError(f"vertex id {vid} out of range 0..{n - 1}", lineno)
+            if weights[vid] is not None:
+                raise GraphParseError(f"duplicate vertex id {vid}", lineno)
+            weight = parsed.get(parts[1])
+            if weight is None:
+                weight = parsed[parts[1]] = _parse_weight(parts[1], lineno)
+            weights[vid] = weight
+
+        for lineno, line in islice(lines, m):
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphParseError("edge line must be '<u> <v>'", lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphParseError("edge endpoints must be integers", lineno) from None
+            if u == v:
+                raise GraphParseError(f"self-loop at vertex {u}", lineno)
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphParseError(f"edge ({u}, {v}) out of range", lineno)
+            edges.append((u, v) if u < v else (v, u))
+        if len(edges) < m or next(lines, None) is not None:
+            raise GraphParseError("wrong line count")  # stated in full below
+        edges.sort()
+        return WeightedGraph(n, tuple(edges), tuple(weights))  # type: ignore[arg-type]
+    except ValueError as exc:  # report the defect that comes first in file order
+        found = sum(1 for _ in _content_lines(text)) - 1
+        if found != n + m:
+            raise GraphParseError(
+                f"expected {n} vertex lines and {m} edge lines, found {found}", head
+            ) from None
+        before = exc.line if isinstance(exc, GraphParseError) else None
+        seen: set[tuple[int, ...]] = set()
+        for lineno, line in islice(_content_lines(text), 1 + n, None):
+            if before is not None and lineno >= before:
+                break
+            key = tuple(sorted(map(int, line.split())))
+            if key in seen:
+                raise GraphParseError(f"duplicate edge ({key[0]}, {key[1]})", lineno) from None
+            seen.add(key)
+        raise (exc if before is not None else GraphParseError(str(exc))) from None
 
 
 def _format_weight(w: Fraction) -> str:
     return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 
+def graph_lines(graph: WeightedGraph) -> Iterator[str]:
+    """The lines of :func:`dump_graph`, each with its newline, one at a time."""
+    yield f"{graph.vertex_count} {graph.edge_count}\n"
+    text = {key: _format_weight(w) for key, w in _by_identity(graph.weights).items()}
+    for vid, key in enumerate(map(id, graph.weights)):
+        yield f"{vid} {text[key]}\n"
+    for u, v in graph.edges:
+        yield f"{u} {v}\n"
+
+
 def dump_graph(graph: WeightedGraph) -> str:
     """Canonical serialisation; fixed point of load -> dump."""
-    out = [f"{graph.vertex_count} {graph.edge_count}"]
-    ids, distinct = _by_identity(graph.weights)
-    text = {key: _format_weight(w) for key, w in distinct.items()}
-    out.extend(f"{vid} {text[key]}" for vid, key in enumerate(ids))
-    out.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(out) + "\n"
+    return "".join(graph_lines(graph))
 
 
 def load_mask(text: str, graph: WeightedGraph) -> SubgraphMask:
@@ -462,17 +509,16 @@ def load_mask(text: str, graph: WeightedGraph) -> SubgraphMask:
     is read as a bitstring; anything else is read as a whitespace-separated
     list of kept edge ids.
     """
-    tokens = []
-    for lineno, line in _content_lines(text):
-        tokens.extend((lineno, tok) for tok in line.split())
-    if not tokens:
+    tokens = ((lineno, tok) for lineno, line in _content_lines(text) for tok in line.split())
+    first = list(islice(tokens, 2))
+    if not first:
         raise GraphParseError("empty mask file")
-    if len(tokens) == 1:
-        lineno, tok = tokens[0]
+    if len(first) == 1:
+        _, tok = first[0]
         if set(tok) <= {"0", "1"} and len(tok) == graph.edge_count:
-            return SubgraphMask(graph, [c == "1" for c in tok])
+            return SubgraphMask(graph, map("1".__eq__, tok))
     ids = []
-    for lineno, tok in tokens:
+    for lineno, tok in chain(first, tokens):
         if len(tok) > 1 and tok[0] == "0":
             # A leading zero is a truncated bitstring, not an edge id.
             raise GraphParseError(

@@ -33,7 +33,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .graph import Immutable, SubgraphMask, WeightedGraph, _content_lines
 from .scoring import ScoreValue
@@ -89,20 +89,21 @@ class Formula(Immutable):
 def parse_formula(text: str) -> Formula:
     """Parse a formula file; raises :class:`FormulaError` with line numbers."""
     lines = _content_lines(text)
-    if not lines:
+    head, header = next(lines, (0, ""))
+    if not head:
         raise FormulaError("empty formula file")
-    lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise FormulaError(f"line {lineno}: header must be '<n> <m>'")
+        raise FormulaError(f"line {head}: header must be '<n> <m>'")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise FormulaError(f"line {lineno}: header counts must be integers") from None
-    if len(lines) - 1 != m:
-        raise FormulaError(f"line {lineno}: expected {m} clause lines, found {len(lines) - 1}")
+        raise FormulaError(f"line {head}: header counts must be integers") from None
+    found = sum(1 for _ in _content_lines(text)) - 1  # a count error precedes any line's
+    if found != m:
+        raise FormulaError(f"line {head}: expected {m} clause lines, found {found}")
     clauses = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
             raise FormulaError(f"line {lineno}: clause must list three variable ids")
@@ -234,8 +235,14 @@ class ReductionInstance(Immutable):
                 + tuple(a for a, _ in self.clause_blocks))
 
 
-# Above this many vertices compile_formula refuses; at about 720 bytes a
-# vertex the cap is some 0.7 GB.
+# Above this many vertices compile_formula refuses.  compile_formula and a
+# full-mask score of sat3 at t = 120 (174,996 vertices) peak at 175 traced
+# bytes a vertex (x86_64, Python 3.11.7), so the cap is some 175 MB of
+# traced memory.  From the root of a checkout:
+#   PYTHONPATH=src python -W ignore -c "import tracemalloc as tm, corrsubopt as c;
+#   f = c.parse_formula(open('instances/sat3.f').read()); tm.start();
+#   g = c.compile_formula(f, 120).graph; c.score(g, c.SubgraphMask.full(g));
+#   print(tm.get_traced_memory()[1] // g.vertex_count)"
 MAX_COMPILED_VERTICES = 1_000_000
 
 
@@ -292,8 +299,13 @@ def compile_formula(formula: Formula, t: int) -> ReductionInstance:
                              tuple(clause_blocks), slots)
 
 
+def role_lines(inst: ReductionInstance) -> Iterator[str]:
+    """The lines of :func:`dump_roles`, each with its newline, one at a time."""
+    return (f"{vid} {role}\n" for vid, role in enumerate(inst.roles))
+
+
 def dump_roles(inst: ReductionInstance) -> str:
-    return "\n".join(f"{vid} {role}" for vid, role in enumerate(inst.roles)) + "\n"
+    return "".join(role_lines(inst))
 
 
 def witness_mask(

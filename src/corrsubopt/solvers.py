@@ -76,10 +76,10 @@ class FreeEdgeSearch:
         self.kept_deg = graph.forced_degrees()
         self.und_deg = und = [0] * graph.vertex_count
         self.nbr_sum = list(graph.forced_nbr_sums)
-        self.kept = [False] * graph.edge_count
+        self.kept = kept = [True] * graph.edge_count
         self.nodes = 0
-        for eid in graph.forced_edge_ids:
-            self.kept[eid] = True
+        for eid in graph.free_edge_ids:
+            kept[eid] = False
         for eid in order:
             u, v = graph.edges[eid]
             und[u] += 1

@@ -10,11 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 from corrsubopt import (
     Formula,
+    GraphParseError,
     IncidenceBoundWarning,
     ScoreState,
     SubgraphMask,
@@ -237,6 +239,82 @@ def plain_random_valid_mask(graph: WeightedGraph, rng: random.Random) -> Subgrap
             _, eid = rng.choice(graph.incidence[vtx])
             mask.set_edge(eid, True)
     return mask
+
+
+def traced_peak(fn) -> int:
+    """The ``tracemalloc`` peak, in bytes, of calling ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def reference_load_graph(text: str) -> WeightedGraph:
+    """``load_graph`` as a parser that first lists every content line and
+    keeps a set of the edges it has read, so each diagnostic is plainly the
+    first in file order: the header, then the line count, then each line in
+    turn (a repeated edge at its second line), then the graph's own checks.
+    ``load_graph`` reads the lines once and keeps neither list nor set; it
+    must give the same graph or the same message and line."""
+    lines = [(no, line) for no, line in enumerate(map(str.strip, text.splitlines()), 1)
+             if line and line[0] != "#"]
+    if not lines:
+        raise GraphParseError("empty instance file")
+    head, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise GraphParseError("header must be '<vertex_count> <edge_count>'", head)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphParseError("header counts must be integers", head) from None
+    if n <= 0 or m < 0:
+        raise GraphParseError("vertex count must be positive, edge count non-negative", head)
+    if len(lines) != 1 + n + m:
+        raise GraphParseError(
+            f"expected {n} vertex lines and {m} edge lines, found {len(lines) - 1}", head)
+    weights: list = [None] * n
+    for no, line in lines[1:1 + n]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError("vertex line must be '<vertex_id> <weight>'", no)
+        try:
+            vid = int(parts[0])
+        except ValueError:
+            raise GraphParseError(f"invalid vertex id {parts[0]!r}", no) from None
+        if not 0 <= vid < n:
+            raise GraphParseError(f"vertex id {vid} out of range 0..{n - 1}", no)
+        if weights[vid] is not None:
+            raise GraphParseError(f"duplicate vertex id {vid}", no)
+        if "e" in parts[1] or "E" in parts[1]:
+            raise GraphParseError(f"invalid rational weight {parts[1]!r}", no)
+        try:
+            weights[vid] = Fraction(parts[1])
+        except (ValueError, ZeroDivisionError):
+            raise GraphParseError(f"invalid rational weight {parts[1]!r}", no) from None
+    seen: set[tuple[int, int]] = set()
+    for no, line in lines[1 + n:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError("edge line must be '<u> <v>'", no)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError("edge endpoints must be integers", no) from None
+        if u == v:
+            raise GraphParseError(f"self-loop at vertex {u}", no)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(f"edge ({u}, {v}) out of range", no)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise GraphParseError(f"duplicate edge {key}", no)
+        seen.add(key)
+    try:
+        return WeightedGraph(n, tuple(sorted(seen)), tuple(weights))
+    except ValueError as exc:
+        raise GraphParseError(str(exc)) from None
 
 
 class _Abort(Exception):

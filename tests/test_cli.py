@@ -150,6 +150,16 @@ class TestReduceCommand:
         roles = (tmp_path / "out.roles").read_text().splitlines()
         assert len(roles) == 120
 
+    def test_writes_line_by_line_in_bounded_memory(self, sat3_file, tmp_path, capsys):
+        """At t = 40 (19,956 vertices) the traced peak of ``reduce``,
+        compilation included, was 349 bytes a vertex while it held the text
+        of both files; written line by line it is 165."""
+        prefix = str(tmp_path / "big")
+        peak = helpers.traced_peak(
+            lambda: main(["reduce", "-f", sat3_file, "-t", "40", "-o", prefix]))
+        assert "vertices = 19956" in capsys.readouterr().out
+        assert peak < 240 * 19_956
+
     def test_no_warning_for_four_variables(self, unsat4_file, tmp_path, capsys):
         prefix = str(tmp_path / "out4")
         assert main(["reduce", "-f", unsat4_file, "-t", "2", "-o", prefix]) == 0
@@ -444,6 +454,33 @@ class TestRoundTrip:
         witness_s = capsys.readouterr().out.splitlines()[-2]
         assert main(["score", "-g", f"{prefix}.graph", "-s", f"{prefix}.mask"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == witness_s == "S = 8343/140"
+
+
+    def test_commands_build_no_forced_edge_set(self, sat3_file, tmp_path, monkeypatch,
+                                               capsys):
+        """Every command reads host degrees or ``free_edge_ids``; the set of
+        forced edge ids is built only when ``forced_edges()`` asks for it."""
+        from corrsubopt import WeightedGraph
+
+        graphs = []
+        init = WeightedGraph.__init__
+
+        def recording(graph, *args):
+            init(graph, *args)
+            graphs.append(graph)
+
+        monkeypatch.setattr(WeightedGraph, "__init__", recording)
+        prefix = str(tmp_path / "rt")
+        for argv in (["reduce", "-f", sat3_file, "-t", "2", "-o", prefix],
+                     ["witness", "-f", sat3_file, "-t", "2", "-a", "TFF",
+                      "-o", f"{prefix}.mask"],
+                     ["score", "-g", f"{prefix}.graph", "-s", f"{prefix}.mask"],
+                     ["solve", "-g", f"{prefix}.graph", "--local", "--restarts", "2"],
+                     ["decide", "-f", sat3_file],
+                     ["verify", "-f", sat3_file, "-t", "2", "--lemma-samples", "10"]):
+            assert main(argv) == 0, argv
+        assert len(graphs) >= 6
+        assert not [graph for graph in graphs if "forced_edge_ids" in graph.__dict__]
 
 
 @pytest.mark.parametrize("command", ["reduce", "witness", "solve"])

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,17 @@ from corrsubopt import (
     MaskValidityError,
     SubgraphMask,
     WeightedGraph,
+    compile_formula,
     dump_graph,
     dump_mask,
     forced_edges,
     is_valid,
     load_graph,
     load_mask,
+    score,
+    witness_mask,
 )
+from corrsubopt import graph as graph_module
 
 import helpers
 
@@ -75,6 +80,116 @@ class TestParsing:
         with pytest.raises(GraphParseError) as exc:
             load_graph(text)
         assert exc.value.line == 5
+
+
+class TestErrorOrder:
+    """The first defect in file order is reported, though ``load_graph``
+    reads the lines once and keeps no set of edges."""
+
+    def test_repeated_edge_before_a_later_defect(self):
+        # (0, 1) on lines 6 and 8, not adjacent; an out-of-range edge on line 9.
+        with pytest.raises(GraphParseError) as exc:
+            load_graph("4 4\n0 1\n1 1\n2 1\n3 1\n0 1\n1 2\n1 0\n0 9\n")
+        assert str(exc.value) == "line 8: duplicate edge (0, 1)"
+        assert exc.value.line == 8
+
+    def test_line_count_before_a_malformed_line(self):
+        with pytest.raises(GraphParseError) as exc:
+            load_graph("3 2\n0 1\n1 x\n2 1\n0 1\n")
+        assert str(exc.value) == "line 1: expected 3 vertex lines and 2 edge lines, found 4"
+        assert exc.value.line == 1
+        with pytest.raises(ValueError, match="^line 1: expected 3 clause lines, found 2$"):
+            helpers.make_formula("3 3\n1 2 x\n1 2 3\n")
+
+    # Lines of either section, well formed or not, and comments and blanks.
+    _LINES = st.one_of(
+        st.builds("{} {}".format, st.integers(-1, 4),
+                  st.sampled_from(["0", "1", "-1/2", "x", "1e5", "1/0"])),
+        st.builds("{} {}".format, st.integers(-1, 4), st.integers(-1, 4)),
+        st.sampled_from(["", "# c", "1 2 3", "a b", "3"]),
+    )
+
+    @given(st.integers(1, 4), st.integers(0, 5), st.lists(_LINES, max_size=11),
+           st.lists(st.sampled_from(["\n", "\r", "\r\n", "\x0c", "\x1c", "\u2028"]),
+                    min_size=11, max_size=11))
+    @settings(deadline=None, max_examples=400)
+    def test_same_graph_or_error_as_a_parser_that_lists_every_line(self, n, m, lines, breaks):
+        text = f"{n} {m}\n" + "".join(map("".join, zip(lines, breaks)))
+
+        def outcome(parse):
+            try:
+                return dump_graph(parse(text))
+            except GraphParseError as exc:
+                return str(exc), exc.line
+
+        assert outcome(load_graph) == outcome(helpers.reference_load_graph)
+
+
+class TestLineBreaks:
+    """The readers split and number lines as ``str.splitlines`` does, which
+    also breaks at a lone "\\r" and at "\\x0c", where a file's line iterator
+    does not."""
+
+    @pytest.mark.parametrize("text", [
+        "3 2\r0 1\r1 2\r2 3\r0 1\r1 2\r",
+        "3 2\r\n0 1\r\n1 2\r\n2 3\r\n0 1\r\n1 2\r\n",
+        "3 2\x0c0 1\x0c1 2\x0c2 3\x0c0 1\x0c1 2",
+        "# c\r\n\r3 2\x0c0 1\r1 2\n2 3\r\n0 1\x0c1 2\n",
+    ])
+    def test_graph(self, text):
+        assert dump_graph(load_graph(text)) == "3 2\n0 1\n1 2\n2 3\n0 1\n1 2\n"
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("3 2\r\n0 1\r1 x\x0c2 3\n0 1\n1 2\n", "invalid rational weight 'x'", 3),
+        ("# c\r\n3 2\r\n0 1\r\n1 2\r\n2 3\r\n0 1\r\n1 0\r\n", "duplicate edge (0, 1)", 7),
+        ("\r\r3 2\x0c0 1\x0c1 2\x0c2 3\x0c0 1\x0c5 2\n", "edge (5, 2) out of range", 8),
+        ("\x0c3 2\r0 1\r\n1 2\r\n\r\n0 1\r1 2\r",
+         "expected 3 vertex lines and 2 edge lines, found 4", 2),
+    ])
+    def test_graph_error_lines(self, text, message, line):
+        with pytest.raises(GraphParseError) as exc:
+            load_graph(text)
+        assert str(exc.value) == f"line {line}: {message}"
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text, bits", [
+        ("101\r\n", "101"), ("0\r\n2\x0c", "101"), ("\x0c\r\n1\r2", "011")])
+    def test_mask(self, text, bits, triangle):
+        assert load_mask(text, triangle).bitstring() == bits
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\r1\x0cx", "line 3: invalid edge id 'x'"),
+        ("1\r\n\r\n01", "line 3: ambiguous token '01': not a length-3 bitstring "
+                         "and not a canonical edge id"),
+    ])
+    def test_mask_error_lines(self, text, message, triangle):
+        with pytest.raises(GraphParseError) as exc:
+            load_mask(text, triangle)
+        assert str(exc.value) == message
+        assert exc.value.line == 3
+
+    def test_formula(self):
+        formula = helpers.make_formula("3 3\r1 2 3\r1 2 3\x0c1 2 3\r\n")
+        assert formula == helpers.make_formula(helpers.SAT3_TEXT)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 3\r\n1 2 3\r1 2 x\x0c1 2 3", "line 3: variable ids must be integers"),
+        ("# c\r3 3\r1 2 3\r1 2 3\r", "line 2: expected 3 clause lines, found 2"),
+        ("3 3\x0c\x0c1 2 3\r\n1 2 3\r\r\n1 2 2", "line 6: clause variables must be distinct"),
+    ])
+    def test_formula_error_lines(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            helpers.make_formula(text)
+        assert str(exc.value) == message
+
+    @given(st.text(st.sampled_from("a1 #\n\r\x0b\x0c\x1c\x85\u2028"), max_size=40),
+           st.integers(1, 6))
+    @settings(deadline=None, max_examples=300)
+    def test_any_chunk_size_splits_as_splitlines(self, text, chunk):
+        stripped = enumerate(map(str.strip, text.splitlines()), 1)
+        expected = [(no, line) for no, line in stripped if line and line[0] != "#"]
+        with mock.patch.object(graph_module, "_CHUNK", chunk):
+            assert list(graph_module._content_lines(text)) == expected
 
 
 # Equal weights spelled differently, and repeats: load_graph parses each
@@ -341,9 +456,46 @@ class TestMaskIO:
                      "self-loop at vertex 1", id="self-loop"),
         pytest.param(lambda: SubgraphMask(load_graph(helpers.TRIANGLE_TEXT), [True]),
                      ValueError, "mask length 1 != edge count 3", id="mask-length"),
+        # Every item of "010" and b"010" is truthy: as booleans they keep all three.
+        pytest.param(lambda: SubgraphMask(load_graph(helpers.TRIANGLE_TEXT), "010"),
+                     ValueError, "kept must be booleans, not str; load_mask reads a bitstring",
+                     id="mask-str"),
+        pytest.param(lambda: SubgraphMask(load_graph(helpers.TRIANGLE_TEXT), b"010"),
+                     ValueError, "kept must be booleans, not bytes; load_mask reads a bitstring",
+                     id="mask-bytes"),
     ],
 )
 def test_input_errors(make, error, message):
     with pytest.raises(error) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.fixture(scope="module")
+def sat3_t40():
+    """The sat3 instance at t = 40 (19,956 vertices), dumped: graph text and
+    the text of the witness mask of assignment TFF."""
+    formula = helpers.make_formula(helpers.SAT3_TEXT)
+    inst = compile_formula(formula, 40)
+    mask = witness_mask(formula, 40, (True, False, False), inst)
+    return dump_graph(inst.graph), dump_mask(mask)
+
+
+class TestBoundedMemory:
+    """Traced peaks per vertex on the sat3 graph at t = 40.  With a list of
+    every content line, a set of every edge and a set of the forced edge
+    ids, ``load_graph`` peaked at 554 bytes a vertex and ``score`` under the
+    witness mask at 175; read line by line, 153 and 25."""
+
+    VERTICES = 19_956
+
+    def test_load_graph(self, sat3_t40):
+        text, _ = sat3_t40
+        assert helpers.traced_peak(lambda: load_graph(text)) < 250 * self.VERTICES
+
+    def test_score_under_the_witness_mask(self, sat3_t40):
+        text, mask_text = sat3_t40
+        graph = load_graph(text)
+        assert graph.vertex_count == self.VERTICES
+        mask = load_mask(mask_text, graph)
+        assert helpers.traced_peak(lambda: score(graph, mask)) < 80 * self.VERTICES
