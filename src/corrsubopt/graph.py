@@ -142,16 +142,13 @@ class WeightedGraph(Immutable):
 
     @cached_property
     def forced_edge_ids(self) -> frozenset[int]:
-        """Edge ids incident to a degree-1 vertex; see :func:`forced_edges`."""
-        degs = self.degrees
-        return frozenset(
-            eid for eid, (u, v) in enumerate(self.edges) if degs[u] == 1 or degs[v] == 1
-        )
+        """Edge ids not in :attr:`free_edge_ids`; see :func:`forced_edges`."""
+        return frozenset(range(self.edge_count)).difference(self.free_edge_ids)
 
     @cached_property
     def free_edge_ids(self) -> tuple[int, ...]:
-        """Edge ids not in :attr:`forced_edge_ids`, ascending: the edges
-        whose endpoints both have host degree at least 2."""
+        """Edge ids whose endpoints both have host degree at least 2,
+        ascending.  Every other edge is forced: it has a leaf endpoint."""
         degs = self.degrees
         return tuple(eid for eid, (u, v) in enumerate(self.edges) if degs[u] > 1 and degs[v] > 1)
 
@@ -193,11 +190,14 @@ class WeightedGraph(Immutable):
         across forced edges.  Every valid mask keeps these edges, so this is
         where its neighbour sums start."""
         _, weights = self.scaled_weights
-        degrees, sums = self.degrees, [0] * self.vertex_count
-        for u, v in self.edges:
-            if degrees[u] == 1 or degrees[v] == 1:
-                sums[u] += weights[v]
-                sums[v] += weights[u]
+        sums, edges = [0] * self.vertex_count, self.edges
+        for u, v in edges:
+            sums[u] += weights[v]
+            sums[v] += weights[u]
+        for eid in self.free_edge_ids:
+            u, v = edges[eid]
+            sums[u] -= weights[v]
+            sums[v] -= weights[u]
         return tuple(sums)
 
     def forced_degrees(self) -> list[int]:
@@ -408,10 +408,10 @@ def _parse_weight(token: str, lineno: int) -> Fraction:
 def load_graph(text: str) -> WeightedGraph:
     """Parse an instance file; diagnostics carry 1-based line numbers.
 
-    The lines are read once and only the weights and edges are kept.  A
-    defect reads the text again, so that the error is the first in file
-    order: a wrong line count before any line's defect, and an edge that
-    repeats an earlier one before any defect on a later line.
+    The lines are counted, then read once; only the weights and edges are
+    kept.  A wrong line count is reported before any line's defect, and an
+    edge that repeats an earlier one before any defect on a later line: a
+    defect rereads the edge lines up to its own to find such a repeat.
     """
     lines = _content_lines(text)
     head, header = next(lines, (0, ""))
@@ -426,6 +426,9 @@ def load_graph(text: str) -> WeightedGraph:
         raise GraphParseError("header counts must be integers", head) from None
     if n <= 0 or m < 0:
         raise GraphParseError("vertex count must be positive, edge count non-negative", head)
+    found = sum(1 for _ in _content_lines(text)) - 1  # before anything sized by n
+    if found != n + m:
+        raise GraphParseError(f"expected {n} vertex lines and {m} edge lines, found {found}", head)
 
     weights: list[Fraction | None] = [None] * n
     parsed: dict[str, Fraction] = {}  # one Fraction per distinct weight token
@@ -448,7 +451,7 @@ def load_graph(text: str) -> WeightedGraph:
                 weight = parsed[parts[1]] = _parse_weight(parts[1], lineno)
             weights[vid] = weight
 
-        for lineno, line in islice(lines, m):
+        for lineno, line in lines:
             parts = line.split()
             if len(parts) != 2:
                 raise GraphParseError("edge line must be '<u> <v>'", lineno)
@@ -461,16 +464,9 @@ def load_graph(text: str) -> WeightedGraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphParseError(f"edge ({u}, {v}) out of range", lineno)
             edges.append((u, v) if u < v else (v, u))
-        if len(edges) < m or next(lines, None) is not None:
-            raise GraphParseError("wrong line count")  # stated in full below
         edges.sort()
         return WeightedGraph(n, tuple(edges), tuple(weights))  # type: ignore[arg-type]
-    except ValueError as exc:  # report the defect that comes first in file order
-        found = sum(1 for _ in _content_lines(text)) - 1
-        if found != n + m:
-            raise GraphParseError(
-                f"expected {n} vertex lines and {m} edge lines, found {found}", head
-            ) from None
+    except ValueError as exc:  # a repeated edge on an earlier line is reported first
         before = exc.line if isinstance(exc, GraphParseError) else None
         seen: set[tuple[int, ...]] = set()
         for lineno, line in islice(_content_lines(text), 1 + n, None):

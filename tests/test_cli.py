@@ -89,6 +89,13 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    def test_huge_vertex_count_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.graph"
+        path.write_text("10000000000 1\n0 1\n")
+        assert main(["score", "-g", str(path)]) == 2
+        assert "line 1: expected 10000000000 vertex lines and 1 edge lines, found 1" in (
+            capsys.readouterr().err)
+
     def test_invalid_mask_is_usage_error(self, triangle_file, tmp_path, capsys):
         mask = tmp_path / "m.mask"
         mask.write_text("100\n")

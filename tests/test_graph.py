@@ -448,6 +448,10 @@ class TestMaskIO:
                      "line 4: edge line must be '<u> <v>'", id="edge-line-shape"),
         pytest.param(lambda: load_graph("2 1\n0 1\n1 2\n0 b\n"), GraphParseError,
                      "line 4: edge endpoints must be integers", id="edge-endpoints"),
+        # The line count is checked before anything sized by the header's n.
+        pytest.param(lambda: load_graph("10000000000 1\n0 1\n"), GraphParseError,
+                     "line 1: expected 10000000000 vertex lines and 1 edge lines, found 1",
+                     id="huge-vertex-count"),
         pytest.param(lambda: WeightedGraph.build(0, [], []), ValueError,
                      "graph needs at least one vertex", id="no-vertex"),
         pytest.param(lambda: WeightedGraph.build(2, [(0, 1)], [0]), ValueError,
