@@ -379,10 +379,12 @@ def decide(
 
     Compiles the formula, optimises the reduction objective (multiplier =
     variable count), and answers YES iff the best score found reaches
-    (17/2) n ln n.  Free-edge counts above ``DEFAULT_FREE_EDGE_CAP`` fall
-    back to local search; either way the report carries the solver's optimality.
+    (17/2) n ln n.  The exact search starts from the local-search warm
+    start and branches in :func:`~corrsubopt.solvers.breadth_first_order`.
+    Free-edge counts above ``DEFAULT_FREE_EDGE_CAP`` fall back to local
+    search; either way the report carries the solver's optimality.
     """
-    from .solvers import DEFAULT_FREE_EDGE_CAP, solve_exact, solve_local
+    from .solvers import DEFAULT_FREE_EDGE_CAP, breadth_first_order, solve_exact, solve_local
 
     n = formula.variable_count
     t = n * n
@@ -395,7 +397,7 @@ def decide(
             node_limit=node_limit,
             initial_mask=warm.best_mask,
             multiplier=n,
-            order=inst.gadget_edge_order,
+            order=breadth_first_order(inst.graph),
         )
     else:
         mode = "local"

@@ -250,6 +250,42 @@ class CompletionBound(dict):
                                          for x in self.core)
 
 
+def breadth_first_order(graph: WeightedGraph) -> tuple[int, ...]:
+    """The free edge ids in breadth-first order over the free edges.
+
+    The walk starts at the lowest vertex with a free edge and takes each
+    vertex's free edges in ascending id; an edge is placed when its first
+    endpoint is taken.  When a component runs out it restarts at the lowest
+    vertex with a free edge not yet reached.  On the paper's gadget graphs
+    this keeps the search frontier narrow, so :func:`solve_exact` proves
+    their optimum in fewer nodes than it does in a gadget-by-gadget order.
+    """
+    edges = graph.edges
+    free_incidence: dict[int, list[int]] = {}
+    for eid in graph.free_edge_ids:  # ascending, so each list is too
+        for x in edges[eid]:
+            free_incidence.setdefault(x, []).append(eid)
+    order: list[int] = []
+    placed: set[int] = set()
+    reached: set[int] = set()
+    for start in sorted(free_incidence):
+        if start in reached:
+            continue
+        reached.add(start)
+        queue = [start]
+        for x in queue:  # the loop also visits what it appends
+            for eid in free_incidence[x]:
+                if eid not in placed:
+                    placed.add(eid)
+                    order.append(eid)
+                    u, v = edges[eid]
+                    y = v if u == x else u
+                    if y not in reached:
+                        reached.add(y)
+                        queue.append(y)
+    return tuple(order)
+
+
 def solve_exact(
     graph: WeightedGraph,
     *,

@@ -402,7 +402,7 @@ class TestDecideCommand:
         assert main(["decide", "-f", sat3_file]) == 0
         lines = capsys.readouterr().out.splitlines()
         at = lines.index("n = 3, t = 9, solver = exact, optimality = proven")
-        assert lines[at + 1] == "nodes = 1686"
+        assert lines[at + 1] == "nodes = 768"
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_builds_no_neighbour_lists(self, n, tmp_path, monkeypatch, capsys):

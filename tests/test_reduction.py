@@ -399,10 +399,10 @@ class TestDecide:
         "name, value, log_sum, total, nodes, optimality, edges, dropped",
         [
             pytest.param("sat3", "49.81143619018074", "67.91016624345589",
-                         Fraction(4170933, 10004), 1_686, "proven", 1173, (28, 337, 646),
+                         Fraction(4170933, 10004), 768, "proven", 1173, (28, 337, 646),
                          id="sat3"),
             pytest.param("unsat4", "75.14012014157962", "104.18493295546489",
-                         Fraction(281423232, 197633), 11_670, "proven", 4532,
+                         Fraction(281423232, 197633), 3_138, "proven", 4532,
                          (49, 925, 1801, 2677), id="unsat4"),
         ],
     )

@@ -22,7 +22,7 @@ from corrsubopt import (
     solve_exact,
     solve_local,
 )
-from corrsubopt.solvers import CompletionBound, FreeEdgeSearch
+from corrsubopt.solvers import CompletionBound, FreeEdgeSearch, breadth_first_order
 from corrsubopt.verification import LowDiscrepancyLookahead
 
 import helpers
@@ -297,13 +297,18 @@ class TestDominanceDifferential:
     (``helpers.plain_branch_and_bound``): the same mask, value, log-degree
     sum and S, bit for bit, both proven, and no more nodes."""
 
+    @pytest.mark.parametrize("order_of", [
+        pytest.param(lambda inst: inst.gadget_edge_order, id="gadget"),
+        pytest.param(lambda inst: breadth_first_order(inst.graph), id="breadth-first"),
+    ])
     @given(st.integers(3, 5), st.integers(2, 4), st.integers(0, 10**6))
-    @settings(deadline=None, max_examples=8)
-    def test_matches_plain_search_on_compiled_formulas(self, n, t, seed):
+    @settings(deadline=None, max_examples=5)
+    def test_matches_plain_search_on_compiled_formulas(self, order_of, n, t, seed):
         inst = compile_formula(helpers.cubic_formula(random.Random(seed), n), t)
-        # decide's warm start keeps the n = 5 proofs (50 free edges) short.
+        # A local-search warm start, as decide uses, keeps the n = 5 proofs
+        # (50 free edges) short in either order.
         warm = solve_local(inst.graph, restarts=2, seed=seed, multiplier=n).best_mask
-        self.assert_matches(inst.graph, inst.gadget_edge_order, n, warm)
+        self.assert_matches(inst.graph, order_of(inst), n, warm)
 
     @given(
         st.sampled_from(helpers.KERNEL_SHAPES),
@@ -358,6 +363,40 @@ class TestDominanceDifferential:
         assert report.optimality == "proven"
         assert report.nodes_explored <= nodes
         return report, nodes
+
+
+class TestBreadthFirstOrder:
+    @given(st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=40)
+    def test_is_a_fixed_permutation_of_the_free_edges(self, seed):
+        graph = helpers.random_graph(random.Random(seed), max_vertices=10, max_free=20)
+        order = breadth_first_order(graph)
+        assert sorted(order) == list(graph.free_edge_ids)
+        assert breadth_first_order(graph) == order
+
+    def test_compiled_formulas(self, sat3, unsat4):
+        for formula, t in ((sat3, 9), (unsat4, 16)):
+            graph = compile_formula(formula, t).graph
+            order = breadth_first_order(graph)
+            assert sorted(order) == list(graph.free_edge_ids)
+            assert breadth_first_order(graph) == order
+
+    def test_restarts_at_the_lowest_unreached_vertex(self):
+        # Two components: the 4-cycle 0-2-7-5 and the triangle 1-3-6 with
+        # the leaf 4 on 3.  Edge ids follow the sorted edges:
+        # 0 (0,2), 1 (0,5), 2 (1,3), 3 (1,6), 4 (2,7), 5 (3,4), 6 (3,6),
+        # 7 (5,7); edge 5 is forced.
+        edges = [(0, 2), (0, 5), (1, 3), (1, 6), (2, 7), (3, 4), (3, 6), (5, 7)]
+        graph = WeightedGraph.build(8, edges, [0, 1, 2, 3, Fraction(1, 2), -1, 5, 2])
+        # From 0: its edges 0 and 1, then 2's edge 4, then 5's edge 7 (7 was
+        # already reached).  Then from 1: its edges 2 and 3, then 3's edge 6.
+        order = breadth_first_order(graph)
+        assert order == (0, 1, 4, 7, 2, 3, 6)
+        report = solve_exact(graph, order=order)
+        default = solve_exact(graph)
+        assert report.optimality == default.optimality == "proven"
+        assert report.best_mask.bitstring() == default.best_mask.bitstring()
+        assert report.best_score == default.best_score
 
 
 class TestScoreAwareDominance:
