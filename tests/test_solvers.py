@@ -374,13 +374,6 @@ class TestBreadthFirstOrder:
         assert sorted(order) == list(graph.free_edge_ids)
         assert breadth_first_order(graph) == order
 
-    def test_compiled_formulas(self, sat3, unsat4):
-        for formula, t in ((sat3, 9), (unsat4, 16)):
-            graph = compile_formula(formula, t).graph
-            order = breadth_first_order(graph)
-            assert sorted(order) == list(graph.free_edge_ids)
-            assert breadth_first_order(graph) == order
-
     def test_restarts_at_the_lowest_unreached_vertex(self):
         # Two components: the 4-cycle 0-2-7-5 and the triangle 1-3-6 with
         # the leaf 4 on 3.  Edge ids follow the sorted edges:
