@@ -211,7 +211,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
         f"n = {report.variable_count}, t = {report.t}, "
         f"solver = {report.solver}, optimality = {report.optimality}"
     )
-    print(f"nodes = {report.solve_report.nodes_explored}")
+    print(f"nodes = {report.core_report.nodes_explored}")
     for note in report.notes:
         print(f"note: {note}")
     return 0

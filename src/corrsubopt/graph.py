@@ -36,15 +36,16 @@ class Immutable:
     """Base of the package's read-only value classes.
 
     ``__init__`` writes the fields named in ``_fields`` (and any derived
-    attributes) straight into ``__dict__``, as ``cached_property`` does;
-    equality, hash and repr follow those fields in order, and assigning or
-    deleting an attribute raises ``AttributeError``.
+    attributes) straight into ``__dict__``, as ``cached_property`` does, or
+    leaves one to be built on first read; equality, hash and repr follow
+    those fields in order, and assigning or deleting an attribute raises
+    ``AttributeError``.
     """
 
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -71,17 +72,21 @@ class WeightedGraph(Immutable):
     ``edges`` must already be in canonical order; use :meth:`build` or
     :func:`load_graph` to construct one from unnormalised data.  Equal
     weights may share one ``Fraction`` object, and per-weight work runs once
-    per distinct object.
+    per distinct object.  Each of ``pendants``, (hub, count, weight), folds
+    in ``count`` leaves of that weight on ``hub``: every property counts them
+    as it counts leaves that are vertices, so under one C (its default,
+    ``vertex_count``, leaves them out) a mask scores as with them written out.
     """
 
     _fields = ("vertex_count", "edges", "weights")
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[Fraction, ...]
+    pendants: tuple[tuple[int, int, Fraction], ...]
     degrees: tuple[int, ...]  # host degree per vertex, counted while validating
 
     def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...],
-                 weights: tuple[Fraction, ...]) -> None:
+                 weights: tuple[Fraction, ...], pendants: tuple = ()) -> None:
         n = vertex_count
         if n <= 0:
             raise ValueError("graph needs at least one vertex")
@@ -100,10 +105,16 @@ class WeightedGraph(Immutable):
             prev = edge
             degrees[u] += 1
             degrees[v] += 1
+        for hub, count, _ in pendants:
+            if not 0 <= hub < n or count < 1:
+                raise ValueError(f"pendant ({hub}, {count}) needs a vertex and a positive count")
+            degrees[hub] += count
         if 0 in degrees:
             raise ValueError(f"isolated vertex {degrees.index(0)}")
-        self.__dict__.update(vertex_count=n, edges=edges, weights=weights,
+        self.__dict__.update(vertex_count=n, edges=edges, weights=weights, pendants=pendants,
                              degrees=tuple(degrees))
+        if pendants:  # a graph without them keeps three fields, in its repr too
+            self.__dict__["_fields"] = self._fields + ("pendants",)
 
     @classmethod
     def build(
@@ -111,13 +122,15 @@ class WeightedGraph(Immutable):
         vertex_count: int,
         edges: Iterable[tuple[int, int]],
         weights: Sequence[Fraction | int | str],
+        pendants: Sequence[tuple[int, int, Fraction | int | str]] = (),
     ) -> "WeightedGraph":
         """Normalise (orient u < v, sort) and validate raw edge/weight data;
-        equal weights share one ``Fraction``.  A string weight follows the
-        instance files' rule, so an exponent string raises ``ValueError``."""
+        equal weights, pendants' too, share one ``Fraction``.  A string weight
+        follows the instance files' rule: an exponent raises ``ValueError``."""
         canon = sorted(map(_oriented, edges))
-        as_fraction = {w: _rational(w) for w in set(weights)}
-        return cls(vertex_count, tuple(canon), tuple(map(as_fraction.__getitem__, weights)))
+        as_fraction = {w: _rational(w) for w in {*weights, *(w for _, _, w in pendants)}}
+        return cls(vertex_count, tuple(canon), tuple(map(as_fraction.__getitem__, weights)),
+                   tuple((hub, count, as_fraction[w]) for hub, count, w in pendants))
 
     @property
     def edge_count(self) -> int:
@@ -177,9 +190,9 @@ class WeightedGraph(Immutable):
 
     @cached_property
     def scaled_weights(self) -> tuple[int, tuple[int, ...]]:
-        """(L, W): L is the lcm of the weight denominators and W[v] = L * f(v),
-        an integer for every vertex."""
-        distinct = _by_identity(self.weights)
+        """(L, W): L is the lcm of the weight denominators, pendants' too, and
+        W[v] = L * f(v), an integer for every vertex."""
+        distinct = _by_identity(chain(self.weights, (w for _, _, w in self.pendants)))
         scale = math.lcm(*(w.denominator for w in distinct.values()))
         scaled = {key: w.numerator * (scale // w.denominator) for key, w in distinct.items()}
         return scale, tuple(map(scaled.__getitem__, map(id, self.weights)))
@@ -187,9 +200,9 @@ class WeightedGraph(Immutable):
     @cached_property
     def forced_nbr_sums(self) -> tuple[int, ...]:
         """Per vertex, the sum of the scaled weights W over its neighbours
-        across forced edges.  Every valid mask keeps these edges, so this is
-        where its neighbour sums start."""
-        _, weights = self.scaled_weights
+        across forced edges (to folded leaves too).  Every valid mask keeps
+        these edges, so this is where its neighbour sums start."""
+        scale, weights = self.scaled_weights
         sums, edges = [0] * self.vertex_count, self.edges
         for u, v in edges:
             sums[u] += weights[v]
@@ -198,6 +211,8 @@ class WeightedGraph(Immutable):
             u, v = edges[eid]
             sums[u] -= weights[v]
             sums[v] -= weights[u]
+        for hub, count, w in self.pendants:
+            sums[hub] += count * (scale * w).numerator
         return tuple(sums)
 
     def forced_degrees(self) -> list[int]:
@@ -215,12 +230,12 @@ class WeightedGraph(Immutable):
 
         A valid mask keeps between max(1, k) and all of a vertex's edges, k
         being its forced edges.  With m the lcm of all those degrees over
-        all vertices, D = L^2 m and c[d] = m // d, so
+        all vertices, folded leaves' 1 too, D = L^2 m and c[d] = m // d, so
         d * ND = (W d - s)^2 / (L^2 d) = (W d - s)^2 c[d] / D.  c holds
         only the degrees some valid mask gives some vertex.
         """
         scale, _ = self.scaled_weights
-        reachable: set[int] = set()
+        reachable: set[int] = {1} if self.pendants else set()
         for forced, host in set(zip(self.forced_degrees(), self.degrees)):
             reachable.update(range(max(1, forced), host + 1))
         m = math.lcm(*reachable)
@@ -230,7 +245,7 @@ class WeightedGraph(Immutable):
     def leaf_numerator(self) -> int:
         """The host leaves' share of S * D, the same in every valid mask: a
         leaf keeps its one edge, so d = 1 and s is its neighbour's W."""
-        _, weights = self.scaled_weights
+        scale, weights = self.scaled_weights
         _, cofactors = self.discrepancy_scale
         degrees, total = self.degrees, 0
         for u, v in self.edges:
@@ -238,6 +253,8 @@ class WeightedGraph(Immutable):
             if leaves:
                 diff = weights[u] - weights[v]
                 total += diff * diff * leaves
+        for hub, count, w in self.pendants:
+            total += (weights[hub] - (scale * w).numerator) ** 2 * count
         return total * cofactors[1]
 
 
@@ -249,7 +266,7 @@ def _oriented(edge: tuple[int, int]) -> tuple[int, int]:
     return edge if edge.__class__ is tuple else (u, v)
 
 
-def _by_identity(weights: Sequence[Fraction]) -> dict[int, Fraction]:
+def _by_identity(weights: Iterable[Fraction]) -> dict[int, Fraction]:
     """One ``id`` -> weight entry per distinct weight object, so that
     per-weight work runs once per object; a weight's entry is keyed by its id."""
     return {id(w): w for w in weights}
@@ -262,7 +279,8 @@ class SubgraphMask:
     """Kept-edge bitset over a graph's canonical edge list, with cached degrees.
 
     Mutable: a ``ScoreState`` toggles the mask it is given.  The degree cache
-    is kept in sync by :meth:`set_edge`; it always equals a recount from ``kept``.
+    is kept in sync by :meth:`set_edge`; it always equals the host degrees
+    less the edges ``kept`` drops, so a folded leaf counts in its hub's.
     """
 
     __slots__ = ("graph", "kept", "degrees")
@@ -277,12 +295,12 @@ class SubgraphMask:
             raise ValueError(
                 f"mask length {len(self.kept)} != edge count {graph.edge_count}"
             )
-        degs = [0] * graph.vertex_count
+        degs = list(graph.degrees)
         for eid, keep in enumerate(self.kept):
-            if keep:
+            if not keep:
                 u, v = graph.edges[eid]
-                degs[u] += 1
-                degs[v] += 1
+                degs[u] -= 1
+                degs[v] -= 1
         self.degrees = degs
 
     @classmethod
@@ -485,6 +503,8 @@ def _format_weight(w: Fraction) -> str:
 
 def graph_lines(graph: WeightedGraph) -> Iterator[str]:
     """The lines of :func:`dump_graph`, each with its newline, one at a time."""
+    if graph.pendants:
+        raise ValueError("a graph with folded leaves has no file form; write its explicit graph")
     yield f"{graph.vertex_count} {graph.edge_count}\n"
     text = {key: _format_weight(w) for key, w in _by_identity(graph.weights).items()}
     for vid, key in enumerate(map(id, graph.weights)):

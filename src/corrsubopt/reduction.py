@@ -22,6 +22,8 @@ w_i_l a_{r_l}.  Vertex ids follow this text order (blocks by variable, then
 by clause, leaves after their block's tagged vertices).  The compiled
 instance keeps each block's vertex ids in a table, and a role tag per vertex
 for the roles file; every leaf of a hub x is tagged ``leaf_`` + x's tag.
+Every leaf edge is forced, so ``compile_formula`` builds only the core: the
+tagged vertices in this order, each hub's leaves one ``WeightedGraph`` pendant.
 
 The formula file format: first line ``<n> <m>``, then m lines of three
 1-based variable ids; ``#`` starts a comment line.
@@ -35,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .graph import Immutable, SubgraphMask, WeightedGraph, _content_lines
+from .graph import Immutable, SubgraphMask, WeightedGraph, _content_lines, require_same_graph
 from .scoring import ScoreValue
 
 if TYPE_CHECKING:  # decide imports solvers when it runs; reduce and witness never do
@@ -165,9 +167,16 @@ def satisfying_assignments(formula: Formula) -> list[tuple[bool, ...]]:
 
 class ReductionInstance(Immutable):
     """A compiled formula: graph, scale, per-vertex role tags, and the vertex
-    ids of each gadget block (variables and clauses 1-based in the accessors)."""
+    ids of each gadget block (variables and clauses 1-based in the accessors).
+
+    ``compile_formula`` builds an instance from its ``core`` alone, the graph
+    with the leaves folded into their hubs, which is all :func:`decide`
+    reads.  Such an instance builds ``graph``, ``roles``, ``blocks`` and
+    ``clause_blocks`` together on the first read of any of them."""
 
     _fields = ("graph", "t", "variable_count", "roles", "blocks", "clause_blocks", "slots")
+    _explicit = ("graph", "roles", "blocks", "clause_blocks")
+    core: WeightedGraph
     graph: WeightedGraph
     t: int
     variable_count: int
@@ -179,6 +188,23 @@ class ReductionInstance(Immutable):
     def __init__(self, graph, t, variable_count, roles, blocks, clause_blocks, slots) -> None:
         self.__dict__.update(graph=graph, t=t, variable_count=variable_count, roles=roles,
                              blocks=blocks, clause_blocks=clause_blocks, slots=slots)
+
+    def __getattr__(self, name: str):  # only for names not yet in __dict__
+        if name in self._explicit and "core" in self.__dict__:
+            explicit = _gadgets(self.variable_count, self.t, self.slots, fold=False)
+            self.__dict__.update(zip(self._explicit, explicit))
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def explicit_mask(self, mask: SubgraphMask) -> SubgraphMask:
+        """A mask over ``core`` as the same mask over ``graph``: the core's
+        edges are the explicit graph's free edges, in the same order, and
+        every leaf edge is kept."""
+        require_same_graph(self.core, mask)
+        kept = [True] * self.graph.edge_count
+        for eid, keep in zip(self.graph.free_edge_ids, mask.kept):
+            kept[eid] = keep
+        return SubgraphMask(self.graph, kept)
 
     def u(self, i: int) -> int:
         return self.blocks[i - 1][0]
@@ -235,10 +261,11 @@ class ReductionInstance(Immutable):
                 + tuple(a for a, _ in self.clause_blocks))
 
 
-# Above this many vertices compile_formula refuses.  compile_formula and a
-# full-mask score of sat3 at t = 120 (174,996 vertices) peak at 175 traced
-# bytes a vertex (x86_64, Python 3.11.7), so the cap is some 175 MB of
-# traced memory.  From the root of a checkout:
+# Above this many explicit vertices compile_formula refuses; decide, which
+# builds only the core, keeps the cap on purpose.  Reading ``.graph``, which
+# builds the explicit graph, and a full-mask score of sat3 at t = 120
+# (174,996 vertices) peak at 175 traced bytes a vertex (x86_64, Python
+# 3.11.7), so the cap is some 175 MB of traced memory.  From a checkout:
 #   PYTHONPATH=src python -W ignore -c "import tracemalloc as tm, corrsubopt as c;
 #   f = c.parse_formula(open('instances/sat3.f').read()); tm.start();
 #   g = c.compile_formula(f, 120).graph; c.score(g, c.SubgraphMask.full(g));
@@ -247,10 +274,11 @@ MAX_COMPILED_VERTICES = 1_000_000
 
 
 def compile_formula(formula: Formula, t: int) -> ReductionInstance:
-    """Build the weighted instance for ``formula`` at scale ``t`` (>= 2).
+    """Build the weighted instance for ``formula`` at scale ``t`` (>= 2),
+    as its 9n-vertex core (see :class:`ReductionInstance`).
 
-    Raises ``ValueError``, before allocating anything, when the instance
-    would have more than ``MAX_COMPILED_VERTICES`` vertices."""
+    Raises ``ValueError``, before allocating anything, when the explicit
+    graph would have more than ``MAX_COMPILED_VERTICES`` vertices."""
     if t < 2:
         raise ValueError(f"scale t must be at least 2, got {t}")
     n = formula.variable_count
@@ -260,11 +288,26 @@ def compile_formula(formula: Formula, t: int) -> ReductionInstance:
             f"n = {n}, t = {t} compiles to n(4t^2 + 6t + 12) = {size} vertices, "
             f"over the cap of {MAX_COMPILED_VERTICES}"
         )
+    slots = tuple(formula.clauses_of(i) for i in range(1, n + 1))
+    inst = ReductionInstance.__new__(ReductionInstance)  # the explicit fields come later
+    inst.__dict__.update(core=_gadgets(n, t, slots, fold=True)[0], t=t, variable_count=n,
+                         slots=slots)
+    return inst
+
+
+def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...], *, fold: bool) -> tuple:
+    """(graph, roles, blocks, clause_blocks) of the instance, in the vertex
+    order of the module notes.  With ``fold`` each hub's leaves are one
+    pendant of the graph, and the ids are those of the tagged vertices alone."""
     roles: list[str] = []
     weights: list[int] = []  # WeightedGraph.build makes each one a Fraction
     edges: list[tuple[int, int]] = []
+    pendants: list[tuple[int, int, int]] = []
 
     def add_leaves(hub: int, count: int, weight: int) -> None:
+        if fold:
+            pendants.append((hub, count, weight))
+            return
         first = len(roles)
         roles.extend(["leaf_" + roles[hub]] * count)
         weights.extend([weight] * count)
@@ -290,13 +333,11 @@ def compile_formula(formula: Formula, t: int) -> ReductionInstance:
         edges.append((a, ap))
         add_leaves(ap, t * t, t)
 
-    slots = tuple(formula.clauses_of(i) for i in range(1, n + 1))
     for block, clauses in zip(blocks, slots):
         edges.extend((w, clause_blocks[j - 1][0]) for w, j in zip(block[4:], clauses))
 
-    graph = WeightedGraph.build(len(roles), edges, weights)
-    return ReductionInstance(graph, t, n, tuple(roles), tuple(blocks),
-                             tuple(clause_blocks), slots)
+    graph = WeightedGraph.build(len(roles), edges, weights, pendants)
+    return graph, tuple(roles), tuple(blocks), tuple(clause_blocks)
 
 
 def role_lines(inst: ReductionInstance) -> Iterator[str]:
@@ -349,8 +390,16 @@ class DecisionReport(NamedTuple):
     t: int
     optimality: str
     solver: str  # "exact" | "local"
-    solve_report: SolveReport
+    core_report: SolveReport  # the solver's report on instance.core
     notes: tuple[str, ...]
+    instance: ReductionInstance
+
+    @property
+    def solve_report(self) -> SolveReport:
+        """``core_report`` with its mask over the explicit graph, which the
+        first such call builds."""
+        report = self.core_report
+        return report._replace(best_mask=self.instance.explicit_mask(report.best_mask))
 
 
 # The decision threshold and the score bounds it comes from are stated in
@@ -378,9 +427,10 @@ def decide(
     """Run the full decision pipeline at scale t = n^2.
 
     Compiles the formula, optimises the reduction objective (multiplier =
-    variable count), and answers YES iff the best score found reaches
-    (17/2) n ln n.  The exact search starts from the local-search warm
-    start and branches in :func:`~corrsubopt.solvers.breadth_first_order`.
+    variable count) on the instance's core, and answers YES iff the best
+    score found reaches (17/2) n ln n.  The explicit graph is never built.
+    The exact search starts from the local-search warm start and branches
+    in :func:`~corrsubopt.solvers.breadth_first_order`.
     Free-edge counts above ``DEFAULT_FREE_EDGE_CAP`` fall back to local
     search; either way the report carries the solver's optimality.
     """
@@ -389,15 +439,16 @@ def decide(
     n = formula.variable_count
     t = n * n
     inst = compile_formula(formula, t)
-    warm = solve_local(inst.graph, restarts=restarts, seed=seed, multiplier=n)
-    if len(inst.graph.free_edge_ids) <= DEFAULT_FREE_EDGE_CAP:
+    core = inst.core
+    warm = solve_local(core, restarts=restarts, seed=seed, multiplier=n)
+    if len(core.free_edge_ids) <= DEFAULT_FREE_EDGE_CAP:
         mode = "exact"
         report = solve_exact(
-            inst.graph,
+            core,
             node_limit=node_limit,
             initial_mask=warm.best_mask,
             multiplier=n,
-            order=breadth_first_order(inst.graph),
+            order=breadth_first_order(core),
         )
     else:
         mode = "local"
@@ -413,6 +464,7 @@ def decide(
         t=t,
         optimality=report.optimality,
         solver=mode,
-        solve_report=report,
+        core_report=report,
         notes=(COEFFICIENT_NOTE, ASYMPTOTIC_CAVEAT),
+        instance=inst,
     )

@@ -131,9 +131,9 @@ def neighbourhood_discrepancy(
     d = mask.degrees[vertex]
     if d == 0:
         raise DegenerateVertexError(f"vertex {vertex} has no kept incident edge")
-    _, weights = graph.scaled_weights
+    scale, weights = graph.scaled_weights
     kept = mask.kept
-    nbr_sum = 0
+    nbr_sum = sum(k * (scale * w).numerator for hub, k, w in graph.pendants if hub == vertex)
     for nbr, eid in graph.incidence[vertex]:
         if kept[eid]:
             nbr_sum += weights[nbr]

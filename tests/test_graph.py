@@ -324,6 +324,35 @@ class TestValueSemantics:
         assert repr(g) == ("WeightedGraph(vertex_count=2, edges=((0, 1),), "
                            "weights=(Fraction(1, 1), Fraction(1, 2)))")
 
+    def test_pendants_are_a_field_of_a_graph_that_has_them(self):
+        plain = WeightedGraph.build(2, [(0, 1)], [0, 1])
+        folded = WeightedGraph.build(2, [(0, 1)], [0, 1], [(0, 2, "1/2")])
+        assert folded != plain and folded.degrees == (3, 1)
+        assert repr(folded).endswith(", pendants=((0, 2, Fraction(1, 2)),))")
+        for bad in ([(2, 1, 0)], [(0, 0, 0)]):
+            with pytest.raises(ValueError, match="pendant"):
+                WeightedGraph.build(2, [(0, 1)], [0, 1], bad)
+
+    def test_folded_leaves_score_as_written_out(self):
+        # A triangle whose vertices carry two or three leaves each, of
+        # rational weights: only the folded leaves can reach degree 1.
+        pendants = [(0, 2, "1/3"), (1, 3, "5/2"), (2, 2, -1)]
+        folded = WeightedGraph.build(3, [(0, 1), (1, 2), (0, 2)], [1, "2/7", 4], pendants)
+        edges, weights = [(0, 1), (1, 2), (0, 2)], [1, "2/7", 4]
+        for hub, count, weight in pendants:
+            edges += [(hub, leaf) for leaf in range(len(weights), len(weights) + count)]
+            weights += [weight] * count
+        explicit = WeightedGraph.build(len(weights), edges, weights)
+        assert folded.discrepancy_scale == explicit.discrepancy_scale
+        assert folded.leaf_numerator == explicit.leaf_numerator
+        assert folded.forced_nbr_sums == explicit.forced_nbr_sums[:3]
+        for kept in ([1, 1, 1], [0, 1, 1], [1, 0, 0]):
+            mask, big = SubgraphMask(folded, map(bool, kept)), SubgraphMask.full(explicit)
+            for (u, v), keep in zip(folded.edges, mask.kept):
+                big.set_edge(explicit.edge_id(u, v), keep)
+            assert score(folded, mask, multiplier=10) == score(explicit, big)
+            assert mask.degrees == big.degrees[:3]
+
     @pytest.mark.parametrize("field", ["vertex_count", "edges", "weights"])
     def test_fields_are_read_only(self, p3, field):
         with pytest.raises(AttributeError):

@@ -17,6 +17,7 @@ from corrsubopt import (
     compile_formula,
     decide,
     dump_formula,
+    dump_graph,
     forced_edges,
     is_one_in_three,
     is_valid,
@@ -26,6 +27,8 @@ from corrsubopt import (
     witness_mask,
 )
 from corrsubopt.reduction import dump_roles
+from corrsubopt.solvers import (
+    DEFAULT_FREE_EDGE_CAP, breadth_first_order, solve_exact, solve_local)
 from corrsubopt.scoring import neighbourhood_discrepancy
 
 import helpers
@@ -310,6 +313,80 @@ class TestGadgetTables:
         assert str(exc.value) == (
             "n = 3, t = 5000 compiles to n(4t^2 + 6t + 12) = 300090036 vertices, "
             "over the cap of 1000000")
+
+
+def _decide_pipeline(graph, n):
+    """decide's optimisation on a compiled graph: the local-search warm
+    start, then the exact search from it, or the warm start alone past the
+    free-edge cap."""
+    warm = solve_local(graph, restarts=2, seed=0, multiplier=n)
+    if len(graph.free_edge_ids) > DEFAULT_FREE_EDGE_CAP:
+        return warm
+    return solve_exact(graph, node_limit=200_000, initial_mask=warm.best_mask, multiplier=n,
+                       order=breadth_first_order(graph))
+
+
+class TestFoldedCore:
+    """The core that compile_formula builds, each hub's leaves folded into a
+    pendant, against the explicit graph built from it."""
+
+    @given(st.integers(3, 5), st.sampled_from(("2", "3", "n^2")), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=12)
+    def test_matches_the_explicit_graph(self, n, scale, seed):
+        t = {"2": 2, "3": 3, "n^2": n * n}[scale]
+        formula = helpers.cubic_formula(random.Random(seed), n)
+        inst = compile_formula(formula, t)
+        core, graph = inst.core, inst.graph
+        ids = [x for block in inst.blocks + inst.clause_blocks for x in block]
+        assert core.vertex_count == 9 * n
+        assert 9 * n + sum(count for _, count, _ in core.pendants) == graph.vertex_count
+        assert [ids[c] for c in core.core_vertices] == list(graph.core_vertices)
+        assert core.discrepancy_scale == graph.discrepancy_scale
+        assert core.leaf_numerator == graph.leaf_numerator
+        full_core, full = SubgraphMask.full(core), SubgraphMask.full(graph)
+        for hub, x in enumerate(ids):
+            assert core.degrees[hub] == graph.degrees[x]
+            assert core.forced_nbr_sums[hub] == graph.forced_nbr_sums[x]
+            assert (neighbourhood_discrepancy(core, full_core, hub)
+                    == neighbourhood_discrepancy(graph, full, x))
+        with pytest.raises(ValueError, match="folded leaves"):
+            dump_graph(core)
+        # The core's edges are the explicit free edges, in the same order.
+        free = graph.free_edge_ids
+        assert [(ids[u], ids[v]) for u, v in core.edges] == [graph.edges[eid] for eid in free]
+        assert [free[eid] for eid in breadth_first_order(core)] == list(breadth_first_order(graph))
+
+        folded, explicit = _decide_pipeline(core, n), _decide_pipeline(graph, n)
+        for a, b in zip(folded.best_score, explicit.best_score):
+            assert repr(a) == repr(b)
+        assert folded.nodes_explored == explicit.nodes_explored
+        assert folded.optimality == explicit.optimality
+        assert folded.best_mask.kept == [explicit.best_mask.kept[eid] for eid in free]
+        assert inst.explicit_mask(folded.best_mask) == explicit.best_mask
+        if t == n * n:
+            report = decide(formula)
+            assert report.core_report.best_score == folded.best_score
+            assert report.core_report.nodes_explored == folded.nodes_explored
+            assert report.solve_report.best_mask == explicit.best_mask
+
+    def test_decide_builds_no_explicit_graph(self, monkeypatch):
+        """At n = 8, t = 64 the explicit graph has 134,240 vertices; decide
+        builds and reads only the 72 of the core."""
+        from corrsubopt import reduction
+
+        folds, build = [], reduction._gadgets
+        monkeypatch.setattr(reduction, "_gadgets",
+                            lambda *args, fold: folds.append(fold) or build(*args, fold=fold))
+        formula = helpers.cubic_formula(random.Random(8), 8)
+        tracemalloc.start()
+        try:
+            report = decide(formula)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert report.t == 64 and folds == [True]
+        assert "graph" not in report.instance.__dict__
 
 
 class TestWitness:
