@@ -152,7 +152,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
     assignment = parse_assignment(args.assignment, formula.variable_count)
     inst = compile_formula(formula, args.t)
     mask = witness_mask(formula, args.t, assignment, inst)
-    value = score(inst.graph, mask, multiplier=inst.variable_count)
+    value = score(inst.core, mask, multiplier=inst.variable_count)
+    mask = inst.explicit_mask(mask)  # what is printed and written
     print(f"mask = {mask.bitstring()}")
     print(f"reduction score = {format_score(value)}")
     print(f"S = {format_fraction(value.discrepancy_total)}")

@@ -36,16 +36,15 @@ class Immutable:
     """Base of the package's read-only value classes.
 
     ``__init__`` writes the fields named in ``_fields`` (and any derived
-    attributes) straight into ``__dict__``, as ``cached_property`` does, or
-    leaves one to be built on first read; equality, hash and repr follow
-    those fields in order, and assigning or deleting an attribute raises
-    ``AttributeError``.
+    attributes) straight into ``__dict__``, as ``cached_property`` does;
+    equality, hash and repr follow those fields in order, and assigning or
+    deleting an attribute raises ``AttributeError``.
     """
 
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -18,12 +18,13 @@ Per variable i the graph gets a block of seven tagged vertices
 with edges v_i u_i, v_i z_i, v_i w_i_j, and z_i zp_i.  Per clause j it gets
 a_j (weight 2t) joined to ap_j (weight t), which carries t^2 leaves of
 weight t.  If variable i's clauses are r_1 < r_2 < r_3, the cross edges are
-w_i_l a_{r_l}.  Vertex ids follow this text order (blocks by variable, then
-by clause, leaves after their block's tagged vertices).  The compiled
-instance keeps each block's vertex ids in a table, and a role tag per vertex
-for the roles file; every leaf of a hub x is tagged ``leaf_`` + x's tag.
-Every leaf edge is forced, so ``compile_formula`` builds only the core: the
-tagged vertices in this order, each hub's leaves one ``WeightedGraph`` pendant.
+w_i_l a_{r_l}.  The explicit graph's vertex ids follow this text order
+(blocks by variable, then by clause, leaves after their block's tagged
+vertices), and its roles file tags every leaf of a hub x ``leaf_`` + x's tag.
+Every leaf edge is forced, so a compiled instance is its core: the tagged
+vertices alone, in this order, each hub's leaves one ``WeightedGraph``
+pendant.  Every check, witness and search reads the core; the explicit graph
+is built only to be written (``reduce`` files, ``witness`` masks).
 
 The formula file format: first line ``<n> <m>``, then m lines of three
 1-based variable ids; ``#`` starts a comment line.
@@ -166,35 +167,37 @@ def satisfying_assignments(formula: Formula) -> list[tuple[bool, ...]]:
 
 
 class ReductionInstance(Immutable):
-    """A compiled formula: graph, scale, per-vertex role tags, and the vertex
-    ids of each gadget block (variables and clauses 1-based in the accessors).
+    """A compiled formula: its core (the graph with each hub's leaves folded
+    into a pendant), scale, variable count and each variable's clauses.
 
-    ``compile_formula`` builds an instance from its ``core`` alone, the graph
-    with the leaves folded into their hubs, which is all :func:`decide`
-    reads.  Such an instance builds ``graph``, ``roles``, ``blocks`` and
-    ``clause_blocks`` together on the first read of any of them."""
+    ``blocks``, ``clause_blocks``, the accessors (variables and clauses
+    1-based) and the vertex tables hold core ids.  ``explicit_ids`` maps each
+    to its id in ``graph``, the explicit graph, which is built together with
+    its ``roles`` on the first read of either, to be written out."""
 
-    _fields = ("graph", "t", "variable_count", "roles", "blocks", "clause_blocks", "slots")
-    _explicit = ("graph", "roles", "blocks", "clause_blocks")
+    _fields = ("core", "t", "variable_count", "slots")
     core: WeightedGraph
-    graph: WeightedGraph
     t: int
     variable_count: int
-    roles: tuple[str, ...]
-    blocks: tuple[tuple[int, ...], ...]  # per variable: (u, v, z, zp, w_1, w_2, w_3)
-    clause_blocks: tuple[tuple[int, int], ...]  # per clause: (a, ap)
     slots: tuple[tuple[int, ...], ...]  # per variable: its clauses, ascending
 
-    def __init__(self, graph, t, variable_count, roles, blocks, clause_blocks, slots) -> None:
-        self.__dict__.update(graph=graph, t=t, variable_count=variable_count, roles=roles,
-                             blocks=blocks, clause_blocks=clause_blocks, slots=slots)
+    def __init__(self, core, t, variable_count, slots) -> None:
+        self.__dict__.update(core=core, t=t, variable_count=variable_count, slots=slots)
 
-    def __getattr__(self, name: str):  # only for names not yet in __dict__
-        if name in self._explicit and "core" in self.__dict__:
-            explicit = _gadgets(self.variable_count, self.t, self.slots, fold=False)
-            self.__dict__.update(zip(self._explicit, explicit))
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def _layout(self) -> tuple:
+        return _gadgets(self.variable_count, self.t, self.slots, fold=True)[2:]
+
+    blocks = property(lambda self: self._layout[0])  # per variable: (u, v, z, zp, w_1, w_2, w_3)
+    clause_blocks = property(lambda self: self._layout[1])  # per clause: (a, ap)
+    explicit_ids = property(lambda self: self._layout[2])  # per core vertex: its id in graph
+
+    @cached_property
+    def _written(self) -> tuple:
+        return _gadgets(self.variable_count, self.t, self.slots, fold=False)[:2]
+
+    graph = property(lambda self: self._written[0])
+    roles = property(lambda self: self._written[1])  # a tag per vertex of graph
 
     def explicit_mask(self, mask: SubgraphMask) -> SubgraphMask:
         """A mask over ``core`` as the same mask over ``graph``: the core's
@@ -231,11 +234,6 @@ class ReductionInstance(Immutable):
         return self.slots[i - 1][slot - 1]
 
     @cached_property
-    def leaves(self) -> tuple[int, ...]:
-        # Every tagged vertex has host degree >= 3 once t >= 2.
-        return tuple(vid for vid, d in enumerate(self.graph.degrees) if d == 1)
-
-    @cached_property
     def attachment_vertices(self) -> tuple[int, ...]:
         """The zp_i and ap_j vertices: the only non-leaves allowed nonzero
         discrepancy in a perfect solution."""
@@ -244,7 +242,7 @@ class ReductionInstance(Immutable):
     @cached_property
     def gadget_edge_order(self) -> tuple[int, ...]:
         """Free edges grouped so gadget vertices finalise as early as possible."""
-        edge_id = self.graph.edge_id
+        edge_id = self.core.edge_id
         order = []
         for (u, v, z, zp, *ws), clauses in zip(self.blocks, self.slots):
             order += [edge_id(v, u), edge_id(v, z), edge_id(z, zp)]
@@ -261,8 +259,9 @@ class ReductionInstance(Immutable):
                 + tuple(a for a, _ in self.clause_blocks))
 
 
-# Above this many explicit vertices compile_formula refuses; decide, which
-# builds only the core, keeps the cap on purpose.  Reading ``.graph``, which
+# Above this many explicit vertices compile_formula refuses; every command
+# keeps the cap, though only reduce and witness build the explicit graph.
+# Reading ``.graph``, which
 # builds the explicit graph, and a full-mask score of sat3 at t = 120
 # (174,996 vertices) peak at 175 traced bytes a vertex (x86_64, Python
 # 3.11.7), so the cap is some 175 MB of traced memory.  From a checkout:
@@ -289,24 +288,27 @@ def compile_formula(formula: Formula, t: int) -> ReductionInstance:
             f"over the cap of {MAX_COMPILED_VERTICES}"
         )
     slots = tuple(formula.clauses_of(i) for i in range(1, n + 1))
-    inst = ReductionInstance.__new__(ReductionInstance)  # the explicit fields come later
-    inst.__dict__.update(core=_gadgets(n, t, slots, fold=True)[0], t=t, variable_count=n,
-                         slots=slots)
-    return inst
+    return ReductionInstance(_gadgets(n, t, slots, fold=True)[0], t, n, slots)
 
 
 def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...], *, fold: bool) -> tuple:
-    """(graph, roles, blocks, clause_blocks) of the instance, in the vertex
-    order of the module notes.  With ``fold`` each hub's leaves are one
-    pendant of the graph, and the ids are those of the tagged vertices alone."""
+    """(graph, roles, blocks, clause_blocks, ids) of the instance, in the
+    vertex order of the module notes; ids[x] is the explicit graph's id of
+    the x-th tagged vertex.  With ``fold`` each hub's leaves are one pendant
+    of the graph, whose vertices, and so the blocks' ids, are the tagged
+    vertices alone."""
     roles: list[str] = []
     weights: list[int] = []  # WeightedGraph.build makes each one a Fraction
     edges: list[tuple[int, int]] = []
     pendants: list[tuple[int, int, int]] = []
+    ids: list[int] = []
+    folded = 0  # leaves folded so far
 
     def add_leaves(hub: int, count: int, weight: int) -> None:
+        nonlocal folded
         if fold:
             pendants.append((hub, count, weight))
+            folded += count
             return
         first = len(roles)
         roles.extend(["leaf_" + roles[hub]] * count)
@@ -316,6 +318,7 @@ def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...], *, fold: bool) 
     blocks, clause_blocks = [], []
     for i in range(1, n + 1):
         u, v, z, zp, *ws = block = tuple(range(len(roles), len(roles) + 7))
+        ids.extend(x + folded for x in block)
         roles += [f"u_{i}", f"v_{i}", f"z_{i}", f"zp_{i}", f"w_{i}_1", f"w_{i}_2", f"w_{i}_3"]
         weights += [7 * t, 4 * t, t, 4 * t, 3 * t, 3 * t, 3 * t]
         blocks.append(block)
@@ -327,6 +330,7 @@ def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...], *, fold: bool) 
             add_leaves(w, 1, 3 * t)
     for j in range(1, n + 1):
         a, ap = len(roles), len(roles) + 1
+        ids += [a + folded, ap + folded]
         roles += [f"a_{j}", f"ap_{j}"]
         weights += [2 * t, t]
         clause_blocks.append((a, ap))
@@ -337,7 +341,7 @@ def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...], *, fold: bool) 
         edges.extend((w, clause_blocks[j - 1][0]) for w, j in zip(block[4:], clauses))
 
     graph = WeightedGraph.build(len(roles), edges, weights, pendants)
-    return graph, tuple(roles), tuple(blocks), tuple(clause_blocks)
+    return graph, tuple(roles), tuple(blocks), tuple(clause_blocks), tuple(ids)
 
 
 def role_lines(inst: ReductionInstance) -> Iterator[str]:
@@ -353,7 +357,9 @@ def witness_mask(
     formula: Formula, t: int, assignment: tuple[bool, ...],
     inst: ReductionInstance | None = None,
 ) -> SubgraphMask:
-    """The canonical perfect-solution mask for a 1-in-3 satisfying assignment.
+    """The canonical perfect-solution mask, over the core, for a 1-in-3
+    satisfying assignment (``ReductionInstance.explicit_mask`` writes it
+    over the explicit graph).
 
     Keeps everything except, per true variable, the edge v_i z_i, and per
     false variable, the edges v_i w_i_j, z_i zp_i, and the cross edges of
@@ -369,8 +375,8 @@ def witness_mask(
     elif inst.t != t or inst.slots != tuple(
             map(formula.clauses_of, range(1, formula.variable_count + 1))):
         raise ValueError("inst was not compiled from this formula at this t")
-    mask = SubgraphMask.full(inst.graph)
-    edge_id = inst.graph.edge_id
+    mask = SubgraphMask.full(inst.core)
+    edge_id = inst.core.edge_id
     for (u, v, z, zp, *ws), clauses, true in zip(inst.blocks, inst.slots, assignment):
         if true:
             mask.set_edge(edge_id(v, z), False)
@@ -390,16 +396,8 @@ class DecisionReport(NamedTuple):
     t: int
     optimality: str
     solver: str  # "exact" | "local"
-    core_report: SolveReport  # the solver's report on instance.core
+    core_report: SolveReport  # the solver's report on the compiled core
     notes: tuple[str, ...]
-    instance: ReductionInstance
-
-    @property
-    def solve_report(self) -> SolveReport:
-        """``core_report`` with its mask over the explicit graph, which the
-        first such call builds."""
-        report = self.core_report
-        return report._replace(best_mask=self.instance.explicit_mask(report.best_mask))
 
 
 # The decision threshold and the score bounds it comes from are stated in
@@ -438,8 +436,7 @@ def decide(
 
     n = formula.variable_count
     t = n * n
-    inst = compile_formula(formula, t)
-    core = inst.core
+    core = compile_formula(formula, t).core
     warm = solve_local(core, restarts=restarts, seed=seed, multiplier=n)
     if len(core.free_edge_ids) <= DEFAULT_FREE_EDGE_CAP:
         mode = "exact"
@@ -466,5 +463,4 @@ def decide(
         solver=mode,
         core_report=report,
         notes=(COEFFICIENT_NOTE, ASYMPTOTIC_CAVEAT),
-        instance=inst,
     )

@@ -365,7 +365,7 @@ def solve_exact(
             "pass a node limit to search best-effort"
         )
     _, weights = graph.scaled_weights
-    denominator, _ = graph.discrepancy_scale
+    denominator, cofactors = graph.discrepancy_scale
     if order is None:
         # W = L * f, so ordering by |W_u - W_v| is ordering by |f(u) - f(v)|.
         order = sorted(
@@ -379,8 +379,7 @@ def solve_exact(
         raise ValueError("order must be a permutation of the graph's free edge ids")
     dfs = FreeEdgeSearch(graph, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
-    log = math.log
-    logs = [0.0] + [log(d) for d in range(1, max(graph.degrees) + 1)]
+    logs = {d: math.log(d) for d in cofactors}  # every k + u of a node is a valid degree
     bound = CompletionBound(graph, order)
     # At the root every vertex's kept plus undecided degree is its host degree.
     max_log_sum = log_degree_sum(graph, graph.degrees)
@@ -543,12 +542,11 @@ def solve_local(
     t0 = time.perf_counter()
     mult = _multiplier(graph, multiplier)
     free, edges = graph.free_edge_ids, graph.edges
-    denominator, _ = graph.discrepancy_scale
-    log = math.log
-    logs = [0.0] + [log(d) for d in range(1, max(graph.degrees) + 1)]
+    denominator, cofactors = graph.discrepancy_scale
+    logs = {d: math.log(d) for d in cofactors}  # the degrees of every valid mask
     # Twice the k-term bound over the k core vertices, plus four roundings.
     k, unit = len(graph.core_vertices), 2.0 ** -53
-    err = (2 * k * k + k + 8) * unit * logs[-1] / (1 - k * unit)
+    err = (2 * k * k + k + 8) * unit * math.log(max(graph.degrees)) / (1 - k * unit)
 
     best_mask: SubgraphMask | None = None
     best_score: ScoreValue | None = None

@@ -21,6 +21,11 @@ exact.  Checks 1 to 4 prove their bounds for every valid mask at once from
 per-graph facts and draw no mask; check 5 reads the ints of the scoring
 kernel from a ``ScoreState``.  The log bounds allow absolute slack 1e-9.
 
+Every check reads the instance's core, which scores a mask as the explicit
+graph scores it with every leaf edge kept.  Printed vertex ids are the
+explicit graph's (``ReductionInstance.explicit_ids``), and so is check 6's
+failing mask, the one thing a check builds that graph for.
+
 A check is a function of one :class:`CheckContext`, which compiles the
 instance once and caches what several checks share: the log-degree sums of
 checks 3 and 4, the 1-in-3 oracle's answer and the witness masks of checks
@@ -29,9 +34,8 @@ quantities, details) or raises :class:`Inconclusive` when it gives up
 without evidence either way (the oracle's variable cap, the check-6 node
 budget); a rejected ``assignment`` fails checks 5 and lemmas.
 :func:`run_checks` turns each into the one :class:`CheckRecord` per
-selected check.  :func:`leaf_discrepancy_total`,
-:func:`attachment_violations` and :func:`degree_log_quantities` are the
-per-mask forms of checks 1 to 3.
+selected check.  :func:`attachment_violations` and
+:func:`degree_log_quantities` are the per-mask forms of checks 2 and 3.
 """
 
 from __future__ import annotations
@@ -94,31 +98,25 @@ def instance_label(formula: Formula, t: int) -> str:
 
 def reduction_score(inst: ReductionInstance, mask: SubgraphMask) -> ScoreValue:
     """Score under the reduction objective: multiplier = variable count."""
-    return score(inst.graph, mask, multiplier=inst.variable_count)
-
-
-def leaf_discrepancy_total(inst: ReductionInstance, state: ScoreState) -> Fraction:
-    """The leaves' discrepancies added up: a leaf keeps d = 1, so its ND is
-    its share of S, and the total is their int shares over D."""
-    denominator, _ = inst.graph.discrepancy_scale
-    return Fraction(state.shares(inst.leaves), denominator)
+    return score(inst.core, mask, multiplier=inst.variable_count)
 
 
 def attachment_violations(
     inst: ReductionInstance, state: ScoreState
 ) -> list[tuple[int, Fraction]]:
-    """Attachment vertices whose discrepancy leaves [0, 1/t^2).
+    """Attachment vertices (core ids) whose discrepancy leaves [0, 1/t^2),
+    in a state over the core.
 
     ND = ((W d - s) / (L d))^2 is never negative, and ND < 1/t^2  <=>
     t^2 (W d - s)^2 < (L d)^2, tested in ints; a ``Fraction`` is built only
     for a violation."""
     t = inst.t
-    scale, _ = inst.graph.scaled_weights
+    scale, _ = inst.core.scaled_weights
     out = []
     for vtx in inst.attachment_vertices:
         d, diff = state.gap(vtx)
         if t * t * diff * diff >= (scale * d) ** 2:
-            out.append((vtx, gap_discrepancy(inst.graph, d, diff)))
+            out.append((vtx, gap_discrepancy(inst.core, d, diff)))
     return out
 
 
@@ -130,8 +128,8 @@ def _degree_logs(inst: ReductionInstance, degrees) -> dict[str, float]:
     n, t = inst.variable_count, inst.t
     return {
         "lower": 6 * n * math.log(t) + 2 * n,
-        "mask_sum": log_degree_sum(inst.graph, degrees),
-        "graph_sum": log_degree_sum(inst.graph, inst.graph.degrees),
+        "mask_sum": log_degree_sum(inst.core, degrees),
+        "graph_sum": log_degree_sum(inst.core, inst.core.degrees),
         "upper": 6 * n * math.log(t) + 20 * n,
     }
 
@@ -151,8 +149,8 @@ class LowDiscrepancyLookahead(dict):
 
     def __init__(self, inst: ReductionInstance, order: Sequence[int]):
         super().__init__()
-        self.gaps = CompletionBound(inst.graph, order).gaps
-        scale, _ = inst.graph.scaled_weights
+        self.gaps = CompletionBound(inst.core, order).gaps
+        scale, _ = inst.core.scaled_weights
         self.limit = scale * inst.t
 
     def __missing__(self, key: tuple[int, int, int, int]) -> bool:
@@ -165,8 +163,8 @@ class LowDiscrepancyLookahead(dict):
 def find_low_discrepancy_mask(
     inst: ReductionInstance, *, node_budget: int | None = 5_000_000
 ) -> tuple[SubgraphMask | None, int]:
-    """Search for a valid mask keeping every designated vertex strictly
-    below discrepancy t^2/9.
+    """Search for a valid mask over the core keeping every designated
+    vertex strictly below discrepancy t^2/9.
 
     Depth-first over the free edges in ``inst.gadget_edge_order``
     (:class:`FreeEdgeSearch`).  A branch dies as soon as some vertex has all
@@ -189,9 +187,8 @@ def find_low_discrepancy_mask(
     nodes explored); raises :class:`SearchBudgetExceeded` when the budget
     runs out, so a truncated search can never pass as a proof.
     """
-    g = inst.graph
     order = inst.gadget_edge_order
-    dfs = FreeEdgeSearch(g, order)
+    dfs = FreeEdgeSearch(inst.core, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     below = LowDiscrepancyLookahead(inst, order)
     designated = set(inst.designated_vertices)
@@ -231,7 +228,7 @@ def max_sampled_score(
 ) -> tuple[ScoreValue, int]:
     """Largest reduction-objective score over the full mask and ``samples``
     random valid masks drawn from ``seed``; returns (score, masks scored)."""
-    states = sample_states(inst.graph, random.Random(seed), samples,
+    states = sample_states(inst.core, random.Random(seed), samples,
                            multiplier=inst.variable_count)
     best = next(states).score()
     for state in states:
@@ -262,7 +259,7 @@ class CheckContext:
         with ``mask_sum`` at the least degrees a valid mask can give, max(1,
         forced degree).  ``math.log`` and left-to-right float addition are
         monotone, so every valid mask's sum lies between it and the host's."""
-        least = [max(1, k) for k in self.inst.graph.forced_degrees()]
+        least = [max(1, k) for k in self.inst.core.forced_degrees()]
         return _degree_logs(self.inst, least)
 
     @cached_property
@@ -286,8 +283,8 @@ class CheckContext:
 
 def check_leaf_total(ctx: CheckContext) -> Outcome:
     """A valid mask keeps every forced edge, so the leaves' share of S * D
-    is ``graph.leaf_numerator`` in each."""
-    g = ctx.inst.graph
+    is in each the core's ``leaf_numerator``, closed form over its pendants."""
+    g = ctx.inst.core
     expected = Fraction(6 * ctx.inst.variable_count * ctx.t)
     got = Fraction(g.leaf_numerator, g.discrepancy_scale[0])
     return Outcome("pass" if got == expected else "fail",
@@ -298,7 +295,7 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
     """The largest attachment discrepancy over every valid mask: x keeps its
     k forced edges and j of its u free ones, and W d - s - sigma is farthest
     from 0 at an end of the interval [lows[j], highs[j]] of their W sum."""
-    inst, g = ctx.inst, ctx.inst.graph
+    inst, g = ctx.inst, ctx.inst.core
     span = CompletionBound(g, g.free_edge_ids).span
     weights, forced, sums = g.scaled_weights[1], g.forced_degrees(), g.forced_nbr_sums
     worst, vertex = Fraction(-1), -1
@@ -312,7 +309,8 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
             if nd > worst:
                 worst, vertex = nd, x
     return Outcome("pass" if worst * ctx.t ** 2 < 1 else "fail",
-                   (("max_nd", format_fraction(worst)), ("vertex", str(vertex)),
+                   (("max_nd", format_fraction(worst)),
+                    ("vertex", str(inst.explicit_ids[vertex])),
                     ("bound", f"1/{ctx.t * ctx.t}")))
 
 
@@ -334,14 +332,15 @@ def check_witness_discrepancy(ctx: CheckContext) -> Outcome:
         raise Inconclusive("no 1-in-3 satisfying assignment exists")
     inst = ctx.inst
     for text, mask in witnesses:
-        if not is_valid(inst.graph, mask):
+        if not is_valid(inst.core, mask):
             return Outcome("fail", (("assignment", text),), "witness mask is invalid")
-        state = ScoreState(inst.graph, mask)
+        state = ScoreState(inst.core, mask)
         for vtx in inst.designated_vertices:
             d, diff = state.gap(vtx)
             if diff:  # ND = 0  <=>  W d - s = 0
-                nd = gap_discrepancy(inst.graph, d, diff)
-                return Outcome("fail", (("assignment", text), ("vertex", str(vtx)),
+                nd = gap_discrepancy(inst.core, d, diff)
+                return Outcome("fail", (("assignment", text),
+                                        ("vertex", str(inst.explicit_ids[vtx])),
                                         ("nd", format_fraction(nd))))
     return Outcome("pass", (("assignments_checked", str(len(witnesses))),))
 
@@ -370,7 +369,8 @@ def check_infeasibility_search(ctx: CheckContext) -> Outcome:
             f"discrepancy >= {threshold}",
         )
     return Outcome(
-        "fail", (("nodes", str(nodes)), ("mask", mask.bitstring()[:60])),
+        "fail", (("nodes", str(nodes)),
+                 ("mask", ctx.inst.explicit_mask(mask).bitstring()[:60])),
         "found a valid mask with all designated discrepancies below the threshold",
     )
 

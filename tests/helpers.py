@@ -377,7 +377,7 @@ def plain_low_discrepancy_search(inst):
     on finalised vertices: a designated vertex is tested once all its edges
     are decided.  ``find_low_discrepancy_mask`` must find the same mask in
     at most as many nodes."""
-    g = inst.graph
+    g = inst.core
     scale, weights = g.scaled_weights
     designated = set(inst.designated_vertices)
     dfs = FreeEdgeSearch(g, inst.gadget_edge_order)

@@ -33,7 +33,6 @@ from corrsubopt.verification import (
     degree_log_quantities,
     find_low_discrepancy_mask,
     infeasible_score_bound,
-    leaf_discrepancy_total,
     max_sampled_score,
     reduction_score,
     witness_score_bound,
@@ -65,10 +64,10 @@ def instances():
     return out
 
 
-def sampled_masks(inst, count, tag):
+def sampled_masks(graph, count, tag):
     rng = random.Random(f"acceptance:{tag}")
-    masks = [SubgraphMask.full(inst.graph)]
-    masks.extend(random_valid_mask(inst.graph, rng) for _ in range(count))
+    masks = [SubgraphMask.full(graph)]
+    masks.extend(random_valid_mask(graph, rng) for _ in range(count))
     return masks
 
 
@@ -77,8 +76,10 @@ def test_criterion_1_leaf_totals_exact(instances):
     for n, t in GRID:
         _, inst = instances[(n, t)]
         start = time.monotonic()
-        for mask in sampled_masks(inst, 10, f"c1:{n}:{t}"):
-            total = leaf_discrepancy_total(inst, ScoreState(inst.graph, mask))
+        g = inst.graph  # the leaves written out, one degree-1 vertex each
+        leaves = [vtx for vtx, d in enumerate(g.degrees) if d == 1]
+        for mask in sampled_masks(g, 10, f"c1:{n}:{t}"):
+            total = sum(neighbourhood_discrepancy(g, mask, leaf) for leaf in leaves)
             if total != 6 * n * t:
                 _report(1, False, f"(n={n}, t={t}): leaf total {total} != {6 * n * t}")
         elapsed = time.monotonic() - start
@@ -94,8 +95,8 @@ def test_criterion_2_attachment_bounds(instances):
     checked = 0
     for n, t in GRID:
         _, inst = instances[(n, t)]
-        for mask in sampled_masks(inst, 100, f"c2:{n}:{t}"):
-            bad = attachment_violations(inst, ScoreState(inst.graph, mask))
+        for mask in sampled_masks(inst.core, 100, f"c2:{n}:{t}"):
+            bad = attachment_violations(inst, ScoreState(inst.core, mask))
             if bad:
                 _report(2, False, f"(n={n}, t={t}): vertex {bad[0][0]} nd={bad[0][1]}")
             checked += 1
@@ -108,9 +109,9 @@ def test_criterion_2_attachment_bounds(instances):
 def test_criterion_3_degree_log_bounds(instances):
     for n, t in GRID:
         _, inst = instances[(n, t)]
-        q = degree_log_quantities(inst, SubgraphMask.full(inst.graph))
-        for mask in sampled_masks(inst, 100, f"c3:{n}:{t}"):
-            mask_sum = log_degree_sum(inst.graph, mask.degrees)
+        q = degree_log_quantities(inst, SubgraphMask.full(inst.core))
+        for mask in sampled_masks(inst.core, 100, f"c3:{n}:{t}"):
+            mask_sum = log_degree_sum(inst.core, mask.degrees)
             if not (q["lower"] <= mask_sum + SLACK
                     and mask_sum <= q["graph_sum"] + SLACK
                     and q["graph_sum"] <= q["upper"] + SLACK):
@@ -126,10 +127,10 @@ def test_criterion_4_witness_discrepancies(instances):
         _report(4, False, f"expected exactly 3 assignments, got {len(assignments)}")
     for assignment in assignments:
         mask = witness_mask(formula, 2, assignment, inst)
-        if not is_valid(inst.graph, mask):
+        if not is_valid(inst.core, mask):
             _report(4, False, f"witness for {assignment} is invalid")
         for vtx in inst.designated_vertices:
-            nd = neighbourhood_discrepancy(inst.graph, mask, vtx)
+            nd = neighbourhood_discrepancy(inst.core, mask, vtx)
             if nd != 0:
                 _report(4, False, f"assignment {assignment}: vertex {vtx} nd={nd}")
     _report(4, True, "all 3 witness masks valid with designated ND exactly 0")

@@ -511,7 +511,7 @@ def sat3_t40():
     formula = helpers.make_formula(helpers.SAT3_TEXT)
     inst = compile_formula(formula, 40)
     mask = witness_mask(formula, 40, (True, False, False), inst)
-    return dump_graph(inst.graph), dump_mask(mask)
+    return dump_graph(inst.graph), dump_mask(inst.explicit_mask(mask))
 
 
 class TestBoundedMemory:

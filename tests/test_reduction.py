@@ -184,7 +184,7 @@ class TestCompile:
 
     def test_gadget_weights(self):
         _, inst = grid_instance(3, 2)
-        w = inst.graph.weights
+        w = inst.core.weights
         t = 2
         assert w[inst.u(1)] == 7 * t
         assert w[inst.v(1)] == 4 * t
@@ -200,7 +200,7 @@ class TestCompile:
             assert [inst.slot_clause(i, s) for s in (1, 2, 3)] == [1, 2, 3]
             for slot in (1, 2, 3):
                 j = inst.slot_clause(i, slot)
-                assert inst.graph.edge_id(inst.w(i, slot), inst.a(j)) is not None
+                assert inst.core.edge_id(inst.w(i, slot), inst.a(j)) is not None
 
     def test_instances_differ_across_inputs(self, sat3, unsat4):
         a = compile_formula(sat3, 2).graph
@@ -213,14 +213,14 @@ class TestCompile:
         inst, again = compile_formula(sat3, 2), compile_formula(sat3, 2)
         assert inst == again and hash(inst) == hash(again)
         assert inst != compile_formula(sat3, 3)
-        assert repr(inst).startswith("ReductionInstance(graph=WeightedGraph(vertex_count=120, ")
+        assert repr(inst).startswith("ReductionInstance(core=WeightedGraph(vertex_count=27, ")
         assert repr(inst).endswith("slots=((1, 2, 3), (1, 2, 3), (1, 2, 3)))")
         with pytest.raises(AttributeError):
             inst.t = 3
 
     def test_two_core_is_subdivided_incidence_graph(self, unsat4):
         inst = compile_formula(unsat4, 2)
-        g = inst.graph
+        g = inst.core
         adj = {v: set() for v in range(g.vertex_count)}
         for u, v in g.edges:
             adj[u].add(v)
@@ -273,18 +273,21 @@ class TestGadgetTables:
         roles = helpers.plain_roles(n, t)
         assert list(inst.roles) == roles
         assert dump_roles(inst) == "".join(f"{vid} {role}\n" for vid, role in enumerate(roles))
+        # The tables hold core ids; explicit_ids and the free edge ids carry
+        # them over to the explicit graph that the role strings describe.
+        ids, free = inst.explicit_ids, inst.graph.free_edge_ids
         for i in range(1, n + 1):
             for name in ("u", "v", "z", "zp", "a", "ap"):
-                assert getattr(inst, name)(i) == getattr(ref, name)(i), (name, i)
+                assert ids[getattr(inst, name)(i)] == getattr(ref, name)(i), (name, i)
             ascending = [j for j, clause in enumerate(formula.clauses, 1) if i in clause]
             for slot in (1, 2, 3):
-                assert inst.w(i, slot) == ref.w(i, slot)
+                assert ids[inst.w(i, slot)] == ref.w(i, slot)
                 assert inst.slot_clause(i, slot) == ref.slot_clause(i, slot) == ascending[slot - 1]
-        assert inst.leaves == ref.leaves()
-        assert inst.attachment_vertices == ref.attachment_vertices()
-        assert inst.designated_vertices == ref.designated_vertices()
-        assert inst.gadget_edge_order == ref.gadget_edge_order()
-        for leaf in inst.leaves:
+        assert ref.leaves() == tuple(vid for vid, d in enumerate(inst.graph.degrees) if d == 1)
+        assert tuple(ids[x] for x in inst.attachment_vertices) == ref.attachment_vertices()
+        assert tuple(ids[x] for x in inst.designated_vertices) == ref.designated_vertices()
+        assert tuple(free[eid] for eid in inst.gadget_edge_order) == ref.gadget_edge_order()
+        for leaf in ref.leaves():
             ((hub, _),) = inst.graph.incidence[leaf]
             assert inst.roles[leaf] == "leaf_" + inst.roles[hub]
 
@@ -336,8 +339,7 @@ class TestFoldedCore:
         t = {"2": 2, "3": 3, "n^2": n * n}[scale]
         formula = helpers.cubic_formula(random.Random(seed), n)
         inst = compile_formula(formula, t)
-        core, graph = inst.core, inst.graph
-        ids = [x for block in inst.blocks + inst.clause_blocks for x in block]
+        core, graph, ids = inst.core, inst.graph, inst.explicit_ids
         assert core.vertex_count == 9 * n
         assert 9 * n + sum(count for _, count, _ in core.pendants) == graph.vertex_count
         assert [ids[c] for c in core.core_vertices] == list(graph.core_vertices)
@@ -367,7 +369,7 @@ class TestFoldedCore:
             report = decide(formula)
             assert report.core_report.best_score == folded.best_score
             assert report.core_report.nodes_explored == folded.nodes_explored
-            assert report.solve_report.best_mask == explicit.best_mask
+            assert inst.explicit_mask(report.core_report.best_mask) == explicit.best_mask
 
     def test_decide_builds_no_explicit_graph(self, monkeypatch):
         """At n = 8, t = 64 the explicit graph has 134,240 vertices; decide
@@ -386,7 +388,35 @@ class TestFoldedCore:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert report.t == 64 and folds == [True]
-        assert "graph" not in report.instance.__dict__
+
+    def test_explicit_graph_built_only_to_be_written(self, monkeypatch, tmp_path, sat3, unsat4):
+        """hash, == and repr read the four fields, and every check and decide
+        read the core; witness builds the explicit graph once, for its mask."""
+        from corrsubopt import cli, reduction
+        from corrsubopt.verification import run_checks
+
+        written, build = [], reduction._gadgets
+
+        def counting(*args, fold):
+            if not fold:
+                written.append(args)
+            return build(*args, fold=fold)
+
+        monkeypatch.setattr(reduction, "_gadgets", counting)
+        inst, again = compile_formula(sat3, 64), compile_formula(sat3, 64)
+        assert hash(inst) == hash(again) and inst == again and repr(inst) == repr(again)
+        assert written == []
+        for formula in (sat3, unsat4):
+            for t in (2, 3):
+                records = run_checks(formula, t, lemma_samples=20)
+                assert [r.status for r in records if r.status != "pass"] in ([], ["inconclusive"])
+        assert written == []
+        decide(sat3)
+        assert written == []
+        path = tmp_path / "sat3.f"
+        path.write_text(helpers.SAT3_TEXT)
+        assert cli.main(["witness", "-f", str(path), "-t", "2", "-a", "TFF"]) == 0
+        assert len(written) == 1
 
 
 class TestWitness:
@@ -406,7 +436,7 @@ class TestWitness:
     def test_structure_for_true_variable(self, sat3):
         inst = compile_formula(sat3, 2)
         mask = witness_mask(sat3, 2, (True, False, False), inst)
-        g = inst.graph
+        g = inst.core
         kept = set(mask.kept_ids())
         assert is_valid(g, mask)
         # true variable drops only its v-z edge
@@ -428,7 +458,7 @@ class TestWitness:
             a = inst.a(j)
             kept_nbrs = [
                 other
-                for other, eid in inst.graph.incidence[a]
+                for other, eid in inst.core.incidence[a]
                 if mask.kept_ids().count(eid)
             ]
             # ap_j plus the single true variable's w vertex
@@ -438,7 +468,7 @@ class TestWitness:
         inst = compile_formula(sat3, 2)
         mask = witness_mask(sat3, 2, (False, False, True), inst)
         for vtx in inst.designated_vertices:
-            assert neighbourhood_discrepancy(inst.graph, mask, vtx) == 0
+            assert neighbourhood_discrepancy(inst.core, mask, vtx) == 0
 
     def test_pinned_witness_discrepancy_total(self, sat3):
         from corrsubopt.verification import reduction_score
@@ -447,6 +477,27 @@ class TestWitness:
         mask = witness_mask(sat3, 2, (True, False, False), inst)
         value = reduction_score(inst, mask)
         assert value.discrepancy_total == Fraction(2676, 65)
+
+    @given(st.integers(3, 6), st.sampled_from((2, 3)), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=30)
+    def test_explicit_ids_and_masks_match_the_explicit_graph(self, n, t, seed):
+        """Each core vertex's explicit id carries its role, and each witness
+        over the core, written over the explicit graph, scores the same bit
+        for bit (C = n) with designated discrepancy 0 at the explicit ids."""
+        from corrsubopt import reduction, score
+
+        formula = helpers.cubic_formula(random.Random(seed), n)
+        inst = compile_formula(formula, t)
+        core_roles = reduction._gadgets(n, t, inst.slots, fold=True)[1]
+        assert [inst.roles[x] for x in inst.explicit_ids] == list(core_roles)
+        for assignment in satisfying_assignments(formula):
+            mask = witness_mask(formula, t, assignment, inst)
+            explicit = inst.explicit_mask(mask)
+            assert (repr(score(inst.graph, explicit, multiplier=n))
+                    == repr(score(inst.core, mask, multiplier=n)))
+            for vtx in inst.designated_vertices:
+                x = inst.explicit_ids[vtx]
+                assert neighbourhood_discrepancy(inst.graph, explicit, x) == 0
 
 
 class TestDecide:
@@ -467,7 +518,7 @@ class TestDecide:
         assert report.answer in ("YES", "NO")
         assert any("e^47" in note for note in report.notes)
         assert report.optimality in ("proven", "heuristic")
-        assert report.solve_report.best_mask.graph is report.solve_report.best_mask.graph
+        assert report.core_report.best_mask.graph.vertex_count == 9 * 4
 
     # Exact outputs of the default pipeline.  Any change to the float
     # summation order, the exact totals or the search order shows up here;
@@ -485,14 +536,16 @@ class TestDecide:
     )
     def test_golden_outputs(self, request, name, value, log_sum, total, nodes,
                             optimality, edges, dropped):
-        report = decide(request.getfixturevalue(name))
+        formula = request.getfixturevalue(name)
+        report = decide(formula)
         assert repr(report.optimum.value) == value
         assert repr(report.optimum.log_degree_sum) == log_sum
         assert report.optimum.discrepancy_total == total
-        assert report.solve_report.nodes_explored == nodes
+        assert report.core_report.nodes_explored == nodes
         assert report.optimality == optimality
         assert report.answer == "YES"
         bits = ["1"] * edges
         for eid in dropped:
             bits[eid] = "0"
-        assert report.solve_report.best_mask.bitstring() == "".join(bits)
+        explicit = compile_formula(formula, report.t).explicit_mask(report.core_report.best_mask)
+        assert explicit.bitstring() == "".join(bits)

@@ -299,7 +299,7 @@ class TestDominanceDifferential:
 
     @pytest.mark.parametrize("order_of", [
         pytest.param(lambda inst: inst.gadget_edge_order, id="gadget"),
-        pytest.param(lambda inst: breadth_first_order(inst.graph), id="breadth-first"),
+        pytest.param(lambda inst: breadth_first_order(inst.core), id="breadth-first"),
     ])
     @given(st.integers(3, 5), st.integers(2, 4), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=5)
@@ -307,8 +307,8 @@ class TestDominanceDifferential:
         inst = compile_formula(helpers.cubic_formula(random.Random(seed), n), t)
         # A local-search warm start, as decide uses, keeps the n = 5 proofs
         # (50 free edges) short in either order.
-        warm = solve_local(inst.graph, restarts=2, seed=seed, multiplier=n).best_mask
-        self.assert_matches(inst.graph, order_of(inst), n, warm)
+        warm = solve_local(inst.core, restarts=2, seed=seed, multiplier=n).best_mask
+        self.assert_matches(inst.core, order_of(inst), n, warm)
 
     @given(
         st.sampled_from(helpers.KERNEL_SHAPES),
@@ -332,11 +332,11 @@ class TestDominanceDifferential:
 
     def test_cut_fires_on_a_compiled_formula(self, sat3):
         inst = compile_formula(sat3, 2)
-        report, plain_nodes = self.assert_matches(inst.graph, inst.gadget_edge_order, 3, None)
+        report, plain_nodes = self.assert_matches(inst.core, inst.gadget_edge_order, 3, None)
         assert report.nodes_explored < plain_nodes
         for limit, optimality in ((report.nodes_explored, "proven"),
                                   (report.nodes_explored - 1, "heuristic")):
-            run = solve_exact(inst.graph, order=inst.gadget_edge_order, multiplier=3,
+            run = solve_exact(inst.core, order=inst.gadget_edge_order, multiplier=3,
                               node_limit=limit)
             assert run.optimality == optimality
 
@@ -555,7 +555,7 @@ class TestSearchLoop:
             fits = all(below[x, dfs.kept_deg[x], dfs.nbr_sum[x], dfs.und_deg[x]] for x in (u, v))
             return state + 1 if fits else None
 
-        _, nodes, _, _ = self.assert_same(inst.graph, inst.gadget_edge_order, cut, stop_at)
+        _, nodes, _, _ = self.assert_same(inst.core, inst.gadget_edge_order, cut, stop_at)
         assert nodes > 50
 
     def test_no_free_edge_is_one_leaf(self, star):

@@ -25,7 +25,6 @@ from corrsubopt.verification import (
     attachment_violations,
     find_low_discrepancy_mask,
     infeasible_score_bound,
-    leaf_discrepancy_total,
     max_sampled_score,
     run_checks,
     witness_score_bound,
@@ -34,11 +33,16 @@ from corrsubopt.verification import (
 import helpers
 
 
+def _leaves(graph):
+    """The degree-1 vertices of an explicit graph."""
+    return tuple(vid for vid, d in enumerate(graph.degrees) if d == 1)
+
+
 class TestExactQuantities:
     def test_full_graph_attachment_discrepancies(self, sat3):
         inst = compile_formula(sat3, 2)
-        full = SubgraphMask.full(inst.graph)
-        g = inst.graph
+        full = SubgraphMask.full(inst.core)
+        g = inst.core
         # zp keeps z plus 3t^2 leaves: deviation 3t/(3t^2+1) squared
         assert neighbourhood_discrepancy(g, full, inst.zp(1)) == Fraction(36, 169)
         # ap keeps a plus t^2 leaves: deviation t/(t^2+1) squared
@@ -46,17 +50,21 @@ class TestExactQuantities:
 
     def test_attachment_bound_tightens_with_t(self, sat3):
         inst = compile_formula(sat3, 4)
-        full = SubgraphMask.full(inst.graph)
-        nd = neighbourhood_discrepancy(inst.graph, full, inst.zp(1))
+        full = SubgraphMask.full(inst.core)
+        nd = neighbourhood_discrepancy(inst.core, full, inst.zp(1))
         assert nd == Fraction(144, 2401)
         assert nd < Fraction(1, 16)
 
     def test_leaf_total_is_6nt_on_full_graph(self, sat3, unsat4):
+        # The explicit graph's leaves, one by one, against the core's
+        # closed-form share, which check 1 reads.
         for formula, t in ((sat3, 2), (unsat4, 3)):
             inst = compile_formula(formula, t)
-            full = ScoreState(inst.graph, SubgraphMask.full(inst.graph))
-            total = leaf_discrepancy_total(inst, full)
+            g, core = inst.graph, inst.core
+            full = SubgraphMask.full(g)
+            total = sum(neighbourhood_discrepancy(g, full, leaf) for leaf in _leaves(g))
             assert total == 6 * formula.variable_count * t
+            assert Fraction(core.leaf_numerator, core.discrepancy_scale[0]) == total
 
     @pytest.mark.parametrize("name, t", [("sat3", 2), ("unsat4", 3), ("unsat4", 4)])
     def test_leaf_total_matches_per_leaf_sum(self, request, name, t):
@@ -66,24 +74,26 @@ class TestExactQuantities:
         for _ in range(5):
             mask = random_valid_mask(g, rng)
             expected = Fraction(0)
-            for leaf in inst.leaves:
+            leaves = _leaves(g)
+            for leaf in leaves:
                 (nbr, eid), = g.incidence[leaf]
                 assert mask.kept[eid]
                 expected += (g.weights[leaf] - g.weights[nbr]) ** 2
-            assert leaf_discrepancy_total(inst, ScoreState(g, mask)) == expected
+            denominator, _ = g.discrepancy_scale
+            assert Fraction(ScoreState(g, mask).shares(leaves), denominator) == expected
+            assert Fraction(inst.core.leaf_numerator, denominator) == expected
 
     def test_attachment_violations_empty_on_full_graph(self, unsat4):
         inst = compile_formula(unsat4, 2)
-        full = ScoreState(inst.graph, SubgraphMask.full(inst.graph))
+        full = ScoreState(inst.core, SubgraphMask.full(inst.core))
         assert attachment_violations(inst, full) == []
 
     def test_attachment_violation_reports_exact_discrepancy(self, sat3):
         # The t = 2 graph held to the t = 3 bound 1/9: on the full mask
         # ND(zp_1) = 36/169 (see test_full_graph_attachment_discrepancies).
         inst = compile_formula(sat3, 2)
-        loose = ReductionInstance(inst.graph, 3, inst.variable_count, inst.roles, inst.blocks,
-                                  inst.clause_blocks, inst.slots)
-        full = ScoreState(inst.graph, SubgraphMask.full(inst.graph))
+        loose = ReductionInstance(inst.core, 3, inst.variable_count, inst.slots)
+        full = ScoreState(inst.core, SubgraphMask.full(inst.core))
         assert attachment_violations(inst, full) == []
         assert (inst.zp(1), Fraction(36, 169)) in attachment_violations(loose, full)
 
@@ -99,7 +109,10 @@ class TestEveryMaskBounds:
         formula = helpers.cubic_formula(rng, n)
         ctx = verification.CheckContext(formula, t, seed=0, search_budget=None,
                                         lemma_samples=0, assignment=None)
+        # The random masks are drawn on the explicit graph, the reference.
         inst, g = ctx.inst, ctx.inst.graph
+        ids = inst.explicit_ids
+        zp, attachments = ids[inst.zp(1)], [ids[vtx] for vtx in inst.attachment_vertices]
         outcomes = [verification.CHECKS[c](ctx) for c in ("1", "2", "3", "4")]
         assert [o.status for o in outcomes] == ["pass"] * 4
         attachment = dict(outcomes[1].quantities)
@@ -110,12 +123,12 @@ class TestEveryMaskBounds:
         assert math.isclose(logs["mask_sum"], n * (6 * math.log(t) + 3 * math.log(3)))
         # The full mask attains the check-2 maximum, 9t^2/(3t^2+1)^2 at zp.
         assert max_nd == Fraction(9 * t * t, (3 * t * t + 1) ** 2)
-        assert int(attachment["vertex"]) == inst.zp(1)
+        assert int(attachment["vertex"]) == zp
         full = SubgraphMask.full(g)
-        assert neighbourhood_discrepancy(g, full, inst.zp(1)) == max_nd
+        assert neighbourhood_discrepancy(g, full, zp) == max_nd
         for mask in [full] + [random_valid_mask(g, rng) for _ in range(10)]:
-            assert ScoreState(g, mask).shares(inst.leaves) == g.leaf_numerator
-            for vtx in inst.attachment_vertices:
+            assert ScoreState(g, mask).shares(_leaves(g)) == g.leaf_numerator
+            for vtx in attachments:
                 assert neighbourhood_discrepancy(g, mask, vtx) <= max_nd
             mask_sum = log_degree_sum(g, mask.degrees)
             assert logs["mask_sum"] <= mask_sum <= logs["graph_sum"]
@@ -134,7 +147,7 @@ class TestInfeasibilitySearch:
         assert mask is not None
         threshold = Fraction(inst.t**2, 9)
         for vtx in inst.designated_vertices:
-            assert neighbourhood_discrepancy(inst.graph, mask, vtx) < threshold
+            assert neighbourhood_discrepancy(inst.core, mask, vtx) < threshold
 
     # Exact outputs of the check-6 search.  Any change to the edge order,
     # the pruning test or the node count shows up here; the ids name the
@@ -159,8 +172,9 @@ class TestInfeasibilitySearch:
         assert got_nodes == nodes
         if dropped is None:
             assert mask is None
-        else:
-            assert tuple(e for e, keep in enumerate(mask.kept) if not keep) == dropped
+        else:  # explicit edge ids, as check 6 prints the mask
+            kept = inst.explicit_mask(mask).kept
+            assert tuple(e for e, keep in enumerate(kept) if not keep) == dropped
 
     def test_budget_raises_instead_of_passing(self, unsat4):
         inst = compile_formula(unsat4, 2)
@@ -185,17 +199,18 @@ class TestLowDiscrepancyLookahead:
     def test_accepts_every_completion_below_threshold(self, n, t, seed):
         rng = random.Random(seed)
         inst = compile_formula(helpers.cubic_formula(rng, n), t)
-        g = inst.graph
+        # Brute force on the explicit graph, at each core vertex's explicit id.
+        g, ids, free = inst.graph, inst.explicit_ids, inst.graph.free_edge_ids
         order = inst.gadget_edge_order
         depth = rng.randint(0, len(order))
-        decided = {eid: rng.random() < 0.5 for eid in order[:depth]}
-        undecided = set(order[depth:])
+        decided = {free[eid]: rng.random() < 0.5 for eid in order[:depth]}
+        undecided = {free[eid] for eid in order[depth:]}
         scale, weights = g.scaled_weights
         below = LowDiscrepancyLookahead(inst, order)
         for x in inst.designated_vertices:
             k = s = 0
             open_nbrs = []
-            for y, eid in g.incidence[x]:
+            for y, eid in g.incidence[ids[x]]:
                 if eid in undecided:
                     open_nbrs.append(weights[y])
                 elif decided.get(eid, True):  # an edge outside the order is forced
@@ -206,7 +221,7 @@ class TestLowDiscrepancyLookahead:
             if k + u == 0:
                 continue
             reachable = any(
-                9 * (weights[x] * (k + j) - s - sum(kept)) ** 2 < (scale * t * (k + j)) ** 2
+                9 * (weights[ids[x]] * (k + j) - s - sum(kept)) ** 2 < (scale * t * (k + j)) ** 2
                 for j in range(u + 1) if k + j
                 for kept in itertools.combinations(open_nbrs, j)
             )
@@ -226,7 +241,7 @@ class TestLowDiscrepancyLookahead:
             assert mask is None
         else:
             assert mask.kept == plain.kept
-            assert mask.degrees == SubgraphMask(inst.graph, mask.kept).degrees
+            assert mask.degrees == SubgraphMask(inst.core, mask.kept).degrees
         assert nodes <= plain_nodes
 
 
@@ -254,7 +269,7 @@ class TestScoreBounds:
         for seed in range(40):
             graph = helpers.kernel_graph(random.Random(seed), "core")
             # max_sampled_score reads only the graph and the variable count
-            inst = ReductionInstance(graph, 2, 3, (), (), (), ())
+            inst = ReductionInstance(graph, 2, 3, ())
             states = sample_states(graph, random.Random(seed), 50, multiplier=3)
             values = [state.score() for state in states]
             best = max(values, key=functools.cmp_to_key(compare_scores))
@@ -340,7 +355,7 @@ class TestRunChecks:
         assert [r.status for r in records] == ["pass", "pass"]
         # The least degrees a valid mask can give, and the host degrees; both
         # checks share the two sums.
-        graph = compile_formula(unsat4, 2).graph
+        graph = compile_formula(unsat4, 2).core
         assert calls == [[max(1, k) for k in graph.forced_degrees()], list(graph.degrees)]
 
     def test_check6_consults_oracle_despite_assignment(self, sat3):
@@ -407,11 +422,11 @@ class TestTraceContract:
 
 
 def _no_edges(formula, t, assignment, inst):
-    return SubgraphMask(inst.graph, [False] * inst.graph.edge_count)
+    return SubgraphMask(inst.core, [False] * inst.core.edge_count)
 
 
 def _full(formula, t, assignment, inst):
-    return SubgraphMask.full(inst.graph)
+    return SubgraphMask.full(inst.core)
 
 
 class TestCheckFailures:
@@ -436,7 +451,7 @@ class TestCheckFailures:
                 "the search is unsound", id="6-satisfiable-without-counterexample"),
             pytest.param(
                 helpers.UNSAT4_TEXT, "6", "find_low_discrepancy_mask",
-                lambda inst, node_budget: (SubgraphMask.full(inst.graph), 17), (),
+                lambda inst, node_budget: (SubgraphMask.full(inst.core), 17), (),
                 (("nodes", "17"), ("mask", "1" * 60)),
                 "found a valid mask with all designated discrepancies below the threshold",
                 id="6-unsatisfiable-with-counterexample"),
