@@ -18,13 +18,13 @@ Per variable i the graph gets a block of seven tagged vertices
 with edges v_i u_i, v_i z_i, v_i w_i_j, and z_i zp_i.  Per clause j it gets
 a_j (weight 2t) joined to ap_j (weight t), which carries t^2 leaves of
 weight t.  If variable i's clauses are r_1 < r_2 < r_3, the cross edges are
-w_i_l a_{r_l}.  The explicit graph's vertex ids follow this text order
-(blocks by variable, then by clause, leaves after their block's tagged
-vertices), and its roles file tags every leaf of a hub x ``leaf_`` + x's tag.
-Every leaf edge is forced, so a compiled instance is its core: the tagged
-vertices alone, in this order, each hub's leaves one ``WeightedGraph``
-pendant.  Every check, witness and search reads the core; the explicit graph
-is built only to be written (``reduce`` files, ``witness`` masks).
+w_i_l a_{r_l}.  Every leaf edge is forced, so a compiled instance is its
+core, built once from one gadget pass: the tagged vertices alone, in this
+text order (blocks by variable, then by clause), each hub's leaves one
+``WeightedGraph`` pendant.  Every check, witness and search reads the core.
+The explicit graph is unfolded from it only to be written (``reduce`` files,
+``witness`` masks), with each block's leaves after its tagged vertices and
+tagged ``leaf_`` + the hub's tag; past ``MAX_COMPILED_VERTICES`` it is refused.
 
 The formula file format: first line ``<n> <m>``, then m lines of three
 1-based variable ids; ``#`` starts a comment line.
@@ -36,6 +36,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .graph import Immutable, SubgraphMask, WeightedGraph, _content_lines, require_same_graph
@@ -171,9 +172,11 @@ class ReductionInstance(Immutable):
     into a pendant), scale, variable count and each variable's clauses.
 
     ``blocks``, ``clause_blocks``, the accessors (variables and clauses
-    1-based) and the vertex tables hold core ids.  ``explicit_ids`` maps each
-    to its id in ``graph``, the explicit graph, which is built together with
-    its ``roles`` on the first read of either, to be written out."""
+    1-based) and the vertex tables hold core ids; they come from the gadget
+    pass that builds the core.  ``explicit_ids`` maps each to its id in
+    ``graph``, the explicit graph, which :func:`_unfold` builds from the core
+    together with its ``roles`` on the first read of either, to be written
+    out; above ``MAX_COMPILED_VERTICES`` that read refuses."""
 
     _fields = ("core", "t", "variable_count", "slots")
     core: WeightedGraph
@@ -184,18 +187,13 @@ class ReductionInstance(Immutable):
     def __init__(self, core, t, variable_count, slots) -> None:
         self.__dict__.update(core=core, t=t, variable_count=variable_count, slots=slots)
 
-    @cached_property
-    def _layout(self) -> tuple:
-        return _gadgets(self.variable_count, self.t, self.slots, fold=True)[2:]
+    _layout = cached_property(lambda self: _gadgets(self.variable_count, self.t, self.slots))
 
-    blocks = property(lambda self: self._layout[0])  # per variable: (u, v, z, zp, w_1, w_2, w_3)
-    clause_blocks = property(lambda self: self._layout[1])  # per clause: (a, ap)
-    explicit_ids = property(lambda self: self._layout[2])  # per core vertex: its id in graph
+    blocks = property(lambda self: self._layout[4])  # per variable: (u, v, z, zp, w_1, w_2, w_3)
+    clause_blocks = property(lambda self: self._layout[5])  # per clause: (a, ap)
+    explicit_ids = property(lambda self: self._layout[6])  # per core vertex: its id in graph
 
-    @cached_property
-    def _written(self) -> tuple:
-        return _gadgets(self.variable_count, self.t, self.slots, fold=False)[:2]
-
+    _written = cached_property(lambda self: _unfold(self))
     graph = property(lambda self: self._written[0])
     roles = property(lambda self: self._written[1])  # a tag per vertex of graph
 
@@ -259,12 +257,11 @@ class ReductionInstance(Immutable):
                 + tuple(a for a, _ in self.clause_blocks))
 
 
-# Above this many explicit vertices compile_formula refuses; every command
-# keeps the cap, though only reduce and witness build the explicit graph.
-# Reading ``.graph``, which
-# builds the explicit graph, and a full-mask score of sat3 at t = 120
-# (174,996 vertices) peak at 175 traced bytes a vertex (x86_64, Python
-# 3.11.7), so the cap is some 175 MB of traced memory.  From a checkout:
+# Above this many vertices the explicit graph is refused before anything is
+# allocated, so reduce and witness refuse; decide, verify and witness_mask
+# read only the core and run past it.  Reading ``.graph`` and a full-mask
+# score of sat3 at t = 120 (174,996 vertices) peak at 175 traced bytes a
+# vertex (x86_64, Python 3.11.7): the cap is some 175 MB.  From a checkout:
 #   PYTHONPATH=src python -W ignore -c "import tracemalloc as tm, corrsubopt as c;
 #   f = c.parse_formula(open('instances/sat3.f').read()); tm.start();
 #   g = c.compile_formula(f, 120).graph; c.score(g, c.SubgraphMask.full(g));
@@ -274,74 +271,76 @@ MAX_COMPILED_VERTICES = 1_000_000
 
 def compile_formula(formula: Formula, t: int) -> ReductionInstance:
     """Build the weighted instance for ``formula`` at scale ``t`` (>= 2),
-    as its 9n-vertex core (see :class:`ReductionInstance`).
-
-    Raises ``ValueError``, before allocating anything, when the explicit
-    graph would have more than ``MAX_COMPILED_VERTICES`` vertices."""
+    as its 9n-vertex core (see :class:`ReductionInstance`)."""
     if t < 2:
         raise ValueError(f"scale t must be at least 2, got {t}")
     n = formula.variable_count
-    size = n * (4 * t * t + 6 * t + 12)
-    if size > MAX_COMPILED_VERTICES:
-        raise ValueError(
-            f"n = {n}, t = {t} compiles to n(4t^2 + 6t + 12) = {size} vertices, "
-            f"over the cap of {MAX_COMPILED_VERTICES}"
-        )
     slots = tuple(formula.clauses_of(i) for i in range(1, n + 1))
-    return ReductionInstance(_gadgets(n, t, slots, fold=True)[0], t, n, slots)
+    layout = _gadgets(n, t, slots)
+    inst = ReductionInstance(WeightedGraph.build(9 * n, *layout[:3]), t, n, slots)
+    inst.__dict__["_layout"] = layout  # the tables come from the pass that built the core
+    return inst
 
 
-def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...], *, fold: bool) -> tuple:
-    """(graph, roles, blocks, clause_blocks, ids) of the instance, in the
-    vertex order of the module notes; ids[x] is the explicit graph's id of
-    the x-th tagged vertex.  With ``fold`` each hub's leaves are one pendant
-    of the graph, whose vertices, and so the blocks' ids, are the tagged
-    vertices alone."""
-    roles: list[str] = []
+def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...]) -> tuple:
+    """(edges, weights, pendants, tags, blocks, clause_blocks, ids): the core
+    in the vertex order of the module notes, each hub's leaves one (hub,
+    count, weight) pendant, and its tables; ids[x] is the explicit graph's
+    id of core vertex x, which the leaves of every earlier block precede."""
+    tags: list[str] = []
     weights: list[int] = []  # WeightedGraph.build makes each one a Fraction
     edges: list[tuple[int, int]] = []
     pendants: list[tuple[int, int, int]] = []
     ids: list[int] = []
-    folded = 0  # leaves folded so far
-
-    def add_leaves(hub: int, count: int, weight: int) -> None:
-        nonlocal folded
-        if fold:
-            pendants.append((hub, count, weight))
-            folded += count
-            return
-        first = len(roles)
-        roles.extend(["leaf_" + roles[hub]] * count)
-        weights.extend([weight] * count)
-        edges.extend((hub, leaf) for leaf in range(first, first + count))
-
+    folded = 0  # leaves of the blocks laid out so far
     blocks, clause_blocks = [], []
     for i in range(1, n + 1):
-        u, v, z, zp, *ws = block = tuple(range(len(roles), len(roles) + 7))
+        u, v, z, zp, *ws = block = tuple(range(len(tags), len(tags) + 7))
         ids.extend(x + folded for x in block)
-        roles += [f"u_{i}", f"v_{i}", f"z_{i}", f"zp_{i}", f"w_{i}_1", f"w_{i}_2", f"w_{i}_3"]
+        tags += [f"u_{i}", f"v_{i}", f"z_{i}", f"zp_{i}", f"w_{i}_1", f"w_{i}_2", f"w_{i}_3"]
         weights += [7 * t, 4 * t, t, 4 * t, 3 * t, 3 * t, 3 * t]
         blocks.append(block)
         edges += [(v, u), (v, z), (z, zp), *((v, w) for w in ws)]
-        add_leaves(u, 3 * t, 7 * t + 1)
-        add_leaves(z, 3 * t, t - 1)
-        add_leaves(zp, 3 * t * t, 4 * t)
-        for w in ws:
-            add_leaves(w, 1, 3 * t)
+        pendants += [(u, 3 * t, 7 * t + 1), (z, 3 * t, t - 1), (zp, 3 * t * t, 4 * t),
+                     *((w, 1, 3 * t) for w in ws)]
+        folded += 3 * t * t + 6 * t + 3
     for j in range(1, n + 1):
-        a, ap = len(roles), len(roles) + 1
+        a, ap = len(tags), len(tags) + 1
         ids += [a + folded, ap + folded]
-        roles += [f"a_{j}", f"ap_{j}"]
+        tags += [f"a_{j}", f"ap_{j}"]
         weights += [2 * t, t]
         clause_blocks.append((a, ap))
         edges.append((a, ap))
-        add_leaves(ap, t * t, t)
+        pendants.append((ap, t * t, t))
+        folded += t * t
 
     for block, clauses in zip(blocks, slots):
         edges.extend((w, clause_blocks[j - 1][0]) for w, j in zip(block[4:], clauses))
+    return edges, weights, pendants, tuple(tags), tuple(blocks), tuple(clause_blocks), tuple(ids)
 
-    graph = WeightedGraph.build(len(roles), edges, weights, pendants)
-    return graph, tuple(roles), tuple(blocks), tuple(clause_blocks), tuple(ids)
+
+def _unfold(inst: ReductionInstance) -> tuple[WeightedGraph, tuple[str, ...]]:
+    """The explicit graph and its roles, from the core: core vertex x becomes
+    ``explicit_ids[x]``, and each pendant's leaves take the ids left over,
+    ascending, in pendant order, tagged ``leaf_`` + the hub's tag.  Raises
+    ``ValueError``, before allocating anything, above the cap."""
+    n, t, core, (*_, tags, _, _, ids) = inst.variable_count, inst.t, inst.core, inst._layout
+    size = n * (4 * t * t + 6 * t + 12)
+    if size > MAX_COMPILED_VERTICES:
+        raise ValueError(f"n = {n}, t = {t} compiles to n(4t^2 + 6t + 12) = {size} vertices, "
+                         f"over the cap of {MAX_COMPILED_VERTICES}")
+    roles, weights = [None] * size, [None] * size
+    for x, tag, weight in zip(ids, tags, core.weights):
+        roles[x], weights[x] = tag, weight
+    edges = [(ids[u], ids[v]) for u, v in core.edges]
+    taken = set(ids)
+    left = (x for x in range(size) if x not in taken)
+    for hub, count, weight in core.pendants:
+        tag, x = "leaf_" + tags[hub], ids[hub]
+        for leaf in islice(left, count):
+            roles[leaf], weights[leaf] = tag, weight
+            edges.append((x, leaf))
+    return WeightedGraph(size, tuple(sorted(edges)), tuple(weights)), tuple(roles)
 
 
 def role_lines(inst: ReductionInstance) -> Iterator[str]:

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import random
 import stat
@@ -179,21 +180,29 @@ class TestReduceCommand:
 
 class TestSizeCap:
     def test_oversized_scale_is_usage_error(self, sat3_file, tmp_path, capsys):
+        """reduce and witness write the explicit graph, so past the cap they
+        refuse and leave no file; verify reads only the core and runs."""
         prefix = str(tmp_path / "big")
         for argv in (["reduce", "-f", sat3_file, "-t", "600", "-o", prefix],
-                     ["witness", "-f", sat3_file, "-t", "600", "-a", "TFF"],
-                     ["verify", "-f", sat3_file, "-t", "600"]):
+                     ["witness", "-f", sat3_file, "-t", "600", "-a", "TFF",
+                      "-o", f"{prefix}.mask"]):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert "n(4t^2 + 6t + 12) = 4330836 vertices" in err, argv
         assert list(tmp_path.iterdir()) == [tmp_path / "sat3.f"]
+        assert main(["verify", "-f", sat3_file, "-t", "600"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(": PASS") == 7 and "instance: n=3 t=600 " in out
 
-    def test_decide_refuses_twelve_variables(self, tmp_path, capsys):
+    def test_decide_answers_twelve_variables(self, tmp_path, capsys):
+        """1,005,840 explicit vertices, over the cap; decide reads the 108 of
+        the core and answers."""
         path = tmp_path / "cubic12.f"
         path.write_text(dump_formula(helpers.cubic_formula(random.Random(12), 12)))
-        assert main(["decide", "-f", str(path)]) == 2
-        assert "n = 12, t = 144 compiles to n(4t^2 + 6t + 12) = 1005840 vertices" in (
-            capsys.readouterr().err)
+        assert main(["decide", "-f", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "n = 12, t = 144, solver = local, optimality = heuristic" in out
+        assert out.split("\n", 1)[0] in ("answer = YES", "answer = NO")
 
 
 class TestWitnessCommand:
@@ -488,6 +497,50 @@ class TestRoundTrip:
             assert main(argv) == 0, argv
         assert len(graphs) >= 6
         assert not [graph for graph in graphs if "forced_edge_ids" in graph.__dict__]
+
+
+# sha256 of the files reduce and witness write: any change to the vertex
+# layout, the roles, the weights or the file format shows here.
+REDUCE_DIGESTS = {
+    ("sat3", 2): ("86b76097133b70ac82e96e003e5d376d8d8c6caf46d35dab7f16ec2778179c1e",
+                  "87651e7841ef4f3a8285fc35bf61006a5d2e8c7edd2ea8f46dd4dbfa80c7ae50"),
+    ("sat3", 3): ("c4f51d936ea6bed44365bd6ee006751be65da53a6860b86e828d25092f37c570",
+                  "3f0ae7a62d1f73793ce6e7d68e14143ede6473ff6cc6b7dcb46a180aac6fc43c"),
+    ("unsat4", 2): ("bc54505316214ced3a87472c5c7e9af469da984ca89a97c4e1096f285cb8b02c",
+                    "253ffb84a3ce259de6a7bbe9a83ed146a08d88a2a21a001aef164229cc8ea080"),
+    ("unsat4", 3): ("a1a2109855fe476c06d146dc2e8a801dc8b974bef89bd81720db038f711b2018",
+                    "a94247c7e65d0ca370868b690e70506a6f3a0d53df614aaa38b4620b2a0ceefd"),
+}
+WITNESS_DIGESTS = {
+    (2, "TFF"): "1dc6314421c8ae043415d83585e19a82e2eb960d1570d7444998668b2a04c67f",
+    (2, "FTF"): "2270d2a4fc82f6b180d601d21a097b34ee18018479abeac62757748f625d6c7b",
+    (2, "FFT"): "79a15e5c67ed295f492fc0e66e46d0856606f8606bb75760c3a1167fa5ef4217",
+    (3, "TFF"): "9346d560d0ccaade859add5d4249cb7734a5d1a726ef068d3d469969a27806aa",
+    (3, "FTF"): "f2596e2778d1c3411d91f5cdaf61db1ad1e70efeac1d7bacb0cc6f26e50db543",
+    (3, "FFT"): "8e3073ed6148f6b919f05c343fc7bf55e31889c554c8d997456b29f57e465244",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize("name, t", [pytest.param(*key, id=f"{key[0]}-t{key[1]}")
+                                         for key in REDUCE_DIGESTS])
+    def test_reduce_files_pinned(self, request, name, t, tmp_path):
+        path = request.getfixturevalue(f"{name}_file")
+        assert main(["reduce", "-f", path, "-t", str(t), "-o", str(tmp_path / "p")]) == 0
+        got = (_sha256(tmp_path / "p.graph"), _sha256(tmp_path / "p.roles"))
+        assert got == REDUCE_DIGESTS[name, t]
+
+    @pytest.mark.parametrize("t, assignment", [pytest.param(*key, id=f"t{key[0]}-{key[1]}")
+                                               for key in WITNESS_DIGESTS])
+    def test_witness_mask_pinned(self, sat3_file, t, assignment, tmp_path):
+        out = tmp_path / "w.mask"
+        assert main(["witness", "-f", sat3_file, "-t", str(t), "-a", assignment,
+                     "-o", str(out)]) == 0
+        assert _sha256(out) == WITNESS_DIGESTS[t, assignment]
 
 
 @pytest.mark.parametrize("command", ["reduce", "witness", "solve"])

@@ -305,10 +305,13 @@ class TestGadgetTables:
         assert len({id(w) for w in weights}) == len(set(weights)) == 7
 
     def test_oversized_instance_refused_before_allocating(self, sat3):
+        """The core compiles at any t; reading the explicit graph past the
+        cap refuses before allocating it."""
         tracemalloc.start()
         try:
+            inst = compile_formula(sat3, 5000)
             with pytest.raises(ValueError) as exc:
-                compile_formula(sat3, 5000)
+                inst.graph
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -316,6 +319,20 @@ class TestGadgetTables:
         assert str(exc.value) == (
             "n = 3, t = 5000 compiles to n(4t^2 + 6t + 12) = 300090036 vertices, "
             "over the cap of 1000000")
+
+    def test_compiling_builds_the_core_once(self, monkeypatch, unsat4):
+        """compile_formula and every gadget table build one WeightedGraph,
+        the core: the tables come from the pass that laid it out."""
+        from corrsubopt import WeightedGraph
+
+        built, init = [], WeightedGraph.__init__
+        monkeypatch.setattr(WeightedGraph, "__init__",
+                            lambda graph, *args: built.append(args[0]) or init(graph, *args))
+        inst = compile_formula(unsat4, 3)
+        for name in ("blocks", "clause_blocks", "explicit_ids", "gadget_edge_order",
+                     "attachment_vertices", "designated_vertices"):
+            getattr(inst, name)
+        assert built == [36]
 
 
 def _decide_pipeline(graph, n):
@@ -376,9 +393,9 @@ class TestFoldedCore:
         builds and reads only the 72 of the core."""
         from corrsubopt import reduction
 
-        folds, build = [], reduction._gadgets
-        monkeypatch.setattr(reduction, "_gadgets",
-                            lambda *args, fold: folds.append(fold) or build(*args, fold=fold))
+        unfolded, unfold = [], reduction._unfold
+        monkeypatch.setattr(reduction, "_unfold",
+                            lambda inst: unfolded.append(inst) or unfold(inst))
         formula = helpers.cubic_formula(random.Random(8), 8)
         tracemalloc.start()
         try:
@@ -387,7 +404,7 @@ class TestFoldedCore:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert report.t == 64 and folds == [True]
+        assert report.t == 64 and unfolded == []
 
     def test_explicit_graph_built_only_to_be_written(self, monkeypatch, tmp_path, sat3, unsat4):
         """hash, == and repr read the four fields, and every check and decide
@@ -395,14 +412,9 @@ class TestFoldedCore:
         from corrsubopt import cli, reduction
         from corrsubopt.verification import run_checks
 
-        written, build = [], reduction._gadgets
-
-        def counting(*args, fold):
-            if not fold:
-                written.append(args)
-            return build(*args, fold=fold)
-
-        monkeypatch.setattr(reduction, "_gadgets", counting)
+        written, unfold = [], reduction._unfold
+        monkeypatch.setattr(reduction, "_unfold",
+                            lambda inst: written.append(inst) or unfold(inst))
         inst, again = compile_formula(sat3, 64), compile_formula(sat3, 64)
         assert hash(inst) == hash(again) and inst == again and repr(inst) == repr(again)
         assert written == []
@@ -488,8 +500,8 @@ class TestWitness:
 
         formula = helpers.cubic_formula(random.Random(seed), n)
         inst = compile_formula(formula, t)
-        core_roles = reduction._gadgets(n, t, inst.slots, fold=True)[1]
-        assert [inst.roles[x] for x in inst.explicit_ids] == list(core_roles)
+        tags = reduction._gadgets(n, t, inst.slots)[3]
+        assert tuple(inst.roles[x] for x in inst.explicit_ids) == tags
         for assignment in satisfying_assignments(formula):
             mask = witness_mask(formula, t, assignment, inst)
             explicit = inst.explicit_mask(mask)
