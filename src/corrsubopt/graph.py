@@ -165,19 +165,16 @@ class WeightedGraph(Immutable):
         return tuple(eid for eid, (u, v) in enumerate(self.edges) if degs[u] > 1 and degs[v] > 1)
 
     @cached_property
-    def unforced_incidence(self) -> dict[int, tuple[int, ...]]:
-        """Per vertex with no forced edge, ascending (the only vertices that
-        dropping free edges can isolate), the ids of its incident edges,
-        ascending: the edge ids of its :attr:`incidence` list.  Every such
-        edge is free, so only the free edges are read."""
-        table: dict[int, list[int]] = {
-            vtx: [] for vtx, k in enumerate(self.forced_degrees()) if k == 0}
+    def free_incidence(self) -> dict[int, tuple[int, ...]]:
+        """Per vertex with a free edge, ascending, the ids of its free edges,
+        ascending: the free part of its :attr:`incidence` list.  A vertex
+        with no forced edge has all its edges here."""
+        table: dict[int, list[int]] = {}
         edges = self.edges
         for eid in self.free_edge_ids:
             for vtx in edges[eid]:
-                if vtx in table:
-                    table[vtx].append(eid)
-        return {vtx: tuple(eids) for vtx, eids in table.items()}
+                table.setdefault(vtx, []).append(eid)
+        return {vtx: tuple(table[vtx]) for vtx in sorted(table)}
 
     @cached_property
     def core_vertices(self) -> tuple[int, ...]:

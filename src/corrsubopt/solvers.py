@@ -178,8 +178,11 @@ class FreeEdgeSearch:
 
 
 class CompletionBound(dict):
-    """Per vertex, a lower bound on its int share of S * D over the
-    completions of its undecided edges, for a search in branching ``order``.
+    """Per vertex, a lower bound on its int share (W_x d - s)^2 c[d] over
+    the completions of its undecided edges, for a search in branching
+    ``order`` and per-degree weights c (``cofactors``, a dict over every
+    final degree).  With c = ``WeightedGraph.discrepancy_scale[1]`` the
+    share is the vertex's part of S * D; the check-6 search passes 9 c^2.
 
     A vertex x of kept degree k, kept-neighbour sum s and u undecided edges
     ends with degree d = k + j for some j in 0..u with d >= 1, and then its
@@ -197,10 +200,10 @@ class CompletionBound(dict):
     on first lookup, so a search node pays a dict lookup per endpoint.
     """
 
-    def __init__(self, graph: WeightedGraph, order: Sequence[int]):
+    def __init__(self, graph: WeightedGraph, order: Sequence[int], cofactors: dict[int, int]):
         super().__init__()
         self.weights = weights = graph.scaled_weights[1]
-        self.cofactors = graph.discrepancy_scale[1]
+        self.cofactors = cofactors
         self.core, self.leaf_numerator = graph.core_vertices, graph.leaf_numerator
         self.tails = tails = [[] for _ in range(graph.vertex_count)]
         for eid in order:
@@ -242,9 +245,10 @@ class CompletionBound(dict):
         return min(gap * gap * cofactors[d] for d, gap in self.gaps(x, k, s, u))
 
     def total(self, kept_deg, und_deg, nbr_sum) -> int:
-        """The bound on S * D: the sum of every vertex's bound.  A host leaf
-        keeps its one edge, which is forced, so its bound is its exact share;
-        the leaves' shares add up to ``WeightedGraph.leaf_numerator``."""
+        """The bound on S * D, for c = ``discrepancy_scale[1]``: the sum of
+        every vertex's bound.  A host leaf keeps its one edge, which is
+        forced, so its bound is its exact share; the leaves' shares add up
+        to ``WeightedGraph.leaf_numerator``."""
         bound = self.bound
         return self.leaf_numerator + sum(bound(x, kept_deg[x], nbr_sum[x], und_deg[x])
                                          for x in self.core)
@@ -260,15 +264,11 @@ def breadth_first_order(graph: WeightedGraph) -> tuple[int, ...]:
     this keeps the search frontier narrow, so :func:`solve_exact` proves
     their optimum in fewer nodes than it does in a gadget-by-gadget order.
     """
-    edges = graph.edges
-    free_incidence: dict[int, list[int]] = {}
-    for eid in graph.free_edge_ids:  # ascending, so each list is too
-        for x in edges[eid]:
-            free_incidence.setdefault(x, []).append(eid)
+    edges, free_incidence = graph.edges, graph.free_incidence
     order: list[int] = []
     placed: set[int] = set()
     reached: set[int] = set()
-    for start in sorted(free_incidence):
+    for start in free_incidence:  # ascending
         if start in reached:
             continue
         reached.add(start)
@@ -380,7 +380,7 @@ def solve_exact(
     dfs = FreeEdgeSearch(graph, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     logs = {d: math.log(d) for d in cofactors}  # every k + u of a node is a valid degree
-    bound = CompletionBound(graph, order)
+    bound = CompletionBound(graph, order, cofactors)
     # At the root every vertex's kept plus undecided degree is its host degree.
     max_log_sum = log_degree_sum(graph, graph.degrees)
 
@@ -467,13 +467,13 @@ def random_valid_mask(graph: WeightedGraph, rng: random.Random) -> SubgraphMask:
 
     The draws cost only the free edges: one ``rng.random()`` per free edge,
     in ascending id, taken off the host degrees when the edge is dropped.
-    Only a vertex with no forced edge can be left isolated, so the repair
+    Only a vertex with a free edge can be left isolated, so the repair
     visits those in ascending order, one ``rng.choice`` over the incident
-    edges of each isolated one, read from ``graph.unforced_incidence`` (the
-    edges of its ``incidence`` list, in the same order, without building
-    that list for every vertex).  These are the calls, in the order, that
-    drawing every edge and repairing every vertex would make, so the same
-    ``rng`` gives the same mask.
+    edges of each isolated one, read from ``graph.free_incidence``: an
+    isolated vertex has no forced edge, so its entry is its ``incidence``
+    list's edges, in the same order.  These are the calls, in the order,
+    that drawing every edge and repairing every vertex would make, so the
+    same ``rng`` gives the same mask.
     """
     edges = graph.edges
     kept = [True] * graph.edge_count
@@ -485,7 +485,7 @@ def random_valid_mask(graph: WeightedGraph, rng: random.Random) -> SubgraphMask:
             u, v = edges[eid]
             degrees[u] -= 1
             degrees[v] -= 1
-    for vtx, incident in graph.unforced_incidence.items():
+    for vtx, incident in graph.free_incidence.items():
         if degrees[vtx] == 0:
             eid = rng.choice(incident)
             kept[eid] = True

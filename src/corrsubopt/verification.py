@@ -9,8 +9,9 @@ Each check targets one structural property the construction relies on:
   5  witness masks have discrepancy exactly 0 on all designated vertices
   6  for unsatisfiable formulas, no valid mask keeps every designated
      vertex below discrepancy t^2/9 (exhaustive search in the gadget edge
-     order, cutting a branch once a designated vertex can end below the
-     threshold in no completion of its undecided edges; a budget overrun
+     order, cutting a branch once the branch and bound's
+     ``CompletionBound``, under weights 9 c[d]^2, shows that a designated
+     vertex can end below the threshold in no completion; a budget overrun
      reports inconclusive, never a pass)
 
 plus the score-bound checks: a witness scores at least
@@ -22,9 +23,10 @@ per-graph facts and draw no mask; check 5 reads the ints of the scoring
 kernel from a ``ScoreState``.  The log bounds allow absolute slack 1e-9.
 
 Every check reads the instance's core, which scores a mask as the explicit
-graph scores it with every leaf edge kept.  Printed vertex ids are the
-explicit graph's (``ReductionInstance.explicit_ids``), and so is check 6's
-failing mask, the one thing a check builds that graph for.
+graph scores it with every leaf edge kept, and none builds the explicit
+graph.  Printed vertex ids are the explicit graph's
+(``ReductionInstance.explicit_ids``); check 6 prints a failing mask over
+the core, whose 10n edges are the explicit graph's free edges in order.
 
 A check is a function of one :class:`CheckContext`, which compiles the
 instance once and caches what several checks share: the log-degree sums of
@@ -45,7 +47,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .graph import SubgraphMask, is_valid
 from .reduction import (
@@ -134,32 +136,6 @@ def _degree_logs(inst: ReductionInstance, degrees) -> dict[str, float]:
     }
 
 
-class LowDiscrepancyLookahead(dict):
-    """``self[x, k, s, u]``: whether a vertex x of kept degree k,
-    kept-neighbour sum s and u undecided edges, in a search deciding the
-    free edges in ``order``, can still end strictly below discrepancy t^2/9;
-    memoised on first lookup.
-
-    ND < t^2/9  <=>  9 (W_x d - s - sigma)^2 < (L t d)^2, sigma being the W
-    sum of the neighbours x keeps across its undecided edges.  The test
-    accepts when some final degree d passes with |W_x d - s - sigma|
-    replaced by its lower bound from :meth:`CompletionBound.gaps` (see
-    :func:`find_low_discrepancy_mask` for why no counterexample is lost).
-    """
-
-    def __init__(self, inst: ReductionInstance, order: Sequence[int]):
-        super().__init__()
-        self.gaps = CompletionBound(inst.core, order).gaps
-        scale, _ = inst.core.scaled_weights
-        self.limit = scale * inst.t
-
-    def __missing__(self, key: tuple[int, int, int, int]) -> bool:
-        limit = self.limit
-        value = self[key] = any(
-            9 * gap * gap < (limit * d) ** 2 for d, gap in self.gaps(*key))
-        return value
-
-
 def find_low_discrepancy_mask(
     inst: ReductionInstance, *, node_budget: int | None = 5_000_000
 ) -> tuple[SubgraphMask | None, int]:
@@ -169,32 +145,38 @@ def find_low_discrepancy_mask(
     Depth-first over the free edges in ``inst.gadget_edge_order``
     (:class:`FreeEdgeSearch`).  A branch dies as soon as some vertex has all
     incident edges decided and no kept edge, or some designated endpoint of
-    the edge just decided fails :class:`LowDiscrepancyLookahead`.
+    the edge just decided can end below the threshold in no completion of
+    its undecided edges.
 
-    Why the look-ahead keeps every counterexample: edges are decided in the
-    search's order, so a vertex's undecided neighbours are those across its
-    last u free edges, and the W sum sigma of the j it keeps lies in the
-    interval of the sums of the j smallest and the j largest of their
-    weights.  The gap to that interval is at most |W d - s - sigma| in every
-    completion, so a completion below the threshold passes the test at its
-    own j.  The cut removes only subtrees that hold no counterexample, the
-    order of the rest is unchanged, and the first mask found is the one a
-    search cutting on finalised vertices alone finds; only the node count
-    falls.  With u = 0 the test is the final discrepancy test, so a leaf is
-    a counterexample.
+    With D = L^2 m and c[d] = m / d (``discrepancy_scale``), a vertex of
+    final degree d has ND < t^2/9  <=>  9 (W d - s)^2 < (L t d)^2  <=>
+    9 (W d - s)^2 c[d]^2 < (L t m)^2.  So the look-ahead is
+    :class:`CompletionBound` under the weights 9 c[d]^2 against (L t m)^2:
+    it is below exactly when some final degree passes with |W d - s|
+    replaced by its lower bound over the completions, which every
+    completion below the threshold does at its own degree.  The cut
+    removes only subtrees that hold no counterexample, the order of the
+    rest is unchanged, and the first mask found is the one a search
+    cutting on finalised vertices alone finds; only the node count falls.
+    With u = 0 the test is the final discrepancy test, so a leaf is a
+    counterexample.
 
     Exhausting the tree proves no such mask exists.  Returns (mask or None,
     nodes explored); raises :class:`SearchBudgetExceeded` when the budget
     runs out, so a truncated search can never pass as a proof.
     """
-    order = inst.gadget_edge_order
-    dfs = FreeEdgeSearch(inst.core, order)
+    order, core = inst.gadget_edge_order, inst.core
+    dfs = FreeEdgeSearch(core, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
-    below = LowDiscrepancyLookahead(inst, order)
+    scale, _ = core.scaled_weights
+    denominator, cofactors = core.discrepancy_scale
+    bound = CompletionBound(core, order, {d: 9 * c * c for d, c in cofactors.items()})
+    limit = (inst.t * denominator // scale) ** 2  # (L t m)^2, as D = L^2 m
     designated = set(inst.designated_vertices)
 
     def feasible(vtx: int) -> bool:
-        return vtx not in designated or below[vtx, kept_deg[vtx], nbr_sum[vtx], und_deg[vtx]]
+        return (vtx not in designated
+                or bound[vtx, kept_deg[vtx], nbr_sum[vtx], und_deg[vtx]] < limit)
 
     if not all(feasible(vtx) for vtx in inst.designated_vertices):
         return None, 0
@@ -296,7 +278,7 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
     k forced edges and j of its u free ones, and W d - s - sigma is farthest
     from 0 at an end of the interval [lows[j], highs[j]] of their W sum."""
     inst, g = ctx.inst, ctx.inst.core
-    span = CompletionBound(g, g.free_edge_ids).span
+    span = CompletionBound(g, g.free_edge_ids, g.discrepancy_scale[1]).span
     weights, forced, sums = g.scaled_weights[1], g.forced_degrees(), g.forced_nbr_sums
     worst, vertex = Fraction(-1), -1
     for x in inst.attachment_vertices:
@@ -370,7 +352,7 @@ def check_infeasibility_search(ctx: CheckContext) -> Outcome:
         )
     return Outcome(
         "fail", (("nodes", str(nodes)),
-                 ("mask", ctx.inst.explicit_mask(mask).bitstring()[:60])),
+                 ("mask", mask.bitstring())),
         "found a valid mask with all designated discrepancies below the threshold",
     )
 

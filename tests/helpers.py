@@ -11,6 +11,8 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
+import unittest.mock
 import warnings
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from corrsubopt import (
     random_valid_mask,
     score,
 )
+from corrsubopt import verification
 from corrsubopt.scoring import ScoreValue, log_degree_sum
 from corrsubopt.solvers import _PRUNE_EPS, CompletionBound, FreeEdgeSearch
 
@@ -413,6 +416,51 @@ def plain_low_discrepancy_search(inst):
     return found, dfs.nodes
 
 
+def low_discrepancy_bound(graph: WeightedGraph, order, t: int):
+    """(bound, limit) of check 6's look-ahead, as the test side writes it: a
+    vertex in state (x, k, s, u) can still end below discrepancy t^2/9 iff
+    ``bound[x, k, s, u] < limit``, the completion bound under weights
+    9 c[d]^2 against (L t m)^2."""
+    scale, _ = graph.scaled_weights
+    denominator, cofactors = graph.discrepancy_scale
+    bound = CompletionBound(graph, order, {d: 9 * c * c for d, c in cofactors.items()})
+    return bound, (t * denominator // scale) ** 2
+
+
+def any_degree_below(graph: WeightedGraph, order, t: int, x: int, k: int, s: int,
+                     u: int) -> bool:
+    """Check 6's look-ahead rule as first stated: some final degree d of x
+    has 9 gap^2 < (L t d)^2, gap being the distance of ``CompletionBound.gaps``."""
+    scale, _ = graph.scaled_weights
+    gaps = CompletionBound(graph, order, graph.discrepancy_scale[1]).gaps
+    return any(9 * gap * gap < (scale * t * d) ** 2 for d, gap in gaps(x, k, s, u))
+
+
+def search_admits(graph: WeightedGraph, order, t: int, x: int, k: int, s: int,
+                  u: int) -> bool:
+    """Whether ``find_low_discrepancy_mask`` itself lets a designated vertex
+    x in state (k, s, u) go on.  The search runs on ``graph`` with x the one
+    designated vertex, from a root where x has that state; its search
+    engine is replaced by one that only records whether the root test let
+    the search start."""
+    started = []
+
+    class Probe(FreeEdgeSearch):
+        def __init__(self, graph, order):
+            super().__init__(graph, order)
+            self.kept_deg[x], self.nbr_sum[x], self.und_deg[x] = k, s, u
+
+        def run(self, root, child, leaf, node_limit=None):
+            started.append(True)
+            return True
+
+    inst = types.SimpleNamespace(core=graph, gadget_edge_order=order, t=t,
+                                 designated_vertices=(x,))
+    with unittest.mock.patch.object(verification, "FreeEdgeSearch", Probe):
+        verification.find_low_discrepancy_mask(inst)
+    return bool(started)
+
+
 def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | None = None,
                            initial_mask: SubgraphMask | None = None):
     """(mask, score, nodes) of the branch and bound that cuts on the
@@ -424,7 +472,7 @@ def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | Non
     dfs = FreeEdgeSearch(graph, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     logs = [0.0] + [math.log(d) for d in range(1, max(graph.degrees) + 1)]
-    bound = CompletionBound(graph, order)
+    bound = CompletionBound(graph, order, graph.discrepancy_scale[1])
     inc_mask = SubgraphMask.full(graph)
     inc_score, inc_key = score(graph, inc_mask, multiplier=mult), inc_mask.lex_key()
     if initial_mask is not None:

@@ -416,7 +416,7 @@ class TestDecideCommand:
     @pytest.mark.parametrize("n", [4, 5])
     def test_builds_no_neighbour_lists(self, n, tmp_path, monkeypatch, capsys):
         """The warm start repairs isolated vertices from
-        ``WeightedGraph.unforced_incidence``, and neither search reads
+        ``WeightedGraph.free_incidence``, and neither search reads
         neighbour lists: n = 4 is proven by branch and bound, n = 5 (50 free
         edges) falls back to the local search."""
         from corrsubopt import WeightedGraph

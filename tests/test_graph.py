@@ -264,12 +264,11 @@ class TestDistinctWeights:
 
     @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=80)
-    def test_unforced_incidence_is_the_incidence_lists_of_the_unforced_vertices(
-            self, shape, seed):
+    def test_free_incidence_is_the_free_part_of_the_incidence_lists(self, shape, seed):
         g = helpers.kernel_graph(random.Random(seed), shape)
-        expected = {vtx: tuple(eid for _, eid in pairs) for vtx, pairs in enumerate(g.incidence)
-                    if all(g.degrees[nbr] > 1 for nbr, _ in pairs) and len(pairs) > 1}
-        assert list(g.unforced_incidence.items()) == list(expected.items())
+        free = [tuple(eid for _, eid in pairs if eid in g.free_edge_ids) for pairs in g.incidence]
+        expected = {vtx: eids for vtx, eids in enumerate(free) if eids}
+        assert list(g.free_incidence.items()) == list(expected.items())
 
 
 class TestWeightedGraph:

@@ -23,7 +23,6 @@ from corrsubopt import (
     solve_local,
 )
 from corrsubopt.solvers import CompletionBound, FreeEdgeSearch, breadth_first_order
-from corrsubopt.verification import LowDiscrepancyLookahead
 
 import helpers
 
@@ -301,8 +300,11 @@ class TestDominanceDifferential:
         pytest.param(lambda inst: inst.gadget_edge_order, id="gadget"),
         pytest.param(lambda inst: breadth_first_order(inst.core), id="breadth-first"),
     ])
+    # Fixed draws: the plain search's n = 5 proofs in the gadget order take
+    # tens of thousands of nodes, so fresh draws swung this test's time
+    # several-fold between runs of the same tree.
     @given(st.integers(3, 5), st.integers(2, 4), st.integers(0, 10**6))
-    @settings(deadline=None, max_examples=5)
+    @settings(deadline=None, max_examples=5, derandomize=True)
     def test_matches_plain_search_on_compiled_formulas(self, order_of, n, t, seed):
         inst = compile_formula(helpers.cubic_formula(random.Random(seed), n), t)
         # A local-search warm start, as decide uses, keeps the n = 5 proofs
@@ -456,7 +458,7 @@ class TestCompletionBound:
                     kept_deg[x] += 1
                     nbr_sum[x] += weights[y]
 
-        bound = CompletionBound(graph, order)
+        bound = CompletionBound(graph, order, graph.discrepancy_scale[1])
         for x in range(graph.vertex_count):
             k, s, u = kept_deg[x], nbr_sum[x], und_deg[x]
             if k + u == 0:
@@ -549,10 +551,11 @@ class TestSearchLoop:
         # Check 6's look-ahead on every vertex keeps these trees to at most
         # a few hundred nodes.
         inst = compile_formula(helpers.make_formula(text), t)
-        below = LowDiscrepancyLookahead(inst, inst.gadget_edge_order)
+        bound, limit = helpers.low_discrepancy_bound(inst.core, inst.gadget_edge_order, t)
 
         def cut(dfs, state, depth, u, v, keep, ends):
-            fits = all(below[x, dfs.kept_deg[x], dfs.nbr_sum[x], dfs.und_deg[x]] for x in (u, v))
+            fits = all(bound[x, dfs.kept_deg[x], dfs.nbr_sum[x], dfs.und_deg[x]] < limit
+                       for x in (u, v))
             return state + 1 if fits else None
 
         _, nodes, _, _ = self.assert_same(inst.core, inst.gadget_edge_order, cut, stop_at)
@@ -617,7 +620,7 @@ class TestDeepAndWideSearch:
         order = list(graph.free_edge_ids)
         random.Random(order_seed).shuffle(order)
         _, weights = graph.scaled_weights
-        bound = CompletionBound(graph, order)
+        bound = CompletionBound(graph, order, graph.discrepancy_scale[1])
         for x in range(graph.vertex_count):
             across = [weights[a + b - x] for eid in order
                       for a, b in [graph.edges[eid]] if x in (a, b)]

@@ -17,10 +17,9 @@ from corrsubopt import (
     ScoreState, SubgraphMask, compare_scores, compile_formula, random_valid_mask)
 from corrsubopt.reduction import ReductionInstance
 from corrsubopt.scoring import log_degree_sum, neighbourhood_discrepancy
-from corrsubopt.solvers import sample_states
+from corrsubopt.solvers import CompletionBound, sample_states
 from corrsubopt.verification import (
     ALL_CHECKS,
-    LowDiscrepancyLookahead,
     SearchBudgetExceeded,
     attachment_violations,
     find_low_discrepancy_mask,
@@ -172,7 +171,7 @@ class TestInfeasibilitySearch:
         assert got_nodes == nodes
         if dropped is None:
             assert mask is None
-        else:  # explicit edge ids, as check 6 prints the mask
+        else:  # explicit edge ids
             kept = inst.explicit_mask(mask).kept
             assert tuple(e for e, keep in enumerate(kept) if not keep) == dropped
 
@@ -187,12 +186,19 @@ class TestInfeasibilitySearch:
 _SEARCH_SIZES = [(n, t) for n in range(3, 8) for t in (2, 3, 4) if n < 7 or t < 4]
 
 
+# Thresholds of the look-ahead test: small, the scale of the past-the-cap CI
+# runs, and one where t^2 and D are far beyond a float's exact integers.
+_LOOKAHEAD_T = (2, 3, 10, 600, 174_700_000_000)
+
+
 class TestLowDiscrepancyLookahead:
-    """The check-6 look-ahead against brute force over each designated
-    vertex's own undecided edges, at random partial decisions along
+    """The check-6 look-ahead, ``CompletionBound`` under weights 9 c[d]^2
+    against (L t m)^2, against brute force over each designated vertex's
+    own undecided edges, at random partial decisions along
     ``gadget_edge_order`` of compiled random cubic formulas: wherever some
     completion keeps the vertex below t^2/9 the test accepts, and on a
-    finalised vertex it is the exact threshold test."""
+    finalised vertex it is the exact threshold test.  The search's own test
+    is the rule that some final degree passes (``helpers.any_degree_below``)."""
 
     @given(st.integers(3, 7), st.integers(2, 4), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=80)
@@ -206,7 +212,7 @@ class TestLowDiscrepancyLookahead:
         decided = {free[eid]: rng.random() < 0.5 for eid in order[:depth]}
         undecided = {free[eid] for eid in order[depth:]}
         scale, weights = g.scaled_weights
-        below = LowDiscrepancyLookahead(inst, order)
+        bound, limit = helpers.low_discrepancy_bound(inst.core, order, t)
         for x in inst.designated_vertices:
             k = s = 0
             open_nbrs = []
@@ -226,7 +232,47 @@ class TestLowDiscrepancyLookahead:
                 for kept in itertools.combinations(open_nbrs, j)
             )
             if reachable or u == 0:
-                assert below[x, k, s, u] == reachable
+                assert (bound[x, k, s, u] < limit) == reachable
+
+    @given(st.sampled_from((*helpers.KERNEL_SHAPES, "compiled")), st.sampled_from(_LOOKAHEAD_T),
+           st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=60)
+    def test_is_the_any_degree_rule(self, shape, t, seed):
+        # States (x, k, s, u) with every final degree k..k + u one that x
+        # can reach, most of them with sums no search meets: sums on the
+        # boundary 3 gap = L t d at one j (when 3 divides L t d), one off it
+        # on either side, and random ones.
+        rng = random.Random(seed)
+        if shape == "compiled":
+            inst = compile_formula(helpers.cubic_formula(rng, rng.randint(3, 5)), t)
+            graph, order = inst.core, inst.gadget_edge_order
+        else:
+            graph = helpers.kernel_graph(rng, shape)
+            order = list(graph.free_edge_ids)
+            rng.shuffle(order)
+        scale, weights = graph.scaled_weights
+        span = CompletionBound(graph, order, graph.discrepancy_scale[1]).span
+        forced, free = graph.forced_degrees(), graph.free_incidence
+        states = []
+        for _ in range(8):
+            x = rng.randrange(graph.vertex_count)
+            u = rng.randint(0, len(free.get(x, ())))
+            k = rng.randint(forced[x], graph.degrees[x] - u)
+            if k + u == 0:
+                continue
+            j = rng.randint(0 if k else 1, u)
+            d = k + j
+            lows, highs = span(x, u)
+            edge = scale * t * d
+            if edge % 3 == 0:  # gap = L t d / 3 above highs[j] or below lows[j]
+                s = (weights[x] * d - highs[j] - edge // 3 if rng.random() < 0.5
+                     else weights[x] * d - lows[j] + edge // 3)
+                states += [(x, k, s + delta, u) for delta in (-1, 0, 1)]
+            states.append((x, k, weights[x] * d - rng.randint(-edge, edge), u))
+            states.append((x, k, rng.randint(-10**6, 10**6), u))
+        for state in states:
+            assert (helpers.search_admits(graph, order, t, *state)
+                    == helpers.any_degree_below(graph, order, t, *state))
 
     @given(st.sampled_from(_SEARCH_SIZES), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=30)
@@ -452,7 +498,7 @@ class TestCheckFailures:
             pytest.param(
                 helpers.UNSAT4_TEXT, "6", "find_low_discrepancy_mask",
                 lambda inst, node_budget: (SubgraphMask.full(inst.core), 17), (),
-                (("nodes", "17"), ("mask", "1" * 60)),
+                (("nodes", "17"), ("mask", "1" * 40)),
                 "found a valid mask with all designated discrepancies below the threshold",
                 id="6-unsatisfiable-with-counterexample"),
             pytest.param(
@@ -488,3 +534,28 @@ class TestCheckFailures:
             f"{k}={v}" for k, v in quantities) + (f" | {details}" if details else "")
         assert out.splitlines()[0] == line
         assert all(e.startswith("warning: ") for e in err.splitlines())  # n = 3 is not planar
+
+    def test_check_6_past_the_cap_is_a_fail_record(self, monkeypatch, tmp_path, capsys):
+        # At t = 600 the explicit graph is over the size cap; the failing
+        # mask printed is the core's, all 10n of its edges, which are the
+        # explicit graph's free edges in order (compared at t = 2).
+        def pattern(inst, node_budget):
+            return SubgraphMask(inst.core, [eid % 3 > 0 for eid in range(inst.core.edge_count)]), 17
+
+        bits = "".join("0" if eid % 3 == 0 else "1" for eid in range(40))
+        monkeypatch.setattr(verification, "find_low_discrepancy_mask", pattern)
+        formula = helpers.make_formula(helpers.UNSAT4_TEXT)
+        inst = compile_formula(formula, 2)
+        explicit = inst.explicit_mask(pattern(inst, None)[0])
+        assert "".join("01"[explicit.kept[eid]] for eid in inst.graph.free_edge_ids) == bits
+        records = run_checks(formula, 600, ("6",))
+        assert [(r.status, r.quantities) for r in records] == [
+            ("fail", (("nodes", "17"), ("mask", bits)))]
+
+        path = tmp_path / "unsat4.f"
+        path.write_text(helpers.UNSAT4_TEXT)
+        argv = ["verify", "-f", str(path), "-t", "600", "--checks", "6"]
+        assert corrsubopt.cli.main(argv) == 1
+        out, _ = capsys.readouterr()
+        assert out.splitlines()[0].startswith(
+            f"check 6 low-discrepancy-search: FAIL nodes=17 mask={bits} | ")
