@@ -51,31 +51,35 @@ def _read(path: str) -> str:
 
 
 def _atomic_write(*files: tuple[str, Iterable[str]]) -> None:
-    """Write each (path, lines) pair, line by line, through a temporary
-    file in the path's directory, with the mode a plain ``open`` would give
-    (0666 less the umask), not ``mkstemp``'s 0600.  No target is replaced
-    until every temporary is written, and no temporary is left behind; a
-    rename that fails part-way can leave the earlier targets replaced.  An
-    unwritable path, or a directory in the way, is a usage error."""
+    """Write each (path, lines) pair, line by line, as a plain ``open``
+    would (through a symlink, keeping an existing file's mode, a new one's
+    0666 less the umask), via a temporary file in the target's directory.
+    No target is replaced until every temporary is written, and no temporary
+    is left behind; a rename that fails part-way can leave the earlier
+    targets replaced.  An unwritable path, or a directory in the way, is a
+    usage error."""
     umask = os.umask(0)
     os.umask(umask)
-    temps: list[str] = []
+    temps: list[tuple[str, str]] = []  # (temporary, target)
     try:
         try:
             for path, lines in files:
-                target = Path(path)
-                if target.is_dir() and not target.is_symlink():  # os.replace would fail
+                target = os.path.realpath(path)
+                if os.path.isdir(target):  # os.replace would fail
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name)
-                temps.append(tmp)
-                os.fchmod(fd, 0o666 & ~umask)
+                mode = (os.stat(target).st_mode & 0o7777 if os.path.exists(target)
+                        else 0o666 & ~umask)
+                directory, name = os.path.split(target)
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=name)
+                temps.append((tmp, target))
+                os.fchmod(fd, mode)
                 with os.fdopen(fd, "w") as handle:
                     handle.writelines(lines)
             for path, _ in files:
-                os.replace(temps[0], path)
+                os.replace(*temps[0])
                 del temps[0]
         except BaseException:
-            for tmp in temps:
+            for tmp, _ in temps:
                 os.unlink(tmp)
             raise
     except OSError as exc:

@@ -126,7 +126,7 @@ class WeightedGraph(Immutable):
         """Normalise (orient u < v, sort) and validate raw edge/weight data;
         equal weights, pendants' too, share one ``Fraction``.  A string weight
         follows the instance files' rule: an exponent raises ``ValueError``."""
-        canon = sorted(map(_oriented, edges))
+        canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
         as_fraction = {w: _rational(w) for w in {*weights, *(w for _, _, w in pendants)}}
         return cls(vertex_count, tuple(canon), tuple(map(as_fraction.__getitem__, weights)),
                    tuple((hub, count, as_fraction[w]) for hub, count, w in pendants))
@@ -252,14 +252,6 @@ class WeightedGraph(Immutable):
         for hub, count, w in self.pendants:
             total += (weights[hub] - (scale * w).numerator) ** 2 * count
         return total * cofactors[1]
-
-
-def _oriented(edge: tuple[int, int]) -> tuple[int, int]:
-    """The edge as (smaller, larger) endpoint; a tuple already so is kept."""
-    u, v = edge
-    if v < u:
-        return v, u
-    return edge if edge.__class__ is tuple else (u, v)
 
 
 def _by_identity(weights: Iterable[Fraction]) -> dict[int, Fraction]:

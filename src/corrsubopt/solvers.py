@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import accumulate
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -184,18 +183,6 @@ class CompletionBound(dict):
     final degree).  With c = ``WeightedGraph.discrepancy_scale[1]`` the
     share is the vertex's part of S * D; the check-6 search passes 9 c^2.
 
-    A vertex x of kept degree k, kept-neighbour sum s and u undecided edges
-    ends with degree d = k + j for some j in 0..u with d >= 1, and then its
-    share is (W_x d - s - sigma)^2 c[d], sigma being the W sum of the j
-    undecided neighbours it keeps.  Whichever j of them it keeps, sigma lies
-    between the sums of the j smallest and of the j largest of their
-    weights; the squared distance from W_x d - s to that interval, times
-    c[d], minimised over j, is therefore at most the share of every
-    completion.  Edges are decided in ``order``, so the undecided
-    neighbours of x are those across its last u free edges in that order,
-    and the interval ends depend on (x, u) alone.  With u = 0 the bound is
-    the exact share.
-
     The instance is a memo: ``self[x, k, s, u]`` is :meth:`bound`, computed
     on first lookup, so a search node pays a dict lookup per endpoint.
     """
@@ -215,34 +202,35 @@ class CompletionBound(dict):
         value = self[key] = self.bound(*key)
         return value
 
-    def span(self, x: int, u: int) -> tuple[list[int], list[int]]:
-        """(lows, highs): the prefix sums of the u smallest and of the u
-        largest weights across x's last u free edges, from 0."""
+    def ends(self, x: int, k: int, s: int, u: int) -> Iterator[tuple[int, int, int]]:
+        """Yield (d, above, below) for each final degree d = k + j >= 1, j
+        ascending, of a vertex x of kept degree k, kept-neighbour sum s and
+        u undecided edges (k + u >= 1): the interval argument of every
+        completion bound.  Whichever j undecided neighbours x keeps, their
+        W sum lies between low_j and high_j, the sums of the j smallest and
+        of the j largest of their weights, so W_x d - s less it lies in
+        [above, -below], above = W_x d - s - high_j and below = low_j -
+        (W_x d - s), both ends reached.  Its distance from 0 is at least
+        max(above, below, 0) and at most max(|above|, |below|).  Edges are
+        decided in ``order``, so the undecided neighbours of x are those
+        across its last u free edges in that order.
+        """
         tail = self.tails[x]
         rest = sorted(tail[len(tail) - u:])  # tail[-0:] would be all of it
-        return list(accumulate(rest, initial=0)), list(accumulate(reversed(rest), initial=0))
-
-    def gaps(self, x: int, k: int, s: int, u: int):
-        """Yield (d, gap) for every final degree d = k + j >= 1 of x: gap is
-        the distance from W_x d - s to the interval of the sums of j of its
-        u undecided neighbours' weights, so |W_x d - s - sigma| >= gap
-        whichever j of them x keeps.  k + u >= 1."""
-        lows, highs = self.span(x, u)
         wx = self.weights[x]
-        target = wx * k - s  # W_x d - s at j = 0
-        for j in range(0 if k else 1, u + 1):
-            t = target + wx * j
-            if t > highs[j]:
-                yield k + j, t - highs[j]
-            elif t < lows[j]:
-                yield k + j, lows[j] - t
-            else:
-                yield k + j, 0
+        d, target, low, high = k, wx * k - s, 0, 0  # target = W_x d - s
+        if d:
+            yield d, target, -target
+        for small, large in zip(rest, reversed(rest)):
+            d, target, low, high = d + 1, target + wx, low + small, high + large
+            yield d, target - high, low - target
 
     def bound(self, x: int, k: int, s: int, u: int) -> int:
-        """The bound on x's share; k + u >= 1."""
-        cofactors = self.cofactors
-        return min(gap * gap * cofactors[d] for d, gap in self.gaps(x, k, s, u))
+        """The bound on x's share: over its final degrees d, the least of
+        c[d] times the squared distance from 0 of :meth:`ends`' interval,
+        which is at most the share of every completion; exact at u = 0."""
+        c = self.cofactors
+        return min(max(above, below, 0) ** 2 * c[d] for d, above, below in self.ends(x, k, s, u))
 
     def total(self, kept_deg, und_deg, nbr_sum) -> int:
         """The bound on S * D, for c = ``discrepancy_scale[1]``: the sum of

@@ -19,8 +19,10 @@ plus the score-bound checks: a witness scores at least
 mask scores at most 6n ln t + 20n - n ln(t^2/9).  Score bounds use the
 reduction objective (multiplier = variable count); discrepancy checks are
 exact.  Checks 1 to 4 prove their bounds for every valid mask at once from
-per-graph facts and draw no mask; check 5 reads the ints of the scoring
-kernel from a ``ScoreState``.  The log bounds allow absolute slack 1e-9.
+per-graph facts and draw no mask (check 2, like check 6's look-ahead, from
+the completion intervals of ``CompletionBound.ends``); check 5 reads the
+ints of the scoring kernel from a ``ScoreState``.  The log bounds allow
+absolute slack 1e-9.
 
 Every check reads the instance's core, which scores a mask as the explicit
 graph scores it with every leaf edge kept, and none builds the explicit
@@ -152,12 +154,12 @@ def find_low_discrepancy_mask(
     final degree d has ND < t^2/9  <=>  9 (W d - s)^2 < (L t d)^2  <=>
     9 (W d - s)^2 c[d]^2 < (L t m)^2.  So the look-ahead is
     :class:`CompletionBound` under the weights 9 c[d]^2 against (L t m)^2:
-    it is below exactly when some final degree passes with |W d - s|
-    replaced by its lower bound over the completions, which every
-    completion below the threshold does at its own degree.  The cut
-    removes only subtrees that hold no counterexample, the order of the
-    rest is unchanged, and the first mask found is the one a search
-    cutting on finalised vertices alone finds; only the node count falls.
+    it is below exactly when some final degree passes at the near end of
+    its ``CompletionBound.ends`` interval, as every completion below the
+    threshold does at its own degree.  The cut removes only subtrees that
+    hold no counterexample, the order of the rest is unchanged, and the
+    first mask found is the one a search cutting on finalised vertices
+    alone finds; only the node count falls.
     With u = 0 the test is the final discrepancy test, so a leaf is a
     counterexample.
 
@@ -275,19 +277,17 @@ def check_leaf_total(ctx: CheckContext) -> Outcome:
 
 def check_attachment_bounds(ctx: CheckContext) -> Outcome:
     """The largest attachment discrepancy over every valid mask: x keeps its
-    k forced edges and j of its u free ones, and W d - s - sigma is farthest
-    from 0 at an end of the interval [lows[j], highs[j]] of their W sum."""
+    k forced edges and some of its u free ones, and at each final degree
+    |W d - s - sigma| is largest at the far end of the interval of
+    ``CompletionBound.ends``."""
     inst, g = ctx.inst, ctx.inst.core
-    span = CompletionBound(g, g.free_edge_ids, g.discrepancy_scale[1]).span
-    weights, forced, sums = g.scaled_weights[1], g.forced_degrees(), g.forced_nbr_sums
+    ends = CompletionBound(g, g.free_edge_ids, g.discrepancy_scale[1]).ends
+    forced, sums = g.forced_degrees(), g.forced_nbr_sums
     worst, vertex = Fraction(-1), -1
     for x in inst.attachment_vertices:
         k = forced[x]
-        u = g.degrees[x] - k
-        lows, highs = span(x, u)
-        for j in range(0 if k else 1, u + 1):
-            gap = weights[x] * (k + j) - sums[x]
-            nd = gap_discrepancy(g, k + j, max(abs(gap - lows[j]), abs(gap - highs[j])))
+        for d, above, below in ends(x, k, sums[x], g.degrees[x] - k):
+            nd = gap_discrepancy(g, d, max(abs(above), abs(below)))
             if nd > worst:
                 worst, vertex = nd, x
     return Outcome("pass" if worst * ctx.t ** 2 < 1 else "fail",

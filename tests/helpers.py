@@ -427,13 +427,32 @@ def low_discrepancy_bound(graph: WeightedGraph, order, t: int):
     return bound, (t * denominator // scale) ** 2
 
 
+def tail_span(graph: WeightedGraph, order, x: int, u: int) -> tuple[list[int], list[int]]:
+    """(lows, highs) by brute force: for j = 0..u, the sums of the j smallest
+    and of the j largest W weights across x's last u edges in ``order``."""
+    _, weights = graph.scaled_weights
+    across = [weights[a + b - x] for eid in order
+              for a, b in [graph.edges[eid]] if x in (a, b)]
+    rest = sorted(across[len(across) - u:])
+    return ([sum(rest[:j]) for j in range(u + 1)],
+            [sum(rest[len(rest) - j:]) for j in range(u + 1)])
+
+
 def any_degree_below(graph: WeightedGraph, order, t: int, x: int, k: int, s: int,
                      u: int) -> bool:
-    """Check 6's look-ahead rule as first stated: some final degree d of x
-    has 9 gap^2 < (L t d)^2, gap being the distance of ``CompletionBound.gaps``."""
-    scale, _ = graph.scaled_weights
-    gaps = CompletionBound(graph, order, graph.discrepancy_scale[1]).gaps
-    return any(9 * gap * gap < (scale * t * d) ** 2 for d, gap in gaps(x, k, s, u))
+    """Check 6's look-ahead rule as first stated: some final degree
+    d = k + j of x has 9 gap^2 < (L t d)^2, gap being the distance from
+    W_x d - s to [lows[j], highs[j]] of :func:`tail_span`."""
+    scale, weights = graph.scaled_weights
+    lows, highs = tail_span(graph, order, x, u)
+    for j in range(u + 1):
+        d = k + j
+        target = weights[x] * d - s
+        gap = (0 if lows[j] <= target <= highs[j]
+               else min(abs(target - lows[j]), abs(target - highs[j])))
+        if d and 9 * gap * gap < (scale * t * d) ** 2:
+            return True
+    return False
 
 
 def search_admits(graph: WeightedGraph, order, t: int, x: int, k: int, s: int,

@@ -5,6 +5,7 @@ import random
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -612,6 +613,67 @@ def test_failed_rename_leaves_no_temporary(tmp_path, monkeypatch):
         cli._atomic_write((graph, "graph\n"), (roles, "roles\n"))
     assert os.listdir(tmp_path) == ["p.graph"]
     assert (tmp_path / "p.graph").read_text() == "graph\n"
+
+
+@pytest.mark.parametrize("command", ["reduce", "witness", "solve"])
+class TestWritesAsOpenDoes:
+    """An output is written as a plain ``open`` writes it: through a
+    symlink to its target, which a link to a directory cannot take, and
+    into an existing file with that file's own mode."""
+
+    @staticmethod
+    def written(command, sat3_file, triangle_file, out):
+        """(argv, the files it writes): the command of TestUnwritableOutput."""
+        argv, first = TestUnwritableOutput.argv_and_target(
+            command, sat3_file, triangle_file, out)
+        return argv, [first, f"{out}.roles"] if command == "reduce" else [first]
+
+    def expected(self, command, sat3_file, triangle_file, directory):
+        """The bytes of each file the command writes into a fresh directory."""
+        directory.mkdir()
+        argv, paths = self.written(command, sat3_file, triangle_file, str(directory / "x"))
+        assert main(argv) == 0
+        return [Path(path).read_bytes() for path in paths]
+
+    def test_symlink_to_a_file_is_kept(self, command, sat3_file, triangle_file, tmp_path):
+        want = self.expected(command, sat3_file, triangle_file, tmp_path / "plain")
+        (tmp_path / "real").mkdir()
+        (tmp_path / "out").mkdir()
+        argv, paths = self.written(command, sat3_file, triangle_file, str(tmp_path / "out" / "x"))
+        targets = [tmp_path / "real" / f"target{i}" for i in range(len(paths))]
+        for path, target in zip(paths, targets):
+            target.write_text("old\n")
+            os.symlink(target, path)
+        assert main(argv) == 0
+        for path, target, data in zip(paths, targets, want):
+            assert os.path.islink(path) and os.readlink(path) == str(target)
+            assert target.read_bytes() == data
+        assert sorted(os.listdir(tmp_path / "real")) == sorted(t.name for t in targets)
+
+    def test_symlink_to_a_directory_is_in_the_way(self, command, sat3_file, triangle_file,
+                                                  tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "out").mkdir()
+        argv, paths = self.written(command, sat3_file, triangle_file, str(tmp_path / "out" / "x"))
+        os.symlink(tmp_path / "dir", paths[0])
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: cannot write {paths[0]}: Is a directory")
+        assert os.path.islink(paths[0])
+        assert os.listdir(tmp_path / "dir") == []
+        assert os.listdir(tmp_path / "out") == [os.path.basename(paths[0])]
+
+    def test_existing_file_keeps_its_mode(self, command, sat3_file, triangle_file, tmp_path):
+        want = self.expected(command, sat3_file, triangle_file, tmp_path / "plain")
+        (tmp_path / "out").mkdir()
+        argv, paths = self.written(command, sat3_file, triangle_file, str(tmp_path / "out" / "x"))
+        for path in paths:
+            Path(path).write_text("old\n")
+            os.chmod(path, 0o600)
+        assert main(argv) == 0
+        for path, data in zip(paths, want):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+            assert Path(path).read_bytes() == data
 
 
 # `verify -h` at 80 columns, as argparse formats it.

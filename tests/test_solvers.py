@@ -613,22 +613,24 @@ class TestDeepAndWideSearch:
         assert report.optimality == "heuristic"
         assert peak < 16 * 2**20
 
-    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6), st.integers(0, 99))
+    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6), st.integers(0, 99),
+           st.integers(-10**6, 10**6))
     @settings(deadline=None, max_examples=40)
-    def test_span_is_the_sorted_tail_prefix_sums(self, shape, seed, order_seed):
+    def test_ends_are_the_sorted_tail_prefix_sums(self, shape, seed, order_seed, s):
         graph = helpers.kernel_graph(random.Random(seed), shape)
         order = list(graph.free_edge_ids)
         random.Random(order_seed).shuffle(order)
         _, weights = graph.scaled_weights
         bound = CompletionBound(graph, order, graph.discrepancy_scale[1])
         for x in range(graph.vertex_count):
-            across = [weights[a + b - x] for eid in order
-                      for a, b in [graph.edges[eid]] if x in (a, b)]
-            for u in range(len(across) + 1):
-                rest = sorted(across[len(across) - u:])
-                lows, highs = bound.span(x, u)
-                assert lows == [sum(rest[:j]) for j in range(u + 1)]
-                assert highs == [sum(rest[len(rest) - j:]) for j in range(u + 1)]
+            across = sum(x in graph.edges[eid] for eid in order)
+            for u in range(across + 1):
+                lows, highs = helpers.tail_span(graph, order, x, u)
+                for k, s_x in ((0, s), (1, s), (2, -abs(s) - 1), (0, -abs(s) - 1)):
+                    targets = [weights[x] * (k + j) - s_x for j in range(u + 1)]
+                    assert list(bound.ends(x, k, s_x, u)) == [
+                        (k + j, targets[j] - highs[j], lows[j] - targets[j])
+                        for j in range(u + 1) if k + j]
 
 
 class TestLocalScreen:

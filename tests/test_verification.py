@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from corrsubopt import (
     ScoreState, SubgraphMask, compare_scores, compile_formula, random_valid_mask)
 from corrsubopt.reduction import ReductionInstance
 from corrsubopt.scoring import log_degree_sum, neighbourhood_discrepancy
-from corrsubopt.solvers import CompletionBound, sample_states
+from corrsubopt.solvers import sample_states
 from corrsubopt.verification import (
     ALL_CHECKS,
     SearchBudgetExceeded,
@@ -131,6 +132,30 @@ class TestEveryMaskBounds:
                 assert neighbourhood_discrepancy(g, mask, vtx) <= max_nd
             mask_sum = log_degree_sum(g, mask.degrees)
             assert logs["mask_sum"] <= mask_sum <= logs["graph_sum"]
+
+    @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=60)
+    def test_attachment_bound_is_the_largest_local_discrepancy(self, shape, seed):
+        # Check 2 with every vertex of a random graph an attachment vertex:
+        # max_nd is the largest ND over each vertex's own ways to keep its
+        # forced edges and some of its free ones, at the first such vertex.
+        g = helpers.kernel_graph(random.Random(seed), shape)
+        n = g.vertex_count
+        inst = types.SimpleNamespace(core=g, attachment_vertices=tuple(range(n)),
+                                     explicit_ids=range(n))
+        got = dict(verification.check_attachment_bounds(
+            types.SimpleNamespace(inst=inst, t=2)).quantities)
+        local = []
+        for x in range(n):
+            forced = [y for y, eid in g.incidence[x] if eid in g.forced_edge_ids]
+            free = [y for y, eid in g.incidence[x] if eid not in g.forced_edge_ids]
+            kept_sets = [forced + list(kept) for j in range(len(free) + 1)
+                         for kept in itertools.combinations(free, j)]
+            local.append(max((g.weights[x] - sum(g.weights[y] for y in nbrs) / len(nbrs)) ** 2
+                             for nbrs in kept_sets if nbrs))
+        worst = max(local)
+        assert Fraction(got["max_nd"]) == worst
+        assert int(got["vertex"]) == local.index(worst)
 
 
 class TestInfeasibilitySearch:
@@ -251,7 +276,6 @@ class TestLowDiscrepancyLookahead:
             order = list(graph.free_edge_ids)
             rng.shuffle(order)
         scale, weights = graph.scaled_weights
-        span = CompletionBound(graph, order, graph.discrepancy_scale[1]).span
         forced, free = graph.forced_degrees(), graph.free_incidence
         states = []
         for _ in range(8):
@@ -262,7 +286,7 @@ class TestLowDiscrepancyLookahead:
                 continue
             j = rng.randint(0 if k else 1, u)
             d = k + j
-            lows, highs = span(x, u)
+            lows, highs = helpers.tail_span(graph, order, x, u)
             edge = scale * t * d
             if edge % 3 == 0:  # gap = L t d / 3 above highs[j] or below lows[j]
                 s = (weights[x] * d - highs[j] - edge // 3 if rng.random() < 0.5
