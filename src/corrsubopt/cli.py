@@ -16,12 +16,9 @@ Exit status: 0 on success, 1 when a verification check does not pass,
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
-import tempfile
 import warnings
-from pathlib import Path
 from typing import Iterable
 
 from . import __version__
@@ -45,7 +42,8 @@ def non_negative_int(text: str) -> int:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as handle:
+            return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -58,6 +56,9 @@ def _atomic_write(*files: tuple[str, Iterable[str]]) -> None:
     is left behind; a rename that fails part-way can leave the earlier
     targets replaced.  An unwritable path, or a directory in the way, is a
     usage error."""
+    import errno
+    import tempfile
+
     umask = os.umask(0)
     os.umask(umask)
     temps: list[tuple[str, str]] = []  # (temporary, target)
@@ -138,11 +139,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     graph_path = f"{args.out}.graph"
     roles_path = f"{args.out}.roles"
     _atomic_write((graph_path, graph_lines(inst.graph)), (roles_path, role_lines(inst)))
-    free = len(inst.graph.free_edge_ids)
     print(
         f"n = {inst.variable_count}, t = {inst.t}, "
         f"vertices = {inst.graph.vertex_count}, edges = {inst.graph.edge_count}, "
-        f"free edges = {free}"
+        f"free edges = {inst.core.edge_count}"  # the core's edges are the free ones
     )
     print(f"wrote {graph_path}")
     print(f"wrote {roles_path}")

@@ -153,11 +153,6 @@ class WeightedGraph(Immutable):
         return tuple(tuple(pairs) for pairs in inc)
 
     @cached_property
-    def forced_edge_ids(self) -> frozenset[int]:
-        """Edge ids not in :attr:`free_edge_ids`; see :func:`forced_edges`."""
-        return frozenset(range(self.edge_count)).difference(self.free_edge_ids)
-
-    @cached_property
     def free_edge_ids(self) -> tuple[int, ...]:
         """Edge ids whose endpoints both have host degree at least 2,
         ascending.  Every other edge is forced: it has a leaf endpoint."""
@@ -371,10 +366,10 @@ def forced_edges(graph: WeightedGraph) -> frozenset[int]:
     """Edge ids incident to a degree-1 vertex of the host graph.
 
     Dropping such an edge isolates its leaf endpoint, so every valid mask
-    keeps all of them.  Built on the first call and cached on the graph; the
-    package itself reads host degrees and ``free_edge_ids`` instead.
+    keeps all of them.  Built on each call: the package itself reads host
+    degrees and ``free_edge_ids`` instead.
     """
-    return graph.forced_edge_ids
+    return frozenset(range(graph.edge_count)).difference(graph.free_edge_ids)
 
 
 _CHUNK = 1 << 14  # characters handed to one str.splitlines call

@@ -407,12 +407,7 @@ def solve_exact(
         elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
             return None
         # Frontier dominance: see the docstring.
-        key = frontier_key(depth)
-        table = seen[depth]
-        front = table.get(key)
-        if front is None:
-            table[key] = [(total, log_sum)]
-            return total, log_sum
+        front = seen[depth].setdefault(frontier_key(depth), [])
         for prev_total, prev_log_sum in front:
             margin = prev_log_sum - log_sum - _PRUNE_EPS
             if margin < 0:

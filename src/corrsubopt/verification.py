@@ -91,10 +91,6 @@ class Inconclusive(RuntimeError):
     with this message as details."""
 
 
-class SearchBudgetExceeded(Inconclusive):
-    pass
-
-
 def instance_label(formula: Formula, t: int) -> str:
     digest = hashlib.sha256(dump_formula(formula).encode()).hexdigest()[:8]
     return f"n={formula.variable_count} t={t} formula={digest}"
@@ -124,11 +120,7 @@ def attachment_violations(
     return out
 
 
-def degree_log_quantities(inst: ReductionInstance, mask: SubgraphMask) -> dict[str, float]:
-    return _degree_logs(inst, mask.degrees)
-
-
-def _degree_logs(inst: ReductionInstance, degrees) -> dict[str, float]:
+def degree_log_quantities(inst: ReductionInstance, degrees) -> dict[str, float]:
     n, t = inst.variable_count, inst.t
     return {
         "lower": 6 * n * math.log(t) + 2 * n,
@@ -164,7 +156,7 @@ def find_low_discrepancy_mask(
     counterexample.
 
     Exhausting the tree proves no such mask exists.  Returns (mask or None,
-    nodes explored); raises :class:`SearchBudgetExceeded` when the budget
+    nodes explored); raises :class:`Inconclusive` when the budget
     runs out, so a truncated search can never pass as a proof.
     """
     order, core = inst.gadget_edge_order, inst.core
@@ -194,7 +186,7 @@ def find_low_discrepancy_mask(
         return True
 
     if not dfs.run(True, child, leaf, node_budget):
-        raise SearchBudgetExceeded(f"budget of {node_budget} nodes exhausted")
+        raise Inconclusive(f"budget of {node_budget} nodes exhausted")
     return found, dfs.nodes
 
 
@@ -244,7 +236,7 @@ class CheckContext:
         forced degree).  ``math.log`` and left-to-right float addition are
         monotone, so every valid mask's sum lies between it and the host's."""
         least = [max(1, k) for k in self.inst.core.forced_degrees()]
-        return _degree_logs(self.inst, least)
+        return degree_log_quantities(self.inst, least)
 
     @cached_property
     def satisfying(self) -> list[tuple[bool, ...]]:
@@ -331,11 +323,12 @@ def check_infeasibility_search(ctx: CheckContext) -> Outcome:
     satisfiable = bool(ctx.satisfying)
     mask, nodes = find_low_discrepancy_mask(ctx.inst, node_budget=ctx.search_budget)
     threshold = f"{ctx.t * ctx.t}/9"
+    passed = (("nodes", str(nodes)), ("threshold", threshold))
     if satisfiable:
         # Negative control: a satisfiable formula must yield a counterexample.
         if mask is not None:
             return Outcome(
-                "pass", (("nodes", str(nodes)), ("threshold", threshold)),
+                "pass", passed,
                 "negative control: counterexample found, as expected for a "
                 "satisfiable formula",
             )
@@ -346,7 +339,7 @@ def check_infeasibility_search(ctx: CheckContext) -> Outcome:
         )
     if mask is None:
         return Outcome(
-            "pass", (("nodes", str(nodes)), ("threshold", threshold)),
+            "pass", passed,
             "exhaustive: every valid mask pushes some designated vertex to "
             f"discrepancy >= {threshold}",
         )

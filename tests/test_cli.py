@@ -475,18 +475,14 @@ class TestRoundTrip:
 
     def test_commands_build_no_forced_edge_set(self, sat3_file, tmp_path, monkeypatch,
                                                capsys):
-        """Every command reads host degrees or ``free_edge_ids``; the set of
-        forced edge ids is built only when ``forced_edges()`` asks for it."""
-        from corrsubopt import WeightedGraph
+        """Every command reads host degrees or ``free_edge_ids``; only
+        ``forced_edges()`` builds the set of forced edge ids."""
+        import corrsubopt.graph
 
-        graphs = []
-        init = WeightedGraph.__init__
+        def refuse(graph):
+            raise AssertionError("forced_edges() called")
 
-        def recording(graph, *args):
-            init(graph, *args)
-            graphs.append(graph)
-
-        monkeypatch.setattr(WeightedGraph, "__init__", recording)
+        monkeypatch.setattr(corrsubopt.graph, "forced_edges", refuse)
         prefix = str(tmp_path / "rt")
         for argv in (["reduce", "-f", sat3_file, "-t", "2", "-o", prefix],
                      ["witness", "-f", sat3_file, "-t", "2", "-a", "TFF",
@@ -496,8 +492,6 @@ class TestRoundTrip:
                      ["decide", "-f", sat3_file],
                      ["verify", "-f", sat3_file, "-t", "2", "--lemma-samples", "10"]):
             assert main(argv) == 0, argv
-        assert len(graphs) >= 6
-        assert not [graph for graph in graphs if "forced_edge_ids" in graph.__dict__]
 
 
 # sha256 of the files reduce and witness write: any change to the vertex

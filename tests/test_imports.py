@@ -1,8 +1,9 @@
 """What each entry point imports, checked in a fresh interpreter.
 
 ``import corrsubopt`` loads no submodule; the CLI loads ``solvers``,
-``reduction`` and ``verification`` only in the commands that use them, and
-no command loads ``dataclasses``.  Each test runs in a child process,
+``reduction`` and ``verification`` only in the commands that use them, no
+command loads ``dataclasses`` or ``pathlib``, and only a command that
+writes loads ``tempfile``.  Each test runs in a child process,
 because this test session has long since imported every module.
 """
 
@@ -26,12 +27,13 @@ def run_child(*args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def imports_of(argv: list[str]) -> set[str]:
+def imports_of(argv: list[str], *flags: str) -> set[str]:
     """Every module that importing ``corrsubopt.cli`` and running
-    ``main(argv)`` adds to a fresh interpreter's ``sys.modules``.  The command
-    must exit 0; ``--version`` does so through ``SystemExit``."""
+    ``main(argv)`` adds to a fresh interpreter, started with ``flags``, in its
+    ``sys.modules``.  The command must exit 0; ``--version`` does so through
+    ``SystemExit``."""
     out = run_child(
-        "-c",
+        *flags, "-c",
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
         "import corrsubopt.cli\n"
@@ -119,6 +121,24 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
         loaded = imports_of(argv)
         assert "corrsubopt.cli" in loaded
         assert not {"dataclasses", "inspect"} & loaded, argv
+
+
+def test_only_writing_commands_load_tempfile_and_none_loads_pathlib(tmp_path):
+    """``cli`` reads with ``open`` and imports ``tempfile`` inside
+    ``_atomic_write``.  Run under ``-S``: a site hook may load either module
+    before the package does."""
+    graph, formula = tmp_path / "triangle.graph", tmp_path / "sat3.f"
+    graph.write_text(helpers.TRIANGLE_TEXT)
+    formula.write_text(helpers.SAT3_TEXT)
+    g, f = str(graph), str(formula)
+    for argv in (["--version"], ["score", "-g", g], ["solve", "-g", g, "--exact"],
+                 ["decide", "-f", f],
+                 ["verify", "-f", f, "-t", "2", "--lemma-samples", "10"]):
+        assert not {"pathlib", "tempfile"} & imports_of(argv, "-S"), argv
+    written = imports_of(["solve", "-g", g, "--exact", "--out", str(tmp_path / "best.mask")],
+                         "-S")
+    assert "tempfile" in written
+    assert (tmp_path / "best.mask").exists()
 
 
 def test_version_loads_no_reduction_or_verification():

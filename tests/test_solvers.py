@@ -15,6 +15,7 @@ from corrsubopt import (
     WeightedGraph,
     compare_scores,
     compile_formula,
+    forced_edges,
     is_valid,
     load_graph,
     random_valid_mask,
@@ -121,8 +122,6 @@ class TestExact:
 
 class TestRandomValidMask:
     def test_always_valid_and_keeps_forced(self):
-        from corrsubopt import forced_edges
-
         rng = random.Random(1)
         for _ in range(40):
             g = helpers.random_graph(rng)
@@ -448,8 +447,9 @@ class TestCompletionBound:
         kept_deg, und_deg = [0] * graph.vertex_count, [0] * graph.vertex_count
         nbr_sum = [0] * graph.vertex_count
         open_nbrs = [[] for _ in range(graph.vertex_count)]
+        forced = forced_edges(graph)
         for eid, (a, b) in enumerate(graph.edges):
-            keep = decided.get(eid, eid in graph.forced_edge_ids)
+            keep = decided.get(eid, eid in forced)
             for x, y in ((a, b), (b, a)):
                 if eid in undecided:
                     und_deg[x] += 1

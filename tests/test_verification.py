@@ -15,13 +15,13 @@ import corrsubopt
 import corrsubopt.cli
 import corrsubopt.verification as verification
 from corrsubopt import (
-    ScoreState, SubgraphMask, compare_scores, compile_formula, random_valid_mask)
+    ScoreState, SubgraphMask, compare_scores, compile_formula, forced_edges, random_valid_mask)
 from corrsubopt.reduction import ReductionInstance
 from corrsubopt.scoring import log_degree_sum, neighbourhood_discrepancy
 from corrsubopt.solvers import sample_states
 from corrsubopt.verification import (
     ALL_CHECKS,
-    SearchBudgetExceeded,
+    Inconclusive,
     attachment_violations,
     find_low_discrepancy_mask,
     infeasible_score_bound,
@@ -146,9 +146,10 @@ class TestEveryMaskBounds:
         got = dict(verification.check_attachment_bounds(
             types.SimpleNamespace(inst=inst, t=2)).quantities)
         local = []
+        forced_ids = forced_edges(g)
         for x in range(n):
-            forced = [y for y, eid in g.incidence[x] if eid in g.forced_edge_ids]
-            free = [y for y, eid in g.incidence[x] if eid not in g.forced_edge_ids]
+            forced = [y for y, eid in g.incidence[x] if eid in forced_ids]
+            free = [y for y, eid in g.incidence[x] if eid not in forced_ids]
             kept_sets = [forced + list(kept) for j in range(len(free) + 1)
                          for kept in itertools.combinations(free, j)]
             local.append(max((g.weights[x] - sum(g.weights[y] for y in nbrs) / len(nbrs)) ** 2
@@ -202,7 +203,7 @@ class TestInfeasibilitySearch:
 
     def test_budget_raises_instead_of_passing(self, unsat4):
         inst = compile_formula(unsat4, 2)
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(Inconclusive):
             find_low_discrepancy_mask(inst, node_budget=3)
 
 
