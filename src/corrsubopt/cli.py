@@ -209,14 +209,15 @@ def cmd_decide(args: argparse.Namespace) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
+    core = report.core_report
     print(f"answer = {report.answer}")
-    print(f"optimum = {format_score(report.optimum)}")
+    print(f"optimum = {format_score(core.best_score)}")
     print(f"threshold = {report.threshold:.12f}")
     print(
         f"n = {report.variable_count}, t = {report.t}, "
-        f"solver = {report.solver}, optimality = {report.optimality}"
+        f"solver = {report.solver}, optimality = {core.optimality}"
     )
-    print(f"nodes = {report.core_report.nodes_explored}")
+    print(f"nodes = {core.nodes_explored}")
     for note in report.notes:
         print(f"note: {note}")
     return 0

@@ -40,7 +40,6 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .graph import Immutable, SubgraphMask, WeightedGraph, _content_lines, require_same_graph
-from .scoring import ScoreValue
 
 if TYPE_CHECKING:  # decide imports solvers when it runs; reduce and witness never do
     from .solvers import SolveReport
@@ -64,6 +63,7 @@ class Formula(Immutable):
     _fields = ("variable_count", "clauses")
     variable_count: int
     clauses: tuple[frozenset[int], ...]
+    slots: tuple[tuple[int, ...], ...]  # per variable: its clauses, ascending
 
     def __init__(self, variable_count: int, clauses: tuple[frozenset[int], ...]) -> None:
         n = variable_count
@@ -83,11 +83,11 @@ class Formula(Immutable):
             if len(js) != 3:
                 raise FormulaError(f"variable {var} occurs in {len(js)} clauses, needs exactly 3")
         self.__dict__.update(variable_count=n, clauses=clauses,
-                             _clauses_of={var: tuple(js) for var, js in occurs.items()})
+                             slots=tuple(map(tuple, occurs.values())))
 
     def clauses_of(self, var: int) -> tuple[int, ...]:
         """Ascending 1-based indices of the three clauses containing ``var``."""
-        return self._clauses_of.get(var, ())
+        return self.slots[var - 1] if 1 <= var <= self.variable_count else ()
 
 
 def parse_formula(text: str) -> Formula:
@@ -274,8 +274,7 @@ def compile_formula(formula: Formula, t: int) -> ReductionInstance:
     as its 9n-vertex core (see :class:`ReductionInstance`)."""
     if t < 2:
         raise ValueError(f"scale t must be at least 2, got {t}")
-    n = formula.variable_count
-    slots = tuple(formula.clauses_of(i) for i in range(1, n + 1))
+    n, slots = formula.variable_count, formula.slots
     layout = _gadgets(n, t, slots)
     inst = ReductionInstance(WeightedGraph.build(9 * n, *layout[:3]), t, n, slots)
     inst.__dict__["_layout"] = layout  # the tables come from the pass that built the core
@@ -371,8 +370,7 @@ def witness_mask(
         raise AssignmentError("assignment does not satisfy exactly one variable per clause")
     if inst is None:
         inst = compile_formula(formula, t)
-    elif inst.t != t or inst.slots != tuple(
-            map(formula.clauses_of, range(1, formula.variable_count + 1))):
+    elif inst.t != t or inst.slots != formula.slots:
         raise ValueError("inst was not compiled from this formula at this t")
     mask = SubgraphMask.full(inst.core)
     edge_id = inst.core.edge_id
@@ -389,13 +387,11 @@ def witness_mask(
 
 class DecisionReport(NamedTuple):
     answer: str  # "YES" | "NO"
-    optimum: ScoreValue
     threshold: float
     variable_count: int
     t: int
-    optimality: str
     solver: str  # "exact" | "local"
-    core_report: SolveReport  # the solver's report on the compiled core
+    core_report: SolveReport  # the solver's report on the compiled core: optimum, optimality
     notes: tuple[str, ...]
 
 
@@ -450,15 +446,13 @@ def decide(
         mode = "local"
         report = warm
     threshold = float(THRESHOLD_COEFFICIENT) * n * math.log(n)
-    optimum = report.best_score
-    answer = "YES" if optimum.value is None or optimum.value >= threshold else "NO"
+    value = report.best_score.value
+    answer = "YES" if value is None or value >= threshold else "NO"
     return DecisionReport(
         answer=answer,
-        optimum=optimum,
         threshold=threshold,
         variable_count=n,
         t=t,
-        optimality=report.optimality,
         solver=mode,
         core_report=report,
         notes=(COEFFICIENT_NOTE, ASYMPTOTIC_CAVEAT),

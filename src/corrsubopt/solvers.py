@@ -1,7 +1,6 @@
 """Solvers for the subgraph score: exact branch and bound, and local search.
 
-Both return a :class:`SolveReport` and are deterministic for fixed inputs
-(and seed); ``wall_time`` is the only field allowed to vary between runs.
+Both return a :class:`SolveReport`, a function of the inputs (and seed).
 Ties on score always break toward the lexicographically smallest kept-edge
 bitstring.
 """
@@ -10,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
@@ -26,8 +24,6 @@ class SolveReport(NamedTuple):
     best_mask: SubgraphMask
     best_score: ScoreValue
     nodes_explored: int
-    restarts_used: int
-    wall_time: float
     optimality: str  # "proven" | "heuristic"
 
 
@@ -344,7 +340,6 @@ def solve_exact(
     aborts the whole search, leaving open subtrees that neither cut has
     ruled out, so a truncated run is never ``proven``, dominance or not.
     """
-    t0 = time.perf_counter()
     mult = _multiplier(graph, multiplier)
     free = graph.free_edge_ids
     if node_limit is None and len(free) > DEFAULT_FREE_EDGE_CAP:
@@ -369,13 +364,14 @@ def solve_exact(
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     logs = {d: math.log(d) for d in cofactors}  # every k + u of a node is a valid degree
     bound = CompletionBound(graph, order, cofactors)
-    # At the root every vertex's kept plus undecided degree is its host degree.
-    max_log_sum = log_degree_sum(graph, graph.degrees)
 
     # Incumbent: the full mask is always valid; an initial mask can only help.
     inc_mask = SubgraphMask.full(graph)
     inc_score = score(graph, inc_mask, multiplier=mult)
     inc_key = inc_mask.lex_key()
+    # At the root every vertex's kept plus undecided degree is its host
+    # degree: the full mask's log-degree sum.
+    root = (bound.total(kept_deg, und_deg, nbr_sum), inc_score.log_degree_sum)
     if initial_mask is not None:
         cand_score = score(graph, initial_mask, multiplier=mult)
         cand_key = initial_mask.lex_key()
@@ -432,14 +428,11 @@ def solve_exact(
                 inc_mask, inc_score, inc_key = mask, cand, key
         return False
 
-    root = (bound.total(kept_deg, und_deg, nbr_sum), max_log_sum)
     finished = dfs.run(root, child, leaf, node_limit)
     return SolveReport(
         best_mask=inc_mask,
         best_score=inc_score,
         nodes_explored=dfs.nodes,
-        restarts_used=0,
-        wall_time=time.perf_counter() - t0,
         optimality="proven" if finished else "heuristic",
     )
 
@@ -522,7 +515,6 @@ def solve_local(
     This assumes C >= 0, so that a smaller S never scores lower; C < 0 is
     refused with ``ValueError``.
     """
-    t0 = time.perf_counter()
     mult = _multiplier(graph, multiplier)
     free, edges = graph.free_edge_ids, graph.edges
     denominator, cofactors = graph.discrepancy_scale
@@ -577,7 +569,5 @@ def solve_local(
         best_mask=best_mask,
         best_score=best_score,
         nodes_explored=evaluations,
-        restarts_used=max(restarts, 0),
-        wall_time=time.perf_counter() - t0,
         optimality="heuristic",
     )

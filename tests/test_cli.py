@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import inspect
 import os
 import random
 import stat
@@ -721,6 +722,32 @@ class TestMisc:
 
         args = build_parser().parse_args(["verify", "-f", "x.f", "-t", "2"])
         assert args.checks == ",".join(ALL_CHECKS)
+
+    def test_option_defaults_are_the_library_defaults(self):
+        # build_parser writes them out so that -h loads no solver module.
+        from corrsubopt.reduction import decide
+        from corrsubopt.solvers import solve_exact, solve_local
+        from corrsubopt.verification import (find_low_discrepancy_mask, max_sampled_score,
+                                             run_checks)
+
+        def default(function, name):
+            return inspect.signature(function).parameters[name].default
+
+        parse = build_parser().parse_args
+        args = parse(["solve", "-g", "x.graph", "--local"])
+        assert args.restarts == default(solve_local, "restarts") == 16
+        assert args.seed == default(solve_local, "seed") == 0
+        assert args.node_limit is default(solve_exact, "node_limit") is None
+        args = parse(["decide", "-f", "x.f"])
+        assert args.node_limit == default(decide, "node_limit") == 200_000
+        assert args.restarts == default(decide, "restarts") == 2
+        assert args.seed == default(decide, "seed") == 0
+        args = parse(["verify", "-f", "x.f", "-t", "2"])
+        assert (args.budget == default(run_checks, "search_budget")
+                == default(find_low_discrepancy_mask, "node_budget") == 5_000_000)
+        assert (args.lemma_samples == default(run_checks, "lemma_samples")
+                == default(max_sampled_score, "samples") == 10_000)
+        assert args.seed == default(run_checks, "seed") == default(max_sampled_score, "seed") == 0
 
     def test_verify_help_is_pinned(self, monkeypatch, capsys):
         # build_parser writes out the --checks default; the help must not move.

@@ -384,8 +384,7 @@ class TestFoldedCore:
         assert inst.explicit_mask(folded.best_mask) == explicit.best_mask
         if t == n * n:
             report = decide(formula)
-            assert report.core_report.best_score == folded.best_score
-            assert report.core_report.nodes_explored == folded.nodes_explored
+            assert report.core_report == folded
             assert inst.explicit_mask(report.core_report.best_mask) == explicit.best_mask
 
     def test_decide_builds_no_explicit_graph(self, monkeypatch):
@@ -520,7 +519,7 @@ class TestDecide:
         assert report.threshold == pytest.approx(28.0146, abs=1e-3)
         assert report.answer == "YES"
         assert report.solver == "exact"
-        assert report.optimality == "proven"
+        assert report.core_report.optimality == "proven"
         assert any("e^47" in note for note in report.notes)
         assert any("17/2" in note for note in report.notes)
 
@@ -529,7 +528,7 @@ class TestDecide:
         assert report.t == 16
         assert report.answer in ("YES", "NO")
         assert any("e^47" in note for note in report.notes)
-        assert report.optimality in ("proven", "heuristic")
+        assert report.core_report.optimality in ("proven", "heuristic")
         assert report.core_report.best_mask.graph.vertex_count == 9 * 4
 
     # Exact outputs of the default pipeline.  Any change to the float
@@ -550,11 +549,12 @@ class TestDecide:
                             optimality, edges, dropped):
         formula = request.getfixturevalue(name)
         report = decide(formula)
-        assert repr(report.optimum.value) == value
-        assert repr(report.optimum.log_degree_sum) == log_sum
-        assert report.optimum.discrepancy_total == total
-        assert report.core_report.nodes_explored == nodes
-        assert report.optimality == optimality
+        core = report.core_report
+        assert repr(core.best_score.value) == value
+        assert repr(core.best_score.log_degree_sum) == log_sum
+        assert core.best_score.discrepancy_total == total
+        assert core.nodes_explored == nodes
+        assert core.optimality == optimality
         assert report.answer == "YES"
         bits = ["1"] * edges
         for eid in dropped:
