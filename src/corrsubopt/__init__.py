@@ -23,8 +23,7 @@ _EXPORTS = {
                   "dump_formula", "is_one_in_three", "parse_assignment", "parse_formula",
                   "satisfying_assignments", "witness_mask"),
     "scoring": ("DegenerateVertexError", "ScoreState", "ScoreValue", "compare_scores",
-                "format_fraction", "format_score", "neighbourhood_discrepancy", "score",
-                "score_delta"),
+                "format_fraction", "format_score", "neighbourhood_discrepancy", "score"),
     "solvers": ("SearchSpaceError", "SolveReport", "random_valid_mask", "solve_exact",
                 "solve_local"),
     "verification": ("CheckRecord", "find_low_discrepancy_mask", "run_checks"),

@@ -224,14 +224,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface stability; execution is sequential",
-    )
-
     parser = argparse.ArgumentParser(
         prog="corrsubopt",
         description="correlation subgraph optimisation toolkit",
@@ -239,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("score", parents=[common], help="score a graph under a mask")
+    p = sub.add_parser("score", help="score a graph under a mask")
     p.add_argument("-g", "--graph", required=True, help="instance graph file")
     p.add_argument("-s", "--mask",
                    help="mask file (bitstring or kept edge ids); default: full graph")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("solve", parents=[common], help="search for a best valid mask")
+    p = sub.add_parser("solve", help="search for a best valid mask")
     p.add_argument("-g", "--graph", required=True, help="instance graph file")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true", help="branch and bound")
@@ -258,22 +250,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the best mask here")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("reduce", parents=[common], help="compile a formula to a graph")
+    p = sub.add_parser("reduce", help="compile a formula to a graph")
     p.add_argument("-f", "--formula", required=True, help="formula file")
     p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
     p.add_argument("-o", "--out", required=True,
                    help="output prefix; writes <prefix>.graph and <prefix>.roles")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("witness", parents=[common],
-                       help="witness mask for a satisfying assignment")
+    p = sub.add_parser("witness", help="witness mask for a satisfying assignment")
     p.add_argument("-f", "--formula", required=True, help="formula file")
     p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
     p.add_argument("-a", "--assignment", required=True, help='assignment, e.g. "TFF"')
     p.add_argument("-o", "--out", help="write the witness mask here")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("verify", parents=[common], help="run construction self-checks")
+    p = sub.add_parser("verify", help="run construction self-checks")
     p.add_argument("-f", "--formula", required=True, help="formula file")
     p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
     p.add_argument("--checks", default="1,2,3,4,5,6,lemmas",
@@ -286,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled masks for the score upper bound check")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decide", parents=[common],
-                       help="one-in-three satisfiability via the reduction")
+    p = sub.add_parser("decide", help="one-in-three satisfiability via the reduction")
     p.add_argument("-f", "--formula", required=True, help="formula file")
     p.add_argument("--node-limit", type=non_negative_int, default=200_000)
     p.add_argument("--restarts", type=non_negative_int, default=2)

@@ -324,9 +324,6 @@ class SubgraphMask:
         self.degrees[u] += step
         self.degrees[v] += step
 
-    def kept_ids(self) -> list[int]:
-        return [eid for eid, keep in enumerate(self.kept) if keep]
-
     def bitstring(self) -> str:
         return self.lex_key().decode("ascii")
 

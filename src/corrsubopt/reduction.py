@@ -85,10 +85,6 @@ class Formula(Immutable):
         self.__dict__.update(variable_count=n, clauses=clauses,
                              slots=tuple(map(tuple, occurs.values())))
 
-    def clauses_of(self, var: int) -> tuple[int, ...]:
-        """Ascending 1-based indices of the three clauses containing ``var``."""
-        return self.slots[var - 1] if 1 <= var <= self.variable_count else ()
-
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula file; raises :class:`FormulaError` with line numbers."""
@@ -228,9 +224,6 @@ class ReductionInstance(Immutable):
     def ap(self, j: int) -> int:
         return self.clause_blocks[j - 1][1]
 
-    def slot_clause(self, i: int, slot: int) -> int:
-        return self.slots[i - 1][slot - 1]
-
     @cached_property
     def attachment_vertices(self) -> tuple[int, ...]:
         """The zp_i and ap_j vertices: the only non-leaves allowed nonzero
@@ -343,12 +336,9 @@ def _unfold(inst: ReductionInstance) -> tuple[WeightedGraph, tuple[str, ...]]:
 
 
 def role_lines(inst: ReductionInstance) -> Iterator[str]:
-    """The lines of :func:`dump_roles`, each with its newline, one at a time."""
+    """The lines of a roles file, one at a time: "<vertex id> <role>" and a
+    newline for each vertex of the explicit graph, in vertex order."""
     return (f"{vid} {role}\n" for vid, role in enumerate(inst.roles))
-
-
-def dump_roles(inst: ReductionInstance) -> str:
-    return "".join(role_lines(inst))
 
 
 def witness_mask(

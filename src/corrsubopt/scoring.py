@@ -75,10 +75,6 @@ class ScoreValue(NamedTuple):
     log_degree_sum: float
     discrepancy_total: Fraction
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
     @classmethod
     def from_parts(
         cls, log_degree_sum: float, numerator: int, denominator: int, multiplier: int
@@ -284,17 +280,3 @@ class ScoreState:
         self._apply(eid, not keep)
         return result
 
-
-def score_delta(
-    graph: WeightedGraph, mask: SubgraphMask, eid: int, direction: str
-) -> tuple[ScoreValue, ScoreState]:
-    """Score the mask with one edge added or removed.
-
-    ``direction`` is ``"add"`` or ``"remove"`` and must match the edge's
-    current state.  Returns the new score plus a :class:`ScoreState` holding
-    a toggled copy of ``mask`` and its caches, ready for further toggles.
-    """
-    if direction not in ("add", "remove"):
-        raise ValueError(f"direction must be 'add' or 'remove', got {direction!r}")
-    state = ScoreState(graph, mask.copy())
-    return state.toggle(eid, direction == "add"), state

@@ -221,7 +221,7 @@ class TestWitnessCommand:
         graph = load_graph((tmp_path / "g.graph").read_text())
         mask = load_mask(out_file.read_text(), graph)
         # one drop for the true variable, seven for each false one
-        assert len(mask.kept_ids()) == graph.edge_count - 15
+        assert sum(mask.kept) == graph.edge_count - 15
 
     def test_non_satisfying_assignment_rejected(self, sat3_file, capsys):
         assert main(["witness", "-f", sat3_file, "-t", "2", "-a", "TTF"]) == 2
@@ -673,15 +673,12 @@ class TestWritesAsOpenDoes:
 
 # `verify -h` at 80 columns, as argparse formats it.
 VERIFY_HELP = """\
-usage: corrsubopt verify [-h] [--threads THREADS] -f FORMULA -t T
-                         [--checks CHECKS] [--assignment ASSIGNMENT]
-                         [--seed SEED] [--budget BUDGET]
-                         [--lemma-samples LEMMA_SAMPLES]
+usage: corrsubopt verify [-h] -f FORMULA -t T [--checks CHECKS]
+                         [--assignment ASSIGNMENT] [--seed SEED]
+                         [--budget BUDGET] [--lemma-samples LEMMA_SAMPLES]
 
 options:
   -h, --help            show this help message and exit
-  --threads THREADS     accepted for interface stability; execution is
-                        sequential
   -f FORMULA, --formula FORMULA
                         formula file
   -t T                  gadget scale, at least 2
@@ -757,8 +754,11 @@ class TestMisc:
         assert exc.value.code == 0
         assert capsys.readouterr().out == VERIFY_HELP
 
-    def test_threads_flag_accepted(self, p3_file, capsys):
-        assert main(["score", "-g", p3_file, "--threads", "4"]) == 0
+    def test_threads_flag_is_refused(self, p3_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "-g", p3_file, "--threads", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
     def test_console_script_installed(self, p3_file):
         proc = subprocess.run(

@@ -364,7 +364,7 @@ class TestValueSemantics:
 class TestMask:
     def test_full_and_kept_ids(self, triangle):
         m = SubgraphMask.full(triangle)
-        assert m.kept_ids() == [0, 1, 2]
+        assert m.kept == [True, True, True]
         assert m.bitstring() == "111"
         assert m.degrees == [2, 2, 2]
 
@@ -413,10 +413,9 @@ class TestMask:
             if eid < g.edge_count:
                 m.set_edge(eid, keep)
         recount = [0] * g.vertex_count
-        for eid in m.kept_ids():
-            u, v = g.edges[eid]
-            recount[u] += 1
-            recount[v] += 1
+        for (u, v), keep in zip(g.edges, m.kept):
+            recount[u] += keep
+            recount[v] += keep
         assert m.degrees == recount
 
 
@@ -453,7 +452,7 @@ class TestMaskIO:
 
     def test_single_zero_on_larger_graph_is_an_id(self, triangle):
         m = load_mask("0", triangle)
-        assert m.kept_ids() == [0]
+        assert m.kept == [True, False, False]
 
     @pytest.mark.parametrize("text", ["", "2 x", "abc", "01", "0 1 99"])
     def test_rejects_malformed_masks(self, text, triangle):

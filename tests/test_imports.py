@@ -228,7 +228,7 @@ PUBLIC_NAMES = {
     "dump_formula", "dump_graph", "dump_mask", "find_low_discrepancy_mask", "forced_edges",
     "format_fraction", "format_score", "is_one_in_three", "is_valid", "load_graph", "load_mask",
     "neighbourhood_discrepancy", "parse_assignment", "parse_formula", "random_valid_mask",
-    "run_checks", "satisfying_assignments", "score", "score_delta", "solve_exact", "solve_local",
+    "run_checks", "satisfying_assignments", "score", "solve_exact", "solve_local",
     "witness_mask", "__version__",
 }
 

@@ -26,7 +26,7 @@ from corrsubopt import (
     satisfying_assignments,
     witness_mask,
 )
-from corrsubopt.reduction import dump_roles
+from corrsubopt.reduction import role_lines
 from corrsubopt.solvers import (
     DEFAULT_FREE_EDGE_CAP, breadth_first_order, solve_exact, solve_local)
 from corrsubopt.scoring import neighbourhood_discrepancy
@@ -39,8 +39,8 @@ class TestFormula:
         assert helpers.make_formula(dump_formula(sat3)) == sat3
 
     def test_clauses_of_ascending(self, unsat4):
-        assert unsat4.clauses_of(1) == (1, 2, 3)
-        assert unsat4.clauses_of(4) == (2, 3, 4)
+        assert unsat4.slots[0] == (1, 2, 3)
+        assert unsat4.slots[3] == (2, 3, 4)
 
     def test_equality_and_hash_follow_the_fields(self, unsat4):
         again = helpers.make_formula(helpers.UNSAT4_TEXT)
@@ -197,9 +197,8 @@ class TestCompile:
     def test_cross_edges_follow_clause_order(self, sat3):
         inst = compile_formula(sat3, 2)
         for i in (1, 2, 3):
-            assert [inst.slot_clause(i, s) for s in (1, 2, 3)] == [1, 2, 3]
-            for slot in (1, 2, 3):
-                j = inst.slot_clause(i, slot)
+            assert inst.slots[i - 1] == (1, 2, 3)
+            for slot, j in enumerate(inst.slots[i - 1], 1):
                 assert inst.core.edge_id(inst.w(i, slot), inst.a(j)) is not None
 
     def test_instances_differ_across_inputs(self, sat3, unsat4):
@@ -245,8 +244,9 @@ class TestCompile:
         for i in range(1, n + 1):
             for s in (1, 2, 3):
                 nbrs = adj[inst.w(i, s)]
-                assert nbrs == {inst.v(i), inst.a(inst.slot_clause(i, s))}
-                got.add((i, inst.slot_clause(i, s)))
+                j = inst.slots[i - 1][s - 1]
+                assert nbrs == {inst.v(i), inst.a(j)}
+                got.add((i, j))
         expected_incidence = {
             (i, j)
             for j, clause in enumerate(unsat4.clauses, 1)
@@ -254,9 +254,9 @@ class TestCompile:
         }
         assert got == expected_incidence
 
-    def test_dump_roles_lines(self):
+    def test_role_lines(self):
         _, inst = grid_instance(3, 2)
-        lines = dump_roles(inst).splitlines()
+        lines = list(role_lines(inst))
         assert len(lines) == inst.graph.vertex_count
         assert lines[0].split() == ["0", inst.roles[0]]
         tags = {line.split()[1] for line in lines}
@@ -272,7 +272,7 @@ class TestGadgetTables:
         ref = helpers.PlainGadget(inst)
         roles = helpers.plain_roles(n, t)
         assert list(inst.roles) == roles
-        assert dump_roles(inst) == "".join(f"{vid} {role}\n" for vid, role in enumerate(roles))
+        assert list(role_lines(inst)) == [f"{vid} {role}\n" for vid, role in enumerate(roles)]
         # The tables hold core ids; explicit_ids and the free edge ids carry
         # them over to the explicit graph that the role strings describe.
         ids, free = inst.explicit_ids, inst.graph.free_edge_ids
@@ -282,7 +282,7 @@ class TestGadgetTables:
             ascending = [j for j, clause in enumerate(formula.clauses, 1) if i in clause]
             for slot in (1, 2, 3):
                 assert ids[inst.w(i, slot)] == ref.w(i, slot)
-                assert inst.slot_clause(i, slot) == ref.slot_clause(i, slot) == ascending[slot - 1]
+                assert inst.slots[i - 1][slot - 1] == ref.slot_clause(i, slot) == ascending[slot - 1]
         assert ref.leaves() == tuple(vid for vid, d in enumerate(inst.graph.degrees) if d == 1)
         assert tuple(ids[x] for x in inst.attachment_vertices) == ref.attachment_vertices()
         assert tuple(ids[x] for x in inst.designated_vertices) == ref.designated_vertices()
@@ -448,7 +448,7 @@ class TestWitness:
         inst = compile_formula(sat3, 2)
         mask = witness_mask(sat3, 2, (True, False, False), inst)
         g = inst.core
-        kept = set(mask.kept_ids())
+        kept = {eid for eid, keep in enumerate(mask.kept) if keep}
         assert is_valid(g, mask)
         # true variable drops only its v-z edge
         assert g.edge_id(inst.v(1), inst.z(1)) not in kept
@@ -460,7 +460,7 @@ class TestWitness:
             assert g.edge_id(inst.z(i), inst.zp(i)) not in kept
             for s in (1, 2, 3):
                 assert g.edge_id(inst.v(i), inst.w(i, s)) not in kept
-                assert g.edge_id(inst.w(i, s), inst.a(inst.slot_clause(i, s))) not in kept
+                assert g.edge_id(inst.w(i, s), inst.a(inst.slots[i - 1][s - 1])) not in kept
 
     def test_clause_anchor_keeps_exactly_one_cross_edge(self, sat3):
         inst = compile_formula(sat3, 2)
@@ -470,7 +470,7 @@ class TestWitness:
             kept_nbrs = [
                 other
                 for other, eid in inst.core.incidence[a]
-                if mask.kept_ids().count(eid)
+                if mask.kept[eid]
             ]
             # ap_j plus the single true variable's w vertex
             assert len(kept_nbrs) == 2

@@ -21,7 +21,6 @@ from corrsubopt import (
     neighbourhood_discrepancy,
     random_valid_mask,
     score,
-    score_delta,
 )
 from corrsubopt.scoring import gap_discrepancy
 
@@ -76,7 +75,6 @@ class TestPinnedValues:
     def test_constant_weights_score_infinite(self):
         g = load_graph("3 3\n0 5\n1 5\n2 5\n0 1\n0 2\n1 2\n")
         val = score(g, SubgraphMask.full(g))
-        assert val.is_infinite
         assert val.value is None
         assert format_score(val) == "+inf"
         assert val.discrepancy_total == 0
@@ -179,10 +177,9 @@ class TestScore:
             masks = [SubgraphMask.full(g)]
             masks.extend(random_valid_mask(g, rng) for _ in range(6))
             for mask in masks:
-                kept = [eid in set(mask.kept_ids()) for eid in range(g.edge_count)]
                 got = score(g, mask)
-                is_inf, value, log_sum, total = helpers.naive_score(g, kept)
-                assert got.is_infinite == is_inf
+                is_inf, value, log_sum, total = helpers.naive_score(g, mask.kept)
+                assert (got.value is None) == is_inf
                 assert got.value == value
                 assert got.log_degree_sum == log_sum
                 assert got.discrepancy_total == total
@@ -200,8 +197,8 @@ class TestScore:
 
 
 class TestMaskOwnership:
-    """A ScoreState works on the mask it is given; score() and score_delta
-    leave the caller's mask as it was."""
+    """A ScoreState works on the mask it is given; score() leaves the
+    caller's mask as it was."""
 
     def test_toggle_changes_the_mask_it_was_handed(self, triangle):
         mask = SubgraphMask.full(triangle)
@@ -211,13 +208,11 @@ class TestMaskOwnership:
         assert mask.kept == [True, False, True]
         assert mask.degrees == [1, 2, 1]
 
-    def test_score_and_score_delta_leave_the_callers_mask(self, triangle):
+    def test_score_leaves_the_callers_mask(self, triangle):
         mask = SubgraphMask.full(triangle)
         score(triangle, mask)
-        _, state = score_delta(triangle, mask, 1, "remove")
         assert mask.kept == [True, True, True]
         assert mask.degrees == [2, 2, 2]
-        assert state.mask.kept == [True, False, True]
 
 
 class TestMaskGraph:
@@ -233,7 +228,6 @@ class TestMaskGraph:
         path, star = self.path_and_star()
         mask = SubgraphMask.full(path)
         calls = (lambda: score(star, mask), lambda: ScoreState(star, mask),
-                 lambda: score_delta(star, mask, 2, "remove"),
                  lambda: neighbourhood_discrepancy(star, mask, 0))
         for call in calls:
             with pytest.raises(ValueError, match="mask belongs to a different graph"):
@@ -245,7 +239,6 @@ class TestMaskGraph:
         assert twin is not path and twin == path
         mask = SubgraphMask.full(twin)
         assert score(path, mask) == score(twin, mask)
-        assert score_delta(path, mask, 1, "remove")[0] == score_delta(twin, mask, 1, "remove")[0]
         assert neighbourhood_discrepancy(path, mask, 1) == Fraction(0)
 
 
@@ -253,31 +246,27 @@ class TestScoreDelta:
     def test_remove_then_add_restores_exactly(self, triangle):
         full = SubgraphMask.full(triangle)
         base = score(triangle, full)
-        removed, state = score_delta(triangle, full, 1, "remove")
-        assert removed.discrepancy_total == 150
+        state = ScoreState(triangle, full)
+        assert state.toggle(1, False).discrepancy_total == 150
         back = state.toggle(1, True)
         assert back.value == base.value
         assert back.log_degree_sum == base.log_degree_sum
         assert back.discrepancy_total == base.discrepancy_total
 
     def test_direction_must_match_state(self, triangle):
-        full = SubgraphMask.full(triangle)
-        with pytest.raises(ValueError):
-            score_delta(triangle, full, 0, "add")
+        with pytest.raises(ValueError, match="already kept"):
+            ScoreState(triangle, SubgraphMask.full(triangle)).toggle(0, True)
         dropped = SubgraphMask.from_kept_ids(triangle, [0, 1])
-        with pytest.raises(ValueError):
-            score_delta(triangle, dropped, 2, "remove")
-        with pytest.raises(ValueError):
-            score_delta(triangle, full, 0, "toggle")
+        with pytest.raises(ValueError, match="already dropped"):
+            ScoreState(triangle, dropped).toggle(2, False)
 
     def test_removing_forced_edge_rejected(self, p3):
-        full = SubgraphMask.full(p3)
         with pytest.raises(MaskValidityError):
-            score_delta(p3, full, 0, "remove")
+            ScoreState(p3, SubgraphMask.full(p3)).toggle(0, False)
 
     def test_peek_leaves_state_unchanged(self, triangle):
-        full = SubgraphMask.full(triangle)
-        _, state = score_delta(triangle, full, 1, "remove")
+        state = ScoreState(triangle, SubgraphMask.full(triangle))
+        state.toggle(1, False)
         before = state.score()
         peeked = state.peek(1, True)
         after = state.score()
@@ -292,7 +281,7 @@ def _bits(x: float | None) -> str | None:
 
 def _assert_naive(got: ScoreValue, graph: WeightedGraph, kept: list[bool]) -> None:
     is_inf, value, log_sum, total = helpers.naive_score(graph, kept)
-    assert got.is_infinite == is_inf
+    assert (got.value is None) == is_inf
     assert _bits(got.value) == _bits(value)
     assert _bits(got.log_degree_sum) == _bits(log_sum)
     assert got.discrepancy_total == total
