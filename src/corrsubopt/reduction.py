@@ -232,15 +232,10 @@ class ReductionInstance(Immutable):
 
     @cached_property
     def gadget_edge_order(self) -> tuple[int, ...]:
-        """Free edges grouped so gadget vertices finalise as early as possible."""
-        edge_id = self.core.edge_id
-        order = []
-        for (u, v, z, zp, *ws), clauses in zip(self.blocks, self.slots):
-            order += [edge_id(v, u), edge_id(v, z), edge_id(z, zp)]
-            for w, j in zip(ws, clauses):
-                order += [edge_id(v, w), edge_id(w, self.a(j))]
-        order.extend(edge_id(a, ap) for a, ap in self.clause_blocks)
-        return tuple(order)
+        """Free edges grouped so gadget vertices finalise as early as possible:
+        the ids of the core's edges in the gadget pass's order, nine per
+        variable, then one per clause."""
+        return tuple(self.core.edge_id(u, v) for u, v in self._layout[0])
 
     @cached_property
     def designated_vertices(self) -> tuple[int, ...]:
@@ -278,21 +273,22 @@ def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...]) -> tuple:
     """(edges, weights, pendants, tags, blocks, clause_blocks, ids): the core
     in the vertex order of the module notes, each hub's leaves one (hub,
     count, weight) pendant, and its tables; ids[x] is the explicit graph's
-    id of core vertex x, which the leaves of every earlier block precede."""
+    id of core vertex x, which the leaves of every earlier block precede.
+    The edges come in the order check 6 branches on them: per variable
+    v u, v z, z zp, then v w_l and w_l a_{r_l} for each slot l; then every
+    clause's a ap."""
     tags: list[str] = []
     weights: list[int] = []  # WeightedGraph.build makes each one a Fraction
-    edges: list[tuple[int, int]] = []
     pendants: list[tuple[int, int, int]] = []
     ids: list[int] = []
     folded = 0  # leaves of the blocks laid out so far
     blocks, clause_blocks = [], []
     for i in range(1, n + 1):
-        u, v, z, zp, *ws = block = tuple(range(len(tags), len(tags) + 7))
+        u, _, z, zp, *ws = block = tuple(range(len(tags), len(tags) + 7))
         ids.extend(x + folded for x in block)
         tags += [f"u_{i}", f"v_{i}", f"z_{i}", f"zp_{i}", f"w_{i}_1", f"w_{i}_2", f"w_{i}_3"]
         weights += [7 * t, 4 * t, t, 4 * t, 3 * t, 3 * t, 3 * t]
         blocks.append(block)
-        edges += [(v, u), (v, z), (z, zp), *((v, w) for w in ws)]
         pendants += [(u, 3 * t, 7 * t + 1), (z, 3 * t, t - 1), (zp, 3 * t * t, 4 * t),
                      *((w, 1, 3 * t) for w in ws)]
         folded += 3 * t * t + 6 * t + 3
@@ -302,12 +298,14 @@ def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...]) -> tuple:
         tags += [f"a_{j}", f"ap_{j}"]
         weights += [2 * t, t]
         clause_blocks.append((a, ap))
-        edges.append((a, ap))
         pendants.append((ap, t * t, t))
         folded += t * t
-
-    for block, clauses in zip(blocks, slots):
-        edges.extend((w, clause_blocks[j - 1][0]) for w, j in zip(block[4:], clauses))
+    edges: list[tuple[int, int]] = []
+    for (u, v, z, zp, *ws), clauses in zip(blocks, slots):
+        edges += [(v, u), (v, z), (z, zp)]
+        for w, j in zip(ws, clauses):
+            edges += [(v, w), (w, clause_blocks[j - 1][0])]
+    edges += clause_blocks
     return edges, weights, pendants, tuple(tags), tuple(blocks), tuple(clause_blocks), tuple(ids)
 
 
@@ -363,15 +361,11 @@ def witness_mask(
     elif inst.t != t or inst.slots != formula.slots:
         raise ValueError("inst was not compiled from this formula at this t")
     mask = SubgraphMask.full(inst.core)
-    edge_id = inst.core.edge_id
-    for (u, v, z, zp, *ws), clauses, true in zip(inst.blocks, inst.slots, assignment):
-        if true:
-            mask.set_edge(edge_id(v, z), False)
-        else:
-            for w, j in zip(ws, clauses):
-                mask.set_edge(edge_id(v, w), False)
-                mask.set_edge(edge_id(w, inst.a(j)), False)
-            mask.set_edge(edge_id(z, zp), False)
+    order = inst.gadget_edge_order
+    for i, true in enumerate(assignment):
+        _, vz, *rest = order[9 * i:9 * i + 9]  # v u, v z, z zp, then v w_l, w_l a_{r_l}
+        for eid in [vz] if true else rest:
+            mask.set_edge(eid, False)
     return mask
 
 

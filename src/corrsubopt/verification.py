@@ -63,7 +63,7 @@ from .reduction import (
 )
 from .scoring import (
     ScoreState, ScoreValue, compare_scores, format_fraction, gap_discrepancy, log_degree_sum,
-    score)
+    log_quotient, score)
 from .solvers import CompletionBound, FreeEdgeSearch, sample_states
 
 FLOAT_SLACK = 1e-9
@@ -196,7 +196,7 @@ def witness_score_bound(inst: ReductionInstance) -> float:
 
 def infeasible_score_bound(inst: ReductionInstance) -> float:
     n, t = inst.variable_count, inst.t
-    return 6 * n * math.log(t) + 20 * n - n * math.log(t * t / 9)
+    return 6 * n * math.log(t) + 20 * n - n * log_quotient(t * t, 9)
 
 
 def max_sampled_score(

@@ -59,6 +59,26 @@ def cubic_formula(rng: random.Random, n: int) -> Formula:
             return Formula(n, tuple(clauses))
 
 
+def prism_formula(m: int) -> Formula:
+    """The prism formula on m variables, m even and at least 4: clause i is
+    {y_{i-1}, y_i, y_{i+1}}, indices mod m, with y_i variable i + 1.  Its
+    variable/clause incidence graph is the prism C_m x K2 (the cycle y_0,
+    c_1, y_2, c_3, ..., the cycle c_0, y_1, c_2, ..., and the rungs y_i c_i),
+    so it is planar."""
+    if m < 4 or m % 2:
+        raise ValueError(f"a prism formula needs an even m >= 4, got {m}")
+    return Formula(m, tuple(frozenset((i + k) % m + 1 for k in (-1, 0, 1)) for i in range(m)))
+
+
+def prism_assignments(m: int) -> list[tuple[bool, ...]]:
+    """Every 1-in-3 satisfying assignment of ``prism_formula(m)``, in the
+    order ``satisfying_assignments`` lists them.  Each window of three
+    consecutive variables holds one true one, so an assignment repeats with
+    period 3: y_i = [i mod 3 = r] for r = 0, 1, 2 when 3 divides m, and
+    none otherwise."""
+    return [tuple(i % 3 == r for i in range(m)) for r in range(3)] if m % 3 == 0 else []
+
+
 _WEIGHT_POOL = (-3, -1, 0, 1, 1, 2, 3, 5, 9, Fraction(1, 2), Fraction(7, 3))
 
 

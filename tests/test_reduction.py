@@ -130,6 +130,11 @@ class TestAssignments:
         ]
         assert satisfying_assignments(unsat4) == []
 
+    def test_prism_closed_form_is_the_oracle(self):
+        for m in range(4, 17, 2):
+            formula = helpers.prism_formula(m)
+            assert helpers.prism_assignments(m) == satisfying_assignments(formula), m
+
 
 GRID = ((3, 2), (3, 3), (4, 2), (4, 4))
 
@@ -444,23 +449,36 @@ class TestWitness:
         inst = compile_formula(sat3, 3)
         assert witness_mask(sat3, 3, assignment, inst) == witness_mask(sat3, 3, assignment)
 
-    def test_structure_for_true_variable(self, sat3):
-        inst = compile_formula(sat3, 2)
-        mask = witness_mask(sat3, 2, (True, False, False), inst)
-        g = inst.core
-        kept = {eid for eid, keep in enumerate(mask.kept) if keep}
-        assert is_valid(g, mask)
-        # true variable drops only its v-z edge
-        assert g.edge_id(inst.v(1), inst.z(1)) not in kept
-        assert g.edge_id(inst.z(1), inst.zp(1)) in kept
-        assert g.edge_id(inst.v(1), inst.w(1, 1)) in kept
-        # false variables drop their w paths and the z-zp edge
-        for i in (2, 3):
-            assert g.edge_id(inst.v(i), inst.z(i)) in kept
-            assert g.edge_id(inst.z(i), inst.zp(i)) not in kept
-            for s in (1, 2, 3):
-                assert g.edge_id(inst.v(i), inst.w(i, s)) not in kept
-                assert g.edge_id(inst.w(i, s), inst.a(inst.slots[i - 1][s - 1])) not in kept
+    def test_drops_each_variables_role_edges(self):
+        """The paper's rule, stated by role name: a true variable drops
+        exactly v z, a false one exactly z zp, v w_l and w_l a_{r_l}.  On
+        every satisfying assignment of random cubic formulas with n = 3..9
+        (n/3 true variables cover the n clauses, so only n = 3, 6, 9 have
+        one; n = 3 is sat3) and of the prisms up to 60 variables, past the
+        oracle's cap."""
+        rng = random.Random(47)
+        formulas = [helpers.cubic_formula(rng, n) for n in (3, 6, 9) for _ in range(8)]
+        cases = [(formula, assignment)
+                 for formula in formulas for assignment in satisfying_assignments(formula)]
+        cases += [(helpers.prism_formula(m), assignment)
+                  for m in range(6, 61, 6) for assignment in helpers.prism_assignments(m)]
+        assert {formula.variable_count for formula, _ in cases} == {3, 9, *range(6, 61, 6)}
+        for formula, assignment in cases:
+            inst = compile_formula(formula, 2)
+            edge_id = inst.core.edge_id
+            mask = witness_mask(formula, 2, assignment, inst)
+            assert is_valid(inst.core, mask)
+            expected = set()
+            for i, (true, clauses) in enumerate(zip(assignment, formula.slots), 1):
+                v = inst.v(i)
+                if true:
+                    expected.add(edge_id(v, inst.z(i)))
+                else:
+                    expected.add(edge_id(inst.z(i), inst.zp(i)))
+                    for slot, j in enumerate(clauses, 1):
+                        w = inst.w(i, slot)
+                        expected |= {edge_id(v, w), edge_id(w, inst.a(j))}
+            assert {eid for eid, keep in enumerate(mask.kept) if not keep} == expected
 
     def test_clause_anchor_keeps_exactly_one_cross_edge(self, sat3):
         inst = compile_formula(sat3, 2)

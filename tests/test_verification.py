@@ -174,6 +174,13 @@ class TestInfeasibilitySearch:
         for vtx in inst.designated_vertices:
             assert neighbourhood_discrepancy(inst.core, mask, vtx) < threshold
 
+    def test_prisms_yield_a_counterexample_exactly_when_satisfiable(self):
+        """Check 6 at t = 2 against the prisms' closed form, far past the
+        oracle's 20-variable cap."""
+        for m in range(4, 61, 2):
+            mask, _ = find_low_discrepancy_mask(compile_formula(helpers.prism_formula(m), 2))
+            assert (mask is not None) == bool(helpers.prism_assignments(m)), m
+
     # Exact outputs of the check-6 search.  Any change to the edge order,
     # the pruning test or the node count shows up here; the ids name the
     # input only, so such a change edits a pin without renaming the test.
@@ -325,6 +332,15 @@ class TestScoreBounds:
             6 * n * math.log(t) + 20 * n - n * math.log(t * t / 9)
         )
 
+    def test_lemmas_pass_where_t_squared_over_9_overflows_a_float(self, unsat4):
+        """t^2 / 9 overflows a float above t of about 4.02e154; the bound
+        takes its log through log_quotient, the same float below that."""
+        t = 10**150
+        assert infeasible_score_bound(compile_formula(unsat4, t)) == (
+            24 * math.log(t) + 80 - 4 * math.log(t * t / 9))
+        (record,) = run_checks(unsat4, 10**200, ("lemmas",), lemma_samples=10)
+        assert record.status == "pass", record
+
     def test_sampling_branch_on_compiled_instance(self, sat3):
         inst = compile_formula(sat3, 2)
         best, count = max_sampled_score(inst, samples=50, seed=1)
@@ -445,6 +461,14 @@ class TestRunChecks:
         for record in records:
             assert record.status == "inconclusive"
             assert "capped at 20 variables" in record.details
+
+    @pytest.mark.parametrize("m", [24, 30, 60])
+    def test_prism_witnesses_pass_past_the_oracle_cap(self, m):
+        """With a closed-form assignment, checks 5 and lemmas need no oracle."""
+        formula = helpers.prism_formula(m)
+        for assignment in helpers.prism_assignments(m):
+            records = run_checks(formula, 2, ("5", "lemmas"), assignment=assignment)
+            assert [r.status for r in records] == ["pass", "pass"], records
 
     def test_repeated_selector_rejected(self, sat3):
         # Two records for one check would read as two passes.
