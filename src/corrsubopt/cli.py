@@ -40,6 +40,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` that the command line set, as keyword
+    arguments; an omitted one is absent (``argparse.SUPPRESS``), so the
+    library's own default applies."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _read(path: str) -> str:
     try:
         with open(path) as handle:
@@ -118,9 +125,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     graph = load_graph(_read(args.graph))
     if args.exact:  # a refused search space is a ValueError, see main
-        report = solve_exact(graph, node_limit=args.node_limit)
+        report = solve_exact(graph, **_given(args, "node_limit"))
     else:
-        report = solve_local(graph, restarts=args.restarts, seed=args.seed)
+        report = solve_local(graph, **_given(args, "restarts", "seed"))
     print(f"mask = {report.best_mask.bitstring()}")
     _print_score(report.best_score)
     print(f"nodes = {report.nodes_explored}")
@@ -181,9 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         args.t,
         checks,
         assignment=assignment,
-        seed=args.seed,
-        search_budget=args.budget,
-        lemma_samples=args.lemma_samples,
+        **_given(args, "search_budget", "lemma_samples"),
     )
     failed = False
     for rec in records:
@@ -203,12 +208,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     from .reduction import decide
 
     formula = _load_formula_file(args.formula)
-    report = decide(
-        formula,
-        node_limit=args.node_limit,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    report = decide(formula, **_given(args, "node_limit"))
     core = report.core_report
     print(f"answer = {report.answer}")
     print(f"optimum = {format_score(core.best_score)}")
@@ -242,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true", help="branch and bound")
     mode.add_argument("--local", action="store_true", help="steepest-ascent local search")
-    p.add_argument("--restarts", type=non_negative_int, default=16,
+    p.add_argument("--restarts", type=non_negative_int, default=argparse.SUPPRESS,
                    help="random restarts for --local")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node-limit", type=non_negative_int, default=None,
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--node-limit", type=non_negative_int, default=argparse.SUPPRESS,
                    help="stop --exact after this many search nodes")
     p.add_argument("--out", help="write the best mask here")
     p.set_defaults(func=cmd_solve)
@@ -270,18 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="1,2,3,4,5,6,lemmas",
                    help="comma list from {%(default)s} (default: all)")
     p.add_argument("--assignment", help="restrict witness checks to this assignment")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=non_negative_int, default=5_000_000,
+    p.add_argument("--budget", type=non_negative_int, default=argparse.SUPPRESS,
+                   dest="search_budget", metavar="BUDGET",
                    help="node budget for the infeasibility search")
-    p.add_argument("--lemma-samples", type=non_negative_int, default=10_000,
+    p.add_argument("--lemma-samples", type=non_negative_int, default=argparse.SUPPRESS,
                    help="sampled masks for the score upper bound check")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decide", help="one-in-three satisfiability via the reduction")
     p.add_argument("-f", "--formula", required=True, help="formula file")
-    p.add_argument("--node-limit", type=non_negative_int, default=200_000)
-    p.add_argument("--restarts", type=non_negative_int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--node-limit", type=non_negative_int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_decide)
 
     return parser

@@ -394,20 +394,14 @@ COEFFICIENT_NOTE = (
 )
 
 
-def decide(
-    formula: Formula,
-    *,
-    node_limit: int | None = 200_000,
-    restarts: int = 2,
-    seed: int = 0,
-) -> DecisionReport:
+def decide(formula: Formula, *, node_limit: int | None = 200_000) -> DecisionReport:
     """Run the full decision pipeline at scale t = n^2.
 
     Compiles the formula, optimises the reduction objective (multiplier =
     variable count) on the instance's core, and answers YES iff the best
     score found reaches (17/2) n ln n.  The explicit graph is never built.
-    The exact search starts from the local-search warm start and branches
-    in :func:`~corrsubopt.solvers.breadth_first_order`.
+    The exact search starts from a local-search warm start (two restarts,
+    seed 0) and branches in :func:`~corrsubopt.solvers.breadth_first_order`.
     Free-edge counts above ``DEFAULT_FREE_EDGE_CAP`` fall back to local
     search; either way the report carries the solver's optimality.
     """
@@ -416,7 +410,7 @@ def decide(
     n = formula.variable_count
     t = n * n
     core = compile_formula(formula, t).core
-    warm = solve_local(core, restarts=restarts, seed=seed, multiplier=n)
+    warm = solve_local(core, restarts=2, seed=0, multiplier=n)
     if len(core.free_edge_ids) <= DEFAULT_FREE_EDGE_CAP:
         mode = "exact"
         report = solve_exact(

@@ -223,11 +223,11 @@ def _text(assignment: tuple[bool, ...]) -> str:
 
 
 class CheckContext:
-    def __init__(self, formula: Formula, t: int, *, seed: int, search_budget: int | None,
+    def __init__(self, formula: Formula, t: int, *, search_budget: int | None,
                  lemma_samples: int, assignment: tuple[bool, ...] | None) -> None:
         self.formula, self.t, self.inst = formula, t, compile_formula(formula, t)
-        self.seed, self.search_budget = seed, search_budget
-        self.lemma_samples, self.assignment = lemma_samples, assignment
+        self.search_budget, self.lemma_samples = search_budget, lemma_samples
+        self.assignment = assignment
 
     @cached_property
     def degree_logs(self) -> dict[str, float]:
@@ -362,7 +362,7 @@ def check_score_bounds(ctx: CheckContext) -> Outcome:
             return Outcome("fail", quantities, "witness score below its lower bound")
         return Outcome("pass", quantities)
     bound = infeasible_score_bound(inst)
-    best, count = max_sampled_score(inst, samples=ctx.lemma_samples, seed=ctx.seed)
+    best, count = max_sampled_score(inst, samples=ctx.lemma_samples)
     quantities = (
         ("score_upper_bound", _fmt(bound)),
         ("max_observed", "+inf" if best.value is None else _fmt(best.value)),
@@ -395,7 +395,6 @@ def run_checks(
     checks: tuple[str, ...] = ALL_CHECKS,
     *,
     assignment: tuple[bool, ...] | None = None,
-    seed: int = 0,
     search_budget: int | None = 5_000_000,
     lemma_samples: int = 10_000,
 ) -> list[CheckRecord]:
@@ -409,7 +408,7 @@ def run_checks(
         raise ValueError(f"repeated checks: {', '.join(repeated)}")
     if lemma_samples < 0:
         raise ValueError("lemma_samples must be non-negative")
-    ctx = CheckContext(formula, t, seed=seed, search_budget=search_budget,
+    ctx = CheckContext(formula, t, search_budget=search_budget,
                        lemma_samples=lemma_samples, assignment=assignment)
     label = instance_label(formula, t)
     records = []

@@ -107,6 +107,28 @@ def random_graph(
             return graph
 
 
+# The benchmark's weights (bench/gen.py), restated: numerator over denominator.
+_BENCH_NUMERATORS = tuple(range(-9, 10))
+_BENCH_DENOMINATORS = (1, 1, 2, 3, 4, 5)
+
+
+def grid_graph(rng: random.Random, rows: int, cols: int, *,
+               diagonals: bool = False) -> WeightedGraph:
+    """The ``rows`` x ``cols`` grid, vertex r * cols + c (row-major), with
+    the diagonal (r, c)-(r + 1, c + 1) in every cell when ``diagonals``;
+    both are planar.  With two or more rows and columns no vertex is a
+    leaf, so every edge is free.  Weights are drawn as the benchmark's."""
+    at = lambda r, c: r * cols + c
+    edges = [(at(r, c), at(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(at(r, c), at(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    if diagonals:
+        edges += [(at(r, c), at(r + 1, c + 1))
+                  for r in range(rows - 1) for c in range(cols - 1)]
+    weights = [Fraction(rng.choice(_BENCH_NUMERATORS), rng.choice(_BENCH_DENOMINATORS))
+               for _ in range(rows * cols)]
+    return WeightedGraph.build(rows * cols, edges, weights)
+
+
 _MIXED_WEIGHTS = (Fraction(1, 2), Fraction(7, 3), Fraction(-5, 4), -2, 0, 1, 3)
 
 KERNEL_SHAPES = ("core", "leaves", "hubs", "k2")

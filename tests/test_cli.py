@@ -674,8 +674,8 @@ class TestWritesAsOpenDoes:
 # `verify -h` at 80 columns, as argparse formats it.
 VERIFY_HELP = """\
 usage: corrsubopt verify [-h] -f FORMULA -t T [--checks CHECKS]
-                         [--assignment ASSIGNMENT] [--seed SEED]
-                         [--budget BUDGET] [--lemma-samples LEMMA_SAMPLES]
+                         [--assignment ASSIGNMENT] [--budget BUDGET]
+                         [--lemma-samples LEMMA_SAMPLES]
 
 options:
   -h, --help            show this help message and exit
@@ -685,7 +685,6 @@ options:
   --checks CHECKS       comma list from {1,2,3,4,5,6,lemmas} (default: all)
   --assignment ASSIGNMENT
                         restrict witness checks to this assignment
-  --seed SEED
   --budget BUDGET       node budget for the infeasibility search
   --lemma-samples LEMMA_SAMPLES
                         sampled masks for the score upper bound check
@@ -707,8 +706,7 @@ class TestMisc:
     def test_negative_limits_are_usage_errors(self, p3_file, sat3_file, capsys):
         for argv in (["solve", "-g", p3_file, "--local", "--restarts", "-1"],
                      ["solve", "-g", p3_file, "--exact", "--node-limit", "-1"],
-                     ["decide", "-f", sat3_file, "--node-limit", "-1"],
-                     ["decide", "-f", sat3_file, "--restarts", "-1"]):
+                     ["decide", "-f", sat3_file, "--node-limit", "-1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -720,31 +718,61 @@ class TestMisc:
         args = build_parser().parse_args(["verify", "-f", "x.f", "-t", "2"])
         assert args.checks == ",".join(ALL_CHECKS)
 
-    def test_option_defaults_are_the_library_defaults(self):
-        # build_parser writes them out so that -h loads no solver module.
-        from corrsubopt.reduction import decide
-        from corrsubopt.solvers import solve_exact, solve_local
-        from corrsubopt.verification import (find_low_discrepancy_mask, max_sampled_score,
-                                             run_checks)
+    def test_options_reach_the_library_only_when_given(self, triangle_file, sat3_file,
+                                                       monkeypatch):
+        # The parser states no library default: an omitted option is not
+        # passed, so the library's own default applies; a given one is
+        # forwarded as given.
+        from corrsubopt import reduction, solvers, verification
 
         def default(function, name):
             return inspect.signature(function).parameters[name].default
 
-        parse = build_parser().parse_args
-        args = parse(["solve", "-g", "x.graph", "--local"])
-        assert args.restarts == default(solve_local, "restarts") == 16
-        assert args.seed == default(solve_local, "seed") == 0
-        assert args.node_limit is default(solve_exact, "node_limit") is None
-        args = parse(["decide", "-f", "x.f"])
-        assert args.node_limit == default(decide, "node_limit") == 200_000
-        assert args.restarts == default(decide, "restarts") == 2
-        assert args.seed == default(decide, "seed") == 0
-        args = parse(["verify", "-f", "x.f", "-t", "2"])
-        assert (args.budget == default(run_checks, "search_budget")
-                == default(find_low_discrepancy_mask, "node_budget") == 5_000_000)
-        assert (args.lemma_samples == default(run_checks, "lemma_samples")
-                == default(max_sampled_score, "samples") == 10_000)
-        assert args.seed == default(run_checks, "seed") == default(max_sampled_score, "seed") == 0
+        # run_checks hands its two counts on to these, which default alike.
+        assert (default(verification.run_checks, "search_budget")
+                == default(verification.find_low_discrepancy_mask, "node_budget"))
+        assert (default(verification.run_checks, "lemma_samples")
+                == default(verification.max_sampled_score, "samples"))
+
+        class Called(Exception):
+            pass
+
+        cases = (
+            (["solve", "-g", triangle_file, "--exact"], solvers, "solve_exact",
+             {"--node-limit": ("node_limit", 7)}),
+            (["solve", "-g", triangle_file, "--local"], solvers, "solve_local",
+             {"--restarts": ("restarts", 3), "--seed": ("seed", 5)}),
+            (["verify", "-f", sat3_file, "-t", "2"], verification, "run_checks",
+             {"--budget": ("search_budget", 9), "--lemma-samples": ("lemma_samples", 4)}),
+            (["decide", "-f", sat3_file], reduction, "decide",
+             {"--node-limit": ("node_limit", 11)}),
+        )
+        for argv, module, name, options in cases:
+            signature = inspect.signature(getattr(module, name))
+            passed = []
+
+            def spy(*args, **kwargs):
+                passed.append(signature.bind(*args, **kwargs).arguments)
+                raise Called
+
+            monkeypatch.setattr(module, name, spy)
+            for given in ({}, options):  # none of the options, then all of them
+                extra = [str(x) for flag, (_, value) in given.items() for x in (flag, value)]
+                with pytest.raises(Called):
+                    main(argv + extra)
+                arguments = passed.pop()
+                for flag, (param, value) in options.items():
+                    assert arguments.get(param, "omitted") == (
+                        value if flag in given else "omitted"), (argv, flag)
+
+    @pytest.mark.parametrize("argv", [["verify", "-t", "2", "--seed", "1"],
+                                      ["decide", "--restarts", "2"],
+                                      ["decide", "--seed", "0"]])
+    def test_fixed_warm_start_and_sample_seed_take_no_option(self, argv, sat3_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "-f", sat3_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_verify_help_is_pinned(self, monkeypatch, capsys):
         # build_parser writes out the --checks default; the help must not move.

@@ -288,6 +288,27 @@ class TestExactDifferential:
         assert _bits(report.best_score.log_degree_sum) == _bits(rescored.log_degree_sum)
 
 
+class TestGrids:
+    """Planar grids, with and without a diagonal per cell: no leaves, so
+    every edge is free, and many equal-degree vertices."""
+
+    @pytest.mark.parametrize("rows, cols, diagonals", [
+        (2, 3, False), (2, 4, False), (3, 3, False), (2, 5, False), (2, 3, True), (2, 4, True),
+    ])
+    def test_exact_matches_brute_force_in_both_orders(self, rows, cols, diagonals):
+        graph = helpers.grid_graph(random.Random(10 * rows + cols + 100 * diagonals), rows, cols,
+                                   diagonals=diagonals)
+        assert len(graph.free_edge_ids) == graph.edge_count
+        (is_inf, value, _, total), bits = helpers.brute_force_best(graph)
+        for order in (None, breadth_first_order(graph)):
+            report = solve_exact(graph, order=order)
+            assert report.optimality == "proven"
+            assert report.best_mask.bitstring() == bits
+            assert (report.best_score.value is None) == is_inf
+            assert _bits(report.best_score.value) == _bits(value)
+            assert report.best_score.discrepancy_total == total
+
+
 class TestDominanceDifferential:
     """solve_exact, which also cuts nodes dominated on their frontier key,
     against the search that cuts on the completion bound alone
@@ -501,6 +522,58 @@ class TestCompletionBound:
             assert Fraction(total, denominator) <= min(discrepancy_totals)
 
 
+    @staticmethod
+    def terms(graph, order, cofactors, x, k, s, u):
+        """c[d] * max(above, below, 0)^2 over ``ends``, j ascending."""
+        ends = CompletionBound(graph, order, cofactors).ends(x, k, s, u)
+        return [cofactors[d] * max(above, below, 0) ** 2 for d, above, below in ends]
+
+    def test_share_terms_are_convex_in_j(self):
+        # The bound's minimum over j can be found by binary search only if
+        # its terms are convex in j.  For c = discrepancy_scale[1] = m / d
+        # they are: above and below are convex in j, so g = max(above,
+        # below, 0) is convex and non-negative, and g^2 / d is convex over
+        # the affine d = k + j.  Check 6's 9 c^2 gives 9 m^2 (g / d)^2,
+        # which is only quasi-convex: it falls, then rises.
+        rng = random.Random(5)
+        states = 0
+        while states < 2000:
+            shape = rng.choice(helpers.KERNEL_SHAPES + ("random",))
+            graph = (helpers.random_graph(rng) if shape == "random"
+                     else helpers.kernel_graph(rng, shape))
+            order = list(graph.free_edge_ids)
+            rng.shuffle(order)
+            free = graph.free_incidence
+            if not free:
+                continue
+            x = rng.choice(list(free))
+            forced = graph.forced_degrees()[x]
+            u = rng.randint(0, len(free[x]))
+            k = rng.randint(max(forced, u == 0), forced + len(free[x]) - u)
+            largest = max(map(abs, graph.scaled_weights[1]))
+            s = rng.randint(-(k + 1) * largest, (k + 1) * largest)
+            cofactors = graph.discrepancy_scale[1]
+            terms = self.terms(graph, order, cofactors, x, k, s, u)
+            assert all(a + c >= 2 * b for a, b, c in zip(terms, terms[1:], terms[2:]))
+            terms = self.terms(graph, order, {d: 9 * c * c for d, c in cofactors.items()},
+                               x, k, s, u)
+            least = terms.index(min(terms))
+            assert terms[:least + 1] == sorted(terms[:least + 1], reverse=True)
+            assert terms[least:] == sorted(terms[least:])
+            states += 1
+
+    def test_check_6_terms_need_not_be_convex(self):
+        # K4 less the edge 1-3, weights 1, 0, 1, 0: vertex 0 with no edge
+        # kept and all three undecided has g = d - 1 at d = 1, 2, 3, and m = 6.
+        graph = WeightedGraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], [1, 0, 1, 0])
+        cofactors = graph.discrepancy_scale[1]
+        assert cofactors == {1: 6, 2: 3, 3: 2}
+        order = graph.free_edge_ids
+        assert self.terms(graph, order, cofactors, 0, 0, 0, 3) == [0, 3, 8]
+        squared = {d: 9 * c * c for d, c in cofactors.items()}
+        assert self.terms(graph, order, squared, 0, 0, 0, 3) == [0, 81, 144]  # 81 > 144 - 81
+
+
 class TestSearchLoop:
     """``FreeEdgeSearch.run``, one loop over an explicit path, against the
     recursive search it replaced (``helpers.recursive_search``): the same
@@ -668,11 +741,14 @@ class TestLocalScreen:
     # Cases where an estimate misorders two exact near-ties, or an S = 0
     # candidate sits among finite ones: a screen without its margin, or one
     # that ranks S = 0 candidates among finite values, changes the result.
+    # In the last, two starts end on equal scores, and the tie goes to the
+    # lexicographically smaller mask.
     @example("leaves", 109962, "equal", 4, 3, 44)
     @example("leaves", 198034, "equal", 12, 3, 24)
     @example("core", 347180, "equal", 9, 4, 3)
     @example("core", 622694, "two", 11, 4, 78)
     @example("core", 814756, "two", 0, 4, 13)
+    @example("core", 2, "two", None, 1, 2)
     @settings(deadline=None, max_examples=200)
     def test_matches_unscreened_scan(self, shape, seed, weights, multiplier, restarts, run_seed):
         graph = helpers.kernel_graph(random.Random(seed), shape, max_core=9)

@@ -107,7 +107,7 @@ class TestEveryMaskBounds:
     def test_proofs_contain_every_mask(self, n, t, seed):
         rng = random.Random(seed)
         formula = helpers.cubic_formula(rng, n)
-        ctx = verification.CheckContext(formula, t, seed=0, search_budget=None,
+        ctx = verification.CheckContext(formula, t, search_budget=None,
                                         lemma_samples=0, assignment=None)
         # The random masks are drawn on the explicit graph, the reference.
         inst, g = ctx.inst, ctx.inst.graph
