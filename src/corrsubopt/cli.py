@@ -162,7 +162,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     formula = _load_formula_file(args.formula)
     assignment = parse_assignment(args.assignment, formula.variable_count)
     inst = compile_formula(formula, args.t)
-    mask = witness_mask(formula, args.t, assignment, inst)
+    mask = witness_mask(inst, assignment)
     value = score(inst.core, mask, multiplier=inst.variable_count)
     mask = inst.explicit_mask(mask)  # what is printed and written
     print(f"mask = {mask.bitstring()}")

@@ -18,8 +18,9 @@ Per variable i the graph gets a block of seven tagged vertices
 with edges v_i u_i, v_i z_i, v_i w_i_j, and z_i zp_i.  Per clause j it gets
 a_j (weight 2t) joined to ap_j (weight t), which carries t^2 leaves of
 weight t.  If variable i's clauses are r_1 < r_2 < r_3, the cross edges are
-w_i_l a_{r_l}.  Every leaf edge is forced, so a compiled instance is its
-core, built once from one gadget pass: the tagged vertices alone, in this
+w_i_l a_{r_l}.  A compiled instance, ``ReductionInstance(formula, t)``, is
+the value of its formula and scale.  Every leaf edge is forced, so it holds
+the core, built by its one gadget pass: the tagged vertices alone, in this
 text order (blocks by variable, then by clause), each hub's leaves one
 ``WeightedGraph`` pendant.  Every check, witness and search reads the core.
 The explicit graph is unfolded from it only to be written (``reduce`` files,
@@ -164,30 +165,37 @@ def satisfying_assignments(formula: Formula) -> list[tuple[bool, ...]]:
 
 
 class ReductionInstance(Immutable):
-    """A compiled formula: its core (the graph with each hub's leaves folded
-    into a pendant), scale, variable count and each variable's clauses.
+    """The value of a formula at scale t (``ValueError`` below 2): equal
+    (formula, t) give equal instances.  Its one gadget pass builds the core
+    (the graph with each hub's leaves folded into a pendant) and the tables.
 
-    ``blocks``, ``clause_blocks``, the accessors (variables and clauses
-    1-based) and the vertex tables hold core ids; they come from the gadget
-    pass that builds the core.  ``explicit_ids`` maps each to its id in
-    ``graph``, the explicit graph, which :func:`_unfold` builds from the core
-    together with its ``roles`` on the first read of either, to be written
-    out; above ``MAX_COMPILED_VERTICES`` that read refuses."""
+    ``blocks``, ``clause_blocks``, ``tags``, the accessors (variables and
+    clauses 1-based) and the vertex tables hold core ids.  ``explicit_ids``
+    maps each to its id in ``graph``, the explicit graph, which
+    :func:`_unfold` builds from the core together with its ``roles`` on the
+    first read of either, to be written out; above ``MAX_COMPILED_VERTICES``
+    that read refuses."""
 
-    _fields = ("core", "t", "variable_count", "slots")
-    core: WeightedGraph
+    _fields = ("formula", "t")
+    formula: Formula
     t: int
     variable_count: int
-    slots: tuple[tuple[int, ...], ...]  # per variable: its clauses, ascending
+    core: WeightedGraph
+    blocks: tuple[tuple[int, ...], ...]  # per variable: (u, v, z, zp, w_1, w_2, w_3)
+    clause_blocks: tuple[tuple[int, int], ...]  # per clause: (a, ap)
+    explicit_ids: tuple[int, ...]  # per core vertex: its id in graph
+    tags: tuple[str, ...]  # per core vertex: its role
+    gadget_edges: tuple[tuple[int, int], ...]  # the core's edges, in check 6's order
 
-    def __init__(self, core, t, variable_count, slots) -> None:
-        self.__dict__.update(core=core, t=t, variable_count=variable_count, slots=slots)
-
-    _layout = cached_property(lambda self: _gadgets(self.variable_count, self.t, self.slots))
-
-    blocks = property(lambda self: self._layout[4])  # per variable: (u, v, z, zp, w_1, w_2, w_3)
-    clause_blocks = property(lambda self: self._layout[5])  # per clause: (a, ap)
-    explicit_ids = property(lambda self: self._layout[6])  # per core vertex: its id in graph
+    def __init__(self, formula: Formula, t: int) -> None:
+        if t < 2:
+            raise ValueError(f"scale t must be at least 2, got {t}")
+        n = formula.variable_count
+        edges, weights, pendants, tags, blocks, clause_blocks, ids = _gadgets(n, t, formula.slots)
+        self.__dict__.update(formula=formula, t=t, variable_count=n,
+                             core=WeightedGraph.build(9 * n, edges, weights, pendants),
+                             blocks=blocks, clause_blocks=clause_blocks, explicit_ids=ids,
+                             tags=tags, gadget_edges=tuple(edges))
 
     _written = cached_property(lambda self: _unfold(self))
     graph = property(lambda self: self._written[0])
@@ -235,7 +243,7 @@ class ReductionInstance(Immutable):
         """Free edges grouped so gadget vertices finalise as early as possible:
         the ids of the core's edges in the gadget pass's order, nine per
         variable, then one per clause."""
-        return tuple(self.core.edge_id(u, v) for u, v in self._layout[0])
+        return tuple(self.core.edge_id(u, v) for u, v in self.gadget_edges)
 
     @cached_property
     def designated_vertices(self) -> tuple[int, ...]:
@@ -260,13 +268,7 @@ MAX_COMPILED_VERTICES = 1_000_000
 def compile_formula(formula: Formula, t: int) -> ReductionInstance:
     """Build the weighted instance for ``formula`` at scale ``t`` (>= 2),
     as its 9n-vertex core (see :class:`ReductionInstance`)."""
-    if t < 2:
-        raise ValueError(f"scale t must be at least 2, got {t}")
-    n, slots = formula.variable_count, formula.slots
-    layout = _gadgets(n, t, slots)
-    inst = ReductionInstance(WeightedGraph.build(9 * n, *layout[:3]), t, n, slots)
-    inst.__dict__["_layout"] = layout  # the tables come from the pass that built the core
-    return inst
+    return ReductionInstance(formula, t)
 
 
 def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...]) -> tuple:
@@ -314,7 +316,7 @@ def _unfold(inst: ReductionInstance) -> tuple[WeightedGraph, tuple[str, ...]]:
     ``explicit_ids[x]``, and each pendant's leaves take the ids left over,
     ascending, in pendant order, tagged ``leaf_`` + the hub's tag.  Raises
     ``ValueError``, before allocating anything, above the cap."""
-    n, t, core, (*_, tags, _, _, ids) = inst.variable_count, inst.t, inst.core, inst._layout
+    n, t, core, tags, ids = inst.variable_count, inst.t, inst.core, inst.tags, inst.explicit_ids
     size = n * (4 * t * t + 6 * t + 12)
     if size > MAX_COMPILED_VERTICES:
         raise ValueError(f"n = {n}, t = {t} compiles to n(4t^2 + 6t + 12) = {size} vertices, "
@@ -339,27 +341,19 @@ def role_lines(inst: ReductionInstance) -> Iterator[str]:
     return (f"{vid} {role}\n" for vid, role in enumerate(inst.roles))
 
 
-def witness_mask(
-    formula: Formula, t: int, assignment: tuple[bool, ...],
-    inst: ReductionInstance | None = None,
-) -> SubgraphMask:
+def witness_mask(inst: ReductionInstance, assignment: tuple[bool, ...]) -> SubgraphMask:
     """The canonical perfect-solution mask, over the core, for a 1-in-3
-    satisfying assignment (``ReductionInstance.explicit_mask`` writes it
-    over the explicit graph).
+    satisfying assignment of the instance's formula
+    (``ReductionInstance.explicit_mask`` writes it over the explicit graph).
 
     Keeps everything except, per true variable, the edge v_i z_i, and per
     false variable, the edges v_i w_i_j, z_i zp_i, and the cross edges of
     w_i_j.  Clause blocks stay intact; each a_j then sees exactly its one
     true neighbour.  Raises :class:`AssignmentError` unless the assignment
-    is 1-in-3 satisfying, and ``ValueError`` unless ``inst``, when given,
-    has this ``t`` and the formula's clauses per variable.
+    is 1-in-3 satisfying.
     """
-    if not is_one_in_three(formula, assignment):
+    if not is_one_in_three(inst.formula, assignment):
         raise AssignmentError("assignment does not satisfy exactly one variable per clause")
-    if inst is None:
-        inst = compile_formula(formula, t)
-    elif inst.t != t or inst.slots != formula.slots:
-        raise ValueError("inst was not compiled from this formula at this t")
     mask = SubgraphMask.full(inst.core)
     order = inst.gadget_edge_order
     for i, true in enumerate(assignment):

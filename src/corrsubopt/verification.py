@@ -30,15 +30,16 @@ graph.  Printed vertex ids are the explicit graph's
 (``ReductionInstance.explicit_ids``); check 6 prints a failing mask over
 the core, whose 10n edges are the explicit graph's free edges in order.
 
-A check is a function of one :class:`CheckContext`, which compiles the
-instance once and caches what several checks share: the log-degree sums of
-checks 3 and 4, the 1-in-3 oracle's answer and the witness masks of checks
-5 and lemmas.  A check returns an :class:`Outcome` (pass or fail,
-quantities, details) or raises :class:`Inconclusive` when it gives up
-without evidence either way (the oracle's variable cap, the check-6 node
-budget); a rejected ``assignment`` fails checks 5 and lemmas.
-:func:`run_checks` turns each into the one :class:`CheckRecord` per
-selected check.  :func:`attachment_violations` and
+A check is a function of one :class:`CheckContext`, which holds the
+instance (its formula and t with it), compiled once by :func:`run_checks`,
+and caches what several checks share: the log-degree sums of checks 3 and
+4, the 1-in-3 oracle's answer and the witness masks of checks 5 and lemmas.
+A check returns an :class:`Outcome` (pass or fail, quantities, details) or
+raises :class:`Inconclusive` when it gives up without evidence either way
+(the oracle's variable cap, the check-6 node budget); a rejected
+``assignment`` fails checks 5 and lemmas.  :func:`run_checks` turns each
+into the one :class:`CheckRecord` per selected check, and refuses a
+negative budget or sample count.  :func:`attachment_violations` and
 :func:`degree_log_quantities` are the per-mask forms of checks 2 and 3.
 """
 
@@ -67,6 +68,8 @@ from .scoring import (
 from .solvers import CompletionBound, FreeEdgeSearch, sample_states
 
 FLOAT_SLACK = 1e-9
+DEFAULT_SEARCH_BUDGET = 5_000_000  # check 6's nodes
+DEFAULT_LEMMA_SAMPLES = 10_000  # the lemmas check's sampled masks
 
 
 class CheckRecord(NamedTuple):
@@ -91,9 +94,9 @@ class Inconclusive(RuntimeError):
     with this message as details."""
 
 
-def instance_label(formula: Formula, t: int) -> str:
-    digest = hashlib.sha256(dump_formula(formula).encode()).hexdigest()[:8]
-    return f"n={formula.variable_count} t={t} formula={digest}"
+def instance_label(inst: ReductionInstance) -> str:
+    digest = hashlib.sha256(dump_formula(inst.formula).encode()).hexdigest()[:8]
+    return f"n={inst.variable_count} t={inst.t} formula={digest}"
 
 
 def reduction_score(inst: ReductionInstance, mask: SubgraphMask) -> ScoreValue:
@@ -131,7 +134,7 @@ def degree_log_quantities(inst: ReductionInstance, degrees) -> dict[str, float]:
 
 
 def find_low_discrepancy_mask(
-    inst: ReductionInstance, *, node_budget: int | None = 5_000_000
+    inst: ReductionInstance, *, node_budget: int | None = DEFAULT_SEARCH_BUDGET
 ) -> tuple[SubgraphMask | None, int]:
     """Search for a valid mask over the core keeping every designated
     vertex strictly below discrepancy t^2/9.
@@ -200,7 +203,7 @@ def infeasible_score_bound(inst: ReductionInstance) -> float:
 
 
 def max_sampled_score(
-    inst: ReductionInstance, *, samples: int = 10_000, seed: int = 0
+    inst: ReductionInstance, *, samples: int = DEFAULT_LEMMA_SAMPLES, seed: int = 0
 ) -> tuple[ScoreValue, int]:
     """Largest reduction-objective score over the full mask and ``samples``
     random valid masks drawn from ``seed``; returns (score, masks scored)."""
@@ -223,10 +226,9 @@ def _text(assignment: tuple[bool, ...]) -> str:
 
 
 class CheckContext:
-    def __init__(self, formula: Formula, t: int, *, search_budget: int | None,
+    def __init__(self, inst: ReductionInstance, *, search_budget: int | None,
                  lemma_samples: int, assignment: tuple[bool, ...] | None) -> None:
-        self.formula, self.t, self.inst = formula, t, compile_formula(formula, t)
-        self.search_budget, self.lemma_samples = search_budget, lemma_samples
+        self.inst, self.search_budget, self.lemma_samples = inst, search_budget, lemma_samples
         self.assignment = assignment
 
     @cached_property
@@ -243,7 +245,7 @@ class CheckContext:
         """Every 1-in-3 satisfying assignment, from one run of the exhaustive
         oracle per context; raises :class:`Inconclusive` past its cap."""
         try:
-            return satisfying_assignments(self.formula)
+            return satisfying_assignments(self.inst.formula)
         except ValueError as exc:  # the oracle's only error: the variable cap
             raise Inconclusive(str(exc)) from exc
 
@@ -254,14 +256,14 @@ class CheckContext:
         when the given assignment has the wrong length or is not 1-in-3,
         which :func:`run_checks` reports as a fail."""
         found = self.satisfying if self.assignment is None else [self.assignment]
-        return [(_text(a), witness_mask(self.formula, self.t, a, self.inst)) for a in found]
+        return [(_text(a), witness_mask(self.inst, a)) for a in found]
 
 
 def check_leaf_total(ctx: CheckContext) -> Outcome:
     """A valid mask keeps every forced edge, so the leaves' share of S * D
     is in each the core's ``leaf_numerator``, closed form over its pendants."""
     g = ctx.inst.core
-    expected = Fraction(6 * ctx.inst.variable_count * ctx.t)
+    expected = Fraction(6 * ctx.inst.variable_count * ctx.inst.t)
     got = Fraction(g.leaf_numerator, g.discrepancy_scale[0])
     return Outcome("pass" if got == expected else "fail",
                    (("leaf_total", format_fraction(got)), ("expected", format_fraction(expected))))
@@ -282,10 +284,10 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
             nd = gap_discrepancy(g, d, max(abs(above), abs(below)))
             if nd > worst:
                 worst, vertex = nd, x
-    return Outcome("pass" if worst * ctx.t ** 2 < 1 else "fail",
+    return Outcome("pass" if worst * inst.t ** 2 < 1 else "fail",
                    (("max_nd", format_fraction(worst)),
                     ("vertex", str(inst.explicit_ids[vertex])),
-                    ("bound", f"1/{ctx.t * ctx.t}")))
+                    ("bound", f"1/{inst.t * inst.t}")))
 
 
 def check_degree_log_lower(ctx: CheckContext) -> Outcome:
@@ -322,7 +324,7 @@ def check_witness_discrepancy(ctx: CheckContext) -> Outcome:
 def check_infeasibility_search(ctx: CheckContext) -> Outcome:
     satisfiable = bool(ctx.satisfying)
     mask, nodes = find_low_discrepancy_mask(ctx.inst, node_budget=ctx.search_budget)
-    threshold = f"{ctx.t * ctx.t}/9"
+    threshold = f"{ctx.inst.t ** 2}/9"
     passed = (("nodes", str(nodes)), ("threshold", threshold))
     if satisfiable:
         # Negative control: a satisfiable formula must yield a counterexample.
@@ -395,8 +397,8 @@ def run_checks(
     checks: tuple[str, ...] = ALL_CHECKS,
     *,
     assignment: tuple[bool, ...] | None = None,
-    search_budget: int | None = 5_000_000,
-    lemma_samples: int = 10_000,
+    search_budget: int | None = DEFAULT_SEARCH_BUDGET,
+    lemma_samples: int = DEFAULT_LEMMA_SAMPLES,
 ) -> list[CheckRecord]:
     if not checks:
         raise ValueError("no checks selected")
@@ -406,11 +408,13 @@ def run_checks(
     repeated = sorted({c for c in checks if checks.count(c) > 1}, key=checks.index)
     if repeated:
         raise ValueError(f"repeated checks: {', '.join(repeated)}")
+    if search_budget is not None and search_budget < 0:
+        raise ValueError("search_budget must be non-negative")
     if lemma_samples < 0:
         raise ValueError("lemma_samples must be non-negative")
-    ctx = CheckContext(formula, t, search_budget=search_budget,
+    ctx = CheckContext(compile_formula(formula, t), search_budget=search_budget,
                        lemma_samples=lemma_samples, assignment=assignment)
-    label = instance_label(formula, t)
+    label = instance_label(ctx.inst)
     records = []
     for selector in checks:
         try:

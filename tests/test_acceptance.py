@@ -125,7 +125,7 @@ def test_criterion_4_witness_discrepancies(instances):
     if len(assignments) != 3:
         _report(4, False, f"expected exactly 3 assignments, got {len(assignments)}")
     for assignment in assignments:
-        mask = witness_mask(formula, 2, assignment, inst)
+        mask = witness_mask(inst, assignment)
         if not is_valid(inst.core, mask):
             _report(4, False, f"witness for {assignment} is invalid")
         for vtx in inst.designated_vertices:
@@ -164,7 +164,7 @@ def test_criterion_6_witness_score_lower_bound(instances):
         formula, inst = instances[(n, t)]
         bound = witness_score_bound(inst)
         for assignment in satisfying_assignments(formula):
-            mask = witness_mask(formula, t, assignment, inst)
+            mask = witness_mask(inst, assignment)
             value = reduction_score(inst, mask)
             got = math.inf if value.value is None else value.value
             if got < bound - SLACK:

@@ -725,15 +725,6 @@ class TestMisc:
         # forwarded as given.
         from corrsubopt import reduction, solvers, verification
 
-        def default(function, name):
-            return inspect.signature(function).parameters[name].default
-
-        # run_checks hands its two counts on to these, which default alike.
-        assert (default(verification.run_checks, "search_budget")
-                == default(verification.find_low_discrepancy_mask, "node_budget"))
-        assert (default(verification.run_checks, "lemma_samples")
-                == default(verification.max_sampled_score, "samples"))
-
         class Called(Exception):
             pass
 

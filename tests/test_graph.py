@@ -508,7 +508,7 @@ def sat3_t40():
     the text of the witness mask of assignment TFF."""
     formula = helpers.make_formula(helpers.SAT3_TEXT)
     inst = compile_formula(formula, 40)
-    mask = witness_mask(formula, 40, (True, False, False), inst)
+    mask = witness_mask(inst, (True, False, False))
     return dump_graph(inst.graph), dump_mask(inst.explicit_mask(mask))
 
 

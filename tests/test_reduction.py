@@ -13,6 +13,7 @@ from corrsubopt import (
     Formula,
     FormulaError,
     IncidenceBoundWarning,
+    ReductionInstance,
     SubgraphMask,
     compile_formula,
     decide,
@@ -202,8 +203,8 @@ class TestCompile:
     def test_cross_edges_follow_clause_order(self, sat3):
         inst = compile_formula(sat3, 2)
         for i in (1, 2, 3):
-            assert inst.slots[i - 1] == (1, 2, 3)
-            for slot, j in enumerate(inst.slots[i - 1], 1):
+            assert inst.formula.slots[i - 1] == (1, 2, 3)
+            for slot, j in enumerate(inst.formula.slots[i - 1], 1):
                 assert inst.core.edge_id(inst.w(i, slot), inst.a(j)) is not None
 
     def test_instances_differ_across_inputs(self, sat3, unsat4):
@@ -213,12 +214,21 @@ class TestCompile:
         assert a != b
         assert a != c
 
-    def test_instance_value_semantics(self, sat3):
-        inst, again = compile_formula(sat3, 2), compile_formula(sat3, 2)
+    def test_instance_value_semantics(self, sat3, unsat4):
+        """An instance is the value of (formula, t): compile_formula and the
+        constructor give equal instances with equal hashes, and another t or
+        formula gives an unequal one."""
+        inst, again = compile_formula(sat3, 2), ReductionInstance(sat3, 2)
         assert inst == again and hash(inst) == hash(again)
+        assert inst == ReductionInstance(helpers.make_formula(helpers.SAT3_TEXT), 2)
         assert inst != compile_formula(sat3, 3)
-        assert repr(inst).startswith("ReductionInstance(core=WeightedGraph(vertex_count=27, ")
-        assert repr(inst).endswith("slots=((1, 2, 3), (1, 2, 3), (1, 2, 3)))")
+        assert inst != compile_formula(unsat4, 2)
+        assert inst.formula is sat3 and inst.t == 2 and inst.variable_count == 3
+        with pytest.raises(ValueError, match="scale t must be at least 2, got 1"):
+            ReductionInstance(sat3, 1)
+        clauses = "(frozenset({1, 2, 3}), frozenset({1, 2, 3}), frozenset({1, 2, 3}))"
+        assert repr(inst) == (
+            f"ReductionInstance(formula=Formula(variable_count=3, clauses={clauses}), t=2)")
         with pytest.raises(AttributeError):
             inst.t = 3
 
@@ -249,7 +259,7 @@ class TestCompile:
         for i in range(1, n + 1):
             for s in (1, 2, 3):
                 nbrs = adj[inst.w(i, s)]
-                j = inst.slots[i - 1][s - 1]
+                j = inst.formula.slots[i - 1][s - 1]
                 assert nbrs == {inst.v(i), inst.a(j)}
                 got.add((i, j))
         expected_incidence = {
@@ -287,7 +297,8 @@ class TestGadgetTables:
             ascending = [j for j, clause in enumerate(formula.clauses, 1) if i in clause]
             for slot in (1, 2, 3):
                 assert ids[inst.w(i, slot)] == ref.w(i, slot)
-                assert inst.slots[i - 1][slot - 1] == ref.slot_clause(i, slot) == ascending[slot - 1]
+                assert (inst.formula.slots[i - 1][slot - 1] == ref.slot_clause(i, slot)
+                        == ascending[slot - 1])
         assert ref.leaves() == tuple(vid for vid, d in enumerate(inst.graph.degrees) if d == 1)
         assert tuple(ids[x] for x in inst.attachment_vertices) == ref.attachment_vertices()
         assert tuple(ids[x] for x in inst.designated_vertices) == ref.designated_vertices()
@@ -438,16 +449,7 @@ class TestFoldedCore:
 class TestWitness:
     def test_rejects_non_satisfying(self, sat3):
         with pytest.raises(AssignmentError):
-            witness_mask(sat3, 2, (True, True, False))
-
-    def test_rejects_an_instance_of_another_t_or_formula(self, sat3, unsat4):
-        assignment = (True, False, False)
-        with pytest.raises(ValueError, match="not compiled from this formula"):
-            witness_mask(sat3, 3, assignment, compile_formula(sat3, 2))
-        with pytest.raises(ValueError, match="not compiled from this formula"):
-            witness_mask(sat3, 2, assignment, compile_formula(unsat4, 2))
-        inst = compile_formula(sat3, 3)
-        assert witness_mask(sat3, 3, assignment, inst) == witness_mask(sat3, 3, assignment)
+            witness_mask(compile_formula(sat3, 2), (True, True, False))
 
     def test_drops_each_variables_role_edges(self):
         """The paper's rule, stated by role name: a true variable drops
@@ -466,7 +468,7 @@ class TestWitness:
         for formula, assignment in cases:
             inst = compile_formula(formula, 2)
             edge_id = inst.core.edge_id
-            mask = witness_mask(formula, 2, assignment, inst)
+            mask = witness_mask(inst, assignment)
             assert is_valid(inst.core, mask)
             expected = set()
             for i, (true, clauses) in enumerate(zip(assignment, formula.slots), 1):
@@ -482,7 +484,7 @@ class TestWitness:
 
     def test_clause_anchor_keeps_exactly_one_cross_edge(self, sat3):
         inst = compile_formula(sat3, 2)
-        mask = witness_mask(sat3, 2, (False, True, False), inst)
+        mask = witness_mask(inst, (False, True, False))
         for j in (1, 2, 3):
             a = inst.a(j)
             kept_nbrs = [
@@ -495,7 +497,7 @@ class TestWitness:
 
     def test_designated_discrepancies_vanish(self, sat3):
         inst = compile_formula(sat3, 2)
-        mask = witness_mask(sat3, 2, (False, False, True), inst)
+        mask = witness_mask(inst, (False, False, True))
         for vtx in inst.designated_vertices:
             assert neighbourhood_discrepancy(inst.core, mask, vtx) == 0
 
@@ -503,7 +505,7 @@ class TestWitness:
         from corrsubopt.verification import reduction_score
 
         inst = compile_formula(sat3, 2)
-        mask = witness_mask(sat3, 2, (True, False, False), inst)
+        mask = witness_mask(inst, (True, False, False))
         value = reduction_score(inst, mask)
         assert value.discrepancy_total == Fraction(2676, 65)
 
@@ -517,10 +519,10 @@ class TestWitness:
 
         formula = helpers.cubic_formula(random.Random(seed), n)
         inst = compile_formula(formula, t)
-        tags = reduction._gadgets(n, t, inst.slots)[3]
+        tags = reduction._gadgets(n, t, formula.slots)[3]
         assert tuple(inst.roles[x] for x in inst.explicit_ids) == tags
         for assignment in satisfying_assignments(formula):
-            mask = witness_mask(formula, t, assignment, inst)
+            mask = witness_mask(inst, assignment)
             explicit = inst.explicit_mask(mask)
             assert (repr(score(inst.graph, explicit, multiplier=n))
                     == repr(score(inst.core, mask, multiplier=n)))

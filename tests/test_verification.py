@@ -16,7 +16,6 @@ import corrsubopt.cli
 import corrsubopt.verification as verification
 from corrsubopt import (
     ScoreState, SubgraphMask, compare_scores, compile_formula, forced_edges, random_valid_mask)
-from corrsubopt.reduction import ReductionInstance
 from corrsubopt.scoring import log_degree_sum, neighbourhood_discrepancy
 from corrsubopt.solvers import sample_states
 from corrsubopt.verification import (
@@ -92,7 +91,9 @@ class TestExactQuantities:
         # The t = 2 graph held to the t = 3 bound 1/9: on the full mask
         # ND(zp_1) = 36/169 (see test_full_graph_attachment_discrepancies).
         inst = compile_formula(sat3, 2)
-        loose = ReductionInstance(inst.core, 3, inst.variable_count, inst.slots)
+        # attachment_violations reads only the core, t and attachment vertices
+        loose = types.SimpleNamespace(core=inst.core, t=3,
+                                      attachment_vertices=inst.attachment_vertices)
         full = ScoreState(inst.core, SubgraphMask.full(inst.core))
         assert attachment_violations(inst, full) == []
         assert (inst.zp(1), Fraction(36, 169)) in attachment_violations(loose, full)
@@ -107,7 +108,7 @@ class TestEveryMaskBounds:
     def test_proofs_contain_every_mask(self, n, t, seed):
         rng = random.Random(seed)
         formula = helpers.cubic_formula(rng, n)
-        ctx = verification.CheckContext(formula, t, search_budget=None,
+        ctx = verification.CheckContext(compile_formula(formula, t), search_budget=None,
                                         lemma_samples=0, assignment=None)
         # The random masks are drawn on the explicit graph, the reference.
         inst, g = ctx.inst, ctx.inst.graph
@@ -141,10 +142,10 @@ class TestEveryMaskBounds:
         # forced edges and some of its free ones, at the first such vertex.
         g = helpers.kernel_graph(random.Random(seed), shape)
         n = g.vertex_count
-        inst = types.SimpleNamespace(core=g, attachment_vertices=tuple(range(n)),
+        inst = types.SimpleNamespace(core=g, t=2, attachment_vertices=tuple(range(n)),
                                      explicit_ids=range(n))
         got = dict(verification.check_attachment_bounds(
-            types.SimpleNamespace(inst=inst, t=2)).quantities)
+            types.SimpleNamespace(inst=inst)).quantities)
         local = []
         forced_ids = forced_edges(g)
         for x in range(n):
@@ -355,8 +356,8 @@ class TestScoreBounds:
         wins = 0
         for seed in range(40):
             graph = helpers.kernel_graph(random.Random(seed), "core")
-            # max_sampled_score reads only the graph and the variable count
-            inst = ReductionInstance(graph, 2, 3, ())
+            # max_sampled_score reads only the core and the variable count
+            inst = types.SimpleNamespace(core=graph, variable_count=3)
             states = sample_states(graph, random.Random(seed), 50, multiplier=3)
             values = [state.score() for state in states]
             best = max(values, key=functools.cmp_to_key(compare_scores))
@@ -405,6 +406,13 @@ class TestRunChecks:
     def test_negative_sample_count_rejected(self, sat3):
         with pytest.raises(ValueError, match="lemma_samples must be non-negative"):
             run_checks(sat3, 2, checks=("1", "lemmas"), lemma_samples=-5)
+
+    def test_negative_search_budget_rejected(self, sat3):
+        # A negative budget is an input error, not an exhausted search.
+        with pytest.raises(ValueError, match="search_budget must be non-negative"):
+            run_checks(sat3, 2, checks=("6",), search_budget=-5)
+        (record,) = run_checks(sat3, 2, checks=("6",), search_budget=None)
+        assert record.status == "pass"
 
     def test_empty_selection_rejected(self, sat3):
         # A run that checks nothing must not read as a pass.
@@ -516,11 +524,11 @@ class TestTraceContract:
 
 
 
-def _no_edges(formula, t, assignment, inst):
+def _no_edges(inst, assignment):
     return SubgraphMask(inst.core, [False] * inst.core.edge_count)
 
 
-def _full(formula, t, assignment, inst):
+def _full(inst, assignment):
     return SubgraphMask.full(inst.core)
 
 
