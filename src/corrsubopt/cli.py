@@ -19,13 +19,11 @@ import argparse
 import os
 import sys
 import warnings
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import __version__
-from .graph import SubgraphMask, dump_mask, graph_lines, load_graph, load_mask
-from .scoring import format_fraction, format_score, score
-# solvers, reduction and verification are imported only by the commands that
-# use them.
+# The package's other modules are imported only by the commands that use them,
+# so --version, -h and a usage error load none of them.
 
 
 class UsageError(Exception):
@@ -106,11 +104,16 @@ def _load_formula_file(path: str):
 
 
 def _print_score(value) -> None:
+    from .scoring import format_fraction, format_score
+
     print(f"score = {format_score(value)}")
     print(f"S = {format_fraction(value.discrepancy_total)}")
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .graph import SubgraphMask, load_graph, load_mask
+    from .scoring import score
+
     graph = load_graph(_read(args.graph))
     if args.mask:
         mask = load_mask(_read(args.mask), graph)
@@ -121,6 +124,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .graph import dump_mask, load_graph
     from .solvers import solve_exact, solve_local
 
     graph = load_graph(_read(args.graph))
@@ -139,6 +143,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from .graph import graph_lines
     from .reduction import compile_formula, role_lines
 
     formula = _load_formula_file(args.formula)
@@ -157,7 +162,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    from .graph import dump_mask
     from .reduction import compile_formula, parse_assignment, witness_mask
+    from .scoring import format_fraction, format_score, score
 
     formula = _load_formula_file(args.formula)
     assignment = parse_assignment(args.assignment, formula.variable_count)
@@ -206,6 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     from .reduction import decide
+    from .scoring import format_score
 
     formula = _load_formula_file(args.formula)
     report = decide(formula, **_given(args, "node_limit"))

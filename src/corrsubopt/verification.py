@@ -160,8 +160,11 @@ def find_low_discrepancy_mask(
 
     Exhausting the tree proves no such mask exists.  Returns (mask or None,
     nodes explored); raises :class:`Inconclusive` when the budget
-    runs out, so a truncated search can never pass as a proof.
+    runs out, so a truncated search can never pass as a proof, and
+    ``ValueError`` for a negative budget.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("node_budget must be non-negative")
     order, core = inst.gadget_edge_order, inst.core
     dfs = FreeEdgeSearch(core, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
@@ -207,6 +210,8 @@ def max_sampled_score(
 ) -> tuple[ScoreValue, int]:
     """Largest reduction-objective score over the full mask and ``samples``
     random valid masks drawn from ``seed``; returns (score, masks scored)."""
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     states = sample_states(inst.core, random.Random(seed), samples,
                            multiplier=inst.variable_count)
     best = next(states).score()

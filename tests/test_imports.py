@@ -1,10 +1,11 @@
 """What each entry point imports, checked in a fresh interpreter.
 
-``import corrsubopt`` loads no submodule; the CLI loads ``solvers``,
-``reduction`` and ``verification`` only in the commands that use them, no
-command loads ``dataclasses`` or ``pathlib``, and only a command that
-writes loads ``tempfile``.  Each test runs in a child process,
-because this test session has long since imported every module.
+``import corrsubopt`` loads no submodule; the CLI loads each other module
+of the package only in the commands that use it, so ``--version``, ``-h``
+and a usage error load ``cli`` alone.  No command loads ``dataclasses`` or
+``pathlib``, and only a command that writes loads ``tempfile``.  Each test
+runs in a child process, because this test session has long since imported
+every module.
 """
 
 import json
@@ -27,11 +28,11 @@ def run_child(*args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def imports_of(argv: list[str], *flags: str) -> set[str]:
+def imports_of(argv: list[str], *flags: str, status: int = 0) -> set[str]:
     """Every module that importing ``corrsubopt.cli`` and running
     ``main(argv)`` adds to a fresh interpreter, started with ``flags``, in its
-    ``sys.modules``.  The command must exit 0; ``--version`` does so through
-    ``SystemExit``."""
+    ``sys.modules``.  The command must exit with ``status``; ``--version``,
+    ``-h`` and a usage error do so through ``SystemExit``."""
     out = run_child(
         *flags, "-c",
         "import contextlib, io, json, sys\n"
@@ -44,14 +45,15 @@ def imports_of(argv: list[str], *flags: str) -> set[str]:
         "        status = exc.code\n"
         "print(json.dumps([status, sorted(set(sys.modules) - before)]))\n"
     ).stdout
-    status, modules = json.loads(out)
-    assert status == 0, argv
+    exit_status, modules = json.loads(out)
+    assert exit_status == status, argv
     return set(modules)
 
 
-def modules_after(argv: list[str]) -> set[str]:
-    """The package modules loaded once ``corrsubopt.cli.main(argv)`` returns 0."""
-    return {name for name in imports_of(argv) if name.startswith("corrsubopt")}
+def modules_after(argv: list[str], status: int = 0) -> set[str]:
+    """The package modules loaded once ``corrsubopt.cli.main(argv)`` exits
+    with ``status``."""
+    return {name for name in imports_of(argv, status=status) if name.startswith("corrsubopt")}
 
 
 class TestCommandImports:
@@ -89,10 +91,10 @@ class TestCommandImports:
         assert "corrsubopt.verification" not in loaded
 
     def test_verify_help_loads_no_verification(self):
-        """``verify -h`` prints help that ``build_parser`` holds in full."""
-        loaded = modules_after(["verify", "-h"])
-        assert not {"corrsubopt.reduction", "corrsubopt.solvers",
-                    "corrsubopt.verification"} & loaded
+        """``-h`` and ``verify -h`` print help that ``build_parser`` holds in
+        full, and argparse refuses a usage error before any command runs."""
+        for argv, status in ((["-h"], 0), (["verify", "-h"], 0), (["solve"], 2)):
+            assert modules_after(argv, status) == {"corrsubopt", "corrsubopt.cli"}, argv
 
     def test_reduce_and_witness_load_no_solvers(self, tmp_path):
         """Only ``decide`` needs the solvers; ``reduction`` imports them there."""
@@ -143,15 +145,17 @@ def test_only_writing_commands_load_tempfile_and_none_loads_pathlib(tmp_path):
 
 def test_version_loads_no_reduction_or_verification():
     """``python -m corrsubopt.cli --version`` is the benchmark's set-up
-    command, so every module it imports is in ``setup_s``."""
+    command, so every module it imports is in ``setup_s``.  Of the package
+    it loads only ``corrsubopt`` (``cli`` runs as ``__main__``), none of the
+    ``fractions`` and ``decimal`` that ``graph`` and ``scoring`` import, and,
+    without a site hook, no ``typing``."""
     proc = run_child("-X", "importtime", "-m", "corrsubopt.cli", "--version")
     assert proc.stdout.split()[-1] == "0.1.0"
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
-    assert {"corrsubopt", "corrsubopt.graph", "corrsubopt.scoring"} <= loaded
-    assert "corrsubopt.solvers" not in loaded
-    assert "corrsubopt.reduction" not in loaded
-    assert "corrsubopt.verification" not in loaded
+    assert {name for name in loaded if name.startswith("corrsubopt")} == {"corrsubopt"}
+    assert not {"fractions", "decimal"} & loaded
+    assert "typing" not in imports_of(["--version"], "-S")
 
 
 def test_bare_import_resolves_every_public_name_and_submodule():

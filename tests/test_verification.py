@@ -214,6 +214,14 @@ class TestInfeasibilitySearch:
         with pytest.raises(Inconclusive):
             find_low_discrepancy_mask(inst, node_budget=3)
 
+    def test_negative_budget_rejected(self, sat3):
+        # An input error, not an exhausted search: run_checks refuses it too.
+        inst = compile_formula(sat3, 2)
+        with pytest.raises(ValueError, match="node_budget must be non-negative"):
+            find_low_discrepancy_mask(inst, node_budget=-5)
+        with pytest.raises(Inconclusive):  # a zero budget is a budget
+            find_low_discrepancy_mask(inst, node_budget=0)
+
 
 # (n, t) pairs whose finalised-only search stays under about 0.1 s; at n = 7,
 # t = 4 it takes over a million nodes.
@@ -364,6 +372,12 @@ class TestScoreBounds:
             assert max_sampled_score(inst, samples=50, seed=seed) == (best, 51)
             wins += compare_scores(best, values[0]) > 0
         assert wins
+
+    def test_negative_samples_rejected(self, sat3):
+        inst = compile_formula(sat3, 2)
+        with pytest.raises(ValueError, match="samples must be non-negative"):
+            max_sampled_score(inst, samples=-3)
+        assert max_sampled_score(inst, samples=0)[1] == 1  # the full mask alone
 
 
 class TestRunChecks:
