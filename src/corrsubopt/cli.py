@@ -216,7 +216,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     from .scoring import format_score
 
     formula = _load_formula_file(args.formula)
-    report = decide(formula, **_given(args, "node_limit"))
+    report = decide(formula)
     core = report.core_report
     print(f"answer = {report.answer}")
     print(f"optimum = {format_score(core.best_score)}")
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="one-in-three satisfiability via the reduction")
     p.add_argument("-f", "--formula", required=True, help="formula file")
-    p.add_argument("--node-limit", type=non_negative_int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_decide)
 
     return parser

@@ -234,16 +234,14 @@ class WeightedGraph(Immutable):
 
     @cached_property
     def leaf_numerator(self) -> int:
-        """The host leaves' share of S * D, the same in every valid mask: a
-        leaf keeps its one edge, so d = 1 and s is its neighbour's W."""
+        """The host leaves' share of S * D, the same in every valid mask.  A
+        leaf keeps its one edge, so d = 1 and s is its neighbour's W: for a
+        vertex of host degree 1 (a hub with one folded leaf and no edge too),
+        its forced neighbour sum; for a folded leaf, its hub's W."""
         scale, weights = self.scaled_weights
         _, cofactors = self.discrepancy_scale
-        degrees, total = self.degrees, 0
-        for u, v in self.edges:
-            leaves = (degrees[u] == 1) + (degrees[v] == 1)
-            if leaves:
-                diff = weights[u] - weights[v]
-                total += diff * diff * leaves
+        total = sum((weights[x] - s) ** 2 for x, (d, s) in
+                    enumerate(zip(self.degrees, self.forced_nbr_sums)) if d == 1)
         for hub, count, w in self.pendants:
             total += (weights[hub] - (scale * w).numerator) ** 2 * count
         return total * cofactors[1]

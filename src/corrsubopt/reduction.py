@@ -117,7 +117,9 @@ def parse_formula(text: str) -> Formula:
         clauses.append(frozenset(ids))
     formula = Formula(n, tuple(clauses))
     # A necessary condition only: a bipartite planar graph on 2n vertices has
-    # at most 4n - 4 edges, and the incidence graph has 3n.
+    # at most 4n - 4 edges, and the incidence graph has 3n.  Since n >= 3,
+    # this fails only at n = 3, whose one cubic formula has every clause
+    # {1, 2, 3} (instances/sat3.f): that formula alone draws the warning.
     if 3 * n > 4 * n - 4:
         warnings.warn(f"incidence graph has 3n = {3 * n} edges > 2|V| - 4 = {4 * n - 4}; "
                       "it cannot be planar", IncidenceBoundWarning, stacklevel=2)
@@ -388,16 +390,17 @@ COEFFICIENT_NOTE = (
 )
 
 
-def decide(formula: Formula, *, node_limit: int | None = 200_000) -> DecisionReport:
+def decide(formula: Formula) -> DecisionReport:
     """Run the full decision pipeline at scale t = n^2.
 
     Compiles the formula, optimises the reduction objective (multiplier =
     variable count) on the instance's core, and answers YES iff the best
     score found reaches (17/2) n ln n.  The explicit graph is never built.
     The exact search starts from a local-search warm start (two restarts,
-    seed 0) and branches in :func:`~corrsubopt.solvers.breadth_first_order`.
-    Free-edge counts above ``DEFAULT_FREE_EDGE_CAP`` fall back to local
-    search; either way the report carries the solver's optimality.
+    seed 0), branches in :func:`~corrsubopt.solvers.breadth_first_order`
+    and runs to the end, so it is ``proven``.  The core has 10n free edges:
+    above ``DEFAULT_FREE_EDGE_CAP`` of them (n > 4) decide reports the warm
+    start.  The report is a function of the formula alone.
     """
     from .solvers import DEFAULT_FREE_EDGE_CAP, breadth_first_order, solve_exact, solve_local
 
@@ -407,13 +410,8 @@ def decide(formula: Formula, *, node_limit: int | None = 200_000) -> DecisionRep
     warm = solve_local(core, restarts=2, seed=0, multiplier=n)
     if len(core.free_edge_ids) <= DEFAULT_FREE_EDGE_CAP:
         mode = "exact"
-        report = solve_exact(
-            core,
-            node_limit=node_limit,
-            initial_mask=warm.best_mask,
-            multiplier=n,
-            order=breadth_first_order(core),
-        )
+        report = solve_exact(core, initial_mask=warm.best_mask, multiplier=n,
+                             order=breadth_first_order(core))
     else:
         mode = "local"
         report = warm

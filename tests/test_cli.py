@@ -434,7 +434,7 @@ class TestDecideCommand:
         assert f"solver = {solver}, optimality = " in capsys.readouterr().out
 
     def test_caveat_always_present(self, unsat4_file, capsys):
-        assert main(["decide", "-f", unsat4_file, "--node-limit", "5000"]) == 0
+        assert main(["decide", "-f", unsat4_file]) == 0
         out = capsys.readouterr().out
         assert "e^47" in out
 
@@ -703,10 +703,9 @@ class TestMisc:
         assert exc.value.code == 0
         assert "corrsubopt" in capsys.readouterr().out
 
-    def test_negative_limits_are_usage_errors(self, p3_file, sat3_file, capsys):
+    def test_negative_limits_are_usage_errors(self, p3_file, capsys):
         for argv in (["solve", "-g", p3_file, "--local", "--restarts", "-1"],
-                     ["solve", "-g", p3_file, "--exact", "--node-limit", "-1"],
-                     ["decide", "-f", sat3_file, "--node-limit", "-1"]):
+                     ["solve", "-g", p3_file, "--exact", "--node-limit", "-1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -723,7 +722,7 @@ class TestMisc:
         # The parser states no library default: an omitted option is not
         # passed, so the library's own default applies; a given one is
         # forwarded as given.
-        from corrsubopt import reduction, solvers, verification
+        from corrsubopt import solvers, verification
 
         class Called(Exception):
             pass
@@ -735,8 +734,6 @@ class TestMisc:
              {"--restarts": ("restarts", 3), "--seed": ("seed", 5)}),
             (["verify", "-f", sat3_file, "-t", "2"], verification, "run_checks",
              {"--budget": ("search_budget", 9), "--lemma-samples": ("lemma_samples", 4)}),
-            (["decide", "-f", sat3_file], reduction, "decide",
-             {"--node-limit": ("node_limit", 11)}),
         )
         for argv, module, name, options in cases:
             signature = inspect.signature(getattr(module, name))
@@ -758,7 +755,8 @@ class TestMisc:
 
     @pytest.mark.parametrize("argv", [["verify", "-t", "2", "--seed", "1"],
                                       ["decide", "--restarts", "2"],
-                                      ["decide", "--seed", "0"]])
+                                      ["decide", "--seed", "0"],
+                                      ["decide", "--node-limit", "5000"]])
     def test_fixed_warm_start_and_sample_seed_take_no_option(self, argv, sat3_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "-f", sat3_file, *argv[1:]])

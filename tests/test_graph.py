@@ -332,25 +332,33 @@ class TestValueSemantics:
             with pytest.raises(ValueError, match="pendant"):
                 WeightedGraph.build(2, [(0, 1)], [0, 1], bad)
 
-    def test_folded_leaves_score_as_written_out(self):
+    @pytest.mark.parametrize("host_edges, host_weights, pendants, masks", [
         # A triangle whose vertices carry two or three leaves each, of
         # rational weights: only the folded leaves can reach degree 1.
-        pendants = [(0, 2, "1/3"), (1, 3, "5/2"), (2, 2, -1)]
-        folded = WeightedGraph.build(3, [(0, 1), (1, 2), (0, 2)], [1, "2/7", 4], pendants)
-        edges, weights = [(0, 1), (1, 2), (0, 2)], [1, "2/7", 4]
+        pytest.param([(0, 1), (1, 2), (0, 2)], [1, "2/7", 4],
+                     [(0, 2, "1/3"), (1, 3, "5/2"), (2, 2, -1)],
+                     ([1, 1, 1], [0, 1, 1], [1, 0, 0]), id="triangle"),
+        # A hub with one folded leaf and no edge: hub and leaf are both leaves.
+        pytest.param([], [3], [(0, 1, 1)], ([],), id="lone-hub"),
+    ])
+    def test_folded_leaves_score_as_written_out(self, host_edges, host_weights, pendants,
+                                                 masks):
+        n = len(host_weights)
+        folded = WeightedGraph.build(n, host_edges, host_weights, pendants)
+        edges, weights = list(host_edges), list(host_weights)
         for hub, count, weight in pendants:
             edges += [(hub, leaf) for leaf in range(len(weights), len(weights) + count)]
             weights += [weight] * count
         explicit = WeightedGraph.build(len(weights), edges, weights)
         assert folded.discrepancy_scale == explicit.discrepancy_scale
         assert folded.leaf_numerator == explicit.leaf_numerator
-        assert folded.forced_nbr_sums == explicit.forced_nbr_sums[:3]
-        for kept in ([1, 1, 1], [0, 1, 1], [1, 0, 0]):
+        assert folded.forced_nbr_sums == explicit.forced_nbr_sums[:n]
+        for kept in masks:
             mask, big = SubgraphMask(folded, map(bool, kept)), SubgraphMask.full(explicit)
             for (u, v), keep in zip(folded.edges, mask.kept):
                 big.set_edge(explicit.edge_id(u, v), keep)
-            assert score(folded, mask, multiplier=10) == score(explicit, big)
-            assert mask.degrees == big.degrees[:3]
+            assert score(folded, mask, multiplier=explicit.vertex_count) == score(explicit, big)
+            assert mask.degrees == big.degrees[:n]
 
     @pytest.mark.parametrize("field", ["vertex_count", "edges", "weights"])
     def test_fields_are_read_only(self, p3, field):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -358,7 +359,7 @@ def _decide_pipeline(graph, n):
     warm = solve_local(graph, restarts=2, seed=0, multiplier=n)
     if len(graph.free_edge_ids) > DEFAULT_FREE_EDGE_CAP:
         return warm
-    return solve_exact(graph, node_limit=200_000, initial_mask=warm.best_mask, multiplier=n,
+    return solve_exact(graph, initial_mask=warm.best_mask, multiplier=n,
                        order=breadth_first_order(graph))
 
 
@@ -544,12 +545,33 @@ class TestDecide:
         assert any("17/2" in note for note in report.notes)
 
     def test_unsatisfiable_pipeline_emits_caveat(self, unsat4):
-        report = decide(unsat4, node_limit=20_000)
+        report = decide(unsat4)
         assert report.t == 16
         assert report.answer in ("YES", "NO")
         assert any("e^47" in note for note in report.notes)
-        assert report.core_report.optimality in ("proven", "heuristic")
+        assert report.core_report.optimality == "proven"
         assert report.core_report.best_mask.graph.vertex_count == 9 * 4
+
+    def test_every_formula_of_the_exact_branch_is_proven(self):
+        # The core has 10n free edges, so decide searches exactly only for
+        # n <= 4.  Every clause tuple of 3-subsets that is cubic: sat3's one
+        # formula and the 24 clause orders of unsat4's, all proven to one
+        # optimum in one node count.
+        for n, count, nodes in ((3, 1, 768), (4, 24, 3_138)):
+            subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), 3)]
+            outcomes = []
+            for clauses in itertools.product(subsets, repeat=n):
+                try:
+                    formula = Formula(n, clauses)
+                except FormulaError:
+                    continue
+                report = decide(formula)
+                core = report.core_report
+                outcomes.append((report.solver, core.optimality, core.nodes_explored,
+                                 repr(core.best_score)))
+            assert len(outcomes) == count
+            assert len(set(outcomes)) == 1
+            assert outcomes[0][:3] == ("exact", "proven", nodes)
 
     # Exact outputs of the default pipeline.  Any change to the float
     # summation order, the exact totals or the search order shows up here;

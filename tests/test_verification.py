@@ -233,7 +233,7 @@ _SEARCH_SIZES = [(n, t) for n in range(3, 8) for t in (2, 3, 4) if n < 7 or t < 
 _LOOKAHEAD_T = (2, 3, 10, 600, 174_700_000_000)
 
 
-class TestLowDiscrepancyLookahead:
+class TestCheck6CompletionBound:
     """The check-6 look-ahead, ``CompletionBound`` under weights 9 c[d]^2
     against (L t m)^2, against brute force over each designated vertex's
     own undecided edges, at random partial decisions along
