@@ -416,8 +416,7 @@ def decide(formula: Formula) -> DecisionReport:
         mode = "local"
         report = warm
     threshold = float(THRESHOLD_COEFFICIENT) * n * math.log(n)
-    value = report.best_score.value
-    answer = "YES" if value is None or value >= threshold else "NO"
+    answer = "YES" if report.best_score.value >= threshold else "NO"
     return DecisionReport(
         answer=answer,
         threshold=threshold,

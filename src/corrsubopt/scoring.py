@@ -6,10 +6,11 @@ objective is
 
     score(H) = sum_v ln d_H(v) - C * ln( sum_v d_H(v) * ND(v) )
 
-with C defaulting to the number of vertices.  Discrepancies and their
-weighted total S are exact rationals; only the two logarithms use 64-bit
-floats.  S = 0 means every vertex agrees exactly with its neighbourhood
-mean, and the score is treated as positive infinity.
+with C defaulting to the number of vertices; C < 0 is refused, so a
+smaller S never scores lower.  Discrepancies and their weighted total S
+are exact rationals; only the two logarithms use 64-bit floats.  S = 0
+means every vertex agrees exactly with its neighbourhood mean, and the
+score is ``math.inf``.
 
 Every score in the package comes from one kernel, used by
 :class:`ScoreState` and by the branch and bound in ``solvers``:
@@ -64,14 +65,10 @@ def log_quotient(numerator: int, denominator: int) -> float:
 
 
 class ScoreValue(NamedTuple):
-    """Extended-real objective value.
+    """Extended-real objective value: ``value`` is ``math.inf`` exactly when
+    ``discrepancy_total`` is zero.  :func:`compare_scores` ranks them."""
 
-    ``value`` is None exactly when ``discrepancy_total`` is zero; such scores
-    are positive infinity and rank above every finite score, with larger
-    ``log_degree_sum`` winning between two infinities.
-    """
-
-    value: float | None
+    value: float
     log_degree_sum: float
     discrepancy_total: Fraction
 
@@ -82,13 +79,13 @@ class ScoreValue(NamedTuple):
         """The score with S = numerator / denominator (see the module notes)."""
         total = Fraction(numerator, denominator)
         if not numerator:
-            return cls(None, log_degree_sum, total)
+            return cls(math.inf, log_degree_sum, total)
         value = log_degree_sum - multiplier * log_quotient(numerator, denominator)
         return cls(value, log_degree_sum, total)
 
 
 def format_score(score: ScoreValue) -> str:
-    return "+inf" if score.value is None else f"{score.value:.12f}"
+    return "+inf" if score.value == math.inf else f"{score.value:.12f}"
 
 
 def format_fraction(q: Fraction) -> str:
@@ -98,21 +95,24 @@ def format_fraction(q: Fraction) -> str:
 def compare_scores(a: ScoreValue, b: ScoreValue) -> int:
     """Three-way comparison: positive when a ranks above b.
 
-    Finite scores with equal log-degree terms are compared through the exact
-    discrepancy totals (smaller S is better); otherwise the float values
-    decide.  Ties return 0 and are broken elsewhere, by mask.
+    The rule assumes C >= 0, which :class:`ScoreState` enforces: then a
+    smaller S never scores lower, so scores with equal log-degree sums are
+    compared through the exact discrepancy totals, smaller S ranking
+    higher.  Otherwise the float values decide, +inf above every finite
+    value, and between two infinities the larger log-degree sum wins.  At
+    C = 0 a finite value is its log-degree sum, so exact ties rank by S; no
+    optimum moves, since the full mask then has the largest log-degree sum
+    and only an S = 0 mask can beat it.  Ties return 0 and are broken
+    elsewhere, by mask.
     """
-    if a.value is None or b.value is None:
-        if a.value is None and b.value is None:
-            return (a.log_degree_sum > b.log_degree_sum) - (
-                a.log_degree_sum < b.log_degree_sum
-            )
-        return 1 if a.value is None else -1
     if a.log_degree_sum == b.log_degree_sum:
         return (b.discrepancy_total > a.discrepancy_total) - (
             b.discrepancy_total < a.discrepancy_total
         )
-    return (a.value > b.value) - (a.value < b.value)
+    av, bv = a.value, b.value
+    if av == bv == math.inf:
+        return (a.log_degree_sum > b.log_degree_sum) - (a.log_degree_sum < b.log_degree_sum)
+    return (av > bv) - (av < bv)
 
 
 def neighbourhood_discrepancy(
@@ -157,7 +157,8 @@ def score(
     """Score a valid mask from scratch.
 
     ``multiplier`` is the count C scaling the log-discrepancy term; it
-    defaults to the graph's vertex count.
+    defaults to the graph's vertex count, and C < 0 raises ``ValueError``
+    (see :class:`ScoreState`).
     """
     return ScoreState(graph, mask, multiplier=multiplier).score()
 
@@ -175,6 +176,10 @@ class ScoreState:
     is all the checks in ``verification`` need.  :meth:`score` re-adds ln d
     over the core vertices in vertex order, so every result is
     bit-identical to a from-scratch score of the same mask.
+
+    ``multiplier`` is C, by default the vertex count.  :func:`compare_scores`
+    and both solvers' bounds, cuts and screens assume that a smaller S
+    never scores lower, so C < 0 is refused with ``ValueError``.
     """
 
     __slots__ = ("graph", "mask", "multiplier", "nbr_sums", "total", "_weights",
@@ -192,7 +197,11 @@ class ScoreState:
             raise MaskValidityError(f"vertex {mask.degrees.index(0)} is isolated in the subgraph")
         self.graph = graph
         self.mask = mask
-        self.multiplier = graph.vertex_count if multiplier is None else multiplier
+        if multiplier is None:
+            multiplier = graph.vertex_count
+        elif multiplier < 0:
+            raise ValueError(f"multiplier must be non-negative, got {multiplier}")
+        self.multiplier = multiplier
         _, weights = graph.scaled_weights
         self._weights = weights
         self._denominator, self._cofactors = graph.discrepancy_scale

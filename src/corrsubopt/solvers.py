@@ -42,17 +42,6 @@ DEFAULT_FREE_EDGE_CAP = 40
 MAX_PASSES = 10_000  # local-search steps per start
 
 
-def _multiplier(graph: WeightedGraph, multiplier: int | None) -> int:
-    """C: ``multiplier``, by default the vertex count.  Both solvers' bounds,
-    cuts and screens assume that a smaller S never scores lower, so C < 0
-    is refused."""
-    if multiplier is None:
-        return graph.vertex_count
-    if multiplier < 0:
-        raise ValueError(f"multiplier must be non-negative, got {multiplier}")
-    return multiplier
-
-
 class FreeEdgeSearch:
     """Depth-first search over the free edges of a graph, keep before drop.
 
@@ -323,11 +312,11 @@ def solve_exact(
     is at most pt / total, its value at R' = B0; A's completion then scores
     at least pl - log sum - C ln(pt / total) >= ``_PRUNE_EPS`` above B's,
     both finite.  Either way the new node's completions score strictly
-    lower, given C >= 0 (as the bound also assumes; C < 0 is refused with
-    ``ValueError``); the float log sums and logarithms are off by far less
-    than the margin.  With total = 0 the ratio is unbounded and a
-    completion of the new node may reach S = 0, so only the first case
-    applies.  The earlier node's subtree is finished, since the search is
+    lower, given C >= 0 (as the bound also assumes; :class:`ScoreState`
+    refuses C < 0 with ``ValueError``); the float log sums and logarithms
+    are off by far less than the margin.  With total = 0 the ratio is
+    unbounded and a completion of the new node may reach S = 0, so only
+    the first case applies.  The earlier node's subtree is finished, since the search is
     depth first, and each of its completions was reached or cut as unable
     to beat the incumbent; so the incumbent already beats every completion
     of the new node strictly, and the cut can neither replace it nor settle
@@ -340,7 +329,9 @@ def solve_exact(
     aborts the whole search, leaving open subtrees that neither cut has
     ruled out, so a truncated run is never ``proven``, dominance or not.
     """
-    mult = _multiplier(graph, multiplier)
+    # Incumbent: the full mask is always valid; an initial mask can only help.
+    full = ScoreState(graph, SubgraphMask.full(graph), multiplier=multiplier)
+    mult, inc_mask, inc_score = full.multiplier, full.mask, full.score()
     free = graph.free_edge_ids
     if node_limit is None and len(free) > DEFAULT_FREE_EDGE_CAP:
         raise SearchSpaceError(
@@ -365,9 +356,6 @@ def solve_exact(
     logs = {d: math.log(d) for d in cofactors}  # every k + u of a node is a valid degree
     bound = CompletionBound(graph, order, cofactors)
 
-    # Incumbent: the full mask is always valid; an initial mask can only help.
-    inc_mask = SubgraphMask.full(graph)
-    inc_score = score(graph, inc_mask, multiplier=mult)
     inc_key = inc_mask.lex_key()
     # At the root every vertex's kept plus undecided degree is its host
     # degree: the full mask's log-degree sum.
@@ -396,12 +384,11 @@ def solve_exact(
             log_sum += logs[ku + uu] - logs[ku + uu + 1] + logs[kv + uv] - logs[kv + uv + 1]
         total += bound[u, ku, su, uu] + bound[v, kv, sv, uv]
         if total:
-            if inc_score.value is None:
-                return None  # this branch can only reach finite scores
             if log_sum - mult * log_quotient(total, denominator) < inc_score.value - _PRUNE_EPS:
                 return None
-        elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
-            return None
+        elif (log_sum < inc_score.log_degree_sum - _PRUNE_EPS
+              and compare_scores(inc_score, ScoreValue.from_parts(log_sum, 0, 1, mult)) > 0):
+            return None  # the incumbent ranks above this branch's +inf bound
         # Frontier dominance: see the docstring.
         front = seen[depth].setdefault(frontier_key(depth), [])
         for prev_total, prev_log_sum in front:
@@ -512,10 +499,9 @@ def solve_local(
     ``ScoreState.peek`` and :func:`compare_scores`, over the rest in
     ascending id, picks the same edge.  If some candidate has S = 0, only
     those are scanned (+inf beats any finite score), screened by log sum.
-    This assumes C >= 0, so that a smaller S never scores lower; C < 0 is
-    refused with ``ValueError``.
+    This assumes C >= 0, so that a smaller S never scores lower;
+    :class:`ScoreState` refuses C < 0 with ``ValueError``.
     """
-    mult = _multiplier(graph, multiplier)
     free, edges = graph.free_edge_ids, graph.edges
     denominator, cofactors = graph.discrepancy_scale
     logs = {d: math.log(d) for d in cofactors}  # the degrees of every valid mask
@@ -528,7 +514,7 @@ def solve_local(
     best_key = b""
     evaluations = 0
     for state in sample_states(graph, random.Random(seed), restarts, multiplier=multiplier):
-        current = state.score()
+        current, mult = state.score(), state.multiplier
         kept, degrees, delta = state.mask.kept, state.mask.degrees, state.delta
         for _ in range(MAX_PASSES):
             finite, infinite = [], []

@@ -32,15 +32,15 @@ the core, whose 10n edges are the explicit graph's free edges in order.
 
 A check is a function of one :class:`CheckContext`, which holds the
 instance (its formula and t with it), compiled once by :func:`run_checks`,
-and caches what several checks share: the log-degree sums of checks 3 and
-4, the 1-in-3 oracle's answer and the witness masks of checks 5 and lemmas.
+and caches what several checks share: the 1-in-3 oracle's answer and the
+witness masks of checks 5 and lemmas.
 A check returns an :class:`Outcome` (pass or fail, quantities, details) or
 raises :class:`Inconclusive` when it gives up without evidence either way
 (the oracle's variable cap, the check-6 node budget); a rejected
 ``assignment`` fails checks 5 and lemmas.  :func:`run_checks` turns each
 into the one :class:`CheckRecord` per selected check, and refuses a
-negative budget or sample count.  :func:`attachment_violations` and
-:func:`degree_log_quantities` are the per-mask forms of checks 2 and 3.
+negative budget or sample count, and a ``str`` or ``bytes`` of selectors.
+:func:`attachment_violations` is the per-mask form of check 2.
 """
 
 from __future__ import annotations
@@ -121,16 +121,6 @@ def attachment_violations(
         if t * t * diff * diff >= (scale * d) ** 2:
             out.append((vtx, gap_discrepancy(inst.core, d, diff)))
     return out
-
-
-def degree_log_quantities(inst: ReductionInstance, degrees) -> dict[str, float]:
-    n, t = inst.variable_count, inst.t
-    return {
-        "lower": 6 * n * math.log(t) + 2 * n,
-        "mask_sum": log_degree_sum(inst.core, degrees),
-        "graph_sum": log_degree_sum(inst.core, inst.core.degrees),
-        "upper": 6 * n * math.log(t) + 20 * n,
-    }
 
 
 def find_low_discrepancy_mask(
@@ -237,15 +227,6 @@ class CheckContext:
         self.assignment = assignment
 
     @cached_property
-    def degree_logs(self) -> dict[str, float]:
-        """The quantities of checks 3 and 4: :func:`degree_log_quantities`
-        with ``mask_sum`` at the least degrees a valid mask can give, max(1,
-        forced degree).  ``math.log`` and left-to-right float addition are
-        monotone, so every valid mask's sum lies between it and the host's."""
-        least = [max(1, k) for k in self.inst.core.forced_degrees()]
-        return degree_log_quantities(self.inst, least)
-
-    @cached_property
     def satisfying(self) -> list[tuple[bool, ...]]:
         """Every 1-in-3 satisfying assignment, from one run of the exhaustive
         oracle per context; raises :class:`Inconclusive` past its cap."""
@@ -296,15 +277,23 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
 
 
 def check_degree_log_lower(ctx: CheckContext) -> Outcome:
-    q = ctx.degree_logs
-    return Outcome("pass" if q["lower"] <= q["mask_sum"] + FLOAT_SLACK else "fail",
-                   (("lower", _fmt(q["lower"])), ("min_sum", _fmt(q["mask_sum"]))))
+    """The least log-degree sum of a valid mask, at degrees max(1, forced
+    degree): ``math.log`` and left-to-right float addition are monotone, so
+    every valid mask's sum is at least it."""
+    inst, n = ctx.inst, ctx.inst.variable_count
+    lower = 6 * n * math.log(inst.t) + 2 * n
+    least = log_degree_sum(inst.core, [max(1, k) for k in inst.core.forced_degrees()])
+    return Outcome("pass" if lower <= least + FLOAT_SLACK else "fail",
+                   (("lower", _fmt(lower)), ("min_sum", _fmt(least))))
 
 
 def check_degree_log_upper(ctx: CheckContext) -> Outcome:
-    q = ctx.degree_logs
-    return Outcome("pass" if q["graph_sum"] <= q["upper"] + FLOAT_SLACK else "fail",
-                   (("graph_sum", _fmt(q["graph_sum"])), ("upper", _fmt(q["upper"]))))
+    """The host's log-degree sum, which every valid mask's is at most."""
+    inst, n = ctx.inst, ctx.inst.variable_count
+    upper = 6 * n * math.log(inst.t) + 20 * n
+    host = log_degree_sum(inst.core, inst.core.degrees)
+    return Outcome("pass" if host <= upper + FLOAT_SLACK else "fail",
+                   (("graph_sum", _fmt(host)), ("upper", _fmt(upper))))
 
 
 def check_witness_discrepancy(ctx: CheckContext) -> Outcome:
@@ -362,8 +351,7 @@ def check_score_bounds(ctx: CheckContext) -> Outcome:
     witnesses = ctx.witnesses
     if witnesses:
         bound = witness_score_bound(inst)
-        values = (reduction_score(inst, mask).value for _, mask in witnesses)
-        worst = min(math.inf if v is None else v - bound for v in values)
+        worst = min(reduction_score(inst, mask).value - bound for _, mask in witnesses)
         quantities = (("witness_bound", _fmt(bound)), ("witness_margin", _fmt(worst)))
         if worst < -FLOAT_SLACK:
             return Outcome("fail", quantities, "witness score below its lower bound")
@@ -372,10 +360,10 @@ def check_score_bounds(ctx: CheckContext) -> Outcome:
     best, count = max_sampled_score(inst, samples=ctx.lemma_samples)
     quantities = (
         ("score_upper_bound", _fmt(bound)),
-        ("max_observed", "+inf" if best.value is None else _fmt(best.value)),
+        ("max_observed", "+inf" if best.value == math.inf else _fmt(best.value)),
         ("masks_checked", str(count)),
     )
-    if best.value is None or best.value > bound + FLOAT_SLACK:
+    if best.value > bound + FLOAT_SLACK:
         return Outcome("fail", quantities, "a mask exceeds the score upper bound")
     return Outcome("pass", quantities)
 
@@ -405,6 +393,8 @@ def run_checks(
     search_budget: int | None = DEFAULT_SEARCH_BUDGET,
     lemma_samples: int = DEFAULT_LEMMA_SAMPLES,
 ) -> list[CheckRecord]:
+    if isinstance(checks, (str, bytes)):  # every item of "16" would be a selector
+        raise ValueError(f"checks must be a tuple of selectors, not {type(checks).__name__}")
     if not checks:
         raise ValueError("no checks selected")
     unknown = [c for c in checks if c not in CHECKS]

@@ -30,6 +30,11 @@ def unsat4():
     return helpers.make_formula(helpers.UNSAT4_TEXT)
 
 
+@pytest.fixture
+def unsat6():
+    return helpers.make_formula(helpers.UNSAT6_TEXT)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if helpers.ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

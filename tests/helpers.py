@@ -35,6 +35,10 @@ from corrsubopt.solvers import _PRUNE_EPS, CompletionBound, FreeEdgeSearch
 
 SAT3_TEXT = "3 3\n1 2 3\n1 2 3\n1 2 3\n"
 UNSAT4_TEXT = "4 4\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
+# Unsatisfiable although 3 divides n, so the counting rule (3 x true
+# variables = n) does not settle it: cubic_formula(random.Random(7000 + 31 * 6
+# + 10), 6), written out.
+UNSAT6_TEXT = "6 6\n2 4 5\n1 5 6\n1 3 4\n3 5 6\n2 4 6\n1 2 3\n"
 
 P3_TEXT = "3 2\n0 0\n1 1\n2 2\n0 1\n1 2\n"
 STAR_TEXT = "4 3\n0 0\n1 1\n2 1\n3 1\n0 1\n0 2\n0 3\n"
@@ -180,7 +184,7 @@ def naive_score(graph: WeightedGraph, kept: list[bool], multiplier: int | None =
         mean = Fraction(sum(graph.weights[u] for u in neighbours[v]), deg)
         total += deg * (graph.weights[v] - mean) ** 2
     if total == 0:
-        return True, None, log_sum, total
+        return True, math.inf, log_sum, total
     return False, log_sum - multiplier * math.log(float(total)), log_sum, total
 
 
@@ -554,11 +558,10 @@ def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | Non
             log_sum += logs[ku + uu] - logs[ku + uu + 1] + logs[kv + uv] - logs[kv + uv + 1]
         total += bound[u, ku, su, uu] + bound[v, kv, sv, uv]
         if total:
-            if inc_score.value is None:
-                return None
             if log_sum - mult * math.log(total / denominator) < inc_score.value - _PRUNE_EPS:
                 return None
-        elif inc_score.value is None and log_sum < inc_score.log_degree_sum - _PRUNE_EPS:
+        elif (log_sum < inc_score.log_degree_sum - _PRUNE_EPS
+              and compare_scores(inc_score, ScoreValue.from_parts(log_sum, 0, 1, mult)) > 0):
             return None
         return total, log_sum
 

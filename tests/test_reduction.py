@@ -124,13 +124,31 @@ class TestAssignments:
         assert not is_one_in_three(sat3, (True, True, False))
         assert not is_one_in_three(sat3, (False, False, False))
 
-    def test_satisfying_assignments_pinned(self, sat3, unsat4):
+    def test_satisfying_assignments_pinned(self, sat3, unsat4, unsat6):
         assert satisfying_assignments(sat3) == [
             (True, False, False),
             (False, True, False),
             (False, False, True),
         ]
         assert satisfying_assignments(unsat4) == []
+        assert unsat6 == helpers.cubic_formula(random.Random(7000 + 31 * 6 + 10), 6)
+        assert satisfying_assignments(unsat6) == []
+
+    def test_counting_rule(self):
+        """A cubic formula has n clauses and each variable is in three, so a
+        1-in-3 assignment has 3 x (true variables) = n: none when 3 does not
+        divide n, and exactly n/3 true variables otherwise."""
+        satisfiable = set()
+        for n in range(3, 13):
+            for i in range(6):
+                formula = helpers.cubic_formula(random.Random(f"count:{n}:{i}"), n)
+                assignments = satisfying_assignments(formula)
+                if n % 3:
+                    assert assignments == [], (n, i)
+                for assignment in assignments:
+                    assert sum(assignment) == n // 3, (n, i, assignment)
+                    satisfiable.add(n)
+        assert satisfiable == {3, 6, 9, 12}
 
     def test_prism_closed_form_is_the_oracle(self):
         for m in range(4, 17, 2):

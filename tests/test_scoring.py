@@ -75,7 +75,7 @@ class TestPinnedValues:
     def test_constant_weights_score_infinite(self):
         g = load_graph("3 3\n0 5\n1 5\n2 5\n0 1\n0 2\n1 2\n")
         val = score(g, SubgraphMask.full(g))
-        assert val.value is None
+        assert val.value == math.inf
         assert format_score(val) == "+inf"
         assert val.discrepancy_total == 0
         assert val.log_degree_sum == pytest.approx(3 * math.log(2))
@@ -90,27 +90,28 @@ class TestFormatting:
         assert format_score(ScoreValue(1.5, 0.0, Fraction(1))) == "1.500000000000"
 
     def test_score_value_repr_and_read_only_fields(self):
-        val = ScoreValue(None, 0.5, Fraction(0))
-        assert repr(val) == ("ScoreValue(value=None, log_degree_sum=0.5, "
+        val = ScoreValue(math.inf, 0.5, Fraction(0))
+        assert repr(val) == ("ScoreValue(value=inf, log_degree_sum=0.5, "
                              "discrepancy_total=Fraction(0, 1))")
         with pytest.raises(AttributeError):
             val.value = 1.0
-        assert val == ScoreValue(None, 0.5, Fraction(0))
-        assert hash(val) == hash(ScoreValue(None, 0.5, Fraction(0)))
+        assert val == ScoreValue(math.inf, 0.5, Fraction(0))
+        assert hash(val) == hash(ScoreValue(math.inf, 0.5, Fraction(0)))
 
 
 class TestCompare:
     def test_infinite_beats_finite(self):
-        inf = ScoreValue(None, 1.0, Fraction(0))
+        inf = ScoreValue(math.inf, 1.0, Fraction(0))
         fin = ScoreValue(99.0, 5.0, Fraction(1))
         assert compare_scores(inf, fin) > 0
         assert compare_scores(fin, inf) < 0
 
     def test_two_infinities_ranked_by_log_degree_sum(self):
-        a = ScoreValue(None, 2.0, Fraction(0))
-        b = ScoreValue(None, 1.0, Fraction(0))
+        a = ScoreValue(math.inf, 2.0, Fraction(0))
+        b = ScoreValue(math.inf, 1.0, Fraction(0))
         assert compare_scores(a, b) > 0
-        assert compare_scores(a, ScoreValue(None, 2.0, Fraction(0))) == 0
+        assert compare_scores(b, a) < 0
+        assert compare_scores(a, ScoreValue(math.inf, 2.0, Fraction(0))) == 0
 
     def test_equal_log_degrees_fall_back_to_exact_totals(self):
         # identical floats but different exact S: smaller S wins
@@ -179,7 +180,7 @@ class TestScore:
             for mask in masks:
                 got = score(g, mask)
                 is_inf, value, log_sum, total = helpers.naive_score(g, mask.kept)
-                assert (got.value is None) == is_inf
+                assert (got.value == math.inf) == is_inf
                 assert got.value == value
                 assert got.log_degree_sum == log_sum
                 assert got.discrepancy_total == total
@@ -194,6 +195,36 @@ class TestScore:
         default = score(p3, full)
         doubled = score(p3, full, multiplier=6)
         assert doubled.value == default.log_degree_sum - 6 * math.log(2.0)
+
+
+class TestMultiplier:
+    """C < 0 is refused wherever a score is built: under it a smaller S can
+    score lower, against the premise of compare_scores."""
+
+    def test_negative_multiplier_is_refused(self, p3):
+        full = SubgraphMask.full(p3)
+        for build in (score, ScoreState):
+            with pytest.raises(ValueError) as exc:
+                build(p3, full, multiplier=-1)
+            assert str(exc.value) == "multiplier must be non-negative, got -1"
+        assert score(p3, full, multiplier=0).value == math.log(2)
+
+    def test_four_cycle_pair_ranks_against_its_values_below_zero(self):
+        # The 4-cycle 0-1-2-3-0 with weights 0, 1, 5, 2: dropping edge (0, 1)
+        # or (1, 2) leaves a path, so the log-degree sums are equal and
+        # compare_scores ranks by S.  At C = -1 the values rank the other way.
+        g = WeightedGraph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [0, 1, 5, 2])
+        pair = []
+        for dropped in ((0, 1), (1, 2)):
+            kept = [edge != dropped for edge in g.edges]
+            _, value, log_sum, total = helpers.naive_score(g, kept, -1)
+            pair.append(ScoreValue(value, log_sum, total))
+            with pytest.raises(ValueError, match="multiplier must be non-negative"):
+                score(g, SubgraphMask(g, kept), multiplier=-1)
+        a, b = pair
+        assert (round(a.value, 3), round(b.value, 3)) == (5.193, 4.094)
+        assert (a.discrepancy_total, b.discrepancy_total) == (45, 15)
+        assert compare_scores(a, b) == -1
 
 
 class TestMaskOwnership:
@@ -275,13 +306,13 @@ class TestScoreDelta:
         assert after.discrepancy_total == before.discrepancy_total
 
 
-def _bits(x: float | None) -> str | None:
-    return None if x is None else x.hex()
+def _bits(x: float) -> str:
+    return x.hex()
 
 
 def _assert_naive(got: ScoreValue, graph: WeightedGraph, kept: list[bool]) -> None:
     is_inf, value, log_sum, total = helpers.naive_score(graph, kept)
-    assert (got.value is None) == is_inf
+    assert (got.value == math.inf) == is_inf
     assert _bits(got.value) == _bits(value)
     assert _bits(got.log_degree_sum) == _bits(log_sum)
     assert got.discrepancy_total == total

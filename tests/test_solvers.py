@@ -37,7 +37,7 @@ def _k10():
 def assert_matches_oracle(graph, report):
     (is_inf, value, log_sum, total), bits = helpers.brute_force_best(graph)
     assert report.best_mask.bitstring() == bits
-    assert (report.best_score.value is None) == is_inf
+    assert (report.best_score.value == math.inf) == is_inf
     assert report.best_score.value == value
     assert report.best_score.log_degree_sum == log_sum
     assert report.best_score.discrepancy_total == total
@@ -69,7 +69,7 @@ class TestExact:
     def test_constant_weights_give_infinite_optimum(self):
         g = load_graph("4 4\n0 3\n1 3\n2 3\n3 3\n0 1\n0 2\n1 3\n2 3\n")
         report = solve_exact(g)
-        assert report.best_score.value is None
+        assert report.best_score.value == math.inf
         # the full cycle maximises the log-degree sum among infinite scores
         assert report.best_mask.bitstring() == "1111"
 
@@ -208,11 +208,8 @@ class TestWeightsBeyondTheFloatRange:
                 assert big.best_mask.kept == base.best_mask.kept
                 assert big.best_score.discrepancy_total == (
                     base.best_score.discrepancy_total * factor ** 2)
-                if base.best_score.value is None:
-                    assert big.best_score.value is None
-                else:
-                    assert big.best_score.value == pytest.approx(
-                        base.best_score.value + shift, rel=0, abs=1e-8)
+                assert big.best_score.value == pytest.approx(
+                    base.best_score.value + shift, rel=0, abs=1e-8)
 
     def test_mixed_magnitudes_match_enumeration(self):
         """Weights near 1 beside weights near 10^400: S and the ratio of two
@@ -240,8 +237,8 @@ class TestWeightsBeyondTheFloatRange:
             assert compare_scores(local.best_score, report.best_score) <= 0
 
 
-def _bits(x: float | None) -> str | None:
-    return None if x is None else x.hex()
+def _bits(x: float) -> str:
+    return x.hex()
 
 
 class TestExactDifferential:
@@ -277,7 +274,7 @@ class TestExactDifferential:
     def assert_matches(graph, report, multiplier):
         (is_inf, value, log_sum, total), bits = helpers.brute_force_best(graph, multiplier)
         assert report.best_mask.bitstring() == bits
-        assert (report.best_score.value is None) == is_inf
+        assert (report.best_score.value == math.inf) == is_inf
         assert _bits(report.best_score.value) == _bits(value)
         assert _bits(report.best_score.log_degree_sum) == _bits(log_sum)
         assert report.best_score.discrepancy_total == total
@@ -304,7 +301,7 @@ class TestGrids:
             report = solve_exact(graph, order=order)
             assert report.optimality == "proven"
             assert report.best_mask.bitstring() == bits
-            assert (report.best_score.value is None) == is_inf
+            assert (report.best_score.value == math.inf) == is_inf
             assert _bits(report.best_score.value) == _bits(value)
             assert report.best_score.discrepancy_total == total
 
@@ -455,7 +452,7 @@ class TestScoreAwareDominance:
         graph = WeightedGraph.build(4, [(0, 1), (1, 2), (2, 3)], [0, 0, 1, 1])
         report, _ = TestDominanceDifferential.assert_matches(graph, [1], None, None)
         assert report.best_mask.bitstring() == "101"
-        assert report.best_score.value is None
+        assert report.best_score.value == math.inf
 
 
 class TestCompletionBound:

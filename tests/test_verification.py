@@ -118,10 +118,16 @@ class TestEveryMaskBounds:
         assert [o.status for o in outcomes] == ["pass"] * 4
         attachment = dict(outcomes[1].quantities)
         max_nd = Fraction(attachment["max_nd"])
-        logs = ctx.degree_logs
-        # The least sum has the closed form n(6 ln t + 3 ln 3): 3t, 3t and
-        # 3t^2 leaves at u, z and zp, t^2 at ap, one at each w.
-        assert math.isclose(logs["mask_sum"], n * (6 * math.log(t) + 3 * math.log(3)))
+        # Checks 3 and 4 print the least log-degree sum, at degrees max(1,
+        # forced degree), and the host's.  The least sum has the closed form
+        # n(6 ln t + 3 ln 3): 3t, 3t and 3t^2 leaves at u, z and zp, t^2 at
+        # ap, one at each w.
+        core = inst.core
+        least = log_degree_sum(core, [max(1, k) for k in core.forced_degrees()])
+        host = log_degree_sum(core, core.degrees)
+        assert dict(outcomes[2].quantities)["min_sum"] == f"{least:.9f}"
+        assert dict(outcomes[3].quantities)["graph_sum"] == f"{host:.9f}"
+        assert math.isclose(least, n * (6 * math.log(t) + 3 * math.log(3)))
         # The full mask attains the check-2 maximum, 9t^2/(3t^2+1)^2 at zp.
         assert max_nd == Fraction(9 * t * t, (3 * t * t + 1) ** 2)
         assert int(attachment["vertex"]) == zp
@@ -132,7 +138,7 @@ class TestEveryMaskBounds:
             for vtx in attachments:
                 assert neighbourhood_discrepancy(g, mask, vtx) <= max_nd
             mask_sum = log_degree_sum(g, mask.degrees)
-            assert logs["mask_sum"] <= mask_sum <= logs["graph_sum"]
+            assert least <= mask_sum <= host
 
     @given(st.sampled_from(helpers.KERNEL_SHAPES), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=60)
@@ -191,6 +197,8 @@ class TestInfeasibilitySearch:
             pytest.param("unsat4", 2, 224, None, id="unsat4-t2"),
             pytest.param("unsat4", 3, 776, None, id="unsat4-t3"),
             pytest.param("unsat4", 4, 1_560, None, id="unsat4-t4"),
+            pytest.param("unsat6", 2, 304, None, id="unsat6-t2"),
+            pytest.param("unsat6", 3, 1_360, None, id="unsat6-t3"),
             pytest.param("sat3", 2, 51,
                          (8, 9, 10, 11, 31, 33, 35, 44, 45, 46, 47, 67, 69, 71, 79),
                          id="sat3-t2"),
@@ -355,7 +363,7 @@ class TestScoreBounds:
         best, count = max_sampled_score(inst, samples=50, seed=1)
         # the full mask plus 50 samples
         assert count == 51
-        assert best.value is None or best.value <= infeasible_score_bound(inst)
+        assert best.value <= infeasible_score_bound(inst)
 
     def test_max_sampled_score_is_the_best_sample(self):
         """The best, by compare_scores, of the states sample_states draws from
@@ -395,6 +403,13 @@ class TestRunChecks:
         assert by["lemmas"].status == "pass"
         for c in ("1", "2", "3", "4"):
             assert by[c].status == "pass"
+
+    def test_unsatisfiable_with_three_dividing_n(self, unsat6):
+        # No shortcut of the counting rule: the oracle and check 6 decide.
+        records = run_checks(unsat6, 2, lemma_samples=100)
+        by = {r.check: r.status for r in records}
+        assert by == {"1": "pass", "2": "pass", "3": "pass", "4": "pass",
+                      "5": "inconclusive", "6": "pass", "lemmas": "pass"}
 
     def test_negative_control_reported(self, sat3):
         records = run_checks(sat3, 2, checks=("6",))
@@ -462,8 +477,8 @@ class TestRunChecks:
         monkeypatch.setattr(verification, "log_degree_sum", counting)
         records = run_checks(unsat4, 2, checks=("3", "4"))
         assert [r.status for r in records] == ["pass", "pass"]
-        # The least degrees a valid mask can give, and the host degrees; both
-        # checks share the two sums.
+        # Check 3 sums the least degrees a valid mask can give, check 4 the
+        # host degrees.
         graph = compile_formula(unsat4, 2).core
         assert calls == [[max(1, k) for k in graph.forced_degrees()], list(graph.degrees)]
 
@@ -500,6 +515,13 @@ class TestRunChecks:
     def test_unknown_selector_rejected(self, sat3):
         with pytest.raises(ValueError, match="unknown checks"):
             run_checks(sat3, 2, checks=("7",))
+
+    @pytest.mark.parametrize("checks", ["16", "lemmas", b"16"], ids=["16", "lemmas", "bytes"])
+    def test_str_selection_rejected(self, sat3, checks):
+        # Each item of a str or bytes would be read as a selector.
+        with pytest.raises(ValueError, match="checks must be a tuple of selectors, not "
+                                             f"{type(checks).__name__}$"):
+            run_checks(sat3, 2, checks)
 
     def test_records_carry_instance_label(self, sat3):
         records = run_checks(sat3, 2, checks=("1",))
