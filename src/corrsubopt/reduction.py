@@ -37,7 +37,7 @@ import math
 import warnings
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .graph import Immutable, SubgraphMask, WeightedGraph, _content_lines, require_same_graph
@@ -154,12 +154,16 @@ def is_one_in_three(formula: Formula, assignment: tuple[bool, ...]) -> bool:
 
 
 def satisfying_assignments(formula: Formula) -> list[tuple[bool, ...]]:
-    """Exhaustive 1-in-3 oracle; guarded to small formulas."""
+    """Exhaustive 1-in-3 oracle; guarded to small formulas.  k true variables
+    fill 3k clause slots, one per clause, so k = n/3: only those subsets are
+    tried (none if 3 does not divide n), ascending by the sum of 2^(i-1)
+    over their true variables i."""
     n = formula.variable_count
     if n > 20:
         raise ValueError(f"exhaustive assignment search capped at 20 variables, got {n}")
     found = []
-    for bits in range(1 << n):
+    subsets = combinations(range(n), n // 3) if n % 3 == 0 else ()
+    for bits in sorted(sum(1 << i for i in trues) for trues in subsets):
         assignment = tuple(bool(bits >> i & 1) for i in range(n))
         if is_one_in_three(formula, assignment):
             found.append(assignment)
@@ -187,17 +191,18 @@ class ReductionInstance(Immutable):
     clause_blocks: tuple[tuple[int, int], ...]  # per clause: (a, ap)
     explicit_ids: tuple[int, ...]  # per core vertex: its id in graph
     tags: tuple[str, ...]  # per core vertex: its role
-    gadget_edges: tuple[tuple[int, int], ...]  # the core's edges, in check 6's order
+    gadget_edge_order: tuple[int, ...]  # the core's edge ids, in check 6's order
 
     def __init__(self, formula: Formula, t: int) -> None:
         if t < 2:
             raise ValueError(f"scale t must be at least 2, got {t}")
         n = formula.variable_count
         edges, weights, pendants, tags, blocks, clause_blocks, ids = _gadgets(n, t, formula.slots)
-        self.__dict__.update(formula=formula, t=t, variable_count=n,
-                             core=WeightedGraph.build(9 * n, edges, weights, pendants),
+        core = WeightedGraph.build(9 * n, edges, weights, pendants)
+        self.__dict__.update(formula=formula, t=t, variable_count=n, core=core,
                              blocks=blocks, clause_blocks=clause_blocks, explicit_ids=ids,
-                             tags=tags, gadget_edges=tuple(edges))
+                             tags=tags,
+                             gadget_edge_order=tuple(core.edge_id(u, v) for u, v in edges))
 
     _written = cached_property(lambda self: _unfold(self))
     graph = property(lambda self: self._written[0])
@@ -239,13 +244,6 @@ class ReductionInstance(Immutable):
         """The zp_i and ap_j vertices: the only non-leaves allowed nonzero
         discrepancy in a perfect solution."""
         return tuple(b[3] for b in self.blocks) + tuple(ap for _, ap in self.clause_blocks)
-
-    @cached_property
-    def gadget_edge_order(self) -> tuple[int, ...]:
-        """Free edges grouped so gadget vertices finalise as early as possible:
-        the ids of the core's edges in the gadget pass's order, nine per
-        variable, then one per clause."""
-        return tuple(self.core.edge_id(u, v) for u, v in self.gadget_edges)
 
     @cached_property
     def designated_vertices(self) -> tuple[int, ...]:

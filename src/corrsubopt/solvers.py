@@ -407,12 +407,10 @@ def solve_exact(
         nonlocal inc_mask, inc_score, inc_key
         cand = ScoreValue.from_parts(
             log_degree_sum(graph, kept_deg), state[0], denominator, mult)
-        cmp = compare_scores(cand, inc_score)
-        if cmp >= 0:
-            mask = dfs.mask()
-            key = mask.lex_key()
-            if cmp > 0 or key < inc_key:
-                inc_mask, inc_score, inc_key = mask, cand, key
+        mask = dfs.mask()
+        key = mask.lex_key()
+        if _beats(cand, key, inc_score, inc_key):
+            inc_mask, inc_score, inc_key = mask, cand, key
         return False
 
     finished = dfs.run(root, child, leaf, node_limit)
@@ -501,8 +499,13 @@ def solve_local(
     those are scanned (+inf beats any finite score), screened by log sum.
     This assumes C >= 0, so that a smaller S never scores lower;
     :class:`ScoreState` refuses C < 0 with ``ValueError``.
+
+    Per start, ``moves`` holds each free edge's toggle (its S * D change,
+    its endpoints' ln differences and keep, or None if the drop isolates a
+    vertex).  A toggle moves only its two endpoints' degrees and sums, so
+    each step recomputes only the moves at those two vertices.
     """
-    free, edges = graph.free_edge_ids, graph.edges
+    free, edges, free_incidence = graph.free_edge_ids, graph.edges, graph.free_incidence
     denominator, cofactors = graph.discrepancy_scale
     logs = {d: math.log(d) for d in cofactors}  # the degrees of every valid mask
     # Twice the k-term bound over the k core vertices, plus four roundings.
@@ -516,21 +519,27 @@ def solve_local(
     for state in sample_states(graph, random.Random(seed), restarts, multiplier=multiplier):
         current, mult = state.score(), state.multiplier
         kept, degrees, delta = state.mask.kept, state.mask.degrees, state.delta
+        moves: dict[int, tuple[int, float, bool] | None] = {}
         for _ in range(MAX_PASSES):
             finite, infinite = [], []
             total, log_sum = state.total, current.log_degree_sum
             for eid in free:
-                u, v = edges[eid]
-                du, dv = degrees[u], degrees[v]
-                step = -1 if kept[eid] else 1
-                if step < 0 and (du == 1 or dv == 1):
+                if eid not in moves:
+                    u, v = edges[eid]
+                    du, dv = degrees[u], degrees[v]
+                    step = -1 if kept[eid] else 1
+                    moves[eid] = None if step < 0 and (du == 1 or dv == 1) else (
+                        delta(eid, step > 0),
+                        logs[du + step] - logs[du] + logs[dv + step] - logs[dv], step > 0)
+                move = moves[eid]
+                if move is None:
                     continue
-                num = total + delta(eid, step > 0)
-                est = log_sum + (logs[du + step] - logs[du] + logs[dv + step] - logs[dv])
+                change, ln_change, keep = move
+                num, est = total + change, log_sum + ln_change
                 if num:
-                    finite.append((est - mult * log_quotient(num, denominator), eid, step > 0))
+                    finite.append((est - mult * log_quotient(num, denominator), eid, keep))
                 else:
-                    infinite.append((est, eid, step > 0))
+                    infinite.append((est, eid, keep))
             evaluations += len(finite) + len(infinite)
             pool = infinite or finite
             if not pool:
@@ -546,6 +555,9 @@ def solve_local(
             if compare_scores(best_cand, current) <= 0:
                 break
             current = state.toggle(best_eid, best_keep)
+            for x in edges[best_eid]:
+                for eid in free_incidence[x]:
+                    moves.pop(eid, None)
         key = state.mask.lex_key()
         if best_score is None or _beats(current, key, best_score, best_key):
             best_mask, best_score, best_key = state.mask, current, key

@@ -40,7 +40,6 @@ raises :class:`Inconclusive` when it gives up without evidence either way
 ``assignment`` fails checks 5 and lemmas.  :func:`run_checks` turns each
 into the one :class:`CheckRecord` per selected check, and refuses a
 negative budget or sample count, and a ``str`` or ``bytes`` of selectors.
-:func:`attachment_violations` is the per-mask form of check 2.
 """
 
 from __future__ import annotations
@@ -102,25 +101,6 @@ def instance_label(inst: ReductionInstance) -> str:
 def reduction_score(inst: ReductionInstance, mask: SubgraphMask) -> ScoreValue:
     """Score under the reduction objective: multiplier = variable count."""
     return score(inst.core, mask, multiplier=inst.variable_count)
-
-
-def attachment_violations(
-    inst: ReductionInstance, state: ScoreState
-) -> list[tuple[int, Fraction]]:
-    """Attachment vertices (core ids) whose discrepancy leaves [0, 1/t^2),
-    in a state over the core.
-
-    ND = ((W d - s) / (L d))^2 is never negative, and ND < 1/t^2  <=>
-    t^2 (W d - s)^2 < (L d)^2, tested in ints; a ``Fraction`` is built only
-    for a violation."""
-    t = inst.t
-    scale, _ = inst.core.scaled_weights
-    out = []
-    for vtx in inst.attachment_vertices:
-        d, diff = state.gap(vtx)
-        if t * t * diff * diff >= (scale * d) ** 2:
-            out.append((vtx, gap_discrepancy(inst.core, d, diff)))
-    return out
 
 
 def find_low_discrepancy_mask(

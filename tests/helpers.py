@@ -25,6 +25,7 @@ from corrsubopt import (
     WeightedGraph,
     compare_scores,
     forced_edges,
+    is_one_in_three,
     parse_formula,
     random_valid_mask,
     score,
@@ -81,6 +82,19 @@ def prism_assignments(m: int) -> list[tuple[bool, ...]]:
     period 3: y_i = [i mod 3 = r] for r = 0, 1, 2 when 3 divides m, and
     none otherwise."""
     return [tuple(i % 3 == r for i in range(m)) for r in range(3)] if m % 3 == 0 else []
+
+
+def exhaustive_assignments(formula: Formula) -> list[tuple[bool, ...]]:
+    """Every 1-in-3 satisfying assignment found by trying all 2^n, ascending
+    by the sum of 2^(i-1) over the true variables i: the reference for
+    ``satisfying_assignments``, which tries the n/3-subsets only."""
+    n = formula.variable_count
+    found = []
+    for bits in range(1 << n):
+        assignment = tuple(bool(bits >> i & 1) for i in range(n))
+        if is_one_in_three(formula, assignment):
+            found.append(assignment)
+    return found
 
 
 _WEIGHT_POOL = (-3, -1, 0, 1, 1, 2, 3, 5, 9, Fraction(1, 2), Fraction(7, 3))

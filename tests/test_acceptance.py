@@ -28,7 +28,6 @@ from corrsubopt import (
 )
 from corrsubopt.scoring import log_degree_sum, neighbourhood_discrepancy, score
 from corrsubopt.verification import (
-    attachment_violations,
     find_low_discrepancy_mask,
     infeasible_score_bound,
     max_sampled_score,
@@ -94,9 +93,10 @@ def test_criterion_2_attachment_bounds(instances):
     for n, t in GRID:
         _, inst = instances[(n, t)]
         for mask in sampled_masks(inst.core, 100, f"c2:{n}:{t}"):
-            bad = attachment_violations(inst, ScoreState(inst.core, mask))
-            if bad:
-                _report(2, False, f"(n={n}, t={t}): vertex {bad[0][0]} nd={bad[0][1]}")
+            for x in inst.attachment_vertices:
+                nd = neighbourhood_discrepancy(inst.core, mask, x)
+                if not 0 <= nd < Fraction(1, t * t):
+                    _report(2, False, f"(n={n}, t={t}): vertex {x} nd={nd}")
             checked += 1
     elapsed = time.monotonic() - start
     ok = elapsed < 10.0

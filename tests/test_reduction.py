@@ -150,6 +150,18 @@ class TestAssignments:
                     satisfiable.add(n)
         assert satisfiable == {3, 6, 9, 12}
 
+    def test_matches_the_exhaustive_reference_in_order(self):
+        """The n/3-subset oracle lists what trying all 2^n assignments
+        lists, in the same order, on draws with several assignments."""
+        several = 0
+        for n in range(3, 13):
+            for i in range(10):
+                formula = helpers.cubic_formula(random.Random(f"order:{n}:{i}"), n)
+                assignments = satisfying_assignments(formula)
+                assert assignments == helpers.exhaustive_assignments(formula), (n, i)
+                several += n > 3 and len(assignments) > 1
+        assert several
+
     def test_prism_closed_form_is_the_oracle(self):
         for m in range(4, 17, 2):
             formula = helpers.prism_formula(m)

@@ -21,7 +21,6 @@ from corrsubopt.solvers import sample_states
 from corrsubopt.verification import (
     ALL_CHECKS,
     Inconclusive,
-    attachment_violations,
     find_low_discrepancy_mask,
     infeasible_score_bound,
     max_sampled_score,
@@ -81,22 +80,6 @@ class TestExactQuantities:
             denominator, _ = g.discrepancy_scale
             assert Fraction(ScoreState(g, mask).shares(leaves), denominator) == expected
             assert Fraction(inst.core.leaf_numerator, denominator) == expected
-
-    def test_attachment_violations_empty_on_full_graph(self, unsat4):
-        inst = compile_formula(unsat4, 2)
-        full = ScoreState(inst.core, SubgraphMask.full(inst.core))
-        assert attachment_violations(inst, full) == []
-
-    def test_attachment_violation_reports_exact_discrepancy(self, sat3):
-        # The t = 2 graph held to the t = 3 bound 1/9: on the full mask
-        # ND(zp_1) = 36/169 (see test_full_graph_attachment_discrepancies).
-        inst = compile_formula(sat3, 2)
-        # attachment_violations reads only the core, t and attachment vertices
-        loose = types.SimpleNamespace(core=inst.core, t=3,
-                                      attachment_vertices=inst.attachment_vertices)
-        full = ScoreState(inst.core, SubgraphMask.full(inst.core))
-        assert attachment_violations(inst, full) == []
-        assert (inst.zp(1), Fraction(36, 169)) in attachment_violations(loose, full)
 
 
 class TestEveryMaskBounds:
