@@ -103,10 +103,10 @@ def _load_formula_file(path: str):
     return formula
 
 
-def _print_score(value) -> None:
+def _print_score(value, label: str = "score") -> None:
     from .scoring import format_fraction, format_score
 
-    print(f"score = {format_score(value)}")
+    print(f"{label} = {format_score(value)}")
     print(f"S = {format_fraction(value.discrepancy_total)}")
 
 
@@ -164,7 +164,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     from .graph import dump_mask
     from .reduction import compile_formula, parse_assignment, witness_mask
-    from .scoring import format_fraction, format_score, score
+    from .scoring import score
 
     formula = _load_formula_file(args.formula)
     assignment = parse_assignment(args.assignment, formula.variable_count)
@@ -173,8 +173,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     value = score(inst.core, mask, multiplier=inst.variable_count)
     mask = inst.explicit_mask(mask)  # what is printed and written
     print(f"mask = {mask.bitstring()}")
-    print(f"reduction score = {format_score(value)}")
-    print(f"S = {format_fraction(value.discrepancy_total)}")
+    _print_score(value, "reduction score")
     if args.out:
         _atomic_write((args.out, [dump_mask(mask)]))
         print(f"wrote {args.out}")

@@ -44,12 +44,16 @@ negative budget or sample count, and a ``str`` or ``bytes`` of selectors.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
+
+try:  # CPython's built-in sha256 loads no OpenSSL, as ``random`` does for sha512
+    from _sha256 import sha256
+except ImportError:  # renamed in 3.12
+    from hashlib import sha256
 
 from .graph import SubgraphMask, is_valid
 from .reduction import (
@@ -94,7 +98,7 @@ class Inconclusive(RuntimeError):
 
 
 def instance_label(inst: ReductionInstance) -> str:
-    digest = hashlib.sha256(dump_formula(inst.formula).encode()).hexdigest()[:8]
+    digest = sha256(dump_formula(inst.formula).encode()).hexdigest()[:8]
     return f"n={inst.variable_count} t={inst.t} formula={digest}"
 
 

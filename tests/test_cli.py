@@ -15,6 +15,8 @@ from corrsubopt.cli import build_parser, main
 
 import helpers
 
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+
 
 @pytest.fixture
 def p3_file(tmp_path):
@@ -32,15 +34,17 @@ def triangle_file(tmp_path):
 
 @pytest.fixture
 def sat3_file(tmp_path):
+    """A copy of the shipped ``instances/sat3.f``: helpers.SAT3_TEXT with comments."""
     path = tmp_path / "sat3.f"
-    path.write_text(helpers.SAT3_TEXT)
+    path.write_bytes((INSTANCES / "sat3.f").read_bytes())
     return str(path)
 
 
 @pytest.fixture
 def unsat4_file(tmp_path):
+    """A copy of the shipped ``instances/unsat4.f``: helpers.UNSAT4_TEXT with comments."""
     path = tmp_path / "unsat4.f"
-    path.write_text(helpers.UNSAT4_TEXT)
+    path.write_bytes((INSTANCES / "unsat4.f").read_bytes())
     return str(path)
 
 
@@ -86,11 +90,13 @@ class TestScoreCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_graph_reports_line(self, tmp_path, capsys):
-        path = tmp_path / "bad.graph"
-        path.write_text("2 1\n0 x\n1 2\n0 1\n")
-        assert main(["score", "-g", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "line 2" in err
+        # An exponent weight is refused, not expanded: 1e400 is malformed.
+        for text, line in (("2 1\n0 x\n1 2\n0 1\n", 2),
+                           ("3 2\n0 0\n1 1e400\n2 0\n0 1\n1 2\n", 3)):
+            path = tmp_path / "bad.graph"
+            path.write_text(text)
+            assert main(["score", "-g", str(path)]) == 2
+            assert f"line {line}" in capsys.readouterr().err
 
     def test_huge_vertex_count_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "huge.graph"
@@ -269,7 +275,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("name", ["sat3", "unsat4"])
     def test_checks_1_to_4_draw_no_mask(self, request, name, monkeypatch, capsys):
         """Checks 1 to 4 prove their bounds for every valid mask at once, so
-        all four pass (exit 0) with the mask sampler refused."""
+        all four pass (exit 0) at each t with the mask sampler refused."""
         from corrsubopt import solvers
 
         def refuse(graph, rng):
@@ -277,7 +283,9 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(solvers, "random_valid_mask", refuse)
         path = request.getfixturevalue(f"{name}_file")
-        assert main(["verify", "-f", path, "-t", "2", "--checks", "1,2,3,4"]) == 0
+        for t in ("2", "4", "9"):
+            assert main(["verify", "-f", path, "-t", t, "--checks", "1,2,3,4"]) == 0, t
+            assert capsys.readouterr().out.count(": PASS") == 4, t
 
     def test_repeated_check_is_usage_error(self, sat3_file, capsys):
         assert main(["verify", "-f", sat3_file, "-t", "2", "--checks", "1,1"]) == 2
@@ -379,6 +387,13 @@ VERIFY_GOLDEN = {
         "max_observed=38.649516670 masks_checked=101",
         "instance: n=4 t=2 formula=4f092725",
     ]),
+    # t^2 and D far beyond a float's exact integers: the look-ahead's int limit.
+    **{f"unsat4-check6-t{t}": (["-f", "unsat4", "-t", t, "--checks", "6"], 0, [
+        f"check 6 low-discrepancy-search: PASS nodes=1560 threshold={int(t) ** 2}/9 | "
+        f"exhaustive: every valid mask pushes some designated vertex to discrepancy >= "
+        f"{int(t) ** 2}/9",
+        f"instance: n=4 t={t} formula=4f092725",
+    ]) for t in ("600", "174700000000")},
     "cubic21": (["-f", "cubic21", "-t", "2", "--checks", "5,6,lemmas"], 1, [
         f"check 5 witness-zero-discrepancy: {CAPPED}",
         f"check 6 low-discrepancy-search: {CAPPED}",
@@ -409,11 +424,18 @@ class TestDecideCommand:
         assert "threshold = 28.014613361037" in out
         assert "note:" in out
 
-    def test_prints_search_nodes(self, sat3_file, capsys):
-        assert main(["decide", "-f", sat3_file]) == 0
+    @pytest.mark.parametrize("name, n, nodes, optimum", [
+        pytest.param("sat3", 3, 768, "49.811436190181", id="sat3"),
+        pytest.param("unsat4", 4, 3138, "75.140120141580", id="unsat4"),
+    ])
+    def test_prints_search_nodes(self, request, name, n, nodes, optimum, capsys):
+        """Both shipped formulas are proven, in pinned node counts; unsat4
+        answers YES too, since at n = 4 the threshold separates nothing."""
+        assert main(["decide", "-f", request.getfixturevalue(f"{name}_file")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        at = lines.index("n = 3, t = 9, solver = exact, optimality = proven")
-        assert lines[at + 1] == "nodes = 768"
+        assert lines[:2] == ["answer = YES", f"optimum = {optimum}"]
+        at = lines.index(f"n = {n}, t = {n * n}, solver = exact, optimality = proven")
+        assert lines[at + 1] == f"nodes = {nodes}"
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_builds_no_neighbour_lists(self, n, tmp_path, monkeypatch, capsys):

@@ -143,6 +143,27 @@ def test_only_writing_commands_load_tempfile_and_none_loads_pathlib(tmp_path):
     assert (tmp_path / "best.mask").exists()
 
 
+def test_instance_label_takes_sha256_without_openssl(tmp_path):
+    """``verification`` takes sha256 from CPython's built-in ``_sha256``, so
+    ``verify`` loads no OpenSSL through ``hashlib``; where that module is
+    missing (3.12 renames it) it falls back to ``hashlib``, and the label
+    the verify goldens pin is the same 8 digits."""
+    out = run_child(
+        "-c",
+        "import sys\n"
+        "sys.modules['_sha256'] = None\n"
+        "from corrsubopt import compile_formula, parse_formula\n"
+        "from corrsubopt.verification import instance_label\n"
+        f"print(instance_label(compile_formula(parse_formula({helpers.SAT3_TEXT!r}), 2)))\n"
+    ).stdout
+    assert out == "n=3 t=2 formula=4aae2373\n"
+    formula = tmp_path / "sat3.f"
+    formula.write_text(helpers.SAT3_TEXT)
+    loaded = imports_of(["verify", "-f", str(formula), "-t", "2", "--checks", "1"])
+    if sys.version_info < (3, 12):
+        assert not {"hashlib", "_hashlib"} & loaded
+
+
 def test_version_loads_no_reduction_or_verification():
     """``python -m corrsubopt.cli --version`` is the benchmark's set-up
     command, so every module it imports is in ``setup_s``.  Of the package

@@ -338,8 +338,12 @@ class TestScoreBounds:
         t = 10**150
         assert infeasible_score_bound(compile_formula(unsat4, t)) == (
             24 * math.log(t) + 80 - 4 * math.log(t * t / 9))
-        (record,) = run_checks(unsat4, 10**200, ("lemmas",), lemma_samples=10)
-        assert record.status == "pass", record
+        # Every check but 5 (no witness exists) at t = 10^200: check 6's
+        # look-ahead limit is an int, and its search the same 1,560 nodes.
+        checks = ("1", "2", "3", "4", "6", "lemmas")
+        records = run_checks(unsat4, 10**200, checks, lemma_samples=10)
+        assert [(r.check, r.status) for r in records] == [(c, "pass") for c in checks]
+        assert dict(records[4].quantities)["nodes"] == "1560"
 
     def test_sampling_branch_on_compiled_instance(self, sat3):
         inst = compile_formula(sat3, 2)
