@@ -26,10 +26,6 @@ from . import __version__
 # so --version, -h and a usage error load none of them.
 
 
-class UsageError(Exception):
-    pass
-
-
 def non_negative_int(text: str) -> int:
     """argparse type of counts, budgets and limits: a negative one is a usage error."""
     value = int(text)
@@ -50,7 +46,7 @@ def _read(path: str) -> str:
         with open(path) as handle:
             return handle.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _atomic_write(*files: tuple[str, Iterable[str]]) -> None:
@@ -89,7 +85,7 @@ def _atomic_write(*files: tuple[str, Iterable[str]]) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_formula_file(path: str):
@@ -296,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:  # parse errors are ValueErrors
+    except ValueError as exc:  # parse errors and unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -175,20 +175,18 @@ class ReductionInstance(Immutable):
     (formula, t) give equal instances.  Its one gadget pass builds the core
     (the graph with each hub's leaves folded into a pendant) and the tables.
 
-    ``blocks``, ``clause_blocks``, ``tags``, the accessors (variables and
-    clauses 1-based) and the vertex tables hold core ids.  ``explicit_ids``
-    maps each to its id in ``graph``, the explicit graph, which
-    :func:`_unfold` builds from the core together with its ``roles`` on the
-    first read of either, to be written out; above ``MAX_COMPILED_VERTICES``
-    that read refuses."""
+    ``tags[x]`` is core vertex x's role in the paper's names (``u_1``,
+    ``w_1_2``, ``ap_3``, ...), and the two vertex sets are read off it.
+    ``explicit_ids`` maps each core id to its id in ``graph``, the explicit
+    graph, which :func:`_unfold` builds from the core together with its
+    ``roles`` on the first read of either, to be written out; above
+    ``MAX_COMPILED_VERTICES`` that read refuses."""
 
     _fields = ("formula", "t")
     formula: Formula
     t: int
     variable_count: int
     core: WeightedGraph
-    blocks: tuple[tuple[int, ...], ...]  # per variable: (u, v, z, zp, w_1, w_2, w_3)
-    clause_blocks: tuple[tuple[int, int], ...]  # per clause: (a, ap)
     explicit_ids: tuple[int, ...]  # per core vertex: its id in graph
     tags: tuple[str, ...]  # per core vertex: its role
     gadget_edge_order: tuple[int, ...]  # the core's edge ids, in check 6's order
@@ -197,11 +195,10 @@ class ReductionInstance(Immutable):
         if t < 2:
             raise ValueError(f"scale t must be at least 2, got {t}")
         n = formula.variable_count
-        edges, weights, pendants, tags, blocks, clause_blocks, ids = _gadgets(n, t, formula.slots)
+        edges, weights, pendants, tags, ids = _gadgets(n, t, formula.slots)
         core = WeightedGraph.build(9 * n, edges, weights, pendants)
         self.__dict__.update(formula=formula, t=t, variable_count=n, core=core,
-                             blocks=blocks, clause_blocks=clause_blocks, explicit_ids=ids,
-                             tags=tags,
+                             explicit_ids=ids, tags=tags,
                              gadget_edge_order=tuple(core.edge_id(u, v) for u, v in edges))
 
     _written = cached_property(lambda self: _unfold(self))
@@ -218,39 +215,17 @@ class ReductionInstance(Immutable):
             kept[eid] = keep
         return SubgraphMask(self.graph, kept)
 
-    def u(self, i: int) -> int:
-        return self.blocks[i - 1][0]
-
-    def v(self, i: int) -> int:
-        return self.blocks[i - 1][1]
-
-    def z(self, i: int) -> int:
-        return self.blocks[i - 1][2]
-
-    def zp(self, i: int) -> int:
-        return self.blocks[i - 1][3]
-
-    def w(self, i: int, slot: int) -> int:
-        return self.blocks[i - 1][3 + slot]
-
-    def a(self, j: int) -> int:
-        return self.clause_blocks[j - 1][0]
-
-    def ap(self, j: int) -> int:
-        return self.clause_blocks[j - 1][1]
-
     @cached_property
     def attachment_vertices(self) -> tuple[int, ...]:
         """The zp_i and ap_j vertices: the only non-leaves allowed nonzero
         discrepancy in a perfect solution."""
-        return tuple(b[3] for b in self.blocks) + tuple(ap for _, ap in self.clause_blocks)
+        return tuple(x for x, tag in enumerate(self.tags) if tag.startswith(("zp_", "ap_")))
 
     @cached_property
     def designated_vertices(self) -> tuple[int, ...]:
         """Non-leaf vertices other than the attachment vertices, in id order;
         the infeasibility search bounds their discrepancies."""
-        return (tuple(vid for b in self.blocks for vid in b[:3] + b[4:])
-                + tuple(a for a, _ in self.clause_blocks))
+        return tuple(sorted(set(range(len(self.tags))) - set(self.attachment_vertices)))
 
 
 # Above this many vertices the explicit graph is refused before anything is
@@ -272,10 +247,10 @@ def compile_formula(formula: Formula, t: int) -> ReductionInstance:
 
 
 def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...]) -> tuple:
-    """(edges, weights, pendants, tags, blocks, clause_blocks, ids): the core
-    in the vertex order of the module notes, each hub's leaves one (hub,
-    count, weight) pendant, and its tables; ids[x] is the explicit graph's
-    id of core vertex x, which the leaves of every earlier block precede.
+    """(edges, weights, pendants, tags, ids): the core in the vertex order
+    of the module notes, each hub's leaves one (hub, count, weight)
+    pendant, and each core vertex's tag; ids[x] is the explicit graph's id
+    of core vertex x, which the leaves of every earlier block precede.
     The edges come in the order check 6 branches on them: per variable
     v u, v z, z zp, then v w_l and w_l a_{r_l} for each slot l; then every
     clause's a ap."""
@@ -308,7 +283,7 @@ def _gadgets(n: int, t: int, slots: tuple[tuple[int, ...], ...]) -> tuple:
         for w, j in zip(ws, clauses):
             edges += [(v, w), (w, clause_blocks[j - 1][0])]
     edges += clause_blocks
-    return edges, weights, pendants, tuple(tags), tuple(blocks), tuple(clause_blocks), tuple(ids)
+    return edges, weights, pendants, tuple(tags), tuple(ids)
 
 
 def _unfold(inst: ReductionInstance) -> tuple[WeightedGraph, tuple[str, ...]]:

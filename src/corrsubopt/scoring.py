@@ -172,8 +172,9 @@ class ScoreState:
     degree (in the mask) and the int sum s of the kept neighbours' scaled
     weights; ``total`` is the int S * D.  A toggle touches only its two
     endpoints, and :meth:`delta` is its int change in S * D, unapplied.
-    :meth:`gap` and :meth:`shares` read those ints for given vertices, which
-    is all the checks in ``verification`` need.  :meth:`score` re-adds ln d
+    :meth:`gap` reads one vertex's ints, which is all the checks in
+    ``verification`` need; :meth:`shares` sums given vertices' part of
+    S * D, from which ``total`` starts.  :meth:`score` re-adds ln d
     over the core vertices in vertex order, so every result is
     bit-identical to a from-scratch score of the same mask.
 

@@ -341,14 +341,10 @@ def solve_exact(
     _, weights = graph.scaled_weights
     denominator, cofactors = graph.discrepancy_scale
     if order is None:
-        # W = L * f, so ordering by |W_u - W_v| is ordering by |f(u) - f(v)|.
-        order = sorted(
-            free,
-            key=lambda eid: (
-                -abs(weights[graph.edges[eid][0]] - weights[graph.edges[eid][1]]),
-                eid,
-            ),
-        )
+        # W = L * f, so ordering by |W_u - W_v| is ordering by |f(u) - f(v)|;
+        # the sort is stable and ``free`` ascending, so ties keep ascending id.
+        order = sorted(free, key=lambda eid: -abs(weights[graph.edges[eid][0]]
+                                                   - weights[graph.edges[eid][1]]))
     elif sorted(order) != list(free):
         raise ValueError("order must be a permutation of the graph's free edge ids")
     dfs = FreeEdgeSearch(graph, order)

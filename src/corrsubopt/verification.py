@@ -362,7 +362,6 @@ _TABLE = {
     "6": ("low-discrepancy-search", check_infeasibility_search),
     "lemmas": ("score-bounds", check_score_bounds),
 }
-CHECK_NAMES = {selector: name for selector, (name, _) in _TABLE.items()}
 CHECKS = {selector: check for selector, (_, check) in _TABLE.items()}
 
 ALL_CHECKS = tuple(CHECKS)
@@ -402,6 +401,6 @@ def run_checks(
             outcome = Outcome("inconclusive", details=str(exc))
         except AssignmentError as exc:  # only the given assignment can be rejected
             outcome = Outcome("fail", (("assignment", _text(assignment)),), str(exc))
-        records.append(CheckRecord(selector, CHECK_NAMES[selector], outcome.status, label,
+        records.append(CheckRecord(selector, _TABLE[selector][0], outcome.status, label,
                                    outcome.quantities, outcome.details))
     return records

@@ -611,6 +611,11 @@ def plain_roles(n: int, t: int) -> list[str]:
     return roles
 
 
+def role(inst, tag: str) -> int:
+    """The core id of the vertex with this tag, such as ``"zp_1"``."""
+    return inst.tags.index(tag)
+
+
 class PlainGadget:
     """A compiled instance's gadget structure derived from its role strings
     alone: vertices looked up by tag, leaves and designated vertices found by

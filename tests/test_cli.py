@@ -626,7 +626,7 @@ def test_failed_rename_leaves_no_temporary(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.os, "replace", second_fails)
     graph, roles = str(tmp_path / "p.graph"), str(tmp_path / "p.roles")
-    with pytest.raises(cli.UsageError, match=f"cannot write {roles}: "):
+    with pytest.raises(ValueError, match=f"cannot write {roles}: "):
         cli._atomic_write((graph, "graph\n"), (roles, "roles\n"))
     assert os.listdir(tmp_path) == ["p.graph"]
     assert (tmp_path / "p.graph").read_text() == "graph\n"

@@ -223,20 +223,21 @@ class TestCompile:
         _, inst = grid_instance(3, 2)
         w = inst.core.weights
         t = 2
-        assert w[inst.u(1)] == 7 * t
-        assert w[inst.v(1)] == 4 * t
-        assert w[inst.z(1)] == t
-        assert w[inst.zp(1)] == 4 * t
-        assert w[inst.w(1, 2)] == 3 * t
-        assert w[inst.a(2)] == 2 * t
-        assert w[inst.ap(2)] == t
+        assert w[helpers.role(inst, "u_1")] == 7 * t
+        assert w[helpers.role(inst, "v_1")] == 4 * t
+        assert w[helpers.role(inst, "z_1")] == t
+        assert w[helpers.role(inst, "zp_1")] == 4 * t
+        assert w[helpers.role(inst, "w_1_2")] == 3 * t
+        assert w[helpers.role(inst, "a_2")] == 2 * t
+        assert w[helpers.role(inst, "ap_2")] == t
 
     def test_cross_edges_follow_clause_order(self, sat3):
         inst = compile_formula(sat3, 2)
         for i in (1, 2, 3):
             assert inst.formula.slots[i - 1] == (1, 2, 3)
             for slot, j in enumerate(inst.formula.slots[i - 1], 1):
-                assert inst.core.edge_id(inst.w(i, slot), inst.a(j)) is not None
+                w, a = helpers.role(inst, f"w_{i}_{slot}"), helpers.role(inst, f"a_{j}")
+                assert inst.core.edge_id(w, a) is not None
 
     def test_instances_differ_across_inputs(self, sat3, unsat4):
         a = compile_formula(sat3, 2).graph
@@ -281,17 +282,17 @@ class TestCompile:
                 adj[v].clear()
                 alive.discard(v)
         n = inst.variable_count
-        expected = {inst.v(i) for i in range(1, n + 1)}
-        expected |= {inst.w(i, s) for i in range(1, n + 1) for s in (1, 2, 3)}
-        expected |= {inst.a(j) for j in range(1, n + 1)}
+        expected = {helpers.role(inst, f"v_{i}") for i in range(1, n + 1)}
+        expected |= {helpers.role(inst, f"w_{i}_{s}") for i in range(1, n + 1) for s in (1, 2, 3)}
+        expected |= {helpers.role(inst, f"a_{j}") for j in range(1, n + 1)}
         assert alive == expected
         # contracting each degree-2 w vertex leaves variable-clause incidences
         got = set()
         for i in range(1, n + 1):
             for s in (1, 2, 3):
-                nbrs = adj[inst.w(i, s)]
+                nbrs = adj[helpers.role(inst, f"w_{i}_{s}")]
                 j = inst.formula.slots[i - 1][s - 1]
-                assert nbrs == {inst.v(i), inst.a(j)}
+                assert nbrs == {helpers.role(inst, f"v_{i}"), helpers.role(inst, f"a_{j}")}
                 got.add((i, j))
         expected_incidence = {
             (i, j)
@@ -324,10 +325,10 @@ class TestGadgetTables:
         ids, free = inst.explicit_ids, inst.graph.free_edge_ids
         for i in range(1, n + 1):
             for name in ("u", "v", "z", "zp", "a", "ap"):
-                assert ids[getattr(inst, name)(i)] == getattr(ref, name)(i), (name, i)
+                assert ids[helpers.role(inst, f"{name}_{i}")] == getattr(ref, name)(i), (name, i)
             ascending = [j for j, clause in enumerate(formula.clauses, 1) if i in clause]
             for slot in (1, 2, 3):
-                assert ids[inst.w(i, slot)] == ref.w(i, slot)
+                assert ids[helpers.role(inst, f"w_{i}_{slot}")] == ref.w(i, slot)
                 assert (inst.formula.slots[i - 1][slot - 1] == ref.slot_clause(i, slot)
                         == ascending[slot - 1])
         assert ref.leaves() == tuple(vid for vid, d in enumerate(inst.graph.degrees) if d == 1)
@@ -376,7 +377,7 @@ class TestGadgetTables:
         monkeypatch.setattr(WeightedGraph, "__init__",
                             lambda graph, *args: built.append(args[0]) or init(graph, *args))
         inst = compile_formula(unsat4, 3)
-        for name in ("blocks", "clause_blocks", "explicit_ids", "gadget_edge_order",
+        for name in ("explicit_ids", "gadget_edge_order",
                      "attachment_vertices", "designated_vertices"):
             getattr(inst, name)
         assert built == [36]
@@ -503,21 +504,21 @@ class TestWitness:
             assert is_valid(inst.core, mask)
             expected = set()
             for i, (true, clauses) in enumerate(zip(assignment, formula.slots), 1):
-                v = inst.v(i)
+                v, z = helpers.role(inst, f"v_{i}"), helpers.role(inst, f"z_{i}")
                 if true:
-                    expected.add(edge_id(v, inst.z(i)))
+                    expected.add(edge_id(v, z))
                 else:
-                    expected.add(edge_id(inst.z(i), inst.zp(i)))
+                    expected.add(edge_id(z, helpers.role(inst, f"zp_{i}")))
                     for slot, j in enumerate(clauses, 1):
-                        w = inst.w(i, slot)
-                        expected |= {edge_id(v, w), edge_id(w, inst.a(j))}
+                        w = helpers.role(inst, f"w_{i}_{slot}")
+                        expected |= {edge_id(v, w), edge_id(w, helpers.role(inst, f"a_{j}"))}
             assert {eid for eid, keep in enumerate(mask.kept) if not keep} == expected
 
     def test_clause_anchor_keeps_exactly_one_cross_edge(self, sat3):
         inst = compile_formula(sat3, 2)
         mask = witness_mask(inst, (False, True, False))
         for j in (1, 2, 3):
-            a = inst.a(j)
+            a = helpers.role(inst, f"a_{j}")
             kept_nbrs = [
                 other
                 for other, eid in inst.core.incidence[a]

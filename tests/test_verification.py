@@ -42,14 +42,14 @@ class TestExactQuantities:
         full = SubgraphMask.full(inst.core)
         g = inst.core
         # zp keeps z plus 3t^2 leaves: deviation 3t/(3t^2+1) squared
-        assert neighbourhood_discrepancy(g, full, inst.zp(1)) == Fraction(36, 169)
+        assert neighbourhood_discrepancy(g, full, helpers.role(inst, "zp_1")) == Fraction(36, 169)
         # ap keeps a plus t^2 leaves: deviation t/(t^2+1) squared
-        assert neighbourhood_discrepancy(g, full, inst.ap(1)) == Fraction(4, 25)
+        assert neighbourhood_discrepancy(g, full, helpers.role(inst, "ap_1")) == Fraction(4, 25)
 
     def test_attachment_bound_tightens_with_t(self, sat3):
         inst = compile_formula(sat3, 4)
         full = SubgraphMask.full(inst.core)
-        nd = neighbourhood_discrepancy(inst.core, full, inst.zp(1))
+        nd = neighbourhood_discrepancy(inst.core, full, helpers.role(inst, "zp_1"))
         assert nd == Fraction(144, 2401)
         assert nd < Fraction(1, 16)
 
@@ -96,7 +96,8 @@ class TestEveryMaskBounds:
         # The random masks are drawn on the explicit graph, the reference.
         inst, g = ctx.inst, ctx.inst.graph
         ids = inst.explicit_ids
-        zp, attachments = ids[inst.zp(1)], [ids[vtx] for vtx in inst.attachment_vertices]
+        zp = ids[helpers.role(inst, "zp_1")]
+        attachments = [ids[vtx] for vtx in inst.attachment_vertices]
         outcomes = [verification.CHECKS[c](ctx) for c in ("1", "2", "3", "4")]
         assert [o.status for o in outcomes] == ["pass"] * 4
         attachment = dict(outcomes[1].quantities)
