@@ -233,15 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options that several subcommands share, each declared once.
+    graph, formula, scale = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    graph.add_argument("-g", "--graph", required=True, help="instance graph file")
+    formula.add_argument("-f", "--formula", required=True, help="formula file")
+    scale.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
 
-    p = sub.add_parser("score", help="score a graph under a mask")
-    p.add_argument("-g", "--graph", required=True, help="instance graph file")
+    p = sub.add_parser("score", parents=[graph], help="score a graph under a mask")
     p.add_argument("-s", "--mask",
                    help="mask file (bitstring or kept edge ids); default: full graph")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("solve", help="search for a best valid mask")
-    p.add_argument("-g", "--graph", required=True, help="instance graph file")
+    p = sub.add_parser("solve", parents=[graph], help="search for a best valid mask")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true", help="branch and bound")
     mode.add_argument("--local", action="store_true", help="steepest-ascent local search")
@@ -253,23 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the best mask here")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("reduce", help="compile a formula to a graph")
-    p.add_argument("-f", "--formula", required=True, help="formula file")
-    p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
+    p = sub.add_parser("reduce", parents=[formula, scale], help="compile a formula to a graph")
     p.add_argument("-o", "--out", required=True,
                    help="output prefix; writes <prefix>.graph and <prefix>.roles")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("witness", help="witness mask for a satisfying assignment")
-    p.add_argument("-f", "--formula", required=True, help="formula file")
-    p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
+    p = sub.add_parser("witness", parents=[formula, scale],
+                       help="witness mask for a satisfying assignment")
     p.add_argument("-a", "--assignment", required=True, help='assignment, e.g. "TFF"')
     p.add_argument("-o", "--out", help="write the witness mask here")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("verify", help="run construction self-checks")
-    p.add_argument("-f", "--formula", required=True, help="formula file")
-    p.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
+    p = sub.add_parser("verify", parents=[formula, scale], help="run construction self-checks")
     p.add_argument("--checks", default="1,2,3,4,5,6,lemmas",
                    help="comma list from {%(default)s} (default: all)")
     p.add_argument("--assignment", help="restrict witness checks to this assignment")
@@ -280,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled masks for the score upper bound check")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decide", help="one-in-three satisfiability via the reduction")
-    p.add_argument("-f", "--formula", required=True, help="formula file")
+    p = sub.add_parser("decide", parents=[formula],
+                       help="one-in-three satisfiability via the reduction")
     p.set_defaults(func=cmd_decide)
 
     return parser

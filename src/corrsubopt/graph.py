@@ -20,12 +20,16 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 
-class GraphParseError(ValueError):
-    """Malformed instance or mask file; carries the offending 1-based line number."""
+class LineError(ValueError):
+    """An input file's defect; a message with a line number N opens ``line N: ``."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
+
+
+class GraphParseError(LineError):
+    """Malformed instance or mask file."""
 
 
 class MaskValidityError(ValueError):
@@ -387,6 +391,25 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         start = stop
 
 
+def counted_lines(text: str, error: type[LineError], kind: str, form: str) -> tuple:
+    """(content lines after the header, its line number, its two counts, how
+    many lines follow it) of a file headed by two counts, ``form``; a bad
+    header raises ``error``.  The lines are counted before any is parsed,
+    so a caller reports a wrong count before any line's defect."""
+    lines = _content_lines(text)
+    head, header = next(lines, (0, ""))
+    if not head:
+        raise error(f"empty {kind} file")
+    parts = header.split()
+    if len(parts) != 2:
+        raise error(f"header must be '{form}'", head)
+    try:
+        first, second = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise error("header counts must be integers", head) from None
+    return lines, head, first, second, sum(1 for _ in _content_lines(text)) - 1
+
+
 def _rational(weight: Fraction | int | str) -> Fraction:
     """``Fraction(weight)``; an exponent string such as 1e10000000 is refused."""
     if isinstance(weight, str) and ("e" in weight or "E" in weight):
@@ -394,36 +417,19 @@ def _rational(weight: Fraction | int | str) -> Fraction:
     return Fraction(weight)
 
 
-def _parse_weight(token: str, lineno: int) -> Fraction:
-    try:
-        return _rational(token)
-    except (ValueError, ZeroDivisionError):
-        raise GraphParseError(f"invalid rational weight {token!r}", lineno) from None
-
-
 def load_graph(text: str) -> WeightedGraph:
     """Parse an instance file; diagnostics carry 1-based line numbers.
 
-    The lines are counted, then read once; only the weights and edges are
-    kept.  A wrong line count is reported before any line's defect, and an
-    edge that repeats an earlier one before any defect on a later line: a
-    defect rereads the edge lines up to its own to find such a repeat.
+    The lines are counted (:func:`counted_lines`), then read once; only the
+    weights and edges are kept.  An edge that repeats an earlier one is
+    reported before any defect on a later line: a defect rereads the edge
+    lines up to its own to find such a repeat.
     """
-    lines = _content_lines(text)
-    head, header = next(lines, (0, ""))
-    if not head:
-        raise GraphParseError("empty instance file")
-    parts = header.split()
-    if len(parts) != 2:
-        raise GraphParseError("header must be '<vertex_count> <edge_count>'", head)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphParseError("header counts must be integers", head) from None
+    lines, head, n, m, found = counted_lines(
+        text, GraphParseError, "instance", "<vertex_count> <edge_count>")
     if n <= 0 or m < 0:
         raise GraphParseError("vertex count must be positive, edge count non-negative", head)
-    found = sum(1 for _ in _content_lines(text)) - 1  # before anything sized by n
-    if found != n + m:
+    if found != n + m:  # before anything sized by n
         raise GraphParseError(f"expected {n} vertex lines and {m} edge lines, found {found}", head)
 
     weights: list[Fraction | None] = [None] * n
@@ -442,10 +448,13 @@ def load_graph(text: str) -> WeightedGraph:
                 raise GraphParseError(f"vertex id {vid} out of range 0..{n - 1}", lineno)
             if weights[vid] is not None:
                 raise GraphParseError(f"duplicate vertex id {vid}", lineno)
-            weight = parsed.get(parts[1])
-            if weight is None:
-                weight = parsed[parts[1]] = _parse_weight(parts[1], lineno)
-            weights[vid] = weight
+            token = parts[1]
+            if token not in parsed:
+                try:
+                    parsed[token] = _rational(token)
+                except (ValueError, ZeroDivisionError):
+                    raise GraphParseError(f"invalid rational weight {token!r}", lineno) from None
+            weights[vid] = parsed[token]
 
         for lineno, line in lines:
             parts = line.split()

@@ -40,13 +40,14 @@ from functools import cached_property
 from itertools import combinations, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .graph import Immutable, SubgraphMask, WeightedGraph, _content_lines, require_same_graph
+from .graph import (Immutable, LineError, SubgraphMask, WeightedGraph, counted_lines,
+                    require_same_graph)
 
 if TYPE_CHECKING:  # decide imports solvers when it runs; reduce and witness never do
     from .solvers import SolveReport
 
 
-class FormulaError(ValueError):
+class FormulaError(LineError):
     """Malformed or structurally invalid formula."""
 
 
@@ -89,31 +90,20 @@ class Formula(Immutable):
 
 def parse_formula(text: str) -> Formula:
     """Parse a formula file; raises :class:`FormulaError` with line numbers."""
-    lines = _content_lines(text)
-    head, header = next(lines, (0, ""))
-    if not head:
-        raise FormulaError("empty formula file")
-    parts = header.split()
-    if len(parts) != 2:
-        raise FormulaError(f"line {head}: header must be '<n> <m>'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormulaError(f"line {head}: header counts must be integers") from None
-    found = sum(1 for _ in _content_lines(text)) - 1  # a count error precedes any line's
+    lines, head, n, m, found = counted_lines(text, FormulaError, "formula", "<n> <m>")
     if found != m:
-        raise FormulaError(f"line {head}: expected {m} clause lines, found {found}")
+        raise FormulaError(f"expected {m} clause lines, found {found}", head)
     clauses = []
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3:
-            raise FormulaError(f"line {lineno}: clause must list three variable ids")
+            raise FormulaError("clause must list three variable ids", lineno)
         try:
             ids = [int(p) for p in parts]
         except ValueError:
-            raise FormulaError(f"line {lineno}: variable ids must be integers") from None
+            raise FormulaError("variable ids must be integers", lineno) from None
         if len(set(ids)) != 3:
-            raise FormulaError(f"line {lineno}: clause variables must be distinct")
+            raise FormulaError("clause variables must be distinct", lineno)
         clauses.append(frozenset(ids))
     formula = Formula(n, tuple(clauses))
     # A necessary condition only: a bipartite planar graph on 2n vertices has

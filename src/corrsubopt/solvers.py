@@ -32,10 +32,7 @@ def _beats(cand: ScoreValue, cand_key: bytes, inc: ScoreValue, inc_key: bytes) -
     return cmp > 0 or (cmp == 0 and cand_key < inc_key)
 
 
-# Safety margin on the prune test: the bound and the incumbent value are
-# floats accumulated in different orders, so an exact >= comparison could
-# cut a branch holding an equal-or-better mask.  Real score gaps in play
-# are far larger than this.
+# The least margin of solve_exact's float cuts; see prune_margin.
 _PRUNE_EPS = 1e-6
 
 DEFAULT_FREE_EDGE_CAP = 40
@@ -227,6 +224,18 @@ class CompletionBound(dict):
                                          for x in self.core)
 
 
+def prune_margin(graph: WeightedGraph) -> float:
+    """``_PRUNE_EPS``, or if larger the float error of the log-degree sums
+    that :func:`solve_exact`'s cuts compare.  With u = 2^-53 and Λ the sum
+    of ln host degree over the k core vertices, a leaf's or the root's sum
+    (each ln within an ulp) is within (k + 1) u Λ / (1 - k u), and a node's
+    bound adds at most 15 u Λ per dropped edge, of at most f.  The floor
+    covers the few ulps of scores below 10^9."""
+    k, f, unit = len(graph.core_vertices), len(graph.free_edge_ids), 2.0 ** -53
+    spread = math.fsum(math.log(graph.degrees[x]) for x in graph.core_vertices)
+    return max(_PRUNE_EPS, (2 * (k + 1) / (1 - k * unit) + 15 * f) * unit * spread)
+
+
 def breadth_first_order(graph: WeightedGraph) -> tuple[int, ...]:
     """The free edge ids in breadth-first order over the free edges.
 
@@ -302,20 +311,20 @@ def solve_exact(
     sum) pairs of the nodes it has entered, less any that a later pair
     matched or beat on both (those cut nothing the later one does not), and
     cuts a new node (total, log sum) when one of them (pt, pl) has
-    pl >= log sum + ``_PRUNE_EPS`` and either pt <= total, or
-    pt > total > 0 and pl >= log sum + C ln(pt / total) + ``_PRUNE_EPS``.
+    pl >= log sum + ``eps`` and either pt <= total, or
+    pt > total > 0 and pl >= log sum + C ln(pt / total) + ``eps``.
     In the first case each completion of the new node has S at most, and a
     log-degree sum strictly below, that of the same completion of the
     earlier node.  In the second, F_A > F_B for the earlier node A and the
     new node B, and F_B + R' >= total > 0, so the ratio
     (F_A + R') / (F_B + R') of their completions' S falls as R' grows and
     is at most pt / total, its value at R' = B0; A's completion then scores
-    at least pl - log sum - C ln(pt / total) >= ``_PRUNE_EPS`` above B's,
+    at least pl - log sum - C ln(pt / total) >= ``eps`` above B's,
     both finite.  Either way the new node's completions score strictly
     lower, given C >= 0 (as the bound also assumes; :class:`ScoreState`
-    refuses C < 0 with ``ValueError``); the float log sums and logarithms
-    are off by far less than the margin.  With total = 0 the ratio is
-    unbounded and a completion of the new node may reach S = 0, so only
+    refuses C < 0 with ``ValueError``); the float log sums are off by
+    less than the margin ``eps`` (:func:`prune_margin`).  With total = 0 the
+    ratio is unbounded and a completion of the new node may reach S = 0, so only
     the first case applies.  The earlier node's subtree is finished, since the search is
     depth first, and each of its completions was reached or cut as unable
     to beat the incumbent; so the incumbent already beats every completion
@@ -351,6 +360,7 @@ def solve_exact(
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     logs = {d: math.log(d) for d in cofactors}  # every k + u of a node is a valid degree
     bound = CompletionBound(graph, order, cofactors)
+    eps = prune_margin(graph)
 
     inc_key = inc_mask.lex_key()
     # At the root every vertex's kept plus undecided degree is its host
@@ -380,15 +390,15 @@ def solve_exact(
             log_sum += logs[ku + uu] - logs[ku + uu + 1] + logs[kv + uv] - logs[kv + uv + 1]
         total += bound[u, ku, su, uu] + bound[v, kv, sv, uv]
         if total:
-            if log_sum - mult * log_quotient(total, denominator) < inc_score.value - _PRUNE_EPS:
+            if log_sum - mult * log_quotient(total, denominator) < inc_score.value - eps:
                 return None
-        elif (log_sum < inc_score.log_degree_sum - _PRUNE_EPS
+        elif (log_sum < inc_score.log_degree_sum - eps
               and compare_scores(inc_score, ScoreValue.from_parts(log_sum, 0, 1, mult)) > 0):
             return None  # the incumbent ranks above this branch's +inf bound
         # Frontier dominance: see the docstring.
         front = seen[depth].setdefault(frontier_key(depth), [])
         for prev_total, prev_log_sum in front:
-            margin = prev_log_sum - log_sum - _PRUNE_EPS
+            margin = prev_log_sum - log_sum - eps
             if margin < 0:
                 continue
             if prev_total <= total:

@@ -394,6 +394,7 @@ class TestMask:
         b = SubgraphMask.full(triangle)
         b.set_edge(2, False)
         assert a == b
+        assert repr(a) == "SubgraphMask('110')"
         with pytest.raises(TypeError):
             hash(a)
 
@@ -493,6 +494,8 @@ class TestMaskIO:
                      "expected 2 weights, got 1", id="weight-count"),
         pytest.param(lambda: WeightedGraph.build(2, [(0, 1), (1, 1)], [0, 1]), ValueError,
                      "self-loop at vertex 1", id="self-loop"),
+        pytest.param(lambda: WeightedGraph(2, ((1, 0),), (Fraction(0),) * 2), ValueError,
+                     "edge (1, 0) out of range or not ordered", id="edge-not-ordered"),
         pytest.param(lambda: SubgraphMask(load_graph(helpers.TRIANGLE_TEXT), [True]),
                      ValueError, "mask length 1 != edge count 3", id="mask-length"),
         # Every item of "010" and b"010" is truthy: as booleans they keep all three.

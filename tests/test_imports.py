@@ -1,8 +1,9 @@
 """What each entry point imports, checked in a fresh interpreter.
 
 ``import corrsubopt`` loads no submodule; the CLI loads each other module
-of the package only in the commands that use it, so ``--version``, ``-h``
-and a usage error load ``cli`` alone.  No command loads ``dataclasses`` or
+of the package only in the commands that use it, and
+:class:`TestCommandImports` states the set each entry point loads.  No
+command loads ``dataclasses`` or
 ``pathlib``, and only a command that writes loads ``tempfile``.  Each test
 runs in a child process, because this test session has long since imported
 every module.
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import helpers
 
@@ -50,62 +53,39 @@ def imports_of(argv: list[str], *flags: str, status: int = 0) -> set[str]:
     return set(modules)
 
 
-def modules_after(argv: list[str], status: int = 0) -> set[str]:
-    """The package modules loaded once ``corrsubopt.cli.main(argv)`` exits
-    with ``status``."""
-    return {name for name in imports_of(argv, status=status) if name.startswith("corrsubopt")}
-
-
 class TestCommandImports:
-    def test_score_and_solve_load_no_reduction_or_verification(self, tmp_path):
-        graph = tmp_path / "triangle.graph"
+    """The exact set of package modules that each entry point loads, one
+    row per entry point.  ``build_parser`` holds all the help, so help and
+    a usage error load ``cli`` alone."""
+
+    # (entry point, argv with {f} a formula, {g} a graph, {o} an output
+    # path, exit status, the modules it adds to ``corrsubopt.cli``)
+    ROWS = [
+        ("version", ["--version"], 0, ()),
+        ("help", ["-h"], 0, ()),
+        ("verify-help", ["verify", "-h"], 0, ()),
+        ("usage-error", ["solve"], 2, ()),
+        ("score", ["score", "-g", "{g}", "-s", "{g}.mask"], 0, ("graph", "scoring")),
+        ("solve", ["solve", "-g", "{g}", "--exact"], 0, ("graph", "scoring", "solvers")),
+        ("reduce", ["reduce", "-f", "{f}", "-t", "2", "-o", "{o}"], 0, ("graph", "reduction")),
+        ("witness", ["witness", "-f", "{f}", "-t", "2", "-a", "TFF", "-o", "{o}.mask"], 0,
+         ("graph", "reduction", "scoring")),
+        ("decide", ["decide", "-f", "{f}"], 0, ("graph", "reduction", "scoring", "solvers")),
+        ("verify", ["verify", "-f", "{f}", "-t", "2", "--lemma-samples", "10"], 0,
+         ("graph", "reduction", "scoring", "solvers", "verification")),
+    ]
+
+    @pytest.mark.parametrize("argv, status, modules", [row[1:] for row in ROWS],
+                             ids=[row[0] for row in ROWS])
+    def test_loads_exactly(self, tmp_path, argv, status, modules):
+        graph, formula = tmp_path / "triangle.graph", tmp_path / "sat3.f"
         graph.write_text(helpers.TRIANGLE_TEXT)
-        for argv in (["score", "-g", str(graph)],
-                     ["solve", "-g", str(graph), "--local"],
-                     ["solve", "-g", str(graph), "--exact"]):
-            loaded = modules_after(argv)
-            assert ("corrsubopt.solvers" in loaded) == (argv[0] == "solve"), argv
-            assert "corrsubopt.reduction" not in loaded, argv
-            assert "corrsubopt.verification" not in loaded, argv
-
-    def test_score_loads_no_solvers(self, tmp_path):
-        graph, mask = tmp_path / "triangle.graph", tmp_path / "triangle.mask"
-        graph.write_text(helpers.TRIANGLE_TEXT)
-        mask.write_text("101\n")
-        loaded = modules_after(["score", "-g", str(graph), "-s", str(mask)])
-        assert {"corrsubopt.graph", "corrsubopt.scoring"} <= loaded
-        assert "corrsubopt.solvers" not in loaded
-
-    def test_decide_loads_no_verification(self, tmp_path):
-        formula = tmp_path / "sat3.f"
+        (tmp_path / "triangle.graph.mask").write_text("101\n")
         formula.write_text(helpers.SAT3_TEXT)
-        loaded = modules_after(["decide", "-f", str(formula)])
-        assert "corrsubopt.reduction" in loaded
-        assert "corrsubopt.verification" not in loaded
-
-    def test_witness_loads_no_verification(self, tmp_path):
-        formula = tmp_path / "sat3.f"
-        formula.write_text(helpers.SAT3_TEXT)
-        loaded = modules_after(["witness", "-f", str(formula), "-t", "2", "-a", "TFF"])
-        assert "corrsubopt.reduction" in loaded
-        assert "corrsubopt.verification" not in loaded
-
-    def test_verify_help_loads_no_verification(self):
-        """``-h`` and ``verify -h`` print help that ``build_parser`` holds in
-        full, and argparse refuses a usage error before any command runs."""
-        for argv, status in ((["-h"], 0), (["verify", "-h"], 0), (["solve"], 2)):
-            assert modules_after(argv, status) == {"corrsubopt", "corrsubopt.cli"}, argv
-
-    def test_reduce_and_witness_load_no_solvers(self, tmp_path):
-        """Only ``decide`` needs the solvers; ``reduction`` imports them there."""
-        formula = tmp_path / "sat3.f"
-        formula.write_text(helpers.SAT3_TEXT)
-        for argv in (["reduce", "-f", str(formula), "-t", "2", "-o", str(tmp_path / "sat3")],
-                     ["witness", "-f", str(formula), "-t", "2", "-a", "TFF",
-                      "-o", str(tmp_path / "sat3.mask")]):
-            loaded = modules_after(argv)
-            assert "corrsubopt.reduction" in loaded, argv
-            assert "corrsubopt.solvers" not in loaded, argv
+        argv = [arg.format(f=formula, g=graph, o=tmp_path / "out") for arg in argv]
+        loaded = {name for name in imports_of(argv, status=status)
+                  if name.startswith("corrsubopt")}
+        assert loaded == {"corrsubopt", "corrsubopt.cli", *(f"corrsubopt.{m}" for m in modules)}
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):
@@ -264,3 +244,4 @@ def test_public_names_are_pinned():
     import corrsubopt
 
     assert sorted(corrsubopt.__all__) == sorted(PUBLIC_NAMES)
+    assert PUBLIC_NAMES <= set(dir(corrsubopt))

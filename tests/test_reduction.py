@@ -28,6 +28,7 @@ from corrsubopt import (
     satisfying_assignments,
     witness_mask,
 )
+from corrsubopt.graph import GraphParseError, LineError
 from corrsubopt.reduction import role_lines
 from corrsubopt.solvers import (
     DEFAULT_FREE_EDGE_CAP, breadth_first_order, solve_exact, solve_local)
@@ -78,6 +79,23 @@ class TestFormula:
         text = "# c\n3 3\n1 2 3\n1 2 3\nbad line\n"
         with pytest.raises(FormulaError, match="line 5"):
             parse_formula(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("", None),
+        ("# c\n3\n1 2 3\n", 2),
+        ("3 x\n1 2 3\n", 1),
+        ("# c\n3 3\n1 2 3\n1 2 3\n", 2),
+        ("3 3\n1 2 3\n\n1 2 3\n1 2\n", 5),
+        ("3 3\n1 2 3\n1 2 3\n1 2 9\n", None),  # Formula's own check: no one line
+    ])
+    def test_errors_carry_their_line(self, text, line):
+        """Formula and graph errors share one base, which writes the
+        ``line N: `` prefix and keeps N as ``.line``."""
+        with pytest.raises(FormulaError) as exc:
+            parse_formula(text)
+        assert isinstance(exc.value, LineError) and issubclass(GraphParseError, LineError)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ") == (line is not None)
 
     def test_needs_three_variables(self):
         with pytest.raises(FormulaError, match="at least three"):
@@ -381,6 +399,52 @@ class TestGadgetTables:
                      "attachment_vertices", "designated_vertices"):
             getattr(inst, name)
         assert built == [36]
+
+
+def passing_patterns(inst, x) -> list[tuple[str, ...]]:
+    """The kept-edge patterns of core vertex x that keep its ND below
+    t^2/9, by the exact int test 9 (W d - s)^2 < (L t d)^2 over every subset
+    of its free edges, forced edges and pendants kept: per passing subset,
+    the roles of the free neighbours it keeps (``w`` for ``w_1_2``), sorted."""
+    core, t = inst.core, inst.t
+    scale, weights = core.scaled_weights
+    forced, base = core.forced_degrees()[x], core.forced_nbr_sums[x]
+    patterns = []
+    for size in range(len(core.free_incidence[x]) + 1):
+        for kept in itertools.combinations(core.free_incidence[x], size):
+            others = [u if v == x else v for u, v in (core.edges[eid] for eid in kept)]
+            d, s = forced + size, base + sum(weights[y] for y in others)
+            if d and 9 * (weights[x] * d - s) ** 2 < (scale * t * d) ** 2:
+                patterns.append(tuple(sorted(inst.tags[y].split("_")[0] for y in others)))
+    return sorted(patterns)
+
+
+class TestLemmaTables:
+    """The construction's key lemma as gadget-local tables: whether a
+    designated vertex passes depends only on which of its own free edges a
+    mask keeps, and v_i, w_i_l and a_j pass in exactly these patterns, the
+    same at every t checked.  So v and w keep a variable's three cross edges
+    all or none, and a keeps exactly one per clause."""
+
+    TABLES = {
+        "v": [("u", "w", "w", "w"), ("u", "z")],  # z kept and every w dropped, or the reverse
+        "w": [(), ("a", "v")],  # both edges or neither
+        "a": [("ap", "w")] * 3,  # ap_j and exactly one of the three w's
+    }
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["sat3", "unsat4", "prism6", "cubic9"])
+    def test_passing_patterns(self, name, t, sat3, unsat4):
+        formula = {"sat3": sat3, "unsat4": unsat4, "prism6": helpers.prism_formula(6),
+                   "cubic9": helpers.cubic_formula(random.Random(9), 9)}[name]
+        inst = compile_formula(formula, t)
+        checked = 0
+        for x in inst.designated_vertices:
+            table = self.TABLES.get(inst.tags[x].split("_")[0])
+            if table is not None:
+                assert passing_patterns(inst, x) == table, inst.tags[x]
+                checked += 1
+        assert checked == 5 * formula.variable_count  # v and three w per variable, a per clause
 
 
 def _decide_pipeline(graph, n):

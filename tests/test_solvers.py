@@ -1,15 +1,20 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from operator import itemgetter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrsubopt import (
+    IncidenceBoundWarning,
     SearchSpaceError,
     SubgraphMask,
     WeightedGraph,
@@ -18,12 +23,14 @@ from corrsubopt import (
     forced_edges,
     is_valid,
     load_graph,
+    parse_formula,
     random_valid_mask,
     score,
     solve_exact,
     solve_local,
 )
-from corrsubopt.solvers import CompletionBound, FreeEdgeSearch, breadth_first_order
+from corrsubopt.solvers import (
+    _PRUNE_EPS, CompletionBound, FreeEdgeSearch, breadth_first_order, prune_margin)
 
 import helpers
 
@@ -453,6 +460,46 @@ class TestScoreAwareDominance:
         report, _ = TestDominanceDifferential.assert_matches(graph, [1], None, None)
         assert report.best_mask.bitstring() == "101"
         assert report.best_score.value == math.inf
+
+
+class TestPruneMargin:
+    def test_is_the_floor_on_the_bench_and_ci_graphs(self, tmp_path, monkeypatch):
+        """Every graph that the benchmark's ``solve --exact`` and ``decide``
+        ops search at seeds 3, 7 and 11, and the CI step's 1,500-vertex
+        cycle and 4,000-vertex wheel, search with the 1e-6 floor, as before
+        the margin was derived; so no mask, score or node count moves."""
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(str(root / "bench"))
+        graphs = [WeightedGraph.build(1500, [(v, (v + 1) % 1500) for v in range(1500)],
+                                      [v % 5 for v in range(1500)]),
+                  WeightedGraph.build(4000, [(0, v) for v in range(1, 4000)]
+                                      + [(v, v + 1) for v in range(1, 3999)],
+                                      [v % 5 for v in range(4000)])]
+        with mock.patch.dict(sys.modules), warnings.catch_warnings():
+            warnings.simplefilter("ignore", IncidenceBoundWarning)
+            import workloads
+
+            for seed in (3, 7, 11):
+                for name in ("decide", "solve"):
+                    work = tmp_path / f"{name}{seed}"
+                    work.mkdir()
+                    for op in workloads.build(name, seed, work, root / "instances").ops:
+                        if op.kind == "solve_exact":
+                            graphs.append(load_graph(Path(op.argv[2]).read_text()))
+                        elif op.kind == "decide":
+                            formula = parse_formula(Path(op.argv[2]).read_text())
+                            t = formula.variable_count ** 2
+                            graphs.append(compile_formula(formula, t).core)
+        assert len(graphs) == 2 + 3 * (16 + 3)
+        assert all(prune_margin(graph) == _PRUNE_EPS == 1e-6 for graph in graphs)
+
+    def test_grows_with_the_core_past_the_floor(self):
+        """On a 40,000-cycle the log sums' float error bound passes 1e-6."""
+        k, unit = 40_000, 2.0 ** -53
+        cycle = WeightedGraph.build(k, [(v, (v + 1) % k) for v in range(k)], [0, 1] * (k // 2))
+        expected = (2 * (k + 1) / (1 - k * unit) + 15 * k) * unit * k * math.log(2)
+        assert prune_margin(cycle) == pytest.approx(expected, rel=1e-12)
+        assert prune_margin(cycle) > 1e-6
 
 
 class TestCompletionBound:
