@@ -183,7 +183,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     formula = _load_formula_file(args.formula)
     checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
     assignment = None
-    if args.assignment:
+    if args.assignment is not None:
         assignment = parse_assignment(args.assignment, formula.variable_count)
     records = run_checks(  # its ValueErrors are usage errors, see main
         formula,

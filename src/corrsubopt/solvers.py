@@ -159,20 +159,18 @@ class FreeEdgeSearch:
 
 
 class CompletionBound(dict):
-    """Per vertex, a lower bound on its int share (W_x d - s)^2 c[d] over
-    the completions of its undecided edges, for a search in branching
-    ``order`` and per-degree weights c (``cofactors``, a dict over every
-    final degree).  With c = ``WeightedGraph.discrepancy_scale[1]`` the
-    share is the vertex's part of S * D; the check-6 search passes 9 c^2.
+    """Per vertex, a lower bound on its int share (W_x d - s)^2 c[d] of
+    S * D, c = ``WeightedGraph.discrepancy_scale[1]``, over the completions
+    of its undecided edges, for a search in branching ``order``.
 
     The instance is a memo: ``self[x, k, s, u]`` is :meth:`bound`, computed
     on first lookup, so a search node pays a dict lookup per endpoint.
     """
 
-    def __init__(self, graph: WeightedGraph, order: Sequence[int], cofactors: dict[int, int]):
+    def __init__(self, graph: WeightedGraph, order: Sequence[int]):
         super().__init__()
         self.weights = weights = graph.scaled_weights[1]
-        self.cofactors = cofactors
+        self.cofactors = graph.discrepancy_scale[1]
         self.core, self.leaf_numerator = graph.core_vertices, graph.leaf_numerator
         self.tails = tails = [[] for _ in range(graph.vertex_count)]
         for eid in order:
@@ -215,10 +213,9 @@ class CompletionBound(dict):
         return min(max(above, below, 0) ** 2 * c[d] for d, above, below in self.ends(x, k, s, u))
 
     def total(self, kept_deg, und_deg, nbr_sum) -> int:
-        """The bound on S * D, for c = ``discrepancy_scale[1]``: the sum of
-        every vertex's bound.  A host leaf keeps its one edge, which is
-        forced, so its bound is its exact share; the leaves' shares add up
-        to ``WeightedGraph.leaf_numerator``."""
+        """The bound on S * D: the sum of every vertex's bound.  A host leaf
+        keeps its one edge, which is forced, so its bound is its exact
+        share; the leaves' shares add up to ``WeightedGraph.leaf_numerator``."""
         bound = self.bound
         return self.leaf_numerator + sum(bound(x, kept_deg[x], nbr_sum[x], und_deg[x])
                                          for x in self.core)
@@ -359,7 +356,7 @@ def solve_exact(
     dfs = FreeEdgeSearch(graph, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     logs = {d: math.log(d) for d in cofactors}  # every k + u of a node is a valid degree
-    bound = CompletionBound(graph, order, cofactors)
+    bound = CompletionBound(graph, order)
     eps = prune_margin(graph)
 
     inc_key = inc_mask.lex_key()

@@ -9,9 +9,9 @@ Each check targets one structural property the construction relies on:
   5  witness masks have discrepancy exactly 0 on all designated vertices
   6  for unsatisfiable formulas, no valid mask keeps every designated
      vertex below discrepancy t^2/9 (exhaustive search in the gadget edge
-     order, cutting a branch once the branch and bound's
-     ``CompletionBound``, under weights 9 c[d]^2, shows that a designated
-     vertex can end below the threshold in no completion; a budget overrun
+     order, cutting a branch once the completion intervals of the branch
+     and bound's ``CompletionBound.ends`` show that a designated vertex
+     can end below the threshold in no completion; a budget overrun
      reports inconclusive, never a pass)
 
 plus the score-bound checks: a witness scores at least
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 try:  # CPython's built-in sha256 loads no OpenSSL, as ``random`` does for sha512
@@ -119,16 +119,15 @@ def find_low_discrepancy_mask(
     the edge just decided can end below the threshold in no completion of
     its undecided edges.
 
-    With D = L^2 m and c[d] = m / d (``discrepancy_scale``), a vertex of
-    final degree d has ND < t^2/9  <=>  9 (W d - s)^2 < (L t d)^2  <=>
-    9 (W d - s)^2 c[d]^2 < (L t m)^2.  So the look-ahead is
-    :class:`CompletionBound` under the weights 9 c[d]^2 against (L t m)^2:
-    it is below exactly when some final degree passes at the near end of
-    its ``CompletionBound.ends`` interval, as every completion below the
-    threshold does at its own degree.  The cut removes only subtrees that
-    hold no counterexample, the order of the rest is unchanged, and the
-    first mask found is the one a search cutting on finalised vertices
-    alone finds; only the node count falls.
+    A vertex of final degree d has ND = ((W d - s) / (L d))^2, so
+    ND < t^2/9  <=>  3 |W d - s| < L t d.  At each final degree d,
+    ``CompletionBound.ends`` gives the least |W d - s| over the
+    completions, max(above, below, 0); so the look-ahead passes a vertex
+    exactly when some d has 3 max(above, below, 0) < L t d, as every
+    completion below the threshold does at its own degree.  The cut
+    removes only subtrees that hold no counterexample, the order of the
+    rest is unchanged, and the first mask found is the one a search
+    cutting on finalised vertices alone finds; only the node count falls.
     With u = 0 the test is the final discrepancy test, so a leaf is a
     counterexample.
 
@@ -142,15 +141,17 @@ def find_low_discrepancy_mask(
     order, core = inst.gadget_edge_order, inst.core
     dfs = FreeEdgeSearch(core, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
-    scale, _ = core.scaled_weights
-    denominator, cofactors = core.discrepancy_scale
-    bound = CompletionBound(core, order, {d: 9 * c * c for d, c in cofactors.items()})
-    limit = (inst.t * denominator // scale) ** 2  # (L t m)^2, as D = L^2 m
+    ends = CompletionBound(core, order).ends
+    lt = core.scaled_weights[0] * inst.t  # L t
     designated = set(inst.designated_vertices)
+
+    @cache
+    def can_pass(x: int, k: int, s: int, u: int) -> bool:
+        return any(3 * max(above, below, 0) < lt * d for d, above, below in ends(x, k, s, u))
 
     def feasible(vtx: int) -> bool:
         return (vtx not in designated
-                or bound[vtx, kept_deg[vtx], nbr_sum[vtx], und_deg[vtx]] < limit)
+                or can_pass(vtx, kept_deg[vtx], nbr_sum[vtx], und_deg[vtx]))
 
     if not all(feasible(vtx) for vtx in inst.designated_vertices):
         return None, 0
@@ -245,7 +246,7 @@ def check_attachment_bounds(ctx: CheckContext) -> Outcome:
     |W d - s - sigma| is largest at the far end of the interval of
     ``CompletionBound.ends``."""
     inst, g = ctx.inst, ctx.inst.core
-    ends = CompletionBound(g, g.free_edge_ids, g.discrepancy_scale[1]).ends
+    ends = CompletionBound(g, g.free_edge_ids).ends
     forced, sums = g.forced_degrees(), g.forced_nbr_sums
     worst, vertex = Fraction(-1), -1
     for x in inst.attachment_vertices:

@@ -15,6 +15,7 @@ import types
 import unittest.mock
 import warnings
 from fractions import Fraction
+from functools import cache
 
 from corrsubopt import (
     Formula,
@@ -477,13 +478,21 @@ def plain_low_discrepancy_search(inst):
 
 
 def low_discrepancy_bound(graph: WeightedGraph, order, t: int):
-    """(bound, limit) of check 6's look-ahead, as the test side writes it: a
-    vertex in state (x, k, s, u) can still end below discrepancy t^2/9 iff
-    ``bound[x, k, s, u] < limit``, the completion bound under weights
-    9 c[d]^2 against (L t m)^2."""
+    """(bound, limit) of check 6's look-ahead in its squared form: a vertex
+    in state (x, k, s, u) can still end below discrepancy t^2/9 iff
+    ``bound(x, k, s, u) < limit``.  With D = L^2 m and c[d] = m / d
+    (``discrepancy_scale``), ND < t^2/9 <=> 9 (W d - s)^2 c[d]^2 < (L t m)^2,
+    so bound is the least over the final degrees d of 9 c[d]^2 times the
+    squared distance from 0 of ``CompletionBound.ends``' interval."""
     scale, _ = graph.scaled_weights
     denominator, cofactors = graph.discrepancy_scale
-    bound = CompletionBound(graph, order, {d: 9 * c * c for d, c in cofactors.items()})
+    ends = CompletionBound(graph, order).ends
+
+    @cache
+    def bound(x: int, k: int, s: int, u: int) -> int:
+        return min(9 * cofactors[d] ** 2 * max(above, below, 0) ** 2
+                   for d, above, below in ends(x, k, s, u))
+
     return bound, (t * denominator // scale) ** 2
 
 
@@ -551,7 +560,7 @@ def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | Non
     dfs = FreeEdgeSearch(graph, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
     logs = [0.0] + [math.log(d) for d in range(1, max(graph.degrees) + 1)]
-    bound = CompletionBound(graph, order, graph.discrepancy_scale[1])
+    bound = CompletionBound(graph, order)
     inc_mask = SubgraphMask.full(graph)
     inc_score, inc_key = score(graph, inc_mask, multiplier=mult), inc_mask.lex_key()
     if initial_mask is not None:

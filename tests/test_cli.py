@@ -301,21 +301,6 @@ class TestVerifyCommand:
         assert out == ""
         assert err.splitlines()[-1] == "error: no checks selected"
 
-    @pytest.mark.parametrize("case", ["sat3-t2", "unsat4-t2"])
-    def test_builds_no_neighbour_lists(self, request, case, monkeypatch, capsys):
-        """Checks 1 to 4 read per-graph caches built from the edge list and
-        check 5 reads each vertex's (d, W d - s) from a ``ScoreState``, so
-        every check prints its pinned line with the per-vertex ``incidence``
-        lists refused: sat3 runs the witness branch of lemmas, unsat4 its
-        sampled score bound."""
-        from corrsubopt import WeightedGraph
-
-        def refuse(graph):
-            raise AssertionError("incidence built")
-
-        monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
-        test_verify_golden_stdout(request, case, capsys)
-
     @pytest.mark.parametrize("flag", ["--lemma-samples", "--budget"])
     def test_negative_count_is_usage_error(self, unsat4_file, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -437,24 +422,6 @@ class TestDecideCommand:
         at = lines.index(f"n = {n}, t = {n * n}, solver = exact, optimality = proven")
         assert lines[at + 1] == f"nodes = {nodes}"
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_builds_no_neighbour_lists(self, n, tmp_path, monkeypatch, capsys):
-        """The warm start repairs isolated vertices from
-        ``WeightedGraph.free_incidence``, and neither search reads
-        neighbour lists: n = 4 is proven by branch and bound, n = 5 (50 free
-        edges) falls back to the local search."""
-        from corrsubopt import WeightedGraph
-
-        def refuse(graph):
-            raise AssertionError("incidence built")
-
-        path = tmp_path / f"cubic{n}.f"
-        path.write_text(dump_formula(helpers.cubic_formula(random.Random(n), n)))
-        monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
-        assert main(["decide", "-f", str(path)]) == 0
-        solver = "exact" if n == 4 else "local"
-        assert f"solver = {solver}, optimality = " in capsys.readouterr().out
-
     def test_caveat_always_present(self, unsat4_file, capsys):
         assert main(["decide", "-f", unsat4_file]) == 0
         out = capsys.readouterr().out
@@ -476,45 +443,108 @@ class TestRoundTrip:
         assert out[0] == f"score = {format_score(value)}"
         assert out[1] == f"S = {format_fraction(value.discrepancy_total)}"
 
-    def test_file_commands_build_no_neighbour_lists(self, sat3_file, tmp_path, monkeypatch,
-                                                    capsys):
-        """Degrees, forced edges and the leaves' share of S come from the
-        edge list; the per-vertex ``incidence`` lists are for callers that
-        need neighbours, and the file round trip needs none."""
-        from corrsubopt import WeightedGraph
-
-        def refuse(graph):
-            raise AssertionError("incidence built")
-
-        monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
-        prefix = str(tmp_path / "rt")
-        assert main(["reduce", "-f", sat3_file, "-t", "3", "-o", prefix]) == 0
-        assert main(["witness", "-f", sat3_file, "-t", "3", "-a", "TFF",
-                     "-o", f"{prefix}.mask"]) == 0
-        witness_s = capsys.readouterr().out.splitlines()[-2]
-        assert main(["score", "-g", f"{prefix}.graph", "-s", f"{prefix}.mask"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == witness_s == "S = 8343/140"
+DECIDE_NOTES = [
+    "note: threshold uses coefficient 17/2; the 13/2 variant sometimes quoted does not "
+    "separate the two cases",
+    "note: threshold separation is established only for variable counts above e^47; at "
+    "this size the verdict carries no correctness claim",
+]
 
 
-    def test_commands_build_no_forced_edge_set(self, sat3_file, tmp_path, monkeypatch,
-                                               capsys):
-        """Every command reads host degrees or ``free_edge_ids``; only
-        ``forced_edges()`` builds the set of forced edge ids."""
-        import corrsubopt.graph
+def _decide_lines(optimum, threshold, n, solver, optimality, nodes):
+    return ["answer = YES", f"optimum = {optimum}", f"threshold = {threshold}",
+            f"n = {n}, t = {n * n}, solver = {solver}, optimality = {optimality}",
+            f"nodes = {nodes}", *DECIDE_NOTES]
 
-        def refuse(graph):
-            raise AssertionError("forced_edges() called")
 
-        monkeypatch.setattr(corrsubopt.graph, "forced_edges", refuse)
-        prefix = str(tmp_path / "rt")
-        for argv in (["reduce", "-f", sat3_file, "-t", "2", "-o", prefix],
-                     ["witness", "-f", sat3_file, "-t", "2", "-a", "TFF",
-                      "-o", f"{prefix}.mask"],
-                     ["score", "-g", f"{prefix}.graph", "-s", f"{prefix}.mask"],
-                     ["solve", "-g", f"{prefix}.graph", "--local", "--restarts", "2"],
-                     ["decide", "-f", sat3_file],
-                     ["verify", "-f", sat3_file, "-t", "2", "--lemma-samples", "10"]):
-            assert main(argv) == 0, argv
+def _verify_row(case):
+    """A ``VERIFY_GOLDEN`` case as a row of ``NO_NEIGHBOUR_LISTS``."""
+    args, status, lines = VERIFY_GOLDEN[case]
+    argv = [f"{{{a}}}" if prev == "-f" else a for prev, a in zip([None] + args, args)]
+    return ["verify", *argv], lines, status
+
+
+SAT3_T2_WITNESS = ("111111101111111111111111111111111111111111110000111111111111111111101010"
+                   "111111110000111111111111111111101010111111111111111")
+SAT3_T3_WITNESS = ("111111111101111111111111111111111111111111111111111111111111111111110000"
+                   "111111111111111111111111111111111111101010111111111110000111111111111111"
+                   "111111111111111111111101010111111111111111111111111111111")
+
+# One row per command and input: argv, pinned stdout and exit status.  In
+# argv and stdout, {sat3} and {unsat4} are the shipped formulas, {cubic4}
+# and {cubic5} ``cubic_formula`` draws at seeds 4 and 5, {rt2} and {rt3}
+# the prefix of sat3's reduced graph and TFF witness mask at t = 2 and 3,
+# and {out} an output prefix.
+NO_NEIGHBOUR_LISTS = {
+    **{f"reduce-t{t}": (["reduce", "-f", "{sat3}", "-t", str(t), "-o", "{out}"], [
+        f"n = 3, t = {t}, vertices = {vertices}, edges = {vertices + 3}, free edges = 30",
+        "wrote {out}.graph", "wrote {out}.roles"], 0) for t, vertices in ((2, 120), (3, 198))},
+    **{f"witness-t{t}": (["witness", "-f", "{sat3}", "-t", str(t), "-a", "TFF",
+                          "-o", "{out}.mask"], [
+        f"mask = {mask}", f"reduction score = {value}", f"S = {s}", "wrote {out}.mask"], 0)
+       for t, mask, value, s in ((2, SAT3_T2_WITNESS, "21.033330964538", "2676/65"),
+                                 (3, SAT3_T3_WITNESS, "26.532404048176", "8343/140"))},
+    **{f"score-t{t}": (["score", "-g", f"{{rt{t}}}.graph", "-s", f"{{rt{t}}}.mask"],
+                       [f"score = {value}", f"S = {s}"], 0)
+       for t, value, s in ((2, "-413.936533743702", "2676/65"),
+                           (3, "-770.537061408914", "8343/140"))},
+    "solve-exact": (["solve", "-g", "{rt2}.graph", "--exact"], [
+        f"mask = {SAT3_T2_WITNESS}", "score = -413.936533743702", "S = 2676/65",
+        "nodes = 64146", "optimality = proven"], 0),
+    "solve-local": (["solve", "-g", "{rt2}.graph", "--local", "--restarts", "2"], [
+        "mask = 111111101101111111111111111111111110111111111000111111111111111111111010"
+        "111111100111111111111111111111101111111111111111111",
+        "score = -435.088500226674", "S = 9868/195", "nodes = 1043",
+        "optimality = heuristic"], 0),
+    "decide-sat3": (["decide", "-f", "{sat3}"], _decide_lines(
+        "49.811436190181", "28.014613361037", 3, "exact", "proven", 768), 0),
+    "decide-cubic4": (["decide", "-f", "{cubic4}"], _decide_lines(
+        "75.140120141580", "47.134008278076", 4, "exact", "proven", 3138), 0),
+    "decide-cubic5": (["decide", "-f", "{cubic5}"], _decide_lines(
+        "102.193474573207", "68.401111278449", 5, "local", "heuristic", 2359), 0),
+    "verify-sat3-t2": _verify_row("sat3-t2"),
+    "verify-unsat4-t2": _verify_row("unsat4-t2"),
+}
+
+
+@pytest.mark.parametrize("row", NO_NEIGHBOUR_LISTS)
+def test_no_command_builds_neighbour_lists_or_the_forced_edge_set(request, row, tmp_path,
+                                                                    monkeypatch, capsys):
+    """Each command prints its pinned stdout with the per-vertex
+    ``WeightedGraph.incidence`` lists and ``forced_edges()``, the set of
+    forced edge ids, refused.  Degrees, forced edges and the leaves' share
+    of S come from the edge list, and every command reads host degrees or
+    ``free_edge_ids``.  Checks 1 to 4 read per-graph caches, check 5 reads
+    each vertex's (d, W d - s) from a ``ScoreState``; sat3 runs the witness
+    branch of lemmas, unsat4 its sampled score bound.  The warm start
+    repairs isolated vertices from ``free_incidence``, and neither search
+    reads neighbour lists: cubic4 is proven by branch and bound, cubic5 (50
+    free edges) falls back to the local search."""
+    import corrsubopt.graph
+    from corrsubopt import WeightedGraph
+
+    argv, lines, status = NO_NEIGHBOUR_LISTS[row]
+    paths = {name: request.getfixturevalue(f"{name}_file") for name in ("sat3", "unsat4")}
+    paths["out"] = str(tmp_path / "out")
+    for n in (4, 5):
+        path = tmp_path / f"cubic{n}.f"
+        path.write_text(dump_formula(helpers.cubic_formula(random.Random(n), n)))
+        paths[f"cubic{n}"] = str(path)
+    for t in ("2", "3"):
+        prefix = paths[f"rt{t}"] = str(tmp_path / f"rt{t}")
+        if any(f"{{rt{t}}}" in arg for arg in argv):
+            assert main(["reduce", "-f", paths["sat3"], "-t", t, "-o", prefix]) == 0
+            assert main(["witness", "-f", paths["sat3"], "-t", t, "-a", "TFF",
+                         "-o", f"{prefix}.mask"]) == 0
+    capsys.readouterr()
+
+    def refuse(graph):
+        raise AssertionError("neighbour lists or forced edge set built")
+
+    monkeypatch.setattr(WeightedGraph, "incidence", property(refuse))
+    monkeypatch.setattr(corrsubopt.graph, "forced_edges", refuse)
+    assert main([arg.format(**paths) for arg in argv]) == status
+    assert capsys.readouterr().out.splitlines() == [line.format(**paths) for line in lines]
 
 
 # sha256 of the files reduce and witness write: any change to the vertex
@@ -718,6 +748,17 @@ class TestMisc:
         with pytest.raises(SystemExit) as exc:
             main(["score", "-g", p3_file, "--assignment", "TFF"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ["T", ""])
+    @pytest.mark.parametrize("command, flag", [("witness", "-a"), ("verify", "--assignment")])
+    def test_assignment_of_the_wrong_length_is_usage_error(self, sat3_file, command, flag, text,
+                                                           capsys):
+        # An empty assignment is one of the wrong length, not an absent one.
+        assert main([command, "-f", sat3_file, "-t", "2", flag, text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"error: assignment must be 3 characters of T/F, got {text!r}")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,11 +2,9 @@
 
 ``import corrsubopt`` loads no submodule; the CLI loads each other module
 of the package only in the commands that use it, and
-:class:`TestCommandImports` states the set each entry point loads.  No
-command loads ``dataclasses`` or
-``pathlib``, and only a command that writes loads ``tempfile``.  Each test
-runs in a child process, because this test session has long since imported
-every module.
+:class:`TestCommandImports` states the set each entry point loads, with the
+standard modules no entry point may load.  Each test runs in a child
+process, because this test session has long since imported every module.
 """
 
 import json
@@ -56,7 +54,15 @@ def imports_of(argv: list[str], *flags: str, status: int = 0) -> set[str]:
 class TestCommandImports:
     """The exact set of package modules that each entry point loads, one
     row per entry point.  ``build_parser`` holds all the help, so help and
-    a usage error load ``cli`` alone."""
+    a usage error load ``cli`` alone, and with it no ``typing``.  No entry
+    point loads ``dataclasses``, with the ``inspect`` it imports (about
+    10 ms of start-up; the package's value classes do without it), or
+    ``pathlib``: ``cli`` reads with ``open``.  Only a command that writes,
+    given ``-o`` or ``--out``, loads ``tempfile``, inside ``_atomic_write``.
+    ``verification`` takes sha256 from CPython's built-in ``_sha256``, so
+    below 3.12 no entry point loads OpenSSL through ``hashlib``.  Each row
+    runs under ``-S``: a site hook may load any of these modules before the
+    package does, and so hide it."""
 
     # (entry point, argv with {f} a formula, {g} a graph, {o} an output
     # path, exit status, the modules it adds to ``corrsubopt.cli``)
@@ -67,6 +73,9 @@ class TestCommandImports:
         ("usage-error", ["solve"], 2, ()),
         ("score", ["score", "-g", "{g}", "-s", "{g}.mask"], 0, ("graph", "scoring")),
         ("solve", ["solve", "-g", "{g}", "--exact"], 0, ("graph", "scoring", "solvers")),
+        ("solve-local", ["solve", "-g", "{g}", "--local"], 0, ("graph", "scoring", "solvers")),
+        ("solve-out", ["solve", "-g", "{g}", "--exact", "--out", "{o}.mask"], 0,
+         ("graph", "scoring", "solvers")),
         ("reduce", ["reduce", "-f", "{f}", "-t", "2", "-o", "{o}"], 0, ("graph", "reduction")),
         ("witness", ["witness", "-f", "{f}", "-t", "2", "-a", "TFF", "-o", "{o}.mask"], 0,
          ("graph", "reduction", "scoring")),
@@ -82,52 +91,24 @@ class TestCommandImports:
         graph.write_text(helpers.TRIANGLE_TEXT)
         (tmp_path / "triangle.graph.mask").write_text("101\n")
         formula.write_text(helpers.SAT3_TEXT)
+        writes = bool({"-o", "--out"} & set(argv))
         argv = [arg.format(f=formula, g=graph, o=tmp_path / "out") for arg in argv]
-        loaded = {name for name in imports_of(argv, status=status)
-                  if name.startswith("corrsubopt")}
-        assert loaded == {"corrsubopt", "corrsubopt.cli", *(f"corrsubopt.{m}" for m in modules)}
+        loaded = imports_of(argv, "-S", status=status)
+        assert {name for name in loaded if name.startswith("corrsubopt")} == {
+            "corrsubopt", "corrsubopt.cli", *(f"corrsubopt.{m}" for m in modules)}
+        assert not {"dataclasses", "inspect", "pathlib"} & loaded
+        assert ("tempfile" in loaded) == writes == any(tmp_path.glob("out*"))
+        if not modules:
+            assert "typing" not in loaded
+        if sys.version_info < (3, 12):
+            assert not {"hashlib", "_hashlib"} & loaded
 
 
-def test_no_command_imports_dataclasses_or_inspect(tmp_path):
-    """``dataclasses``, with the ``inspect`` it imports, would add about
-    10 ms to every start-up; the package's value classes do without it."""
-    graph, formula = tmp_path / "triangle.graph", tmp_path / "sat3.f"
-    graph.write_text(helpers.TRIANGLE_TEXT)
-    formula.write_text(helpers.SAT3_TEXT)
-    g, f = str(graph), str(formula)
-    for argv in (["--version"], ["score", "-g", g], ["solve", "-g", g, "--exact"],
-                 ["solve", "-g", g, "--local"], ["decide", "-f", f],
-                 ["reduce", "-f", f, "-t", "2", "-o", str(tmp_path / "sat3")],
-                 ["witness", "-f", f, "-t", "2", "-a", "TFF"],
-                 ["verify", "-f", f, "-t", "2", "--lemma-samples", "10"]):
-        loaded = imports_of(argv)
-        assert "corrsubopt.cli" in loaded
-        assert not {"dataclasses", "inspect"} & loaded, argv
-
-
-def test_only_writing_commands_load_tempfile_and_none_loads_pathlib(tmp_path):
-    """``cli`` reads with ``open`` and imports ``tempfile`` inside
-    ``_atomic_write``.  Run under ``-S``: a site hook may load either module
-    before the package does."""
-    graph, formula = tmp_path / "triangle.graph", tmp_path / "sat3.f"
-    graph.write_text(helpers.TRIANGLE_TEXT)
-    formula.write_text(helpers.SAT3_TEXT)
-    g, f = str(graph), str(formula)
-    for argv in (["--version"], ["score", "-g", g], ["solve", "-g", g, "--exact"],
-                 ["decide", "-f", f],
-                 ["verify", "-f", f, "-t", "2", "--lemma-samples", "10"]):
-        assert not {"pathlib", "tempfile"} & imports_of(argv, "-S"), argv
-    written = imports_of(["solve", "-g", g, "--exact", "--out", str(tmp_path / "best.mask")],
-                         "-S")
-    assert "tempfile" in written
-    assert (tmp_path / "best.mask").exists()
-
-
-def test_instance_label_takes_sha256_without_openssl(tmp_path):
-    """``verification`` takes sha256 from CPython's built-in ``_sha256``, so
-    ``verify`` loads no OpenSSL through ``hashlib``; where that module is
-    missing (3.12 renames it) it falls back to ``hashlib``, and the label
-    the verify goldens pin is the same 8 digits."""
+def test_instance_label_takes_sha256_without_openssl():
+    """Where CPython's built-in ``_sha256`` is missing (3.12 renames it),
+    ``verification`` falls back to ``hashlib``, and the label the verify
+    goldens pin is the same 8 digits; :class:`TestCommandImports` checks
+    that ``verify`` loads no ``hashlib`` where ``_sha256`` exists."""
     out = run_child(
         "-c",
         "import sys\n"
@@ -137,26 +118,20 @@ def test_instance_label_takes_sha256_without_openssl(tmp_path):
         f"print(instance_label(compile_formula(parse_formula({helpers.SAT3_TEXT!r}), 2)))\n"
     ).stdout
     assert out == "n=3 t=2 formula=4aae2373\n"
-    formula = tmp_path / "sat3.f"
-    formula.write_text(helpers.SAT3_TEXT)
-    loaded = imports_of(["verify", "-f", str(formula), "-t", "2", "--checks", "1"])
-    if sys.version_info < (3, 12):
-        assert not {"hashlib", "_hashlib"} & loaded
 
 
 def test_version_loads_no_reduction_or_verification():
     """``python -m corrsubopt.cli --version`` is the benchmark's set-up
     command, so every module it imports is in ``setup_s``.  Of the package
-    it loads only ``corrsubopt`` (``cli`` runs as ``__main__``), none of the
-    ``fractions`` and ``decimal`` that ``graph`` and ``scoring`` import, and,
-    without a site hook, no ``typing``."""
+    it loads only ``corrsubopt`` (``cli`` runs as ``__main__``) and none of
+    the ``fractions`` and ``decimal`` that ``graph`` and ``scoring`` import;
+    :class:`TestCommandImports` checks that it loads no ``typing``."""
     proc = run_child("-X", "importtime", "-m", "corrsubopt.cli", "--version")
     assert proc.stdout.split()[-1] == "0.1.0"
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
     assert {name for name in loaded if name.startswith("corrsubopt")} == {"corrsubopt"}
     assert not {"fractions", "decimal"} & loaded
-    assert "typing" not in imports_of(["--version"], "-S")
 
 
 def test_bare_import_resolves_every_public_name_and_submodule():

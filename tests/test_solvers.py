@@ -540,7 +540,7 @@ class TestCompletionBound:
                     kept_deg[x] += 1
                     nbr_sum[x] += weights[y]
 
-        bound = CompletionBound(graph, order, graph.discrepancy_scale[1])
+        bound = CompletionBound(graph, order)
         for x in range(graph.vertex_count):
             k, s, u = kept_deg[x], nbr_sum[x], und_deg[x]
             if k + u == 0:
@@ -567,9 +567,11 @@ class TestCompletionBound:
 
 
     @staticmethod
-    def terms(graph, order, cofactors, x, k, s, u):
-        """c[d] * max(above, below, 0)^2 over ``ends``, j ascending."""
-        ends = CompletionBound(graph, order, cofactors).ends(x, k, s, u)
+    def terms(graph, order, x, k, s, u):
+        """c[d] * max(above, below, 0)^2 over ``ends``, j ascending, with
+        c = discrepancy_scale[1]."""
+        cofactors = graph.discrepancy_scale[1]
+        ends = CompletionBound(graph, order).ends(x, k, s, u)
         return [cofactors[d] * max(above, below, 0) ** 2 for d, above, below in ends]
 
     def test_share_terms_are_convex_in_j(self):
@@ -577,8 +579,7 @@ class TestCompletionBound:
         # its terms are convex in j.  For c = discrepancy_scale[1] = m / d
         # they are: above and below are convex in j, so g = max(above,
         # below, 0) is convex and non-negative, and g^2 / d is convex over
-        # the affine d = k + j.  Check 6's 9 c^2 gives 9 m^2 (g / d)^2,
-        # which is only quasi-convex: it falls, then rises.
+        # the affine d = k + j.
         rng = random.Random(5)
         states = 0
         while states < 2000:
@@ -596,26 +597,9 @@ class TestCompletionBound:
             k = rng.randint(max(forced, u == 0), forced + len(free[x]) - u)
             largest = max(map(abs, graph.scaled_weights[1]))
             s = rng.randint(-(k + 1) * largest, (k + 1) * largest)
-            cofactors = graph.discrepancy_scale[1]
-            terms = self.terms(graph, order, cofactors, x, k, s, u)
+            terms = self.terms(graph, order, x, k, s, u)
             assert all(a + c >= 2 * b for a, b, c in zip(terms, terms[1:], terms[2:]))
-            terms = self.terms(graph, order, {d: 9 * c * c for d, c in cofactors.items()},
-                               x, k, s, u)
-            least = terms.index(min(terms))
-            assert terms[:least + 1] == sorted(terms[:least + 1], reverse=True)
-            assert terms[least:] == sorted(terms[least:])
             states += 1
-
-    def test_check_6_terms_need_not_be_convex(self):
-        # K4 less the edge 1-3, weights 1, 0, 1, 0: vertex 0 with no edge
-        # kept and all three undecided has g = d - 1 at d = 1, 2, 3, and m = 6.
-        graph = WeightedGraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], [1, 0, 1, 0])
-        cofactors = graph.discrepancy_scale[1]
-        assert cofactors == {1: 6, 2: 3, 3: 2}
-        order = graph.free_edge_ids
-        assert self.terms(graph, order, cofactors, 0, 0, 0, 3) == [0, 3, 8]
-        squared = {d: 9 * c * c for d, c in cofactors.items()}
-        assert self.terms(graph, order, squared, 0, 0, 0, 3) == [0, 81, 144]  # 81 > 144 - 81
 
 
 class TestSearchLoop:
@@ -688,7 +672,7 @@ class TestSearchLoop:
         bound, limit = helpers.low_discrepancy_bound(inst.core, inst.gadget_edge_order, t)
 
         def cut(dfs, state, depth, u, v, keep, ends):
-            fits = all(bound[x, dfs.kept_deg[x], dfs.nbr_sum[x], dfs.und_deg[x]] < limit
+            fits = all(bound(x, dfs.kept_deg[x], dfs.nbr_sum[x], dfs.und_deg[x]) < limit
                        for x in (u, v))
             return state + 1 if fits else None
 
@@ -755,7 +739,7 @@ class TestDeepAndWideSearch:
         order = list(graph.free_edge_ids)
         random.Random(order_seed).shuffle(order)
         _, weights = graph.scaled_weights
-        bound = CompletionBound(graph, order, graph.discrepancy_scale[1])
+        bound = CompletionBound(graph, order)
         for x in range(graph.vertex_count):
             across = sum(x in graph.edges[eid] for eid in order)
             for u in range(across + 1):

@@ -226,13 +226,16 @@ _LOOKAHEAD_T = (2, 3, 10, 600, 174_700_000_000)
 
 
 class TestCheck6CompletionBound:
-    """The check-6 look-ahead, ``CompletionBound`` under weights 9 c[d]^2
-    against (L t m)^2, against brute force over each designated vertex's
-    own undecided edges, at random partial decisions along
-    ``gadget_edge_order`` of compiled random cubic formulas: wherever some
-    completion keeps the vertex below t^2/9 the test accepts, and on a
-    finalised vertex it is the exact threshold test.  The search's own test
-    is the rule that some final degree passes (``helpers.any_degree_below``)."""
+    """The check-6 look-ahead in its squared form
+    (``helpers.low_discrepancy_bound``: the intervals of
+    ``CompletionBound.ends`` under weights 9 c[d]^2 against (L t m)^2)
+    against brute force over each designated vertex's own undecided edges,
+    at random partial decisions along ``gadget_edge_order`` of compiled
+    random cubic formulas: wherever some completion keeps the vertex below
+    t^2/9 the test accepts, and on a finalised vertex it is the exact
+    threshold test.  The search's own test, 3 max(above, below, 0) < L t d
+    at some final degree d, is both that squared form and the rule that
+    some final degree passes (``helpers.any_degree_below``)."""
 
     @given(st.integers(3, 7), st.integers(2, 4), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=80)
@@ -266,7 +269,7 @@ class TestCheck6CompletionBound:
                 for kept in itertools.combinations(open_nbrs, j)
             )
             if reachable or u == 0:
-                assert (bound[x, k, s, u] < limit) == reachable
+                assert (bound(x, k, s, u) < limit) == reachable
 
     @given(st.sampled_from((*helpers.KERNEL_SHAPES, "compiled")), st.sampled_from(_LOOKAHEAD_T),
            st.integers(0, 10**6))
@@ -303,9 +306,11 @@ class TestCheck6CompletionBound:
                 states += [(x, k, s + delta, u) for delta in (-1, 0, 1)]
             states.append((x, k, weights[x] * d - rng.randint(-edge, edge), u))
             states.append((x, k, rng.randint(-10**6, 10**6), u))
+        bound, limit = helpers.low_discrepancy_bound(graph, order, t)
         for state in states:
-            assert (helpers.search_admits(graph, order, t, *state)
-                    == helpers.any_degree_below(graph, order, t, *state))
+            admits = helpers.search_admits(graph, order, t, *state)
+            assert admits == helpers.any_degree_below(graph, order, t, *state)
+            assert admits == (bound(*state) < limit)
 
     @given(st.sampled_from(_SEARCH_SIZES), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=30)
