@@ -166,7 +166,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     assignment = parse_assignment(args.assignment, formula.variable_count)
     inst = compile_formula(formula, args.t)
     mask = witness_mask(inst, assignment)
-    value = score(inst.core, mask, multiplier=inst.variable_count)
+    value = score(inst.core, mask)
     mask = inst.explicit_mask(mask)  # what is printed and written
     print(f"mask = {mask.bitstring()}")
     _print_score(value, "reduction score")
@@ -234,17 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # The options that several subcommands share, each declared once.
-    graph, formula, scale = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    graph.add_argument("-g", "--graph", required=True, help="instance graph file")
-    formula.add_argument("-f", "--formula", required=True, help="formula file")
-    scale.add_argument("-t", type=int, required=True, help="gadget scale, at least 2")
+    graph = ("-g", "--graph"), {"required": True, "help": "instance graph file"}
+    formula = ("-f", "--formula"), {"required": True, "help": "formula file"}
+    scale = ("-t",), {"type": int, "required": True, "help": "gadget scale, at least 2"}
 
-    p = sub.add_parser("score", parents=[graph], help="score a graph under a mask")
+    def command(name: str, help: str, *shared: tuple) -> argparse.ArgumentParser:
+        """The subcommand's parser, with the ``shared`` options first."""
+        p = sub.add_parser(name, help=help)
+        for flags, options in shared:
+            p.add_argument(*flags, **options)
+        return p
+
+    p = command("score", "score a graph under a mask", graph)
     p.add_argument("-s", "--mask",
                    help="mask file (bitstring or kept edge ids); default: full graph")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("solve", parents=[graph], help="search for a best valid mask")
+    p = command("solve", "search for a best valid mask", graph)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true", help="branch and bound")
     mode.add_argument("--local", action="store_true", help="steepest-ascent local search")
@@ -256,18 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the best mask here")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("reduce", parents=[formula, scale], help="compile a formula to a graph")
+    p = command("reduce", "compile a formula to a graph", formula, scale)
     p.add_argument("-o", "--out", required=True,
                    help="output prefix; writes <prefix>.graph and <prefix>.roles")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("witness", parents=[formula, scale],
-                       help="witness mask for a satisfying assignment")
+    p = command("witness", "witness mask for a satisfying assignment", formula, scale)
     p.add_argument("-a", "--assignment", required=True, help='assignment, e.g. "TFF"')
     p.add_argument("-o", "--out", help="write the witness mask here")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("verify", parents=[formula, scale], help="run construction self-checks")
+    p = command("verify", "run construction self-checks", formula, scale)
     p.add_argument("--checks", default="1,2,3,4,5,6,lemmas",
                    help="comma list from {%(default)s} (default: all)")
     p.add_argument("--assignment", help="restrict witness checks to this assignment")
@@ -278,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled masks for the score upper bound check")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decide", parents=[formula],
-                       help="one-in-three satisfiability via the reduction")
+    p = command("decide", "one-in-three satisfiability via the reduction", formula)
     p.set_defaults(func=cmd_decide)
 
     return parser

@@ -77,8 +77,13 @@ class WeightedGraph(Immutable):
     weights may share one ``Fraction`` object, and per-weight work runs once
     per distinct object.  Each of ``pendants``, (hub, count, weight), folds
     in ``count`` leaves of that weight on ``hub``: every property counts them
-    as it counts leaves that are vertices, so under one C (its default,
-    ``vertex_count``, leaves them out) a mask scores as with them written out.
+    as it counts leaves that are vertices, so under one C a mask scores as
+    with them written out.  ``multiplier`` is the objective's C (see
+    ``scoring``), by default ``vertex_count`` (folded leaves not counted).
+    ``compare_scores`` and both solvers' bounds, cuts and screens assume
+    that a smaller S never scores lower, so this is the one place that
+    refuses C < 0, with ``ValueError``.  Like ``pendants``, C is a field,
+    in equality, hash and repr, only when it differs from its default.
     """
 
     _fields = ("vertex_count", "edges", "weights")
@@ -86,13 +91,19 @@ class WeightedGraph(Immutable):
     edges: tuple[tuple[int, int], ...]
     weights: tuple[Fraction, ...]
     pendants: tuple[tuple[int, int, Fraction], ...]
+    multiplier: int
     degrees: tuple[int, ...]  # host degree per vertex, counted while validating
 
     def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...],
-                 weights: tuple[Fraction, ...], pendants: tuple = ()) -> None:
+                 weights: tuple[Fraction, ...], pendants: tuple = (),
+                 multiplier: int | None = None) -> None:
         n = vertex_count
         if n <= 0:
             raise ValueError("graph needs at least one vertex")
+        if multiplier is None:
+            multiplier = n
+        elif multiplier < 0:
+            raise ValueError(f"multiplier must be non-negative, got {multiplier}")
         if len(weights) != n:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
         degrees = [0] * n
@@ -115,9 +126,10 @@ class WeightedGraph(Immutable):
         if 0 in degrees:
             raise ValueError(f"isolated vertex {degrees.index(0)}")
         self.__dict__.update(vertex_count=n, edges=edges, weights=weights, pendants=pendants,
-                             degrees=tuple(degrees))
-        if pendants:  # a graph without them keeps three fields, in its repr too
-            self.__dict__["_fields"] = self._fields + ("pendants",)
+                             multiplier=multiplier, degrees=tuple(degrees))
+        extra = ("pendants",) * bool(pendants) + ("multiplier",) * (multiplier != n)
+        if extra:
+            self.__dict__["_fields"] = self._fields + extra
 
     @classmethod
     def build(
@@ -126,6 +138,7 @@ class WeightedGraph(Immutable):
         edges: Iterable[tuple[int, int]],
         weights: Sequence[Fraction | int | str],
         pendants: Sequence[tuple[int, int, Fraction | int | str]] = (),
+        multiplier: int | None = None,
     ) -> "WeightedGraph":
         """Normalise (orient u < v, sort) and validate raw edge/weight data;
         equal weights, pendants' too, share one ``Fraction``.  A string weight
@@ -133,7 +146,7 @@ class WeightedGraph(Immutable):
         canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
         as_fraction = {w: _rational(w) for w in {*weights, *(w for _, _, w in pendants)}}
         return cls(vertex_count, tuple(canon), tuple(map(as_fraction.__getitem__, weights)),
-                   tuple((hub, count, as_fraction[w]) for hub, count, w in pendants))
+                   tuple((hub, count, as_fraction[w]) for hub, count, w in pendants), multiplier)
 
     @property
     def edge_count(self) -> int:
@@ -492,6 +505,8 @@ def graph_lines(graph: WeightedGraph) -> Iterator[str]:
     """The lines of :func:`dump_graph`, each with its newline, one at a time."""
     if graph.pendants:
         raise ValueError("a graph with folded leaves has no file form; write its explicit graph")
+    if graph.multiplier != graph.vertex_count:  # a file's graph is read under the default
+        raise ValueError("a graph whose multiplier is not its vertex count has no file form")
     yield f"{graph.vertex_count} {graph.edge_count}\n"
     text = {key: _format_weight(w) for key, w in _by_identity(graph.weights).items()}
     for vid, key in enumerate(map(id, graph.weights)):

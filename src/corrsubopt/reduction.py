@@ -163,7 +163,8 @@ def satisfying_assignments(formula: Formula) -> list[tuple[bool, ...]]:
 class ReductionInstance(Immutable):
     """The value of a formula at scale t (``ValueError`` below 2): equal
     (formula, t) give equal instances.  Its one gadget pass builds the core
-    (the graph with each hub's leaves folded into a pendant) and the tables.
+    (the graph with each hub's leaves folded into a pendant, under C = n)
+    and the tables.
 
     ``tags[x]`` is core vertex x's role in the paper's names (``u_1``,
     ``w_1_2``, ``ap_3``, ...), and the two vertex sets are read off it.
@@ -186,7 +187,7 @@ class ReductionInstance(Immutable):
             raise ValueError(f"scale t must be at least 2, got {t}")
         n = formula.variable_count
         edges, weights, pendants, tags, ids = _gadgets(n, t, formula.slots)
-        core = WeightedGraph.build(9 * n, edges, weights, pendants)
+        core = WeightedGraph.build(9 * n, edges, weights, pendants, multiplier=n)
         self.__dict__.update(formula=formula, t=t, variable_count=n, core=core,
                              explicit_ids=ids, tags=tags,
                              gadget_edge_order=tuple(core.edge_id(u, v) for u, v in edges))
@@ -339,8 +340,8 @@ class DecisionReport(NamedTuple):
 
 
 # The decision threshold and the score bounds it comes from are stated in
-# terms of the formula's variable count, so the optimisation here runs with
-# that multiplier rather than the gadget graph's vertex count.
+# terms of the formula's variable count, so the core carries that multiplier
+# C rather than its vertex count (``WeightedGraph`` refuses C < 0).
 THRESHOLD_COEFFICIENT = Fraction(17, 2)
 
 ASYMPTOTIC_CAVEAT = (
@@ -370,11 +371,10 @@ def decide(formula: Formula) -> DecisionReport:
     n = formula.variable_count
     t = n * n
     core = compile_formula(formula, t).core
-    warm = solve_local(core, restarts=2, seed=0, multiplier=n)
+    warm = solve_local(core, restarts=2, seed=0)
     if len(core.free_edge_ids) <= DEFAULT_FREE_EDGE_CAP:
         mode = "exact"
-        report = solve_exact(core, initial_mask=warm.best_mask, multiplier=n,
-                             order=breadth_first_order(core))
+        report = solve_exact(core, initial_mask=warm.best_mask, order=breadth_first_order(core))
     else:
         mode = "local"
         report = warm

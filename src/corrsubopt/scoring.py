@@ -6,11 +6,11 @@ objective is
 
     score(H) = sum_v ln d_H(v) - C * ln( sum_v d_H(v) * ND(v) )
 
-with C defaulting to the number of vertices; C < 0 is refused, so a
-smaller S never scores lower.  Discrepancies and their weighted total S
-are exact rationals; only the two logarithms use 64-bit floats.  S = 0
-means every vertex agrees exactly with its neighbourhood mean, and the
-score is ``math.inf``.
+with C the graph's ``WeightedGraph.multiplier``, by default its vertex
+count; C < 0 is refused there, so a smaller S never scores lower.
+Discrepancies and their weighted total S are exact rationals; only the two
+logarithms use 64-bit floats.  S = 0 means every vertex agrees exactly
+with its neighbourhood mean, and the score is ``math.inf``.
 
 Every score in the package comes from one kernel, used by
 :class:`ScoreState` and by the branch and bound in ``solvers``:
@@ -95,7 +95,7 @@ def format_fraction(q: Fraction) -> str:
 def compare_scores(a: ScoreValue, b: ScoreValue) -> int:
     """Three-way comparison: positive when a ranks above b.
 
-    The rule assumes C >= 0, which :class:`ScoreState` enforces: then a
+    The rule assumes C >= 0, which ``WeightedGraph`` enforces: then a
     smaller S never scores lower, so scores with equal log-degree sums are
     compared through the exact discrepancy totals, smaller S ranking
     higher.  Otherwise the float values decide, +inf above every finite
@@ -151,16 +151,9 @@ def log_degree_sum(graph: WeightedGraph, degrees) -> float:
     return total
 
 
-def score(
-    graph: WeightedGraph, mask: SubgraphMask, *, multiplier: int | None = None
-) -> ScoreValue:
-    """Score a valid mask from scratch.
-
-    ``multiplier`` is the count C scaling the log-discrepancy term; it
-    defaults to the graph's vertex count, and C < 0 raises ``ValueError``
-    (see :class:`ScoreState`).
-    """
-    return ScoreState(graph, mask, multiplier=multiplier).score()
+def score(graph: WeightedGraph, mask: SubgraphMask) -> ScoreValue:
+    """Score a valid mask from scratch, under the graph's C."""
+    return ScoreState(graph, mask).score()
 
 
 class ScoreState:
@@ -176,33 +169,18 @@ class ScoreState:
     ``verification`` need; :meth:`shares` sums given vertices' part of
     S * D, from which ``total`` starts.  :meth:`score` re-adds ln d
     over the core vertices in vertex order, so every result is
-    bit-identical to a from-scratch score of the same mask.
-
-    ``multiplier`` is C, by default the vertex count.  :func:`compare_scores`
-    and both solvers' bounds, cuts and screens assume that a smaller S
-    never scores lower, so C < 0 is refused with ``ValueError``.
+    bit-identical to a from-scratch score of the same mask, under the
+    graph's C.
     """
 
-    __slots__ = ("graph", "mask", "multiplier", "nbr_sums", "total", "_weights",
-                 "_denominator", "_cofactors")
+    __slots__ = ("graph", "mask", "nbr_sums", "total", "_weights", "_denominator", "_cofactors")
 
-    def __init__(
-        self,
-        graph: WeightedGraph,
-        mask: SubgraphMask,
-        *,
-        multiplier: int | None = None,
-    ):
+    def __init__(self, graph: WeightedGraph, mask: SubgraphMask):
         require_same_graph(graph, mask)
         if 0 in mask.degrees:
             raise MaskValidityError(f"vertex {mask.degrees.index(0)} is isolated in the subgraph")
         self.graph = graph
         self.mask = mask
-        if multiplier is None:
-            multiplier = graph.vertex_count
-        elif multiplier < 0:
-            raise ValueError(f"multiplier must be non-negative, got {multiplier}")
-        self.multiplier = multiplier
         _, weights = graph.scaled_weights
         self._weights = weights
         self._denominator, self._cofactors = graph.discrepancy_scale
@@ -237,7 +215,8 @@ class ScoreState:
 
     def score(self) -> ScoreValue:
         log_sum = log_degree_sum(self.graph, self.mask.degrees)
-        return ScoreValue.from_parts(log_sum, self.total, self._denominator, self.multiplier)
+        return ScoreValue.from_parts(log_sum, self.total, self._denominator,
+                                     self.graph.multiplier)
 
     def can_remove(self, eid: int) -> bool:
         """True when dropping the edge keeps both endpoints non-isolated."""

@@ -34,6 +34,7 @@ def _beats(cand: ScoreValue, cand_key: bytes, inc: ScoreValue, inc_key: bytes) -
 
 # The least margin of solve_exact's float cuts; see prune_margin.
 _PRUNE_EPS = 1e-6
+_UNIT = 2.0 ** -53  # u: a float operation's rounding error is at most u times its result
 
 DEFAULT_FREE_EDGE_CAP = 40
 MAX_PASSES = 10_000  # local-search steps per start
@@ -221,16 +222,26 @@ class CompletionBound(dict):
                                          for x in self.core)
 
 
+def log_sums(graph: WeightedGraph) -> tuple[dict[int, float], float, float]:
+    """(logs, Λ, error) for the searches' float log-degree sums.  ``logs[d]``
+    is ln d for each degree d a valid mask gives some vertex.  Λ, the sum of
+    ln host degree over the k core vertices, is at least every valid mask's
+    log-degree sum, so that sum added left to right (each ln within an ulp)
+    is within error = (k + 1) u Λ / (1 - k u) of exact."""
+    logs = {d: math.log(d) for d in graph.discrepancy_scale[1]}
+    k, spread = len(graph.core_vertices), math.fsum(logs[graph.degrees[x]]
+                                                    for x in graph.core_vertices)
+    return logs, spread, (k + 1) * _UNIT * spread / (1 - k * _UNIT)
+
+
 def prune_margin(graph: WeightedGraph) -> float:
     """``_PRUNE_EPS``, or if larger the float error of the log-degree sums
-    that :func:`solve_exact`'s cuts compare.  With u = 2^-53 and Λ the sum
-    of ln host degree over the k core vertices, a leaf's or the root's sum
-    (each ln within an ulp) is within (k + 1) u Λ / (1 - k u), and a node's
-    bound adds at most 15 u Λ per dropped edge, of at most f.  The floor
-    covers the few ulps of scores below 10^9."""
-    k, f, unit = len(graph.core_vertices), len(graph.free_edge_ids), 2.0 ** -53
-    spread = math.fsum(math.log(graph.degrees[x]) for x in graph.core_vertices)
-    return max(_PRUNE_EPS, (2 * (k + 1) / (1 - k * unit) + 15 * f) * unit * spread)
+    that :func:`solve_exact`'s cuts compare: a leaf's or the root's sum is
+    within the ``error`` of :func:`log_sums`, and a node's bound adds at
+    most 15 u Λ per dropped edge, of at most f.  The floor covers the few
+    ulps of scores below 10^9."""
+    _, spread, error = log_sums(graph)
+    return max(_PRUNE_EPS, 2 * error + 15 * len(graph.free_edge_ids) * _UNIT * spread)
 
 
 def breadth_first_order(graph: WeightedGraph) -> tuple[int, ...]:
@@ -270,7 +281,6 @@ def solve_exact(
     *,
     node_limit: int | None = None,
     initial_mask: SubgraphMask | None = None,
-    multiplier: int | None = None,
     order: Sequence[int] | None = None,
 ) -> SolveReport:
     """Branch and bound over the non-forced edges.
@@ -318,8 +328,8 @@ def solve_exact(
     is at most pt / total, its value at R' = B0; A's completion then scores
     at least pl - log sum - C ln(pt / total) >= ``eps`` above B's,
     both finite.  Either way the new node's completions score strictly
-    lower, given C >= 0 (as the bound also assumes; :class:`ScoreState`
-    refuses C < 0 with ``ValueError``); the float log sums are off by
+    lower, given C >= 0 (as the bound also assumes; ``WeightedGraph``
+    refuses C < 0); the float log sums are off by
     less than the margin ``eps`` (:func:`prune_margin`).  With total = 0 the
     ratio is unbounded and a completion of the new node may reach S = 0, so only
     the first case applies.  The earlier node's subtree is finished, since the search is
@@ -336,8 +346,8 @@ def solve_exact(
     ruled out, so a truncated run is never ``proven``, dominance or not.
     """
     # Incumbent: the full mask is always valid; an initial mask can only help.
-    full = ScoreState(graph, SubgraphMask.full(graph), multiplier=multiplier)
-    mult, inc_mask, inc_score = full.multiplier, full.mask, full.score()
+    full = ScoreState(graph, SubgraphMask.full(graph))
+    mult, inc_mask, inc_score = graph.multiplier, full.mask, full.score()
     free = graph.free_edge_ids
     if node_limit is None and len(free) > DEFAULT_FREE_EDGE_CAP:
         raise SearchSpaceError(
@@ -345,7 +355,7 @@ def solve_exact(
             "pass a node limit to search best-effort"
         )
     _, weights = graph.scaled_weights
-    denominator, cofactors = graph.discrepancy_scale
+    denominator, _ = graph.discrepancy_scale
     if order is None:
         # W = L * f, so ordering by |W_u - W_v| is ordering by |f(u) - f(v)|;
         # the sort is stable and ``free`` ascending, so ties keep ascending id.
@@ -355,7 +365,7 @@ def solve_exact(
         raise ValueError("order must be a permutation of the graph's free edge ids")
     dfs = FreeEdgeSearch(graph, order)
     kept_deg, und_deg, nbr_sum = dfs.kept_deg, dfs.und_deg, dfs.nbr_sum
-    logs = {d: math.log(d) for d in cofactors}  # every k + u of a node is a valid degree
+    logs = log_sums(graph)[0]  # every k + u of a node is a valid degree
     bound = CompletionBound(graph, order)
     eps = prune_margin(graph)
 
@@ -364,7 +374,7 @@ def solve_exact(
     # degree: the full mask's log-degree sum.
     root = (bound.total(kept_deg, und_deg, nbr_sum), inc_score.log_degree_sum)
     if initial_mask is not None:
-        cand_score = score(graph, initial_mask, multiplier=mult)
+        cand_score = score(graph, initial_mask)
         cand_key = initial_mask.lex_key()
         if _beats(cand_score, cand_key, inc_score, inc_key):
             inc_mask, inc_score, inc_key = initial_mask.copy(), cand_score, cand_key
@@ -459,25 +469,17 @@ def random_valid_mask(graph: WeightedGraph, rng: random.Random) -> SubgraphMask:
     return SubgraphMask.from_parts(graph, kept, degrees)
 
 
-def sample_states(
-    graph: WeightedGraph, rng: random.Random, count: int, *, multiplier: int | None = None
-) -> Iterator[ScoreState]:
+def sample_states(graph: WeightedGraph, rng: random.Random, count: int) -> Iterator[ScoreState]:
     """A :class:`ScoreState` of the full mask, then one of each of ``count``
     masks drawn from ``rng`` by :func:`random_valid_mask`.  This is the one
     sampling path: ``max_sampled_score`` and the :func:`solve_local` starts
     each read it with their own ``rng``."""
-    yield ScoreState(graph, SubgraphMask.full(graph), multiplier=multiplier)
+    yield ScoreState(graph, SubgraphMask.full(graph))
     for _ in range(count):
-        yield ScoreState(graph, random_valid_mask(graph, rng), multiplier=multiplier)
+        yield ScoreState(graph, random_valid_mask(graph, rng))
 
 
-def solve_local(
-    graph: WeightedGraph,
-    *,
-    restarts: int = 16,
-    seed: int = 0,
-    multiplier: int | None = None,
-) -> SolveReport:
+def solve_local(graph: WeightedGraph, *, restarts: int = 16, seed: int = 0) -> SolveReport:
     """Steepest-ascent hill climbing over validity-preserving edge toggles.
 
     The first start is the full mask (so the result never scores below the
@@ -490,18 +492,20 @@ def solve_local(
     Each step screens its candidates first.  A toggle's exact int S * D
     is the current one plus :meth:`ScoreState.delta`, and its C ln S is the
     float of ``ScoreValue.from_parts``; its log-degree sum is estimated as the
-    current one plus the two endpoints' ln differences.  A left-to-right
-    sum of k floats is off by at most (k-1)u/(1-(k-1)u) times the sum of
-    their sizes (u = 2^-53, each term at most ln of the largest degree), the
-    current sum as well as the candidate's, so each estimate is within
-    ``err`` of the exact score (plus a few ulps of the value).  The winner's
+    current one plus the two endpoints' ln differences.  The current sum and
+    the candidate's, as ``peek`` adds it, are each within the ``error`` of
+    :func:`log_sums`; the difference's four ln (each within an ulp, at most
+    2 u ln Δ, Δ the largest degree) and three roundings are off by at most
+    12 u ln Δ, and the estimate's own rounding by at most u (Λ + 4 ln Δ).
+    So each estimate is within ``err`` of the score ``peek`` gives (plus a
+    few ulps of the value).  The winner's
     estimate is then within 2 ``err`` of the best one, and a candidate
     further below is beaten outright, so the first-strict-max scan through
     ``ScoreState.peek`` and :func:`compare_scores`, over the rest in
     ascending id, picks the same edge.  If some candidate has S = 0, only
     those are scanned (+inf beats any finite score), screened by log sum.
     This assumes C >= 0, so that a smaller S never scores lower;
-    :class:`ScoreState` refuses C < 0 with ``ValueError``.
+    ``WeightedGraph`` refuses C < 0.
 
     Per start, ``moves`` holds each free edge's toggle (its S * D change,
     its endpoints' ln differences and keep, or None if the drop isolates a
@@ -509,18 +513,17 @@ def solve_local(
     each step recomputes only the moves at those two vertices.
     """
     free, edges, free_incidence = graph.free_edge_ids, graph.edges, graph.free_incidence
-    denominator, cofactors = graph.discrepancy_scale
-    logs = {d: math.log(d) for d in cofactors}  # the degrees of every valid mask
-    # Twice the k-term bound over the k core vertices, plus four roundings.
-    k, unit = len(graph.core_vertices), 2.0 ** -53
-    err = (2 * k * k + k + 8) * unit * math.log(max(graph.degrees)) / (1 - k * unit)
+    denominator, _ = graph.discrepancy_scale
+    logs, spread, error = log_sums(graph)
+    err = 2 * error + (spread + 16 * logs[max(graph.degrees)]) * _UNIT
 
     best_mask: SubgraphMask | None = None
     best_score: ScoreValue | None = None
     best_key = b""
     evaluations = 0
-    for state in sample_states(graph, random.Random(seed), restarts, multiplier=multiplier):
-        current, mult = state.score(), state.multiplier
+    mult = graph.multiplier
+    for state in sample_states(graph, random.Random(seed), restarts):
+        current = state.score()
         kept, degrees, delta = state.mask.kept, state.mask.degrees, state.delta
         moves: dict[int, tuple[int, float, bool] | None] = {}
         for _ in range(MAX_PASSES):
@@ -548,7 +551,7 @@ def solve_local(
             if not pool:
                 break
             top = max(pool)[0]
-            cut = top - 2 * err - (0 if infinite else 8 * unit * abs(top))
+            cut = top - 2 * err - (0 if infinite else 8 * _UNIT * abs(top))
             best_eid, best_keep, best_cand = -1, False, None
             for key, eid, keep in pool:
                 if key >= cut:

@@ -17,7 +17,7 @@ Each check targets one structural property the construction relies on:
 plus the score-bound checks: a witness scores at least
 6n ln t - n ln(10nt), and for unsatisfiable formulas every examined valid
 mask scores at most 6n ln t + 20n - n ln(t^2/9).  Score bounds use the
-reduction objective (multiplier = variable count); discrepancy checks are
+reduction objective (the core's C, the variable count); discrepancy checks are
 exact.  Checks 1 to 4 prove their bounds for every valid mask at once from
 per-graph facts and draw no mask (check 2, like check 6's look-ahead, from
 the completion intervals of ``CompletionBound.ends``); check 5 reads the
@@ -103,8 +103,8 @@ def instance_label(inst: ReductionInstance) -> str:
 
 
 def reduction_score(inst: ReductionInstance, mask: SubgraphMask) -> ScoreValue:
-    """Score under the reduction objective: multiplier = variable count."""
-    return score(inst.core, mask, multiplier=inst.variable_count)
+    """Score under the reduction objective: the core's C is the variable count."""
+    return score(inst.core, mask)
 
 
 def find_low_discrepancy_mask(
@@ -187,8 +187,7 @@ def max_sampled_score(
     random valid masks drawn from ``seed``; returns (score, masks scored)."""
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    states = sample_states(inst.core, random.Random(seed), samples,
-                           multiplier=inst.variable_count)
+    states = sample_states(inst.core, random.Random(seed), samples)
     best = next(states).score()
     for state in states:
         value = state.score()

@@ -180,6 +180,13 @@ def kernel_graph(rng: random.Random, shape: str, *, max_core: int = 7) -> Weight
     return WeightedGraph.build(n, edges, [rng.choice(_MIXED_WEIGHTS) for _ in range(n)])
 
 
+def with_multiplier(graph: WeightedGraph, multiplier: int | None) -> WeightedGraph:
+    """The graph rebuilt under the objective's C = ``multiplier`` (None: the
+    vertex count), for the package's functions, which read C off the graph."""
+    return WeightedGraph(graph.vertex_count, graph.edges, graph.weights, graph.pendants,
+                         multiplier)
+
+
 def naive_score(graph: WeightedGraph, kept: list[bool], multiplier: int | None = None):
     """(is_inf, value, log_degree_sum, S) computed from first principles."""
     n = graph.vertex_count
@@ -255,7 +262,7 @@ def brute_force_best(graph: WeightedGraph, multiplier: int | None = None):
 
 
 def plain_local_search(graph: WeightedGraph, *, restarts: int, seed: int,
-                       multiplier: int | None = None, max_passes: int = 10_000):
+                       max_passes: int = 10_000):
     """(mask, score, candidates evaluated) of steepest-ascent local search
     with every candidate scored through ``ScoreState.peek``: the unscreened
     scan that ``solve_local`` must reproduce exactly."""
@@ -265,7 +272,7 @@ def plain_local_search(graph: WeightedGraph, *, restarts: int, seed: int,
     best = None
     evaluations = 0
     for start in starts:
-        state = ScoreState(graph, start, multiplier=multiplier)
+        state = ScoreState(graph, start)
         current = state.score()
         for _ in range(max_passes):
             best_eid, best_keep, best_cand = -1, False, None
@@ -549,12 +556,12 @@ def search_admits(graph: WeightedGraph, order, t: int, x: int, k: int, s: int,
     return bool(started)
 
 
-def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | None = None,
+def plain_branch_and_bound(graph: WeightedGraph, order, *,
                            initial_mask: SubgraphMask | None = None):
     """(mask, score, nodes) of the branch and bound that cuts on the
     completion bound alone, in ``order``, to a proof.  ``solve_exact`` must
     return the same mask and score in at most as many nodes."""
-    mult = graph.vertex_count if multiplier is None else multiplier
+    mult = graph.multiplier
     _, weights = graph.scaled_weights
     denominator, _ = graph.discrepancy_scale
     dfs = FreeEdgeSearch(graph, order)
@@ -562,9 +569,9 @@ def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | Non
     logs = [0.0] + [math.log(d) for d in range(1, max(graph.degrees) + 1)]
     bound = CompletionBound(graph, order)
     inc_mask = SubgraphMask.full(graph)
-    inc_score, inc_key = score(graph, inc_mask, multiplier=mult), inc_mask.lex_key()
+    inc_score, inc_key = score(graph, inc_mask), inc_mask.lex_key()
     if initial_mask is not None:
-        cand, key = score(graph, initial_mask, multiplier=mult), initial_mask.lex_key()
+        cand, key = score(graph, initial_mask), initial_mask.lex_key()
         cmp = compare_scores(cand, inc_score)
         if cmp > 0 or (cmp == 0 and key < inc_key):
             inc_mask, inc_score, inc_key = initial_mask.copy(), cand, key
@@ -602,7 +609,7 @@ def plain_branch_and_bound(graph: WeightedGraph, order, *, multiplier: int | Non
 
     root = (bound.total(kept_deg, und_deg, nbr_sum), log_degree_sum(graph, graph.degrees))
     dfs.run(root, child, leaf)
-    return inc_mask, score(graph, inc_mask, multiplier=mult), dfs.nodes
+    return inc_mask, score(graph, inc_mask), dfs.nodes
 
 
 

@@ -332,6 +332,16 @@ class TestValueSemantics:
             with pytest.raises(ValueError, match="pendant"):
                 WeightedGraph.build(2, [(0, 1)], [0, 1], bad)
 
+    def test_multiplier_is_a_field_only_when_it_is_not_the_vertex_count(self, p3):
+        again = WeightedGraph.build(3, p3.edges, p3.weights, multiplier=3)
+        assert again == p3 and hash(again) == hash(p3) and repr(again) == repr(p3)
+        assert again.multiplier == p3.multiplier == 3
+        nine = helpers.with_multiplier(p3, 9)
+        assert nine != p3 and nine.multiplier == 9
+        assert repr(nine) == repr(p3)[:-1] + ", multiplier=9)"
+        with pytest.raises(ValueError, match="multiplier is not its vertex count"):
+            dump_graph(nine)
+
     @pytest.mark.parametrize("host_edges, host_weights, pendants, masks", [
         # A triangle whose vertices carry two or three leaves each, of
         # rational weights: only the folded leaves can reach degree 1.
@@ -344,12 +354,13 @@ class TestValueSemantics:
     def test_folded_leaves_score_as_written_out(self, host_edges, host_weights, pendants,
                                                  masks):
         n = len(host_weights)
-        folded = WeightedGraph.build(n, host_edges, host_weights, pendants)
         edges, weights = list(host_edges), list(host_weights)
         for hub, count, weight in pendants:
             edges += [(hub, leaf) for leaf in range(len(weights), len(weights) + count)]
             weights += [weight] * count
         explicit = WeightedGraph.build(len(weights), edges, weights)
+        # Scored under the explicit graph's C, its vertex count.
+        folded = WeightedGraph.build(n, host_edges, host_weights, pendants, len(weights))
         assert folded.discrepancy_scale == explicit.discrepancy_scale
         assert folded.leaf_numerator == explicit.leaf_numerator
         assert folded.forced_nbr_sums == explicit.forced_nbr_sums[:n]
@@ -357,7 +368,7 @@ class TestValueSemantics:
             mask, big = SubgraphMask(folded, map(bool, kept)), SubgraphMask.full(explicit)
             for (u, v), keep in zip(folded.edges, mask.kept):
                 big.set_edge(explicit.edge_id(u, v), keep)
-            assert score(folded, mask, multiplier=explicit.vertex_count) == score(explicit, big)
+            assert score(folded, mask) == score(explicit, big)
             assert mask.degrees == big.degrees[:n]
 
     @pytest.mark.parametrize("field", ["vertex_count", "edges", "weights"])

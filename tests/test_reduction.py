@@ -32,7 +32,8 @@ from corrsubopt.graph import GraphParseError, LineError
 from corrsubopt.reduction import role_lines
 from corrsubopt.solvers import (
     DEFAULT_FREE_EDGE_CAP, breadth_first_order, solve_exact, solve_local)
-from corrsubopt.scoring import neighbourhood_discrepancy
+from corrsubopt.scoring import format_fraction, neighbourhood_discrepancy
+from corrsubopt.verification import run_checks
 
 import helpers
 
@@ -401,22 +402,47 @@ class TestGadgetTables:
         assert built == [36]
 
 
-def passing_patterns(inst, x) -> list[tuple[str, ...]]:
-    """The kept-edge patterns of core vertex x that keep its ND below
-    t^2/9, by the exact int test 9 (W d - s)^2 < (L t d)^2 over every subset
-    of its free edges, forced edges and pendants kept: per passing subset,
-    the roles of the free neighbours it keeps (``w`` for ``w_1_2``), sorted."""
-    core, t = inst.core, inst.t
-    scale, weights = core.scaled_weights
+def pattern_readings(inst, x):
+    """(pattern, W, s, d) per subset of core vertex x's free edges, its
+    forced edges and pendants kept: the roles of the free neighbours it
+    keeps (``w`` for ``w_1_2``), sorted, then x's scaled weight, kept
+    neighbours' scaled weight sum and degree."""
+    core = inst.core
+    _, weights = core.scaled_weights
     forced, base = core.forced_degrees()[x], core.forced_nbr_sums[x]
-    patterns = []
     for size in range(len(core.free_incidence[x]) + 1):
         for kept in itertools.combinations(core.free_incidence[x], size):
             others = [u if v == x else v for u, v in (core.edges[eid] for eid in kept)]
-            d, s = forced + size, base + sum(weights[y] for y in others)
-            if d and 9 * (weights[x] * d - s) ** 2 < (scale * t * d) ** 2:
-                patterns.append(tuple(sorted(inst.tags[y].split("_")[0] for y in others)))
-    return sorted(patterns)
+            yield (tuple(sorted(inst.tags[y].split("_")[0] for y in others)), weights[x],
+                   base + sum(weights[y] for y in others), forced + size)
+
+
+def passing_patterns(inst, x) -> list[tuple[str, ...]]:
+    """The patterns of core vertex x (:func:`pattern_readings`) that keep
+    its ND below t^2/9, by the exact int test 9 (W d - s)^2 < (L t d)^2."""
+    lt = inst.core.scaled_weights[0] * inst.t
+    return sorted(pattern for pattern, w, s, d in pattern_readings(inst, x)
+                  if d and 9 * (w * d - s) ** 2 < (lt * d) ** 2)
+
+
+def _through(values) -> list[Fraction]:
+    """The coefficients, in x, of the polynomial of degree at most 2 that
+    takes ``values`` at x = 0, 1 and 2 (Newton's forward differences)."""
+    f0, f1, f2 = values
+    d1, d2 = f1 - f0, Fraction(f2 - 2 * f1 + f0)
+    return [Fraction(f0), d1 - d2 / 2, d2 / 2]
+
+
+def _product(p, q) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _sum(p, q) -> list:
+    return [a + b for a, b in itertools.zip_longest(p, q, fillvalue=0)]
 
 
 class TestLemmaTables:
@@ -424,38 +450,102 @@ class TestLemmaTables:
     designated vertex passes depends only on which of its own free edges a
     mask keeps, and v_i, w_i_l and a_j pass in exactly these patterns, the
     same at every t checked.  So v and w keep a variable's three cross edges
-    all or none, and a keeps exactly one per clause."""
+    all or none, and a keeps exactly one per clause.  u_i and z_i constrain
+    only below t = 4: their leaves alone give ND = 1, below t^2/9 from
+    t = 4 on.  From t = 4 on every table is the one at t = 4."""
 
     TABLES = {
         "v": [("u", "w", "w", "w"), ("u", "z")],  # z kept and every w dropped, or the reverse
         "w": [(), ("a", "v")],  # both edges or neither
         "a": [("ap", "w")] * 3,  # ap_j and exactly one of the three w's
     }
+    TABLES_BY_T = {
+        2: {"u": [("v",)], "z": [("v",), ("zp",)]},  # z keeps v or zp, not both
+        3: {"u": [("v",)], "z": [("v",), ("v", "zp"), ("zp",)]},  # z keeps v or zp
+        4: {"u": [(), ("v",)], "z": [(), ("v",), ("v", "zp"), ("zp",)]},  # no constraint
+    }
+    FORMULAS = ["sat3", "unsat4", "prism6", "cubic9"]
+
+    @staticmethod
+    def formula(name, sat3, unsat4):
+        return {"sat3": sat3, "unsat4": unsat4, "prism6": helpers.prism_formula(6),
+                "cubic9": helpers.cubic_formula(random.Random(9), 9)}[name]
 
     @pytest.mark.parametrize("t", [2, 3, 4])
-    @pytest.mark.parametrize("name", ["sat3", "unsat4", "prism6", "cubic9"])
+    @pytest.mark.parametrize("name", FORMULAS)
     def test_passing_patterns(self, name, t, sat3, unsat4):
-        formula = {"sat3": sat3, "unsat4": unsat4, "prism6": helpers.prism_formula(6),
-                   "cubic9": helpers.cubic_formula(random.Random(9), 9)}[name]
+        formula = self.formula(name, sat3, unsat4)
         inst = compile_formula(formula, t)
-        checked = 0
+        tables = {**self.TABLES, **self.TABLES_BY_T[t]}
         for x in inst.designated_vertices:
-            table = self.TABLES.get(inst.tags[x].split("_")[0])
-            if table is not None:
-                assert passing_patterns(inst, x) == table, inst.tags[x]
-                checked += 1
-        assert checked == 5 * formula.variable_count  # v and three w per variable, a per clause
+            assert passing_patterns(inst, x) == tables[inst.tags[x].split("_")[0]], inst.tags[x]
+        # u, v, z and three w per variable, a per clause
+        assert len(inst.designated_vertices) == 7 * formula.variable_count
+
+    @pytest.mark.parametrize("name", FORMULAS)
+    def test_every_t_from_4_passes_as_t_4(self, name, sat3, unsat4):
+        """W, s and d of each (designated role, pattern) are the same for
+        every vertex of the role, and polynomials of degree at most 2 in t:
+        read at t = 4, 5 and 6, they hold at t = 7.  The pattern passes iff
+        P(t) = (L t d)^2 - 9 (W d - s)^2 > 0, and the coefficients of
+        P(4 + x) share one sign, with P(4) > 0 when it is positive; so P
+        keeps one sign on t >= 4, and the pattern passes at every t >= 4
+        iff it does at t = 4."""
+        formula = self.formula(name, sat3, unsat4)
+        readings = []
+        for t in (4, 5, 6, 7):
+            inst = compile_formula(formula, t)
+            assert inst.core.scaled_weights[0] == 1  # L: the gadget weights are integers
+            found = {}
+            for x in inst.designated_vertices:
+                for pattern, *wsd in pattern_readings(inst, x):
+                    key = inst.tags[x].split("_")[0], pattern
+                    assert found.setdefault(key, wsd) == wsd, key
+            readings.append(found)
+        # Patterns count the w's kept: u 2, v 2 * 2 * 4, z 4, w 4 and a 2 * 4.
+        assert len(readings[0]) == 34
+        for key in readings[0]:
+            w, s, d = (_through([r[key][i] for r in readings[:3]]) for i in range(3))
+            at_7 = [sum(c * 3 ** k for k, c in enumerate(p)) for p in (w, s, d)]  # x = 3
+            assert at_7 == readings[3][key]
+            gap = _sum(_product(w, d), [-c for c in s])
+            ltd = _product([4, 1], d)  # L t d, t = 4 + x
+            p = _sum(_product(ltd, ltd), [-9 * c for c in _product(gap, gap)])
+            assert (p[0] > 0 and min(p) >= 0) or max(p) <= 0, key
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 7, 50])
+    def test_check_2_closed_forms(self, t, unsat4):
+        """Check 2's largest attachment discrepancies are zp_i's
+        9t^2/(3t^2 + 1)^2 and ap_j's t^2/(t^2 + 1)^2, each with its free
+        edge kept (0 with it dropped).  1/t^2 exceeds them by numerators
+        6t^2 + 1 and 2t^2 + 1 over t^2 times their denominators, so both
+        lie below 1/t^2 at every t, and check 2 reports zp_1's."""
+        inst = compile_formula(unsat4, t)
+        scale = inst.core.scaled_weights[0]
+        closed = {"zp": Fraction(9 * t * t, (3 * t * t + 1) ** 2),
+                  "ap": Fraction(t * t, (t * t + 1) ** 2)}
+        for x in inst.attachment_vertices:
+            nds = [Fraction((w * d - s) ** 2, (scale * d) ** 2)
+                   for _, w, s, d in pattern_readings(inst, x)]
+            assert sorted(nds) == [0, closed[inst.tags[x].split("_")[0]]], inst.tags[x]
+        bound = Fraction(1, t * t)
+        assert bound - closed["zp"] == Fraction(6 * t * t + 1, t * t * (3 * t * t + 1) ** 2)
+        assert bound - closed["ap"] == Fraction(2 * t * t + 1, t * t * (t * t + 1) ** 2)
+        (record,) = run_checks(unsat4, t, ("2",))
+        assert record.status == "pass"
+        assert record.quantities == (("max_nd", format_fraction(closed["zp"])),
+                                     ("vertex", str(inst.explicit_ids[inst.tags.index("zp_1")])),
+                                     ("bound", f"1/{t * t}"))
 
 
-def _decide_pipeline(graph, n):
+def _decide_pipeline(graph):
     """decide's optimisation on a compiled graph: the local-search warm
     start, then the exact search from it, or the warm start alone past the
     free-edge cap."""
-    warm = solve_local(graph, restarts=2, seed=0, multiplier=n)
+    warm = solve_local(graph, restarts=2, seed=0)
     if len(graph.free_edge_ids) > DEFAULT_FREE_EDGE_CAP:
         return warm
-    return solve_exact(graph, initial_mask=warm.best_mask, multiplier=n,
-                       order=breadth_first_order(graph))
+    return solve_exact(graph, initial_mask=warm.best_mask, order=breadth_first_order(graph))
 
 
 class TestFoldedCore:
@@ -487,17 +577,20 @@ class TestFoldedCore:
         assert [(ids[u], ids[v]) for u, v in core.edges] == [graph.edges[eid] for eid in free]
         assert [free[eid] for eid in breadth_first_order(core)] == list(breadth_first_order(graph))
 
-        folded, explicit = _decide_pipeline(core, n), _decide_pipeline(graph, n)
+        # The explicit graph under the core's C, n.
+        graph_n = helpers.with_multiplier(graph, n)
+        folded, explicit = _decide_pipeline(core), _decide_pipeline(graph_n)
         for a, b in zip(folded.best_score, explicit.best_score):
             assert repr(a) == repr(b)
         assert folded.nodes_explored == explicit.nodes_explored
         assert folded.optimality == explicit.optimality
         assert folded.best_mask.kept == [explicit.best_mask.kept[eid] for eid in free]
-        assert inst.explicit_mask(folded.best_mask) == explicit.best_mask
+        over_n = lambda mask: SubgraphMask(graph_n, inst.explicit_mask(mask).kept)  # noqa: E731
+        assert over_n(folded.best_mask) == explicit.best_mask
         if t == n * n:
             report = decide(formula)
             assert report.core_report == folded
-            assert inst.explicit_mask(report.core_report.best_mask) == explicit.best_mask
+            assert over_n(report.core_report.best_mask) == explicit.best_mask
 
     def test_decide_builds_no_explicit_graph(self, monkeypatch):
         """At n = 8, t = 64 the explicit graph has 134,240 vertices; decide
@@ -620,8 +713,9 @@ class TestWitness:
         for assignment in satisfying_assignments(formula):
             mask = witness_mask(inst, assignment)
             explicit = inst.explicit_mask(mask)
-            assert (repr(score(inst.graph, explicit, multiplier=n))
-                    == repr(score(inst.core, mask, multiplier=n)))
+            graph_n = helpers.with_multiplier(inst.graph, n)
+            assert (repr(score(graph_n, SubgraphMask(graph_n, explicit.kept)))
+                    == repr(score(inst.core, mask)))
             for vtx in inst.designated_vertices:
                 x = inst.explicit_ids[vtx]
                 assert neighbourhood_discrepancy(inst.graph, explicit, x) == 0

@@ -191,23 +191,24 @@ class TestScore:
             score(p3, m)
 
     def test_multiplier_override(self, p3):
-        full = SubgraphMask.full(p3)
-        default = score(p3, full)
-        doubled = score(p3, full, multiplier=6)
+        default = score(p3, SubgraphMask.full(p3))
+        g = helpers.with_multiplier(p3, 6)
+        doubled = score(g, SubgraphMask.full(g))
         assert doubled.value == default.log_degree_sum - 6 * math.log(2.0)
 
 
 class TestMultiplier:
-    """C < 0 is refused wherever a score is built: under it a smaller S can
-    score lower, against the premise of compare_scores."""
+    """C < 0 is refused where a graph is built, so no score is built under
+    it: under it a smaller S can score lower, against the premise of
+    compare_scores."""
 
     def test_negative_multiplier_is_refused(self, p3):
-        full = SubgraphMask.full(p3)
-        for build in (score, ScoreState):
+        for build in (WeightedGraph, WeightedGraph.build):
             with pytest.raises(ValueError) as exc:
-                build(p3, full, multiplier=-1)
+                build(3, p3.edges, p3.weights, multiplier=-1)
             assert str(exc.value) == "multiplier must be non-negative, got -1"
-        assert score(p3, full, multiplier=0).value == math.log(2)
+        g = helpers.with_multiplier(p3, 0)
+        assert score(g, SubgraphMask.full(g)).value == math.log(2)
 
     def test_four_cycle_pair_ranks_against_its_values_below_zero(self):
         # The 4-cycle 0-1-2-3-0 with weights 0, 1, 5, 2: dropping edge (0, 1)
@@ -219,8 +220,8 @@ class TestMultiplier:
             kept = [edge != dropped for edge in g.edges]
             _, value, log_sum, total = helpers.naive_score(g, kept, -1)
             pair.append(ScoreValue(value, log_sum, total))
-            with pytest.raises(ValueError, match="multiplier must be non-negative"):
-                score(g, SubgraphMask(g, kept), multiplier=-1)
+        with pytest.raises(ValueError, match="multiplier must be non-negative"):
+            helpers.with_multiplier(g, -1)
         a, b = pair
         assert (round(a.value, 3), round(b.value, 3)) == (5.193, 4.094)
         assert (a.discrepancy_total, b.discrepancy_total) == (45, 15)

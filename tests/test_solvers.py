@@ -107,23 +107,24 @@ class TestExact:
         assert warm.best_score.value == best.best_score.value
 
     def test_multiplier_threads_through(self, triangle):
-        report = solve_exact(triangle, multiplier=1)
+        graph = helpers.with_multiplier(triangle, 1)
+        report = solve_exact(graph)
         # with C = 1 keeping all edges wins: log-degree gain dominates
-        got = score(triangle, report.best_mask, multiplier=1)
+        got = score(graph, report.best_mask)
         assert compare_scores(report.best_score, got) == 0
         assert report.best_mask.bitstring() == "111"
 
     def test_negative_multiplier_is_refused(self):
         # With C < 0 a larger S scores higher, which the bound, the
         # dominance cut and the local screen all rule out: on this graph the
-        # search would report 111111 against the optimum 101111.
+        # search would report 111111 against the optimum 101111.  No graph
+        # carries such a C, so neither solver can be handed one.
         graph = helpers.random_graph(random.Random(23), min_vertices=5, max_vertices=8,
                                      max_free=10)
         assert helpers.brute_force_best(graph, -3)[1] == "101111"
-        for solve in (solve_exact, solve_local):
-            with pytest.raises(ValueError, match="multiplier must be non-negative, got -3"):
-                solve(graph, multiplier=-3)
-        zero = solve_exact(graph, multiplier=0)
+        with pytest.raises(ValueError, match="multiplier must be non-negative, got -3"):
+            helpers.with_multiplier(graph, -3)
+        zero = solve_exact(helpers.with_multiplier(graph, 0))
         assert zero.best_mask.bitstring() == helpers.brute_force_best(graph, 0)[1]
 
 
@@ -260,8 +261,9 @@ class TestExactDifferential:
     )
     @settings(deadline=None, max_examples=80)
     def test_matches_brute_force(self, shape, seed, multiplier):
-        graph = helpers.kernel_graph(random.Random(seed), shape, max_core=5)
-        self.assert_matches(graph, solve_exact(graph, multiplier=multiplier), multiplier)
+        graph = helpers.with_multiplier(
+            helpers.kernel_graph(random.Random(seed), shape, max_core=5), multiplier)
+        self.assert_matches(graph, solve_exact(graph), multiplier)
 
     @given(
         st.sampled_from(helpers.KERNEL_SHAPES),
@@ -271,10 +273,11 @@ class TestExactDifferential:
     )
     @settings(deadline=None, max_examples=80)
     def test_matches_brute_force_in_any_order(self, shape, seed, multiplier, order_seed):
-        graph = helpers.kernel_graph(random.Random(seed), shape, max_core=5)
+        graph = helpers.with_multiplier(
+            helpers.kernel_graph(random.Random(seed), shape, max_core=5), multiplier)
         order = list(graph.free_edge_ids)
         random.Random(order_seed).shuffle(order)
-        report = solve_exact(graph, multiplier=multiplier, order=order)
+        report = solve_exact(graph, order=order)
         self.assert_matches(graph, report, multiplier)
 
     @staticmethod
@@ -286,7 +289,7 @@ class TestExactDifferential:
         assert _bits(report.best_score.log_degree_sum) == _bits(log_sum)
         assert report.best_score.discrepancy_total == total
         # The report carries the leaf's own score, which must be the public one.
-        rescored = score(graph, report.best_mask, multiplier=multiplier)
+        rescored = score(graph, report.best_mask)
         assert report.best_score == rescored
         assert _bits(report.best_score.value) == _bits(rescored.value)
         assert _bits(report.best_score.log_degree_sum) == _bits(rescored.log_degree_sum)
@@ -332,7 +335,7 @@ class TestDominanceDifferential:
         inst = compile_formula(helpers.cubic_formula(random.Random(seed), n), t)
         # A local-search warm start, as decide uses, keeps the n = 5 proofs
         # (50 free edges) short in either order.
-        warm = solve_local(inst.core, restarts=2, seed=seed, multiplier=n).best_mask
+        warm = solve_local(inst.core, restarts=2, seed=seed).best_mask
         self.assert_matches(inst.core, order_of(inst), n, warm)
 
     @given(
@@ -361,8 +364,7 @@ class TestDominanceDifferential:
         assert report.nodes_explored < plain_nodes
         for limit, optimality in ((report.nodes_explored, "proven"),
                                   (report.nodes_explored - 1, "heuristic")):
-            run = solve_exact(inst.core, order=inst.gadget_edge_order, multiplier=3,
-                              node_limit=limit)
+            run = solve_exact(inst.core, order=inst.gadget_edge_order, node_limit=limit)
             assert run.optimality == optimality
 
     def test_key_holds_the_neighbour_sums(self):
@@ -393,12 +395,12 @@ class TestDominanceDifferential:
 
     @staticmethod
     def assert_matches(graph, order, multiplier, initial_mask):
+        graph = helpers.with_multiplier(graph, multiplier)
         mask, value, nodes = helpers.plain_branch_and_bound(
-            graph, order, multiplier=multiplier, initial_mask=initial_mask)
+            graph, order, initial_mask=initial_mask)
         # The plain search's node count as the limit lifts the free-edge cap
         # (an n = 5 formula has 50 free edges) and keeps "proven" a proof.
-        report = solve_exact(graph, order=order, multiplier=multiplier,
-                             initial_mask=initial_mask, node_limit=nodes)
+        report = solve_exact(graph, order=order, initial_mask=initial_mask, node_limit=nodes)
         assert report.best_mask.bitstring() == mask.bitstring()
         assert _bits(report.best_score.value) == _bits(value.value)
         assert _bits(report.best_score.log_degree_sum) == _bits(value.log_degree_sum)
@@ -785,9 +787,10 @@ class TestLocalScreen:
             graph = WeightedGraph.build(n, graph.edges, [graph.weights[0]] * n)
         elif weights == "two":  # S = 0 and S > 0 candidates meet
             graph = WeightedGraph.build(n, graph.edges, [graph.weights[v % 2] for v in range(n)])
-        report = solve_local(graph, restarts=restarts, seed=run_seed, multiplier=multiplier)
+        graph = helpers.with_multiplier(graph, multiplier)
+        report = solve_local(graph, restarts=restarts, seed=run_seed)
         mask, value, evaluations = helpers.plain_local_search(
-            graph, restarts=restarts, seed=run_seed, multiplier=multiplier)
+            graph, restarts=restarts, seed=run_seed)
         assert report.best_mask.bitstring() == mask.bitstring()
         assert _bits(report.best_score.value) == _bits(value.value)
         assert _bits(report.best_score.log_degree_sum) == _bits(value.log_degree_sum)

@@ -360,14 +360,14 @@ class TestScoreBounds:
 
     def test_max_sampled_score_is_the_best_sample(self):
         """The best, by compare_scores, of the states sample_states draws from
-        the same seed and multiplier; on some of these graphs a sampled mask
-        beats the full one, so the full mask alone does not pass."""
+        the same seed, under the core's C; on some of these graphs a sampled
+        mask beats the full one, so the full mask alone does not pass."""
         wins = 0
         for seed in range(40):
-            graph = helpers.kernel_graph(random.Random(seed), "core")
-            # max_sampled_score reads only the core and the variable count
-            inst = types.SimpleNamespace(core=graph, variable_count=3)
-            states = sample_states(graph, random.Random(seed), 50, multiplier=3)
+            graph = helpers.with_multiplier(helpers.kernel_graph(random.Random(seed), "core"), 3)
+            # max_sampled_score reads only the core
+            inst = types.SimpleNamespace(core=graph)
+            states = sample_states(graph, random.Random(seed), 50)
             values = [state.score() for state in states]
             best = max(values, key=functools.cmp_to_key(compare_scores))
             assert max_sampled_score(inst, samples=50, seed=seed) == (best, 51)
